@@ -32,8 +32,10 @@ from .geometry import (
     path_length,
     polyline,
 )
-from .globalinv import fiber_enumerate, invert_at, sheet_count
+from .globalinv import TRANSLATION_TOL, fiber_enumerate, invert_at, sheet_count
 from .hadamard import (
+    CERT_TOL,
+    FIT_RMS_THRESHOLD,
     ball_infimum_profile,
     classify_divergence,
     validate_weight,
@@ -47,10 +49,16 @@ from .implicit import (
 )
 from .lift import ContinuationFailure, LiftOptions, analyze_trace, lift_path
 from .mapdef import resolve_map
-from .meanvalue import find_tau, length_bounds_report, mapped_path
+from .meanvalue import CERT_REL_SLACK, find_tau, length_bounds_report, mapped_path
 from .registry import Registry, parse_vector, parse_weight_spec
 from .report import Report, validate_report
-from .sderiv import scalar_derivatives, surjection_constant
+from .sderiv import (
+    SHELL_DIRS_PER_DIM,
+    SHELL_LEVELS,
+    SURJECTION_DIRS_PER_DIM,
+    scalar_derivatives,
+    surjection_constant,
+)
 
 __all__ = ["run", "main"]
 
@@ -154,9 +162,9 @@ def cmd_deriv(args, reg):
         results=results,
         verdicts={"status": "estimated"},
         tolerances={
-            "shell_levels": 7,
-            "shell_dirs_per_dim": 64,
-            "surjection_dirs_per_dim": 128,
+            "shell_levels": SHELL_LEVELS + 1,
+            "shell_dirs_per_dim": SHELL_DIRS_PER_DIM,
+            "surjection_dirs_per_dim": SURJECTION_DIRS_PER_DIM,
         },
         seed=args.seed,
     )
@@ -245,7 +253,7 @@ def cmd_meanvalue(args, reg):
         inputs={"map": args.map, "path": args.path, "direction": args.direction},
         results=results,
         verdicts=verdicts,
-        tolerances={"certificate_rel_slack": 0.05, "samples": args.samples},
+        tolerances={"certificate_rel_slack": CERT_REL_SLACK, "samples": args.samples},
         seed=args.seed,
     )
     return rep, {}, code
@@ -384,7 +392,7 @@ def cmd_sheets(args, reg):
         },
         results=results,
         verdicts=verdicts,
-        tolerances={"translation_tol": 1e-6, "max_orbit": args.max_orbit},
+        tolerances={"translation_tol": TRANSLATION_TOL, "max_orbit": args.max_orbit},
         seed=args.seed,
     )
     return rep, {}, code
@@ -397,8 +405,8 @@ def cmd_hadamard(args, reg):
     artifacts = []
     code = EXIT_OK
     tolerances = {
-        "fit_rms_threshold": 0.15,
-        "certificate_tol": 1e-6,
+        "fit_rms_threshold": FIT_RMS_THRESHOLD,
+        "certificate_tol": CERT_TOL,
         "multistarts": args.budget,
     }
 
@@ -778,9 +786,6 @@ def run(argv):
     except LiftkitError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
-    except ContinuationFailure as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_VERDICT
 
 
 def main():

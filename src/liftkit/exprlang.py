@@ -1,4 +1,4 @@
-"""Arithmetic expression language with dual-number differentiation.
+"""Arithmetic expression language with forward-mode differentiation.
 
 Grammar (EBNF):
 
@@ -19,7 +19,9 @@ instead of propagating NaN or infinity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -42,22 +44,6 @@ __all__ = [
     "substitute",
     "FUNCTION_NAMES",
 ]
-
-# name -> fixed arity, or None for variadic (2 or more)
-_FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "atan": 1,
-    "tanh": 1,
-    "min": None,
-    "max": None,
-}
-FUNCTION_NAMES = frozenset(_FUNCTIONS)
 
 # Default variable pools for inference when the caller gives none.
 _COORD_ORDER = ("x", "y", "z", "w")
@@ -108,6 +94,10 @@ class Ast:
     root: object
     variables: tuple
     source: str = field(default="", compare=False)
+    walk: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "walk", _compile(self.root))
 
     @property
     def arity(self):
@@ -190,6 +180,13 @@ class _Parser:
             )
         return self.advance()
 
+    def parse_list(self):
+        items = [self.parse_expr()]
+        while self.peek().kind == ",":
+            self.advance()
+            items.append(self.parse_expr())
+        return items
+
     def parse_expr(self):
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
@@ -241,18 +238,16 @@ class _Parser:
 
     def parse_call(self, name_tok):
         name = name_tok.text
-        if name not in _FUNCTIONS:
+        if name not in FUNCTION_NAMES:
             raise ParseError(
-                "unknown function %r (known: %s)" % (name, ", ".join(sorted(_FUNCTIONS))),
+                "unknown function %r (known: %s)"
+                % (name, ", ".join(sorted(FUNCTION_NAMES))),
                 name_tok.pos,
             )
         self.advance()  # consume '('
-        args = [self.parse_expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            args.append(self.parse_expr())
+        args = self.parse_list()
         close = self.expect(")", "')'")
-        want = _FUNCTIONS[name]
+        want = None if name in _EXTREMES else 1
         if want is not None and len(args) != want:
             raise ParseError(
                 "%s takes %d argument%s, got %d"
@@ -295,25 +290,18 @@ def _infer_variables(seen):
     )
 
 
-def _bind_indices(node, variables):
-    """Rewrite collect-mode Var nodes with their final indices."""
+def _map_vars(node, fn):
+    """Copy of a tree with every Var node v replaced by fn(v)."""
     if isinstance(node, Var):
-        return Var(node.name, variables.index(node.name), node.span)
+        return fn(node)
     if isinstance(node, Neg):
-        return Neg(_bind_indices(node.arg, variables), node.span)
+        return Neg(_map_vars(node.arg, fn), node.span)
     if isinstance(node, BinOp):
         return BinOp(
-            node.op,
-            _bind_indices(node.left, variables),
-            _bind_indices(node.right, variables),
-            node.span,
+            node.op, _map_vars(node.left, fn), _map_vars(node.right, fn), node.span
         )
     if isinstance(node, Call):
-        return Call(
-            node.fn,
-            tuple(_bind_indices(a, variables) for a in node.args),
-            node.span,
-        )
+        return Call(node.fn, tuple(_map_vars(a, fn) for a in node.args), node.span)
     return node
 
 
@@ -333,32 +321,26 @@ def parse(source, variables=None):
     toks = _tokenize(source)
 
     roots = None
-    collect = vars_tuple is None
-    seen = []
     if toks[0].kind == "(":
         p = _Parser(toks, vars_tuple)
         try:
             p.advance()
-            comps = [p.parse_expr()]
-            while p.peek().kind == ",":
-                p.advance()
-                comps.append(p.parse_expr())
+            roots = p.parse_list()
             p.expect(")", "')'")
             p.expect("eof", "end of input")
-            roots = comps
-            seen = p.seen_names
         except ParseError:
             roots = None
     if roots is None:
         p = _Parser(toks, vars_tuple)
-        root = p.parse_expr()
+        roots = [p.parse_expr()]
         p.expect("eof", "end of input")
-        roots = [root]
-        seen = p.seen_names
 
-    if collect:
-        vars_tuple = _infer_variables(seen)
-        roots = [_bind_indices(r, vars_tuple) for r in roots]
+    if variables is None:
+        vars_tuple = _infer_variables(p.seen_names)
+        roots = [
+            _map_vars(r, lambda v: Var(v.name, vars_tuple.index(v.name), v.span))
+            for r in roots
+        ]
     return tuple(Ast(root, vars_tuple, source) for root in roots)
 
 
@@ -373,71 +355,177 @@ def parse_single(source, variables=None):
 
 
 # ---------------------------------------------------------------------------
-# Numeric evaluation (floats and numpy arrays)
+# Forward-mode evaluation
+#
+# Every Ast is compiled once, when it is built, into a closure
+# walk(x, dx, k) -> (value, tangent). x holds the variable values and dx
+# their tangents; k is 0 for a single point (Python floats, math) and 1
+# for a batch (numpy arrays). A tangent holds the partial derivatives in
+# all n variables: shape (n,) for a point, broadcastable to (N, n) for a
+# batch whose values are (N, 1) columns. None stands for a zero tangent,
+# so constants cost no derivative work and seeding every variable with
+# None evaluates values only.
+
+# (constant subtrees of a batch compute on floats, so may be complex)
+_FINITE = (math.isfinite, lambda v: type(v) is not complex and np.isfinite(v).all())
+_LIBS = (math, np)
+# raised by failing float operations (math.isfinite rejects complex)
+_FAULTS = (ArithmeticError, ValueError, TypeError)
 
 
-def _check_finite(value, span, what):
-    if not np.all(np.isfinite(value)):
-        raise EvalDomainError("non-finite value in %s" % what, span)
-    return value
+def _plus(da, db):
+    return db if da is None else da if db is None else da + db
 
 
-def _eval_array(node, env):
+def _minus(da, db):
+    return _times(-1.0, db) if da is None else da if db is None else da - db
+
+
+def _times(p, d):
+    return None if d is None else p * d
+
+
+def _sqrt_tangent(m, a, v, da):
+    zero = v == 0
+    if np.any(zero & (da != 0)):
+        raise EvalDomainError("sqrt not differentiable at zero")
+    return np.where(zero, 0.0, da / (2.0 * np.where(zero, 1.0, v)))
+
+
+def _pow_tangent(a, b, v, da, db):
+    if db is not None:
+        if not np.all(a > 0):
+            raise EvalDomainError("power not differentiable at non-positive base")
+        return v * _plus(db * np.log(a), _times(b / a, da))
+    # constant exponent: direct rule, no log and no division
+    # (v * b / a overflows on subnormal bases)
+    if b == 0:
+        return None
+    zero = a == 0  # a < 0 has already failed unless b is an integer
+    if not float(b).is_integer() and np.any(zero):
+        if np.any(zero & (da != 0)):
+            raise EvalDomainError("power not differentiable at non-positive base")
+        a = np.where(zero, 1.0, a)
+    return b * a ** (b - 1.0) * da
+
+
+# name -> (float implementation, array implementation, tangent rule
+# (m, a, v, da) -> tangent of v = f(a) with m math or numpy, fault message)
+_FUNCTIONS = {
+    "sin": (math.sin, np.sin, lambda m, a, v, da: m.cos(a) * da, ""),
+    "cos": (math.cos, np.cos, lambda m, a, v, da: -m.sin(a) * da, ""),
+    "tan": (math.tan, np.tan, lambda m, a, v, da: (1.0 + v * v) * da, ""),
+    "exp": (math.exp, np.exp, lambda m, a, v, da: v * da, ""),
+    "log": (
+        math.log, np.log, lambda m, a, v, da: da / a, "log of a non-positive number"
+    ),
+    "sqrt": (math.sqrt, np.sqrt, _sqrt_tangent, "sqrt of a negative number"),
+    "abs": (abs, np.abs, lambda m, a, v, da: m.copysign(1.0, a) * (a != 0) * da, ""),
+    "atan": (math.atan, np.arctan, lambda m, a, v, da: da / (1.0 + a * a), ""),
+    "tanh": (math.tanh, np.tanh, lambda m, a, v, da: (1.0 - v * v) * da, ""),
+}
+_NEGATION = (operator.neg, operator.neg, lambda m, a, v, da: -da, "")
+# variadic, 2 or more arguments: name -> "first argument beats second"
+_EXTREMES = {"min": operator.lt, "max": operator.gt}
+FUNCTION_NAMES = frozenset(_FUNCTIONS) | frozenset(_EXTREMES)
+# op -> (name, value, tangent rule (a, b, v, da, db) with da or db not None)
+_BINARY = {
+    "+": ("addition", operator.add, lambda a, b, v, da, db: _plus(da, db)),
+    "-": ("subtraction", operator.sub, lambda a, b, v, da, db: _minus(da, db)),
+    "*": ("multiplication", operator.mul,
+          lambda a, b, v, da, db: _plus(_times(b, da), _times(a, db))),
+    "/": ("division", operator.truediv,
+          lambda a, b, v, da, db: _minus(da, _times(v, db)) / b),
+    "^": ("power", operator.pow, _pow_tangent),
+}
+
+
+def _compile(node):
+    """Closure walk(x, dx, k) -> (value, tangent) for one tree."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda x, dx, k: (value, None)
     if isinstance(node, Var):
-        return env[node.index]
+        i = node.index
+        return lambda x, dx, k: (x[i], dx[i])
     if isinstance(node, Neg):
-        return -_eval_array(node.arg, env)
+        return _call(_NEGATION, "negation", _compile(node.arg), node.span)
     if isinstance(node, BinOp):
-        a = _eval_array(node.left, env)
-        b = _eval_array(node.right, env)
-        if node.op == "+":
-            return _check_finite(a + b, node.span, "addition")
-        if node.op == "-":
-            return _check_finite(a - b, node.span, "subtraction")
-        if node.op == "*":
-            return _check_finite(a * b, node.span, "multiplication")
-        if node.op == "/":
-            if np.any(b == 0):
-                raise EvalDomainError("division by zero", node.span)
-            return _check_finite(a / b, node.span, "division")
-        if node.op == "^":
-            with np.errstate(all="ignore"):
-                out = np.power(a, b)
-            return _check_finite(out, node.span, "power")
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_eval_array(a, env) for a in node.args]
-        return _apply_array(node.fn, args, node.span)
-    raise AssertionError(type(node))
+        return _binary(node.op, _compile(node.left), _compile(node.right), node.span)
+    if node.fn in _EXTREMES:
+        return _extreme(_EXTREMES[node.fn], [_compile(a) for a in node.args])
+    return _call(_FUNCTIONS[node.fn], node.fn + "()", _compile(node.args[0]), node.span)
 
 
-def _apply_array(fn, args, span):
-    with np.errstate(all="ignore"):
-        if fn == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalDomainError("log of a non-positive number", span)
-            out = np.log(args[0])
-        elif fn == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise EvalDomainError("sqrt of a negative number", span)
-            out = np.sqrt(args[0])
-        elif fn == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-        elif fn == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-        elif fn == "abs":
-            out = np.abs(args[0])
-        elif fn == "atan":
-            out = np.arctan(args[0])
-        else:
-            out = getattr(np, fn)(args[0])
-    return _check_finite(out, span, "%s()" % fn)
+def _binary(op, left, right, span):
+    what, value, tangent = _BINARY[op]
+
+    def binary(x, dx, k):
+        a, da = left(x, dx, k)
+        b, db = right(x, dx, k)
+        try:
+            v = value(a, b)
+            if _FINITE[k](v):
+                if da is None and db is None:
+                    return v, None
+                return v, tangent(a, b, v, da, db)
+        except _FAULTS:
+            pass
+        except EvalDomainError as err:
+            raise EvalDomainError(str(err), span) from None
+        if op == "/" and np.any(b == 0):
+            raise EvalDomainError("division by zero", span)
+        raise EvalDomainError("non-finite value in " + what, span)
+
+    return binary
+
+
+def _call(row, what, arg, span):
+    scalar, array, tangent, fault = row
+    impls = (scalar, array)
+    fault = fault or "non-finite value in " + what
+
+    def call(x, dx, k):
+        a, da = arg(x, dx, k)
+        try:
+            v = impls[k](a)
+            if _FINITE[k](v):
+                return v, None if da is None else tangent(_LIBS[k], a, v, da)
+        except _FAULTS:
+            pass
+        except EvalDomainError as err:
+            raise EvalDomainError(str(err), span) from None
+        raise EvalDomainError(fault, span)
+
+    return call
+
+
+def _extreme(beats, args):
+    # ties keep the earlier argument, for the value and the tangent alike
+    def extreme(x, dx, k):
+        best, bd = args[0](x, dx, k)
+        for arg in args[1:]:
+            a, da = arg(x, dx, k)
+            take = beats(a, best)
+            if k == 0:
+                best, bd = (a, da) if take else (best, bd)
+                continue
+            best = np.where(take, a, best)
+            if da is not None or bd is not None:
+                bd = np.where(
+                    take, 0.0 if da is None else da, 0.0 if bd is None else bd
+                )
+        return best, bd
+
+    return extreme
+
+
+@functools.lru_cache(maxsize=None)
+def _seeds(n):
+    """Unit tangents of the n variables: read-only rows of the identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return tuple(eye)
 
 
 def eval_ast(a, x):
@@ -452,166 +540,49 @@ def eval_ast(a, x):
             "expression takes %d variable(s) %s, got %d values"
             % (a.arity, a.variables, len(x))
         )
+    nothing = (None,) * len(x)
+    if all(type(v) is float or np.ndim(v) == 0 for v in x):
+        return float(a.walk([float(v) for v in x], nothing, 0)[0])
     env = [np.asarray(v, dtype=float) for v in x]
-    scalar = all(e.ndim == 0 for e in env)
-    out = np.asarray(_eval_array(a.root, env), dtype=float)
-    if scalar:
-        return float(out)
+    with np.errstate(all="ignore"):
+        out = np.asarray(a.walk(env, nothing, 1)[0], dtype=float)
     if out.ndim == 0 and env and env[0].ndim > 0:
         out = np.broadcast_to(out, env[0].shape).copy()
     return out
 
 
-# ---------------------------------------------------------------------------
-# Dual numbers (forward-mode differentiation)
-
-
-class Dual:
-    """Value and first derivative with respect to one seed direction."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d=0.0):
-        self.v = float(v)
-        self.d = float(d)
-
-    def __repr__(self):
-        return "Dual(%r, %r)" % (self.v, self.d)
-
-
-def _dual_check(v, d, span, what):
-    if not (math.isfinite(v) and math.isfinite(d)):
-        raise EvalDomainError("non-finite value in %s" % what, span)
-    return Dual(v, d)
-
-
-def _eval_dual(node, env):
-    if isinstance(node, Num):
-        return Dual(node.value)
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, Neg):
-        a = _eval_dual(node.arg, env)
-        return Dual(-a.v, -a.d)
-    if isinstance(node, BinOp):
-        a = _eval_dual(node.left, env)
-        b = _eval_dual(node.right, env)
-        if node.op == "+":
-            return _dual_check(a.v + b.v, a.d + b.d, node.span, "addition")
-        if node.op == "-":
-            return _dual_check(a.v - b.v, a.d - b.d, node.span, "subtraction")
-        if node.op == "*":
-            return _dual_check(
-                a.v * b.v, a.d * b.v + a.v * b.d, node.span, "multiplication"
-            )
-        if node.op == "/":
-            if b.v == 0:
-                raise EvalDomainError("division by zero", node.span)
-            v = a.v / b.v
-            return _dual_check(v, (a.d - v * b.d) / b.v, node.span, "division")
-        if node.op == "^":
-            return _dual_pow(a, b, node.span)
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_eval_dual(a, env) for a in node.args]
-        return _apply_dual(node.fn, args, node.span)
-    raise AssertionError(type(node))
-
-
-def _dual_pow(a, b, span):
-    try:
-        v = a.v**b.v
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise EvalDomainError("power out of domain", span) from None
-    if isinstance(v, complex):
-        raise EvalDomainError("power of a negative base is complex here", span)
-    if a.v > 0:
-        if b.d == 0.0:
-            # constant exponent: direct rule, no log and no division
-            # (v * b.v / a.v overflows on subnormal bases)
-            d = 0.0 if b.v == 0 else b.v * a.v ** (b.v - 1.0) * a.d
-        else:
-            d = v * (b.d * math.log(a.v) + b.v * a.d / a.v)
-    elif b.d == 0 and float(b.v).is_integer():
-        k = b.v
-        d = 0.0 if k == 0 else k * a.v ** (k - 1) * a.d
-    elif a.v == 0 and a.d == 0 and b.d == 0:
-        d = 0.0
-    else:
-        raise EvalDomainError(
-            "power not differentiable at non-positive base", span
-        )
-    return _dual_check(v, d, span, "power")
-
-
-def _apply_dual(fn, args, span):
-    if fn in ("min", "max"):
-        pick = min if fn == "min" else max
-        best = args[0]
-        for a in args[1:]:
-            best = pick(best, a, key=lambda z: z.v)
-        return best
-    (a,) = args
-    if fn == "sin":
-        return _dual_check(math.sin(a.v), math.cos(a.v) * a.d, span, "sin()")
-    if fn == "cos":
-        return _dual_check(math.cos(a.v), -math.sin(a.v) * a.d, span, "cos()")
-    if fn == "tan":
-        v = math.tan(a.v)
-        return _dual_check(v, (1.0 + v * v) * a.d, span, "tan()")
-    if fn == "exp":
-        try:
-            v = math.exp(a.v)
-        except OverflowError:
-            raise EvalDomainError("non-finite value in exp()", span) from None
-        return _dual_check(v, v * a.d, span, "exp()")
-    if fn == "log":
-        if a.v <= 0:
-            raise EvalDomainError("log of a non-positive number", span)
-        return _dual_check(math.log(a.v), a.d / a.v, span, "log()")
-    if fn == "sqrt":
-        if a.v < 0:
-            raise EvalDomainError("sqrt of a negative number", span)
-        v = math.sqrt(a.v)
-        if a.d != 0 and v == 0:
-            raise EvalDomainError("sqrt not differentiable at zero", span)
-        d = 0.0 if a.d == 0 else a.d / (2.0 * v)
-        return _dual_check(v, d, span, "sqrt()")
-    if fn == "abs":
-        sign = 0.0 if a.v == 0 else math.copysign(1.0, a.v)
-        return Dual(abs(a.v), sign * a.d)
-    if fn == "atan":
-        return _dual_check(
-            math.atan(a.v), a.d / (1.0 + a.v * a.v), span, "atan()"
-        )
-    if fn == "tanh":
-        v = math.tanh(a.v)
-        return _dual_check(v, (1.0 - v * v) * a.d, span, "tanh()")
-    raise AssertionError(fn)
-
-
 def jacobian_ad(components, x):
-    """Jacobian of the map whose rows are components, at point x.
+    """Jacobian of the map whose rows are components, at x.
 
-    components: sequence of Ast sharing one variable tuple. Returns an
-    (m, n) array with m = len(components), n = arity.
+    components: sequence of Ast sharing one variable tuple. For a point
+    x of length n = arity the result is an (m, n) array with
+    m = len(components); for an (N, n) block of points it is an
+    (N, m, n) stack. A fault at any point of a block raises.
     """
     comps = list(components)
     if not comps:
         raise InputError("no components given")
-    variables = comps[0].variables
-    for c in comps[1:]:
-        if c.variables != variables:
-            raise InputError("components disagree on variables")
-    n = len(variables)
-    xs = [float(v) for v in x]
-    if len(xs) != n:
-        raise InputError("point has %d coordinates, expected %d" % (len(xs), n))
-    jac = np.empty((len(comps), n), dtype=float)
-    for j in range(n):
-        env = [Dual(xs[i], 1.0 if i == j else 0.0) for i in range(n)]
+    if len({c.variables for c in comps}) > 1:
+        raise InputError("components disagree on variables")
+    n = comps[0].arity
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1 and pts.shape[0] == n:
+        env, k = pts.tolist(), 0
+    elif pts.ndim == 2 and pts.shape[1] == n:
+        env, k = [pts[:, i : i + 1] for i in range(n)], 1
+    else:
+        raise InputError("point shape %s is not (%d,) or (N, %d)" % (pts.shape, n, n))
+    seeds = _seeds(n)
+    jac = np.zeros(pts.shape[:-1] + (len(comps), n))
+    with np.errstate(all="ignore"):
         for i, c in enumerate(comps):
-            jac[i, j] = _eval_dual(c.root, env).d
+            d = c.walk(env, seeds, k)[1]
+            if d is not None:
+                jac[..., i, :] = d
+    if not np.isfinite(jac).all():
+        rows_ok = np.isfinite(jac).all(axis=-1).reshape(-1, len(comps)).all(axis=0)
+        bad = comps[int(np.argmin(rows_ok))]
+        raise EvalDomainError("non-finite derivative", bad.root.span)
     return jac
 
 
@@ -645,28 +616,7 @@ def pretty(a):
     return _pretty_node(a.root if isinstance(a, Ast) else a)
 
 
-def _substitute(node, name, replacement):
-    if isinstance(node, Var):
-        return replacement if node.name == name else node
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.arg, name, replacement), node.span)
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.op,
-            _substitute(node.left, name, replacement),
-            _substitute(node.right, name, replacement),
-            node.span,
-        )
-    if isinstance(node, Call):
-        return Call(
-            node.fn,
-            tuple(_substitute(a, name, replacement) for a in node.args),
-            node.span,
-        )
-    return node
-
-
 def substitute(a, name, replacement):
     """Replace every occurrence of variable name with a replacement node."""
-    root = _substitute(a.root, name, replacement)
+    root = _map_vars(a.root, lambda v: replacement if v.name == name else v)
     return Ast(root, a.variables, a.source)

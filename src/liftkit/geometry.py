@@ -698,11 +698,7 @@ class ExpressionPath(Path):
 
     def velocity(self, t):
         t = self._check_param(float(t))
-        out = np.empty(self.space.dim)
-        for i, c in enumerate(self.components):
-            env = [exprlang.Dual(t, 1.0)]
-            out[i] = exprlang._eval_dual(c.root, env).d
-        return out
+        return exprlang.jacobian_ad(self.components, [t])[:, 0]
 
 
 class FunctionPath(Path):

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvalDomainError, InputError, NonConvergenceError, SingularJacobianError
+from .errors import (
+    DomainError,
+    EvalDomainError,
+    InputError,
+    LiftkitError,
+    NonConvergenceError,
+    SingularJacobianError,
+)
 from .geometry import (
     POINT_IDENTITY_RTOL,
     Box,
@@ -25,6 +32,7 @@ from .geometry import (
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import local_solve
 from .sampling import unit_box_points
+from .sderiv import d_pm_from_jacobian
 
 __all__ = [
     "invert_at",
@@ -80,8 +88,8 @@ class FiberReport:
         return len(self.preimages)
 
     def check(self, space, tol):
-        for r in self.residuals:
-            assert r <= tol
+        if not all(r <= tol for r in self.residuals):
+            raise LiftkitError("fiber residual above tolerance %g" % tol)
         pts = [p.coords for p in self.preimages]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -91,7 +99,8 @@ class FiberReport:
                 scale = 1.0 + max(
                     space.chart_norm(pts[i]), space.chart_norm(pts[j])
                 )
-                assert d > POINT_IDENTITY_RTOL * scale
+                if not d > POINT_IDENTITY_RTOL * scale:
+                    raise LiftkitError("fiber preimages %d and %d coincide" % (i, j))
 
 
 def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
@@ -251,7 +260,11 @@ class QIBounds:
     note: str = "sampled estimate over deterministic points, not a bound"
 
     def __post_init__(self):
-        assert 0.0 <= self.alpha_hat <= self.beta_hat
+        if not 0.0 <= self.alpha_hat <= self.beta_hat:
+            raise LiftkitError(
+                "quasi-isometry estimate violates 0 <= alpha <= beta: %r, %r"
+                % (self.alpha_hat, self.beta_hat)
+            )
 
 
 def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
@@ -269,11 +282,7 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
     pts = pts[f.domain.contains_many(pts)]
     if pts.shape[0] == 0:
         raise InputError("no samples land inside the domain")
-    jacs = f.jacobians_many(pts)
-    sv = np.linalg.svd(jacs, compute_uv=False)
-    smax, smin = sv[:, 0], sv[:, -1]
-    if jacs.shape[2] > jacs.shape[1]:
-        smin = np.zeros_like(smin)  # wide Jacobian cannot be injective
+    smin, smax = d_pm_from_jacobian(f.jacobians_many(pts))
     alpha = float(smin.min())
     beta = float(smax.max())
     alpha_K = None

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError, EvalDomainError, InputError
+from .errors import DomainError, EvalDomainError, InputError, LiftkitError
 from .exprlang import eval_ast, parse_single
 from .geometry import Box, Point
 from .sampling import sphere_directions, unit_box_points
+from .sderiv import d_pm_from_jacobian
 
 __all__ = [
     "Weight",
@@ -313,9 +314,12 @@ class HadamardProfile:
     budget: int
 
     def check(self):
-        assert np.all(np.diff(self.radii) > 0)
-        assert np.all(np.diff(self.infima) <= 1e-15 + 1e-12 * self.infima[:-1])
-        assert np.all(np.diff(self.partial_integrals) >= -1e-15)
+        if not np.all(np.diff(self.radii) > 0):
+            raise LiftkitError("profile radii are not increasing")
+        if not np.all(np.diff(self.infima) <= 1e-15 + 1e-12 * self.infima[:-1]):
+            raise LiftkitError("profile infima are not non-increasing")
+        if not np.all(np.diff(self.partial_integrals) >= -1e-15):
+            raise LiftkitError("profile partial integrals are not non-decreasing")
 
     def to_csv(self):
         buf = io.StringIO()
@@ -326,9 +330,7 @@ class HadamardProfile:
 
 
 def _smin_batch(f, pts):
-    jacs = f.jacobians_many(pts)
-    sv = np.linalg.svd(jacs, compute_uv=False)
-    return sv[:, -1]
+    return d_pm_from_jacobian(f.jacobians_many(pts))[0]
 
 
 def default_radii(x0_coords, n=24, decades=3.0):

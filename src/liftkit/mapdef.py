@@ -2,7 +2,7 @@
 and a damped Newton local solver.
 
 A MapHandle bundles a map between two spaces with whichever Jacobian
-source is available: closed-form (analytic), dual-number automatic
+source is available: closed-form (analytic), forward-mode automatic
 differentiation for expression maps, or central finite differences on
 request.
 """
@@ -121,29 +121,31 @@ class MapHandle:
     def jacobians_many(self, pts):
         """Stack of Jacobians, shape (N, dim_out, dim_in)."""
         pts = np.asarray(pts, dtype=float)
-        if self.jac_many_fn is not None:
-            return np.asarray(self.jac_many_fn(pts), dtype=float)
-        return np.stack([jacobian_at(self, p) for p in pts])
+        if self.jac_many_fn is None:
+            return np.stack([jacobian_at(self, p) for p in pts])
+        return _checked_jacobians(
+            self, self.jac_many_fn(pts), (pts.shape[0], self.dim_out, self.dim_in)
+        )
 
 
 def jacobian_at(f, x):
     """Jacobian of f at chart coordinates x, by the handle's mode."""
     coords = x.coords if isinstance(x, Point) else x
     c = f.domain.check_coords(coords)
-    if f.jacobian_mode == "analytic":
-        jac = np.asarray(f.jac_one(c), dtype=float)
-    elif f.jacobian_mode == "automatic":
-        jac = exprlang.jacobian_ad(f.asts, c)
-    elif f.jacobian_mode == "finite_difference":
+    if f.jacobian_mode == "finite_difference":
         jac = _fd_jacobian(f, c)
     else:
-        raise InputError("unknown jacobian mode %r" % f.jacobian_mode)
-    if jac.shape != (f.codomain.dim, f.domain.dim):
+        jac = f.jac_one(c)
+    return _checked_jacobians(f, jac, (f.codomain.dim, f.domain.dim))
+
+
+def _checked_jacobians(f, jac, shape):
+    jac = np.asarray(jac, dtype=float)
+    if jac.shape != shape:
         raise InputError(
-            "jacobian of %s has shape %s, expected %s"
-            % (f.name, jac.shape, (f.codomain.dim, f.domain.dim))
+            "jacobian of %s has shape %s, expected %s" % (f.name, jac.shape, shape)
         )
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise DomainError("jacobian of %s is non-finite" % f.name)
     return jac
 
@@ -258,7 +260,7 @@ def _make_expmap():
         "analytic",
         ev,
         lambda P: np.exp(P),
-        lambda c: np.array([[math.exp(c[0])]]),
+        lambda c: ev(c)[:, None],
         lambda P: np.exp(P)[:, :, None],
     )
 
@@ -425,6 +427,20 @@ def builtin_names():
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)$")
 
 
+def _component_evaluators(asts, n):
+    """Single-point and batched evaluation of a tuple of components."""
+
+    def one(c):
+        pt = c.tolist()
+        return np.array([exprlang.eval_ast(a, pt) for a in asts])
+
+    def many(P):
+        cols = [P[:, i] for i in range(n)]
+        return np.stack([exprlang.eval_ast(a, cols) for a in asts], axis=1)
+
+    return one, many
+
+
 def expression_map(
     source,
     variables=None,
@@ -457,27 +473,29 @@ def expression_map(
             % (m, codomain.dim)
         )
 
-    def ev(c):
-        return np.array([exprlang.eval_ast(a, list(c)) for a in asts])
+    ev, ev_many = _component_evaluators(asts, n)
+    if jacobian_source is None:
+        mode = "automatic"
 
-    def ev_many(P):
-        cols = [P[:, i] for i in range(n)]
-        return np.stack([exprlang.eval_ast(a, cols) for a in asts], axis=1)
+        def jac_one(c):
+            # one point (n,) or a block (N, n) alike
+            return exprlang.jacobian_ad(asts, c)
 
-    jac_one = None
-    jac_many_fn = None
-    mode = "automatic"
-    if jacobian_source is not None:
+        jac_many = jac_one
+    else:
         jasts = exprlang.parse(jacobian_source, varnames)
         if len(jasts) != m * n:
             raise InputError(
                 "jacobian needs %d expressions (rows x columns), got %d"
                 % (m * n, len(jasts))
             )
+        entries, entries_many = _component_evaluators(jasts, n)
 
-        def jac_one(c, _jasts=jasts):
-            vals = [exprlang.eval_ast(a, list(c)) for a in _jasts]
-            return np.array(vals).reshape(m, n)
+        def jac_one(c):
+            return entries(c).reshape(m, n)
+
+        def jac_many(P):
+            return entries_many(P).reshape(-1, m, n)
 
         mode = "analytic"
     if jacobian_mode == "finite_difference":
@@ -495,6 +513,7 @@ def expression_map(
         eval_one=ev,
         eval_many_fn=ev_many,
         jac_one=jac_one,
+        jac_many_fn=jac_many,
         asts=asts,
     )
 

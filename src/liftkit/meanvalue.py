@@ -27,7 +27,7 @@ from .geometry import (
     path_length,
     reparam_arclength,
 )
-from .sderiv import scalar_derivatives
+from .sderiv import d_pm_from_jacobian, scalar_derivatives
 
 __all__ = [
     "BisectionCertificate",
@@ -291,13 +291,9 @@ def length_bounds_report(f, q, n_samples=256, rel_slack=CERT_REL_SLACK):
     a, b = q.domain
     ts = np.linspace(a, b, int(n_samples))
     pts = q.eval_many(ts)
-    jacs = f.jacobians_many(pts)
-    sv = np.linalg.svd(jacs, compute_uv=False)
-    sup_plus = float(sv[:, 0].max())
-    if jacs.shape[2] > jacs.shape[1]:
-        inf_minus = 0.0
-    else:
-        inf_minus = float(sv[:, -1].min())
+    d_minus, d_plus = d_pm_from_jacobian(f.jacobians_many(pts))
+    sup_plus = float(d_plus.max())
+    inf_minus = float(d_minus.min())
 
     len_q = path_length(q).require()
     p = mapped_path(f, q)

@@ -31,6 +31,8 @@ __all__ = [
 SHELL_LEVELS = 6
 SHELL_DIRS_PER_DIM = 64
 SHELL_RHO0_SCALE = 1e-2
+# directions per dimension on each sphere of surjection_constant
+SURJECTION_DIRS_PER_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,23 @@ class SurjectionEstimate:
 
 
 def d_pm_from_jacobian(jac):
-    """(d_minus, d_plus) from a Jacobian matrix.
+    """(d_minus, d_plus) from a Jacobian matrix, or from a stack of them.
 
     d_plus is the largest singular value. d_minus is the smallest
     singular value when the matrix has at least as many rows as
     columns; a wider-than-tall matrix always has a null direction, so
-    d_minus is 0 there.
+    d_minus is 0 there. An (m, n) matrix gives two floats, an
+    (N, m, n) stack two (N,) arrays.
     """
-    sv = np.linalg.svd(np.asarray(jac, dtype=float), compute_uv=False)
-    d_plus = float(sv[0]) if sv.size else 0.0
-    if jac.shape[1] > jac.shape[0]:
-        return 0.0, d_plus
-    return float(sv[-1]), d_plus
+    jac = np.asarray(jac, dtype=float)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv.shape[-1] == 0:
+        sv = np.zeros(sv.shape[:-1] + (1,))
+    d_plus = sv[..., 0]
+    d_minus = sv[..., -1] if jac.shape[-1] <= jac.shape[-2] else np.zeros_like(d_plus)
+    if jac.ndim == 2:
+        return float(d_minus), float(d_plus)
+    return d_minus, d_plus
 
 
 def _coords(space, x):
@@ -190,7 +197,7 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     return ScalarDerivEstimate(float(d_minus), float(d_plus), method, tuple(report))
 
 
-def surjection_constant(f, x, radii=None, dirs_per_dim=128):
+def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
     """Estimate sur(f, x), the liminf of Sur(f,x)(t)/t.
 
     Sur(f,x)(t) is approximated by the distance from f(x) to the image

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +273,31 @@ def test_dimension_mismatch_exits_two(capsys):
         ["lift", "--map", "shear3", "--path", "seg:1,0", "--start", "0,0"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_overflowing_profile_exits_two_in_both_forms(spec, capsys):
+    with np.errstate(over="ignore"):
+        code, out = invoke(["hadamard", "--map", spec, "--center", "8", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_profile_fails_under_optimize_flag():
+    # invariant checks must not be asserts: -O strips those
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys; from liftkit.cli import run; sys.exit(run(sys.argv[1:]))"]
+        + argv,
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode != 0
+    assert "NaN" not in proc.stdout
 
 
 # -- output contract -------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Expression language: parsing, evaluation, dual-number derivatives."""
+"""Expression language: parsing, evaluation, forward-mode derivatives."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from liftkit.errors import EvalDomainError, ParseError
 from liftkit.exprlang import (
+    FUNCTION_NAMES,
     eval_ast,
     jacobian_ad,
     parse,
@@ -41,10 +44,31 @@ def test_shear_evaluation():
     assert vals == [9.0, 2.0]
 
 
+def _fault(call):
+    with pytest.raises(EvalDomainError) as exc:
+        call()
+    return str(exc.value), exc.value.span
+
+
+def _same_fault_everywhere(source, bad, good):
+    """One fault, one message and one span: single point, a batch
+    holding one bad point, and jacobian_ad on the point and the block."""
+    a = parse_single(source, ("x",))
+    batch = np.array([good, bad, good])
+    faults = {
+        _fault(lambda: eval_ast(a, [bad])),
+        _fault(lambda: eval_ast(a, [batch])),
+        _fault(lambda: jacobian_ad([a], [bad])),
+        _fault(lambda: jacobian_ad([a], batch[:, None])),
+    }
+    assert len(faults) == 1
+    return faults.pop()
+
+
 def test_log_negative_is_domain_fault():
-    a = parse_single("log(x)", ("x",))
-    with pytest.raises(EvalDomainError):
-        eval_ast(a, [-1.0])
+    message, span = _same_fault_everywhere("1 + log(x)", -1.0, 2.0)
+    assert "log" in message
+    assert span == (4, 10)
 
 
 def test_atan_quarter_pi():
@@ -53,9 +77,9 @@ def test_atan_quarter_pi():
 
 
 def test_division_by_zero_is_domain_fault():
-    a = parse_single("1/x", ("x",))
-    with pytest.raises(EvalDomainError):
-        eval_ast(a, [0.0])
+    message, span = _same_fault_everywhere("x + 1/x", 0.0, 2.0)
+    assert message == "division by zero"
+    assert span == (4, 7)
 
 
 def test_shear_jacobian_by_dual_numbers():
@@ -70,12 +94,29 @@ def test_exp_jacobian_at_zero():
     assert np.allclose(jac, [[1.0]])
 
 
-def test_vectorized_evaluation_matches_scalar():
-    a = parse_single("sin(x)*x + cos(x)^2", ("x",))
-    xs = np.linspace(-2.0, 2.0, 17)
-    vec = eval_ast(a, [xs])
-    scalars = [eval_ast(a, [float(v)]) for v in xs]
-    assert np.allclose(vec, scalars)
+@pytest.mark.parametrize(
+    "source",
+    [
+        "sin(x)*x + cos(x)^2",
+        "(x + y^3, y)",
+        "(exp(x)*cos(y), exp(x)*sin(y))",
+        "(x^3 - 3*x*y^2, 3*x^2*y - y^3)",
+        "y^3 + y - x",
+    ],
+    ids=["sin-cos", "shear3", "polar_exp", "powk(3)", "cubic_implicit"],
+)
+def test_vectorized_evaluation_matches_scalar(source):
+    asts = parse(source)
+    n = asts[0].arity
+    pts = np.linspace(-2.0, 2.0, 17 * n).reshape(n, 17).T
+    for a in asts:
+        vec = eval_ast(a, [pts[:, i] for i in range(n)])
+        scalars = [eval_ast(a, [float(v) for v in p]) for p in pts]
+        assert np.allclose(vec, scalars)
+    block = jacobian_ad(asts, pts)
+    assert block.shape == (17, len(asts), n)
+    for p, jac in zip(pts, block):
+        assert np.allclose(jac, jacobian_ad(asts, p))
 
 
 def test_variable_inference_prefix_order():
@@ -83,6 +124,20 @@ def test_variable_inference_prefix_order():
     assert asts[0].variables == ("x", "y")
     a = parse_single("t + 1")
     assert a.variables == ("t",)
+
+
+def test_readme_lists_exactly_the_parsed_functions():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Expression language", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.strip().split("\n\n", 1)[0]
+    named = set()
+    for quoted in re.findall(r"`([^`]*)`", paragraph):
+        named.update(re.findall(r"[a-z]+", quoted))
+    for name in sorted(named):
+        parse_single("%s(x, y)" % name if name in ("min", "max") else "%s(x)" % name)
+    assert named == set(FUNCTION_NAMES)
 
 
 def test_unknown_function_rejected():

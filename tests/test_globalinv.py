@@ -7,6 +7,7 @@ from liftkit import (
     Box,
     ContinuationFailure,
     Euclidean,
+    LiftkitError,
     Loop,
     fiber_enumerate,
     invert_at,
@@ -15,6 +16,7 @@ from liftkit import (
     resolve_map,
     sheet_count,
 )
+from liftkit.globalinv import QIBounds
 from oracles import SIG_MAX_SHEAR, SIG_MIN_SHEAR, shear_inverse
 
 
@@ -162,3 +164,15 @@ def test_path_battery_count_and_space(shear3):
     assert len(kinds) >= 2
     for p in paths:
         assert p.space.dim == 2
+
+
+def test_qi_bounds_reject_nan():
+    with pytest.raises(LiftkitError):
+        QIBounds(
+            alpha_hat=float("nan"), beta_hat=1.0, region=Box([0.0], [1.0]), n_samples=1
+        )
+
+
+def test_qi_bounds_overflow_is_typed_error():
+    with np.errstate(over="ignore"), pytest.raises(LiftkitError):
+        quasi_isometry_bounds(resolve_map("expmap"), Box([0.0], [800.0]))

@@ -197,3 +197,15 @@ def test_weight_from_vanishing_profile_rejected():
     assert not prof.regular
     with pytest.raises(InputError):
         weight_from_profile(prof)
+
+
+def test_certificate_on_wide_map_uses_zero_lower_derivative():
+    # a map from R^2 to R^1 has lower scalar derivative 0 everywhere
+    cert = weight_certificate(
+        resolve_map("cubic_implicit"),
+        [0.0, 0.0],
+        ConstantWeight(1.0),
+        points=[[0.0, 0.0], [1.0, 1.0]],
+    )
+    assert not cert.passed
+    assert cert.worst_margin == -1.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftkit import (
     DomainError,
@@ -74,11 +76,47 @@ def test_finite_difference_override(shear3):
     assert np.allclose(a, b, atol=1e-6)
 
 
-def test_jacobians_many_matches_single(shear3):
+# expression forms of shear3, polar_exp, powk(3) and cubic_implicit
+EXPRESSION_FORMS = {
+    "shear3": "(x + y^3, y)",
+    "polar_exp": "(exp(x)*cos(y), exp(x)*sin(y))",
+    "powk(3)": "(x^3 - 3*x*y^2, 3*x^2*y - y^3)",
+    "cubic_implicit": "y^3 + y - x",
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["shear3"] + list(EXPRESSION_FORMS.values()),
+    ids=["shear3"] + ["expr-" + name for name in EXPRESSION_FORMS],
+)
+def test_jacobians_many_matches_single(spec):
+    f = resolve_map(spec)
     pts = np.array([[0.0, 1.0], [1.0, -2.0], [0.5, 0.5]])
-    many = shear3.jacobians_many(pts)
+    many = f.jacobians_many(pts)
     for i, p in enumerate(pts):
-        assert np.allclose(many[i], jacobian_at(shear3, p))
+        assert np.allclose(many[i], jacobian_at(f, p))
+
+
+def test_jacobians_many_rejects_non_finite_like_jacobian_at(expmap):
+    with pytest.raises(DomainError):
+        jacobian_at(expmap, np.array([800.0]))
+    with np.errstate(over="ignore"), pytest.raises(DomainError):
+        expmap.jacobians_many(np.array([[0.0], [800.0]]))
+
+
+@given(
+    st.sampled_from(sorted(EXPRESSION_FORMS)),
+    st.floats(min_value=0.55, max_value=1.95),
+    st.floats(min_value=-3.1, max_value=3.1),
+)
+@settings(max_examples=80, deadline=None)
+def test_expression_form_jacobian_equals_builtin(name, r, theta):
+    # polar coordinates keep the point inside the annulus powk(3) lives on
+    p = np.array([r * np.cos(theta), r * np.sin(theta)])
+    want = jacobian_at(resolve_map(name), p)
+    got = jacobian_at(resolve_map(EXPRESSION_FORMS[name]), p)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_local_solve_identity():

@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, EvalDomainError, InputError, LiftkitError
 from .exprlang import eval_ast, parse_single
 from .geometry import Box, Point
 from .sampling import sphere_directions, unit_box_points
-from .sderiv import d_pm_from_jacobian
+from .sderiv import compass_search, d_pm_from_jacobian
 
 __all__ = [
     "Weight",
@@ -49,6 +48,11 @@ __all__ = [
 CERT_TOL = 1e-6
 FIT_RMS_THRESHOLD = 0.15
 POWER_GAMMA_BUFFER = 1.05
+# compass-search polish of a profile radius t: first step POLISH_STEP * t,
+# stop below POLISH_MIN_STEP * t or after POLISH_ITERS iterations
+POLISH_STEP = 0.05
+POLISH_MIN_STEP = 1e-6
+POLISH_ITERS = 25
 NON_NECESSITY_CAVEAT = (
     "sufficient condition only: a convergent or inconclusive integral "
     "never refutes the covering property"
@@ -338,11 +342,11 @@ def default_radii(x0_coords, n=24, decades=3.0):
     return np.geomspace(t_max * 10.0**-decades, t_max, n)
 
 
-def ball_infimum_profile(f, x0, radii=None, budget=32, seed=0):
+def ball_infimum_profile(f, x0, radii=None, budget=32):
     """Estimate inf over closed balls around x0 of the lower scalar
-    derivative, at each radius, by dense sampling plus Nelder-Mead
-    polish from the best candidates (multistart count = budget,
-    deterministic). The result is a best-effort upper estimate of each
+    derivative, at each radius, by dense sampling plus a lockstep
+    compass-search polish from the budget best samples in the ball
+    (deterministic). The result is a best-effort upper estimate of each
     infimum; the sample budget is recorded so callers can tighten it.
     """
     if f.domain.dim != f.codomain.dim:
@@ -374,65 +378,44 @@ def ball_infimum_profile(f, x0, radii=None, budget=32, seed=0):
         all_pts.append(x0c + t * dirs)
         all_pts.append(x0c + t * interior_unit)
     all_pts.append(x0c[None, :])
-    cand = f.domain.canonical(np.concatenate(all_pts, axis=0))
 
-    inside = f.domain.contains_many(cand)
-    cand = cand[inside]
-    dists = f.domain.distance_many(cand, np.broadcast_to(x0c, cand.shape))
-    keep = dists <= t_last * (1.0 + 1e-12)
-    cand, dists = cand[keep], dists[keep]
+    def in_ball(pts, t):
+        # canonical points inside the domain and the ball, mask, distances
+        pts = f.domain.canonical(pts)
+        d = f.domain.distance_many(pts, np.broadcast_to(x0c, pts.shape))
+        ok = f.domain.contains_many(pts) & (d <= t * (1.0 + 1e-12))
+        return pts[ok], ok, d[ok]
+
+    cand, _, dists = in_ball(np.concatenate(all_pts, axis=0), t_last)
     smins = _smin_batch(f, cand)
 
-    master_x = [cand]
-    master_s = [smins]
-    master_d = [dists]
-
-    def record(c, s, d):
-        master_x.append(np.asarray(c, dtype=float)[None, :])
-        master_s.append(np.array([s]))
-        master_d.append(np.array([d]))
+    samples = [(cand, smins, dists)]
 
     for t in radii:
-        in_ball = dists <= t * (1.0 + 1e-12)
-        if not np.any(in_ball):
-            continue
-        idx = np.where(in_ball)[0]
-        order = idx[np.argsort(smins[idx], kind="stable")]
-        starts = cand[order[:budget]]
-        for s0 in starts:
+        # x0 itself is a sample, so no ball is empty
+        sel = dists <= t * (1.0 + 1e-12)
+        order = np.flatnonzero(sel)[np.argsort(smins[sel], kind="stable")]
 
-            def objective(c):
-                c = f.domain.canonical(np.asarray(c, dtype=float))
-                if not f.domain.contains(c):
-                    return 1e6
-                d = float(
-                    f.domain.distance_many(c[None, :], x0c[None, :])[0]
-                )
-                if d > t * (1.0 + 1e-12):
-                    return 1e3 * (1.0 + d - t)
-                try:
-                    val = float(_smin_batch(f, c[None, :])[0])
-                except (DomainError, EvalDomainError):
-                    return 1e6
-                if d <= t_last * (1.0 + 1e-12):
-                    record(c, val, d)
-                return val
+        def objective(pts):
+            pts, ok, d = in_ball(pts, t)
+            vals = np.full(ok.shape, np.inf)
+            try:
+                vals[ok] = _smin_batch(f, pts)
+            except (DomainError, EvalDomainError):
+                return vals
+            # t <= t_last, so every feasible point is also a sample
+            samples.append((pts, vals[ok], d))
+            return vals
 
-            optimize.minimize(
-                objective,
-                s0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": 50,
-                    "xatol": 1e-6 * t,
-                    "fatol": 0.0,
-                    "disp": False,
-                },
-            )
+        compass_search(
+            objective,
+            cand[order[:budget]],
+            POLISH_STEP * t,
+            POLISH_MIN_STEP * t,
+            POLISH_ITERS,
+        )
 
-    xs = np.concatenate(master_x, axis=0)
-    ss = np.concatenate(master_s)
-    ds = np.concatenate(master_d)
+    xs, ss, ds = (np.concatenate(part) for part in zip(*samples))
 
     regular = True
     note = ""
@@ -597,9 +580,7 @@ class CertificateReport:
     weight_ok: bool
 
 
-def weight_certificate(
-    f, x0, w, sample_region=None, n_samples=512, points=None, seed=0
-):
+def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None):
     """Sampled check of the domination inequality: the lower scalar
     derivative times the weight of the distance to x0 must be >= 1 at
     every sample. worst_margin is min(product) - 1; pass needs

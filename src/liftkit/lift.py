@@ -327,7 +327,7 @@ def lift_path(f, p, x0, opts=None):
         nodes.append(LiftNode(t_here, x_new, res.residual, smin, dt * span))
         x = x_new
         p_cur = target
-        jac = jacobian_at(f, x)
+        jac = res.jacobian
 
         if isinstance(f.domain, OpenSubset) and not f.domain.contains(x):
             return fail(

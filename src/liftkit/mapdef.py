@@ -110,10 +110,12 @@ class MapHandle:
                 "point %s is outside the domain of %s"
                 % (pts[bad].tolist(), self.name)
             )
-        if self.eval_many_fn is not None:
-            out = np.asarray(self.eval_many_fn(pts), dtype=float)
-        else:
-            out = np.stack([self.eval_one(p) for p in pts]).astype(float)
+        # overflow shows up as a non-finite value, reported just below
+        with np.errstate(all="ignore"):
+            if self.eval_many_fn is not None:
+                out = np.asarray(self.eval_many_fn(pts), dtype=float)
+            else:
+                out = np.stack([self.eval_one(p) for p in pts]).astype(float)
         if not np.all(np.isfinite(out)):
             raise DomainError("map %s produced non-finite values" % self.name)
         return out
@@ -121,11 +123,13 @@ class MapHandle:
     def jacobians_many(self, pts):
         """Stack of Jacobians, shape (N, dim_out, dim_in)."""
         pts = np.asarray(pts, dtype=float)
-        if self.jac_many_fn is None:
-            return np.stack([jacobian_at(self, p) for p in pts])
-        return _checked_jacobians(
-            self, self.jac_many_fn(pts), (pts.shape[0], self.dim_out, self.dim_in)
-        )
+        shape = (pts.shape[0], self.dim_out, self.dim_in)
+        if self.jac_many_fn is None or self.jacobian_mode == "finite_difference":
+            return np.array([jacobian_at(self, p) for p in pts]).reshape(shape)
+        # overflow shows up as a non-finite entry, which is refused
+        with np.errstate(all="ignore"):
+            jac = self.jac_many_fn(pts)
+        return _checked_jacobians(self, jac, shape)
 
 
 def jacobian_at(f, x):
@@ -574,6 +578,7 @@ class LocalSolveResult:
     iterations: int
     residual: float
     jac_smin: float
+    jacobian: np.ndarray  # at the returned point
 
     @property
     def coords(self):
@@ -610,7 +615,7 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
         sv = np.linalg.svd(jac, compute_uv=False)
         smin, smax = float(sv[-1]), float(sv[0])
         if r <= tol:
-            return LocalSolveResult(Point(x, f.domain), iters, r, smin)
+            return LocalSolveResult(Point(x, f.domain), iters, r, smin, jac)
         if smin <= 1e-14 * max(smax, 1.0):
             raise SingularJacobianError(
                 "jacobian of %s singular at %s (smin=%.3g)"

@@ -38,8 +38,8 @@ def sphere_directions(n, dim):
     """n roughly equidistributed unit vectors in R^dim.
 
     dim 1 alternates +1/-1; dim 2 uses the golden-angle sequence;
-    higher dimensions push Sobol points through the normal quantile and
-    normalize.
+    higher dimensions push Sobol points (skipping the centre of the
+    cube) through the normal quantile and normalize.
     """
     if n < 1:
         raise InputError("need n >= 1")
@@ -50,8 +50,8 @@ def sphere_directions(n, dim):
     if dim == 2:
         ang = 2.0 * math.pi * ((np.arange(1, n + 1) * _GOLDEN) % 1.0)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    u = unit_box_points(n, dim)
+    # the first Sobol point after the origin is the centre (0.5, ..., 0.5),
+    # which the quantile sends to the zero vector; no later point is
+    u = unit_box_points(n + 1, dim)[1:]
     z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0] = 1.0
-    return z / norms[:, None]
+    return z / np.linalg.norm(z, axis=1)[:, None]

@@ -24,6 +24,7 @@ __all__ = [
     "scalar_derivatives",
     "surjection_constant",
     "d_pm_from_jacobian",
+    "compass_search",
 ]
 
 # Shell estimator tuning: radii rho0 * 2^-k for k = 0..SHELL_LEVELS,
@@ -105,49 +106,73 @@ def _admissible_radius(f, c, rho0):
 
 
 def _shell_ratios(f, c, fc, rho, dirs):
+    """Difference quotients d(f(z), f(c)) / d(z, c) at z = c + rho * u for
+    each row u of dirs, +inf where z leaves the domain."""
     pts = c + rho * dirs
     ok = f.domain.contains_many(pts)
-    if not np.any(ok):
-        return ok, np.empty(0)
-    vals = f.eval_many(pts[ok])
-    dd = f.domain.distance_many(pts[ok], np.broadcast_to(c, pts[ok].shape))
-    dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-    return ok, dc / dd
+    out = np.full(pts.shape[0], np.inf)
+    if np.any(ok):
+        vals = f.eval_many(pts[ok])
+        dd = f.domain.distance_many(pts[ok], np.broadcast_to(c, pts[ok].shape))
+        dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
+        out[ok] = dc / dd
+    return out
+
+
+def compass_search(objective, starts, step, step_min, max_iter, project=None):
+    """Minimize objective from each row of starts by compass search.
+
+    objective maps an (N, dim) block to N values, +inf where a point is
+    infeasible. All rows run in lockstep: at each iteration every row
+    whose step is still >= step_min tries x + step e_i for each axis i,
+    then x - step e_i (candidates passed through project, if given),
+    moves to its best strict improvement (the first on ties), or else
+    halves its step (Kolda, Lewis & Torczon 2003). Returns the final
+    points and values; each row ends where a one-row run from it ends.
+    """
+    x = np.array(starts, dtype=float)
+    dim = x.shape[1]
+    best = np.asarray(objective(x), dtype=float)
+    steps = np.full(x.shape[0], float(step))
+    moves = np.concatenate([np.eye(dim), -np.eye(dim)])
+    for _ in range(max_iter):
+        rows = np.flatnonzero(steps >= step_min)
+        if rows.size == 0:
+            break
+        cand = (x[rows, None] + steps[rows, None, None] * moves).reshape(-1, dim)
+        if project is not None:
+            cand = project(cand)
+        vals = np.asarray(objective(cand), dtype=float).reshape(rows.size, -1)
+        i = np.argmin(vals, axis=1)
+        v = vals[np.arange(rows.size), i]
+        better = v < best[rows]
+        x[rows[better]] = cand.reshape(rows.size, -1, dim)[better, i[better]]
+        best[rows[better]] = v[better]
+        steps[rows[~better]] *= 0.5
+    return x, best
 
 
 def _refine_extreme(f, c, fc, rho, u, want_max):
     """Polish an extremal difference-quotient direction on one shell.
 
     The ratio is a Rayleigh-quotient perturbation on the sphere, so its
-    interior local extremes are the global ones; a deterministic
-    pattern search with shrinking angular step started at the coarse
-    grid winner therefore converges to the true extreme direction.
+    interior local extremes are the global ones; a compass search on the
+    unit sphere with shrinking angular step started at the coarse grid
+    winner therefore converges to the true extreme direction.
     """
-    dim = u.size
-    if dim < 2:
-        ok, r = _shell_ratios(f, c, fc, rho, u[None, :])
-        return float(r[0]) if r.size else (-np.inf if want_max else np.inf)
-    sign = 1.0 if want_max else -1.0
-    ok, r = _shell_ratios(f, c, fc, rho, u[None, :])
-    best = sign * float(r[0]) if r.size else -np.inf
-    step = 0.5
-    for _ in range(400):
-        if step < 1e-7:
-            break
-        cand = np.concatenate([u + step * np.eye(dim), u - step * np.eye(dim)])
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
-        ok, r = _shell_ratios(f, c, fc, rho, cand)
-        if r.size == 0:
-            step *= 0.5
-            continue
-        vals = sign * r
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = vals[i]
-            u = cand[np.flatnonzero(ok)[i]]
-        else:
-            step *= 0.5
-    return sign * best
+    sign = -1.0 if want_max else 1.0  # minimize sign * ratio
+
+    def objective(dirs):
+        r = _shell_ratios(f, c, fc, rho, dirs)
+        return np.where(r == np.inf, np.inf, sign * r)
+
+    if u.size < 2:
+        return sign * float(objective(u[None, :])[0])
+    _, best = compass_search(
+        objective, u[None, :], 0.5, 1e-7, 400,
+        project=lambda d: d / np.linalg.norm(d, axis=1)[:, None],
+    )
+    return sign * float(best[0])
 
 
 def scalar_derivatives(f, x, method="jacobian_svd"):
@@ -156,7 +181,7 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     method "jacobian_svd" reads them off the Jacobian's singular
     values; "shell_sampling" takes difference-quotient extremes over
     the two smallest of seven concentric sampling shells, polishes the
-    winning directions by spherical pattern search, and keeps a
+    winning directions by compass search on the sphere, and keeps a
     per-shell scale report for diagnostics.
     """
     c = _coords(f.domain, x)
@@ -175,18 +200,11 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     extremes = []
     for k in range(SHELL_LEVELS + 1):
         rho = rho0 * 2.0**-k
-        pts = c + rho * dirs
-        vals = f.eval_many(pts)
-        dd = f.domain.distance_many(pts, np.broadcast_to(c, pts.shape))
-        dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-        ratios = dc / dd
+        ratios = _shell_ratios(f, c, fc, rho, dirs)
         extremes.append((dirs[int(np.argmin(ratios))], dirs[int(np.argmax(ratios))]))
         report.append((rho, float(ratios.min()), float(ratios.max())))
     # a wide Jacobian always has a null direction the grid may miss
-    if f.codomain.dim < f.domain.dim:
-        d_minus = 0.0
-    else:
-        d_minus = np.inf
+    d_minus = 0.0 if f.codomain.dim < f.domain.dim else np.inf
     d_plus = -np.inf
     for k in (SHELL_LEVELS - 1, SHELL_LEVELS):
         rho = rho0 * 2.0**-k

@@ -284,20 +284,58 @@ def test_overflowing_profile_exits_two_in_both_forms(spec, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_overflowing_profile_fails_under_optimize_flag():
-    # invariant checks must not be asserts: -O strips those
+def run_cli_process(argv, *python_flags):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c",
+    return subprocess.run(
+        [sys.executable, *python_flags, "-c",
          "import sys; from liftkit.cli import run; sys.exit(run(sys.argv[1:]))"]
         + argv,
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_overflowing_profile_fails_under_optimize_flag():
+    # invariant checks must not be asserts: -O strips those
+    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
+    proc = run_cli_process(argv, "-O")
     assert proc.returncode != 0
     assert "NaN" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hadamard", "--map", "expmap", "--center", "8"],  # batched Jacobians
+        ["deriv", "--map", "expmap", "--point", "709.5",
+         "--method", "shell_sampling"],  # batched evaluation
+    ],
+    ids=["hadamard", "deriv"],
+)
+def test_overflow_prints_only_the_error_line(argv):
+    proc = run_cli_process(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("method", ["both", "shell_sampling", "jacobian_svd"])
+def test_deriv_on_three_dimensional_identity(method):
+    code, out = invoke(
+        ["deriv", "--map", "identity(3)", "--point", "0,0,0", "--method", method,
+         "--surjection", "--json"]
+    )
+    assert code == 0
+    assert "NaN" not in out
+    res = json.loads(out)["results"]
+    for key in ("jacobian_svd", "shell_sampling"):
+        if method in ("both", key):
+            assert res[key]["d_minus"] == pytest.approx(1.0, rel=1e-9)
+            assert res[key]["d_plus"] == pytest.approx(1.0, rel=1e-9)
+    assert res["surjection"]["value"] == pytest.approx(1.0, rel=1e-9)
 
 
 # -- output contract -------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import liftkit.lift
 from liftkit import (
     ContinuationFailure,
     Euclidean,
@@ -35,6 +36,23 @@ def test_shear_segment_lands_on_inverse(shear3):
     trace = lift_path(shear3, p, np.array([0.0, 0.0]))
     assert trace.verdict.kind == "Completed"
     assert np.allclose(trace.final_coords, [1.0, 2.0], atol=1e-8)
+
+
+def test_accepted_nodes_reuse_the_corrector_jacobian(shear3, monkeypatch):
+    calls = []
+    real = liftkit.lift.jacobian_at
+
+    def counting(f, x):
+        calls.append(x)
+        return real(f, x)
+
+    monkeypatch.setattr(liftkit.lift, "jacobian_at", counting)
+    opts = LiftOptions(step_max=0.02)
+    trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
+    assert trace.verdict.kind == "Completed"
+    assert len(trace.nodes) > 50
+    # the start node, plus at most the endpoint polish
+    assert len(calls) <= 5
 
 
 def test_shear_random_targets_hit_explicit_inverse(shear3, rng):

@@ -98,6 +98,16 @@ def test_jacobians_many_matches_single(spec):
         assert np.allclose(many[i], jacobian_at(f, p))
 
 
+@pytest.mark.parametrize("spec", ["shear3", EXPRESSION_FORMS["shear3"], "polar_exp"])
+def test_finite_difference_mode_holds_for_batched_jacobians(spec):
+    fd = resolve_map(spec, jacobian_mode="finite_difference")
+    pts = np.array([[0.3, 0.7], [1.0, -2.0], [-0.5, 0.25]])
+    many = fd.jacobians_many(pts)
+    for i, p in enumerate(pts):
+        assert np.array_equal(many[i], jacobian_at(fd, p))
+    assert fd.jacobians_many(np.empty((0, 2))).shape == (0, 2, 2)
+
+
 def test_jacobians_many_rejects_non_finite_like_jacobian_at(expmap):
     with pytest.raises(DomainError):
         jacobian_at(expmap, np.array([800.0]))
@@ -137,6 +147,7 @@ def test_local_solve_reports_iterations(shear3):
     assert np.allclose(res.coords, [1.0, 2.0], atol=1e-9)
     assert res.iterations >= 1
     assert res.jac_smin > 0
+    assert np.array_equal(res.jacobian, jacobian_at(shear3, res.coords))
 
 
 def test_local_solve_nonconvergence_raises(expmap):

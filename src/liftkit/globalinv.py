@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EvalDomainError,
-    InputError,
-    LiftkitError,
-    NonConvergenceError,
-    SingularJacobianError,
-)
+from .errors import InputError, LiftkitError
 from .geometry import (
     POINT_IDENTITY_RTOL,
     Box,
@@ -30,7 +23,7 @@ from .geometry import (
     polyline,
 )
 from .lift import ContinuationFailure, LiftOptions, lift_path
-from .mapdef import local_solve
+from .mapdef import CONVERGED, newton_block
 from .sampling import unit_box_points
 from .sderiv import d_pm_from_jacobian
 
@@ -104,7 +97,8 @@ class FiberReport:
 
 
 def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
-    """Enumerate preimages of y by deterministic multistart Newton.
+    """Enumerate preimages of y by deterministic multistart Newton, all
+    starts solved as one newton_block.
 
     Solutions are deduplicated at point-identity tolerance and sorted
     lexicographically. The report's note states the best-effort
@@ -127,19 +121,11 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
             starts = starts[:n_starts]
             break
 
+    sol = newton_block(f, yc, starts, tol=tol, max_iter=60)
+    done = sol.status == CONVERGED
     found = []
     residuals = []
-    for s in starts:
-        try:
-            res = local_solve(f, yc, s, tol=tol, max_iter=60)
-        except (
-            NonConvergenceError,
-            SingularJacobianError,
-            DomainError,
-            EvalDomainError,
-        ):
-            continue
-        c = res.coords
+    for c, r in zip(sol.points[done], sol.residuals[done]):
         dup = False
         for k in found:
             d = float(f.domain.distance_many(c[None, :], k[None, :])[0])
@@ -149,7 +135,7 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
                 break
         if not dup:
             found.append(c)
-            residuals.append(res.residual)
+            residuals.append(float(r))
 
     order = sorted(range(len(found)), key=lambda i: tuple(found[i]))
     report = FiberReport(

@@ -396,7 +396,7 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         sel = dists <= t * (1.0 + 1e-12)
         order = np.flatnonzero(sel)[np.argsort(smins[sel], kind="stable")]
 
-        def objective(pts):
+        def objective(pts, _rows):
             pts, ok, d = in_ball(pts, t)
             vals = np.full(ok.shape, np.inf)
             try:

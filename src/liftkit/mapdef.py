@@ -38,6 +38,8 @@ __all__ = [
     "jacobian_at",
     "local_solve",
     "LocalSolveResult",
+    "newton_block",
+    "NewtonBlockResult",
     "builtin_names",
     "expression_map",
     "ANNULUS_INNER",
@@ -249,13 +251,17 @@ def _make_shear3_inv():
     )
 
 
+def _exp(v):
+    """math.exp with overflow reported as a DomainError."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError("exp overflow") from None
+
+
 def _make_expmap():
     def ev(c):
-        with np.errstate(over="raise"):
-            try:
-                return np.array([math.exp(c[0])])
-            except (OverflowError, FloatingPointError):
-                raise DomainError("exp overflow") from None
+        return np.array([_exp(c[0])])
 
     return MapHandle(
         "expmap",
@@ -286,7 +292,7 @@ def _make_logmap():
 
 def _make_polar_exp():
     def ev(c):
-        r = math.exp(c[0])
+        r = _exp(c[0])
         return np.array([r * math.cos(c[1]), r * math.sin(c[1])])
 
     def ev_many(P):
@@ -294,7 +300,7 @@ def _make_polar_exp():
         return np.stack([r * np.cos(P[:, 1]), r * np.sin(P[:, 1])], axis=1)
 
     def jac(c):
-        r = math.exp(c[0])
+        r = _exp(c[0])
         cs, sn = math.cos(c[1]), math.sin(c[1])
         return np.array([[r * cs, -r * sn], [r * sn, r * cs]])
 
@@ -569,7 +575,24 @@ def _with_fd(handle, jacobian_mode):
 
 
 # ---------------------------------------------------------------------------
-# Local Newton solve
+# Damped Newton: local_solve for one point, newton_block for a block of
+# starts. Both apply the rules below.
+
+# a Jacobian is singular when smin <= SINGULAR_RTOL * max(smax, 1)
+SINGULAR_RTOL = 1e-14
+# the line search tries lam = 1, 1/2, ..., 2^-(LINE_SEARCH_TRIALS - 1)
+LINE_SEARCH_TRIALS = 30
+_LAMBDAS = np.ldexp(1.0, -np.arange(LINE_SEARCH_TRIALS))
+
+# newton_block row statuses; for the failures local_solve raises
+# SingularJacobianError, NonConvergenceError (stalled, budget) or
+# DomainError
+CONVERGED = "converged"
+SINGULAR = "singular"
+STALLED = "stalled"
+BUDGET = "budget"
+DOMAIN = "domain"
+_FAULTS = (DomainError, EvalDomainError)
 
 
 @dataclass
@@ -585,76 +608,240 @@ class LocalSolveResult:
         return self.point.coords
 
 
-def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
-    """Solve f(x) = y near x_guess by damped Newton iteration.
-
-    Steps are halved until the residual norm strictly decreases; trial
-    points outside the domain or hitting evaluation faults count as
-    failed trials. Raises SingularJacobianError when the Jacobian is
-    rank-deficient at working precision, NonConvergenceError when the
-    budget ends above tolerance.
-    """
+def _solve_target(f, y, tol):
     if tol <= 0:
         raise InputError("tolerance must be positive")
     y = np.asarray(y.coords if isinstance(y, Point) else y, dtype=float).reshape(-1)
     if y.shape[0] != f.codomain.dim:
         raise InputError("target has wrong dimension")
+    if f.domain.dim != f.codomain.dim:
+        raise InputError("newton needs equal domain and codomain dimensions")
+    return y
+
+
+def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
+    """Solve f(x) = y near x_guess by damped Newton iteration.
+
+    Steps are halved until the residual norm strictly decreases; trial
+    points outside the domain or hitting evaluation faults count as
+    failed trials, and an overflowing residual is +inf. Raises
+    SingularJacobianError when the Jacobian is rank-deficient at
+    working precision, NonConvergenceError when the budget ends above
+    tolerance.
+    """
+    y = _solve_target(f, y, tol)
     x = f.domain.check_coords(
         x_guess.coords if isinstance(x_guess, Point) else x_guess
     ).copy()
-    if f.domain.dim != f.codomain.dim:
-        raise InputError("local_solve needs equal domain and codomain dimensions")
 
-    def cod_dist(val):
-        return float(f.codomain.distance_many(val[None, :], y[None, :])[0])
-
-    fx = f.eval(x)
-    r = cod_dist(fx)
-    for iters in range(max_iter + 1):
-        jac = jacobian_at(f, x)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        smin, smax = float(sv[-1]), float(sv[0])
-        if r <= tol:
-            return LocalSolveResult(Point(x, f.domain), iters, r, smin, jac)
-        if smin <= 1e-14 * max(smax, 1.0):
-            raise SingularJacobianError(
-                "jacobian of %s singular at %s (smin=%.3g)"
-                % (f.name, x.tolist(), smin)
-            )
-        residual_vec = f.codomain.canonical(fx - y)
-        step = np.linalg.solve(jac, -residual_vec)
-        lam = 1.0
-        improved = False
-        trials = 0
-        domain_faults = 0
-        for _ in range(30):
-            trials += 1
-            trial = f.domain.canonical(x + lam * step)
-            try:
-                if not f.domain.contains(trial):
-                    raise DomainError("trial outside domain")
-                f_trial = f.eval(trial)
-                r_new = cod_dist(f_trial)
-            except (DomainError, EvalDomainError):
-                domain_faults += 1
-                lam *= 0.5
-                continue
-            if r_new < r:
-                x = np.asarray(trial, dtype=float)
-                fx = f_trial
-                r = r_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            if domain_faults == trials:
-                raise DomainError(
-                    "every newton trial from %s leaves the domain" % x.tolist()
+    with np.errstate(over="ignore"):
+        fx = f.eval(x)
+        r = float(_distances(f, y, fx[None, :])[0])
+        for iters in range(max_iter + 1):
+            jac = jacobian_at(f, x)
+            sv = np.linalg.svd(jac, compute_uv=False)
+            smin, smax = float(sv[-1]), float(sv[0])
+            if r <= tol:
+                return LocalSolveResult(Point(x, f.domain), iters, r, smin, jac)
+            if smin <= SINGULAR_RTOL * max(smax, 1.0):
+                raise SingularJacobianError(
+                    "jacobian of %s singular at %s (smin=%.3g)"
+                    % (f.name, x.tolist(), smin)
                 )
-            raise NonConvergenceError(
-                "newton line search stalled at residual %.3g (tol %.3g)" % (r, tol)
-            )
+            residual_vec = f.codomain.canonical(fx - y)
+            step = np.linalg.solve(jac, -residual_vec)
+            faults = 0
+            for lam in _LAMBDAS:
+                trial = f.domain.canonical(x + lam * step)
+                got = _trial_value(f, y, trial)
+                if got is None:
+                    faults += 1
+                elif got[1] < r:
+                    x = np.asarray(trial, dtype=float)
+                    fx, r = got
+                    break
+            else:  # no trial improved
+                if faults == LINE_SEARCH_TRIALS:
+                    raise DomainError(
+                        "every newton trial from %s leaves the domain" % x.tolist()
+                    )
+                raise NonConvergenceError(
+                    "newton line search stalled at residual %.3g (tol %.3g)"
+                    % (r, tol)
+                )
     raise NonConvergenceError(
         "newton did not reach tolerance %.3g in %d iterations (residual %.3g)"
         % (tol, max_iter, r)
     )
+
+
+@dataclass
+class NewtonBlockResult:
+    """Per-row outcome of newton_block, rows in the order of the starts."""
+
+    points: np.ndarray  # (N, n) last iterates
+    residuals: np.ndarray  # (N,) distances f(x) to y, +inf at a faulting start
+    iterations: np.ndarray  # (N,) Newton steps taken
+    status: np.ndarray  # (N,) CONVERGED, SINGULAR, STALLED, BUDGET or DOMAIN
+
+
+def newton_block(f, y, starts, tol=1e-10, max_iter=50):
+    """Solve f(x) = y from every row of an (N, n) block of starts by
+    damped Newton iteration, all rows in lockstep.
+
+    Each row follows the rules of local_solve and ends where local_solve
+    from its start ends, after as many steps; where local_solve would
+    raise, the row records the status naming the failure (a start
+    outside the domain or faulting is DOMAIN after 0 steps). The line
+    search takes two block rounds per iteration: every active row tries
+    the full step, then the rows it did not improve try all remaining
+    halvings at once and each takes its largest improving one, the step
+    the sequential search accepts (Allgower & Georg, Introduction to
+    Numerical Continuation Methods). A block that eval_many or
+    jacobians_many refuses is redone row by row.
+    """
+    y = _solve_target(f, y, tol)
+    n = f.domain.dim
+    x = np.array(starts, dtype=float).reshape(-1, n)
+    if not np.isfinite(x).all():
+        raise InputError("starts have non-finite coordinates")
+    status = np.full(x.shape[0], BUDGET, dtype=object)
+    iterations = np.full(x.shape[0], max_iter + 1)
+    active = np.ones(x.shape[0], dtype=bool)
+
+    def stop(rows, why, it):
+        status[rows] = why
+        iterations[rows] = it
+        active[rows] = False
+
+    with np.errstate(over="ignore"):
+        fx, r, faulted = _trial_values(f, y, x)
+        stop(np.flatnonzero(faulted), DOMAIN, 0)
+        for it in range(max_iter + 1):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            jac, faulted = _jacobians(f, x[rows])
+            stop(rows[faulted], DOMAIN, it)
+            rows, jac = rows[~faulted], jac[~faulted]
+            sv = np.linalg.svd(jac, compute_uv=False)
+            done = r[rows] <= tol
+            singular = ~done & (
+                sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
+            )
+            stop(rows[done], CONVERGED, it)
+            stop(rows[singular], SINGULAR, it)
+            move = ~(done | singular)
+            rows, jac = rows[move], jac[move]
+            residual_vec = f.codomain.canonical(fx[rows] - y)
+            step = np.linalg.solve(jac, -residual_vec[:, :, None])[:, :, 0]
+            trials = x[rows, None] + _LAMBDAS[:, None] * step[:, None]
+            trials = f.domain.canonical(trials.reshape(-1, n)).reshape(trials.shape)
+            k, fx_k, r_k, all_faulted = _line_search(f, y, trials, r[rows])
+            ok = k >= 0
+            x[rows[ok]] = trials[ok, k[ok]]
+            fx[rows[ok]], r[rows[ok]] = fx_k[ok], r_k[ok]
+            stop(rows[~ok & all_faulted], DOMAIN, it)
+            stop(rows[~ok & ~all_faulted], STALLED, it)
+    return NewtonBlockResult(x, r, iterations, status)
+
+
+def _distances(f, y, vals):
+    return f.codomain.distance_many(vals, y[None, :])
+
+
+def _trial_value(f, y, p):
+    """(f(p), distance to y), or None where p is outside the domain or
+    its evaluation faults."""
+    try:
+        if not f.domain.contains(p):
+            return None
+        val = f.eval(p)
+    except _FAULTS:
+        return None
+    return val, float(_distances(f, y, val[None, :])[0])
+
+
+def _block_values(f, y, pts):
+    """Values of f at the rows of pts, their distances to y, and the
+    mask of rows outside the domain (NaN values, distance +inf). Raises
+    when eval_many refuses the block."""
+    vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
+    dist = np.full(pts.shape[0], np.inf)
+    ok = f.domain.contains_many(pts)
+    if ok.any():
+        vals[ok] = f.eval_many(pts[ok])
+        dist[ok] = _distances(f, y, vals[ok])
+    return vals, dist, ~ok
+
+
+def _trial_values(f, y, pts):
+    """_block_values, with a refused block redone row by row: the
+    mask then also holds the rows whose evaluation faults."""
+    try:
+        return _block_values(f, y, pts)
+    except _FAULTS:
+        pass
+    vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
+    dist = np.full(pts.shape[0], np.inf)
+    faulted = np.ones(pts.shape[0], dtype=bool)
+    for i, p in enumerate(pts):
+        got = _trial_value(f, y, p)
+        if got is not None:
+            vals[i], dist[i] = got
+            faulted[i] = False
+    return vals, dist, faulted
+
+
+def _jacobians(f, pts):
+    """Jacobians at the rows of pts and the mask of rows whose Jacobian
+    faults (left zero). A refused block is redone row by row."""
+    faulted = np.zeros(pts.shape[0], dtype=bool)
+    try:
+        return f.jacobians_many(pts), faulted
+    except _FAULTS:
+        pass
+    jac = np.zeros((pts.shape[0], f.codomain.dim, f.domain.dim))
+    for i, p in enumerate(pts):
+        try:
+            jac[i] = jacobian_at(f, p)
+        except _FAULTS:
+            faulted[i] = True
+    return jac, faulted
+
+
+def _line_search(f, y, trials, r):
+    """Backtracking over an (R, LINE_SEARCH_TRIALS, n) block of trial
+    points, trial j at lam = 2^-j. Returns per row the index of the
+    first trial closer to y than r (-1 if none), its value and distance,
+    and whether every trial faulted."""
+    n_rows, n_trials, n = trials.shape
+    k = np.full(n_rows, -1)
+    fx, dist, all_faulted = _trial_values(f, y, trials[:, 0])
+    k[dist < r] = 0
+    rest = np.flatnonzero(k < 0)
+    if rest.size == 0:
+        return k, fx, dist, all_faulted
+    try:
+        vals, d, faulted = _block_values(f, y, trials[rest, 1:].reshape(-1, n))
+    except _FAULTS:
+        # search each waiting row one trial at a time
+        for i in rest:
+            for j in range(1, n_trials):
+                got = _trial_value(f, y, trials[i, j])
+                if got is None:
+                    continue
+                all_faulted[i] = False
+                if got[1] < r[i]:
+                    k[i] = j
+                    fx[i], dist[i] = got
+                    break
+        return k, fx, dist, all_faulted
+    better = d.reshape(rest.size, -1) < r[rest, None]
+    all_faulted[rest] &= faulted.reshape(rest.size, -1).all(axis=1)
+    hit = np.flatnonzero(better.any(axis=1))
+    j = better[hit].argmax(axis=1)
+    k[rest[hit]] = j + 1
+    flat = hit * (n_trials - 1) + j
+    fx[rest[hit]], dist[rest[hit]] = vals[flat], d[flat]
+    return k, fx, dist, all_faulted

@@ -122,17 +122,19 @@ def _shell_ratios(f, c, fc, rho, dirs):
 def compass_search(objective, starts, step, step_min, max_iter, project=None):
     """Minimize objective from each row of starts by compass search.
 
-    objective maps an (N, dim) block to N values, +inf where a point is
-    infeasible. All rows run in lockstep: at each iteration every row
-    whose step is still >= step_min tries x + step e_i for each axis i,
-    then x - step e_i (candidates passed through project, if given),
-    moves to its best strict improvement (the first on ties), or else
-    halves its step (Kolda, Lewis & Torczon 2003). Returns the final
-    points and values; each row ends where a one-row run from it ends.
+    objective(points, rows) maps an (N, dim) block to N values, +inf
+    where a point is infeasible; rows[i] is the index of the start whose
+    search proposed points[i]. All rows run in lockstep: at each
+    iteration every row whose step is still >= step_min tries
+    x + step e_i for each axis i, then x - step e_i (candidates passed
+    through project, if given), moves to its best strict improvement
+    (the first on ties), or else halves its step (Kolda, Lewis & Torczon
+    2003). Returns the final points and values; each row ends where a
+    one-row run from it ends.
     """
     x = np.array(starts, dtype=float)
     dim = x.shape[1]
-    best = np.asarray(objective(x), dtype=float)
+    best = np.asarray(objective(x, np.arange(x.shape[0])), dtype=float)
     steps = np.full(x.shape[0], float(step))
     moves = np.concatenate([np.eye(dim), -np.eye(dim)])
     for _ in range(max_iter):
@@ -142,7 +144,9 @@ def compass_search(objective, starts, step, step_min, max_iter, project=None):
         cand = (x[rows, None] + steps[rows, None, None] * moves).reshape(-1, dim)
         if project is not None:
             cand = project(cand)
-        vals = np.asarray(objective(cand), dtype=float).reshape(rows.size, -1)
+        vals = np.asarray(
+            objective(cand, np.repeat(rows, 2 * dim)), dtype=float
+        ).reshape(rows.size, -1)
         i = np.argmin(vals, axis=1)
         v = vals[np.arange(rows.size), i]
         better = v < best[rows]
@@ -152,27 +156,32 @@ def compass_search(objective, starts, step, step_min, max_iter, project=None):
     return x, best
 
 
-def _refine_extreme(f, c, fc, rho, u, want_max):
-    """Polish an extremal difference-quotient direction on one shell.
+def _refine_extreme(f, c, fc, rho, u, sign):
+    """Polish extremal difference-quotient directions, one per row of u:
+    row i minimizes sign[i] * ratio on the shell of radius rho[i], so a
+    sign of -1 seeks the largest ratio. Returns the extreme ratios.
 
     The ratio is a Rayleigh-quotient perturbation on the sphere, so its
     interior local extremes are the global ones; a compass search on the
     unit sphere with shrinking angular step started at the coarse grid
-    winner therefore converges to the true extreme direction.
+    winner therefore converges to the true extreme direction. All rows
+    search in lockstep.
     """
-    sign = -1.0 if want_max else 1.0  # minimize sign * ratio
+    rho = np.asarray(rho, dtype=float)
+    sign = np.asarray(sign, dtype=float)
 
-    def objective(dirs):
-        r = _shell_ratios(f, c, fc, rho, dirs)
-        return np.where(r == np.inf, np.inf, sign * r)
+    def objective(dirs, rows):
+        r = _shell_ratios(f, c, fc, rho[rows, None], dirs)
+        return np.where(r == np.inf, np.inf, sign[rows] * r)
 
-    if u.size < 2:
-        return sign * float(objective(u[None, :])[0])
+    rows = np.arange(u.shape[0])
+    if u.shape[1] < 2:
+        return sign * objective(u, rows)
     _, best = compass_search(
-        objective, u[None, :], 0.5, 1e-7, 400,
+        objective, u, 0.5, 1e-7, 400,
         project=lambda d: d / np.linalg.norm(d, axis=1)[:, None],
     )
-    return sign * float(best[0])
+    return sign * best
 
 
 def scalar_derivatives(f, x, method="jacobian_svd"):
@@ -203,15 +212,21 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
         ratios = _shell_ratios(f, c, fc, rho, dirs)
         extremes.append((dirs[int(np.argmin(ratios))], dirs[int(np.argmax(ratios))]))
         report.append((rho, float(ratios.min()), float(ratios.max())))
-    # a wide Jacobian always has a null direction the grid may miss
-    d_minus = 0.0 if f.codomain.dim < f.domain.dim else np.inf
-    d_plus = -np.inf
-    for k in (SHELL_LEVELS - 1, SHELL_LEVELS):
-        rho = rho0 * 2.0**-k
-        u_min, u_max = extremes[k]
-        if f.codomain.dim >= f.domain.dim:
-            d_minus = min(d_minus, _refine_extreme(f, c, fc, rho, u_min, False))
-        d_plus = max(d_plus, _refine_extreme(f, c, fc, rho, u_max, True))
+    # polish the two smallest shells in one lockstep search: the maximum
+    # directions, and the minimum ones unless the Jacobian is wide (its
+    # null direction, which the grid may miss, makes d_minus 0)
+    smallest = [SHELL_LEVELS - 1, SHELL_LEVELS]
+    mins = smallest if f.codomain.dim >= f.domain.dim else []
+    vals = _refine_extreme(
+        f,
+        c,
+        fc,
+        [rho0 * 2.0**-k for k in mins + smallest],
+        np.stack([extremes[k][0] for k in mins] + [extremes[k][1] for k in smallest]),
+        [1.0] * len(mins) + [-1.0] * len(smallest),
+    )
+    d_minus = min(vals[: len(mins)], default=0.0)
+    d_plus = max(vals[len(mins) :])
     return ScalarDerivEstimate(float(d_minus), float(d_plus), method, tuple(report))
 
 
@@ -245,7 +260,7 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
         raise InputError("radii must be positive")
     dirs = sphere_directions(dirs_per_dim * dim, dim)
     fc = f.eval(c)
-    ratios = []
+    starts = []
     for t in radii:
         pts = c + t * dirs
         if not np.all(f.domain.contains_many(pts)):
@@ -254,9 +269,11 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
             )
         vals = f.eval_many(pts)
         dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-        u0 = dirs[int(np.argmin(dc))]
-        # the grid only brackets the closest image point; polish it
-        ratios.append(_refine_extreme(f, c, fc, t, u0, False))
+        starts.append(dirs[int(np.argmin(dc))])
+    # the grid only brackets the closest image point; polish it
+    ratios = _refine_extreme(
+        f, c, fc, radii, np.stack(starts), np.ones(len(radii))
+    ).tolist()
     # radii ascend; the liminf estimate wants the two smallest
     value = min(ratios[:2])
     return SurjectionEstimate(value, tuple(radii), tuple(ratios))

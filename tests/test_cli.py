@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftkit.cli import run
 from liftkit.report import validate_report
@@ -154,6 +157,40 @@ def test_fiber_enumerates_square_roots(tmp_path):
     assert code == 0
     assert doc["results"]["count"] == 2
     assert os.path.exists(os.path.join(out, "fiber.csv"))
+
+
+# built-ins and their expression forms
+FIBER_FORMS = {
+    "polar_exp": "(exp(x)*cos(y), exp(x)*sin(y))",
+    "powk(3)": "(x^3 - 3*x*y^2, 3*x^2*y - y^3)",
+    "shear3": "(x + y^3, y)",
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIBER_FORMS)),
+    radius=st.floats(0.2, 6.0),  # inside the powk(3) image annulus
+    angle=st.floats(-3.14, 3.14),
+)
+def test_fiber_forms_agree(name, radius, angle):
+    target = "--target=%r,%r" % (radius * math.cos(angle), radius * math.sin(angle))
+    outcomes = []
+    for spec in (name, FIBER_FORMS[name]):
+        code, doc = invoke_json(["fiber", "--map", spec, target])
+        outcomes.append((code, doc["results"]["count"]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+
+
+@pytest.mark.parametrize("spec", ["polar_exp", FIBER_FORMS["polar_exp"]])
+def test_polar_exp_fiber_exits_cleanly(spec):
+    # Newton trials far out overflow exp(); they must count as faults,
+    # with no traceback and no numpy warning
+    proc = run_cli_process(["fiber", "--map", spec, "--target", "1,0.5", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["count"] == 9
 
 
 def test_implicit_eval_mode():

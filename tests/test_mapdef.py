@@ -1,5 +1,7 @@
 """Map handles: builtins, expression maps, resolution, local Newton."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,15 @@ from liftkit import (
     expression_map,
     jacobian_at,
     local_solve,
+    newton_block,
     resolve_map,
 )
-from liftkit.errors import NonConvergenceError
+from liftkit.errors import (
+    EvalDomainError,
+    NonConvergenceError,
+    SingularJacobianError,
+)
+from liftkit.mapdef import BUDGET, CONVERGED, DOMAIN, SINGULAR, STALLED
 
 
 def test_shear_handle_analytic_jacobian(shear3):
@@ -157,6 +165,96 @@ def test_local_solve_nonconvergence_raises(expmap):
 
     with pytest.raises((NonConvergenceError, SingularJacobianError)):
         local_solve(expmap, np.array([-1.0]), np.array([0.0]), max_iter=20)
+
+
+# map -> (target, half-width of the box the starts are drawn from)
+NEWTON_CASES = {
+    "shear3": ([1.0, 2.0], 4.0),
+    EXPRESSION_FORMS["shear3"]: ([1.0, 2.0], 4.0),
+    "powk(3)": ([0.3, 1.2], 2.5),  # starts off the annulus fail at once
+    EXPRESSION_FORMS["powk(3)"]: ([0.3, 1.2], 2.5),
+    "(x*x - y*y, 2*x*y)": ([0.0, 0.0], 2.0),  # a double root: singular rows
+    "(log(x) + y, y^3 + y)": ([0.3, 2.0], 3.0),  # trials at x <= 0 fault
+}
+
+
+def _counting_block_handle(f, jac_calls):
+    """f with one-point evaluation and Jacobian taken from its batched
+    functions on a one-row block, each Jacobian counted in jac_calls.
+
+    numpy rounds a row alike in any block, whereas a built-in's scalar
+    formulas (Python float and complex arithmetic) and numpy's vector
+    loops may differ in the last place; on this handle local_solve and
+    newton_block see the same numbers.
+    """
+
+    def jac_one(c):
+        jac_calls.append(1)
+        return f.jac_many_fn(c[None, :])[0]
+
+    return dataclasses.replace(
+        f, eval_one=lambda c: f.eval_many_fn(c[None, :])[0], jac_one=jac_one
+    )
+
+
+def _local_solve_outcome(f, y, start, max_iter):
+    """local_solve's result, or None, and the newton_block status that
+    names its outcome."""
+    try:
+        return CONVERGED, local_solve(f, y, start, max_iter=max_iter)
+    except SingularJacobianError:
+        return SINGULAR, None
+    except NonConvergenceError as exc:
+        return (STALLED if "stalled" in str(exc) else BUDGET), None
+    except (DomainError, EvalDomainError):
+        return DOMAIN, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(NEWTON_CASES)),
+    max_iter=st.sampled_from([2, 60]),
+    data=st.data(),
+)
+def test_newton_block_rows_equal_local_solve(spec, max_iter, data):
+    target, half = NEWTON_CASES[spec]
+    jac_calls = []
+    f = _counting_block_handle(resolve_map(spec), jac_calls)
+    coord = st.floats(-half, half, allow_nan=False)
+    starts = np.array(
+        data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=10))
+    )
+    sol = newton_block(f, target, starts, max_iter=max_iter)
+    for i, start in enumerate(starts):
+        jac_calls.clear()
+        status, res = _local_solve_outcome(f, target, start, max_iter)
+        assert sol.status[i] == status
+        # local_solve takes one Jacobian per iteration, and one more at
+        # the point where it stops unless its budget ran out
+        steps = len(jac_calls) if status == BUDGET else max(len(jac_calls) - 1, 0)
+        assert sol.iterations[i] == steps
+        if res is not None:
+            assert res.iterations == steps
+            assert np.array_equal(sol.points[i], res.coords)
+            assert sol.residuals[i] == res.residual
+
+
+def test_newton_block_statuses():
+    f = resolve_map("(log(x) + y, y^3 + y)")
+    starts = np.array([[np.exp(-0.7), 1.0], [-1.0, 0.0], [3.0, -2.0]])
+    sol = newton_block(f, [0.3, 2.0], starts, max_iter=2)
+    assert list(sol.status) == [CONVERGED, DOMAIN, BUDGET]
+    assert list(sol.iterations) == [0, 0, 3]
+    assert sol.residuals[0] <= 1e-10 and sol.residuals[1] == np.inf
+    assert newton_block(f, [0.3, 2.0], np.zeros((0, 2))).status.shape == (0,)
+    with pytest.raises(InputError):
+        newton_block(f, [0.3, 2.0], [[np.nan, 0.0]])
+
+
+def test_polar_exp_overflow_is_a_domain_fault(polar_exp):
+    for fn in (polar_exp.eval, lambda c: jacobian_at(polar_exp, c)):
+        with pytest.raises(DomainError, match="exp overflow"):
+            fn(np.array([800.0, 0.0]))
 
 
 def test_polar_exp_matches_formula(polar_exp):

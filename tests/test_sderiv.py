@@ -130,7 +130,7 @@ def _kinked_bowl(center, weights, wall, project):
     """Quadratic plus |.| terms with an infeasible half-space; only
     elementwise arithmetic, so a value does not depend on its batch."""
 
-    def objective(pts):
+    def objective(pts, rows=None):
         if project:
             pts = pts / np.linalg.norm(pts, axis=1)[:, None]
         vals = np.zeros(pts.shape[0])
@@ -199,6 +199,29 @@ def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, dat
         assert np.array_equal(x_one[0], x_ref)
         assert v_one[0] == v_ref
         assert v_all[k] <= objective(starts[k : k + 1])[0]
+
+
+def test_compass_search_passes_each_candidates_start():
+    # each row minimizes its own bowl, chosen by the start index
+    centers = np.array([[0.3, -0.7], [-1.0, 0.5], [2.0, 2.0]])
+    seen = []
+
+    def objective(pts, rows):
+        seen.append(rows)
+        d = pts - centers[rows]
+        return (d * d).sum(axis=1)
+
+    starts = np.zeros((3, 2))
+    x, v = compass_search(objective, starts, 0.5, 1e-9, 400)
+    assert np.allclose(x, centers, atol=1e-8)
+    assert np.all(v < 1e-15)
+    assert list(seen[0]) == [0, 1, 2]
+    assert list(seen[1]) == [0] * 4 + [1] * 4 + [2] * 4
+    for k in range(3):
+        x_one, v_one = compass_search(
+            lambda p, rows: objective(p, rows + k), starts[k : k + 1], 0.5, 1e-9, 400
+        )
+        assert np.array_equal(x[k], x_one[0]) and v[k] == v_one[0]
 
 
 def test_compass_search_finds_a_bowl_minimum():

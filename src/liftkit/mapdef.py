@@ -751,11 +751,11 @@ def _distances(f, y, vals):
 
 
 def _trial_value(f, y, p):
-    """(f(p), distance to y), or None where p is outside the domain or
-    its evaluation faults."""
+    """(f(p), distance to y), or None where p is non-finite, outside the
+    domain or its evaluation faults. f.eval makes the one domain test."""
+    if not all(map(math.isfinite, p.tolist())):
+        return None
     try:
-        if not f.domain.contains(p):
-            return None
         val = f.eval(p)
     except _FAULTS:
         return None

@@ -21,7 +21,15 @@ from liftkit.errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from liftkit.mapdef import BUDGET, CONVERGED, DOMAIN, SINGULAR, STALLED
+from liftkit.geometry import OpenSubset
+from liftkit.mapdef import (
+    BUDGET,
+    CONVERGED,
+    DOMAIN,
+    SINGULAR,
+    STALLED,
+    _trial_value,
+)
 
 
 def test_shear_handle_analytic_jacobian(shear3):
@@ -268,6 +276,39 @@ def test_annulus_domain_enforced():
     f = resolve_map("powk(2)")
     with pytest.raises(DomainError):
         f.eval(np.array([0.0, 0.0]))
+
+
+def _counting_domain(f, calls):
+    """f on its own OpenSubset domain, each one-point predicate counted."""
+    dom = f.domain
+
+    def pred(c):
+        calls.append(1)
+        return dom.predicate(c)
+
+    counted = OpenSubset(dom.base, pred, dom._predicate_many, source=dom.source)
+    return dataclasses.replace(f, domain=counted)
+
+
+def test_trial_value_tests_the_domain_once():
+    calls = []
+    f = _counting_domain(resolve_map("powk(3)"), calls)
+    val, dist = _trial_value(f, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert np.allclose(val, [1.0, 0.0]) and dist == pytest.approx(0.0, abs=1e-15)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["powk(3)", "shear3"])
+@pytest.mark.parametrize(
+    "trial", [[np.nan, 1.0], [np.inf, 0.0], [3.0, 0.0], [0.0, 0.0]]
+)
+def test_failed_trials_give_none(spec, trial):
+    f = resolve_map(spec)
+    got = _trial_value(f, np.array([1.0, 0.0]), np.array(trial))
+    if spec == "shear3" and np.isfinite(trial).all():
+        assert got is not None  # the plane has no boundary to leave
+    else:
+        assert got is None
 
 
 def test_expression_map_with_domain_and_name():

@@ -1,10 +1,10 @@
 """Tracking implicit solutions y(x) of f(x, y) = w.
 
-Davidenko continuation differentiates the constraint along a driving
-path in x and integrates the resulting ODE for y with Newton
-correction at every node, so the residual stays at solver tolerance
-throughout. Folds, where the y-block of the Jacobian loses rank, stop
-the trace with a Singular verdict instead of jumping branches.
+Continuation lifts the driving path t -> (x(t), w) through the
+projection map (x, y) -> (x, f(x, y)) with the path-lifting engine,
+whose Newton corrector keeps the residual at solver tolerance at every
+node. Folds, where the y-block of the Jacobian loses rank, stop the
+trace with a Singular verdict instead of jumping branches.
 """
 
 import numpy as np

@@ -1,36 +1,37 @@
-"""Global implicit-function continuation along the Davidenko ODE.
+"""Global implicit-function continuation by path lifting.
 
 An implicit problem fixes a map f on a product of x- and y-variables
-and a level w; the solution set {f(x, y) = w} projects onto x, and
-continuation transports y along a prescribed x-path by integrating
-
-    y'(t) = -(d_y f)^(-1) d_x f x'(t)
-
-with a Newton projection (in y only) back onto the level set after
-every step. The partial Jacobian blocks are always columns of the full
-Jacobian, never re-differenced. A fold, where d_y f degenerates, ends
-the trace with a singular verdict; branch switching is out of scope.
+and a level w; the solution set {f(x, y) = w} projects onto x.
+Continuation transports y along a prescribed x-path by lifting the
+path t -> (x(t), w) through the augmented map (x, y) -> (x, f(x, y)),
+whose projection onto x is a local homeomorphism exactly where the
+y-block d_y f is invertible: the covering criterion applied to the
+augmented map gives the global implicit function theorem. The lift
+engine of the lift module does the stepping; this module reads each
+lifted node as a pair (x, y) and records the level-set residual, the
+weight-bound monitor and the y-block's smallest singular value. A
+fold, where d_y f degenerates, ends the trace with a singular verdict;
+branch switching is out of scope.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvalDomainError, InputError
+from .errors import InputError
 from .geometry import Euclidean, FunctionPath, Point, ProductSpace, Segment
 from .lift import (
-    COMPLETED,
-    FAILED_BLOWUP,
-    FAILED_DOMAIN_EXIT,
     FAILED_SINGULAR,
-    FAILED_STALL,
     ContinuationFailure,
+    LiftOptions,
     Verdict,
+    lift_path,
 )
-from .mapdef import MapHandle, jacobian_at
+from .mapdef import CONVERGED, MapHandle, jacobian_at, newton_block
 from .sampling import unit_box_points
 
 __all__ = [
@@ -53,20 +54,11 @@ WEIGHT_DISCREPANCY_NOTE = (
 
 @dataclass(frozen=True)
 class ImplicitOptions:
-    h_init: float = 1e-2
-    h_min: float = 1e-14
-    h_max: float = 0.1
-    atol: float = 1e-10
-    residual_tol: float = 1e-8
-    project_tol: float = 1e-10
-    singular_threshold: float = 1e-6
-    blowup_radius: float = 1e6
-    max_project_iter: int = 20
+    residual_tol: float = 1e-8  # start tolerance
+    project_tol: float = 1e-10  # the lift corrector's tolerance
+    singular_threshold: float = 1e-6  # on the y-block's smallest singular value
+    blowup_radius: float = 1e6  # on the norm of (x, y)
     max_nodes: int = 200000
-
-    def __post_init__(self):
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise InputError("need 0 < h_min <= h_init <= h_max")
 
 
 class ImplicitProblem:
@@ -101,45 +93,41 @@ class ImplicitProblem:
         c = np.asarray(coords, dtype=float)
         return c[: self.m], c[self.m :]
 
-    def blocks(self, x, y):
-        """(d_x f, d_y f) as column blocks of one full Jacobian."""
-        jac = jacobian_at(self.f, self.join(x, y))
-        return jac[:, : self.m], jac[:, self.m :]
-
-    def residual(self, x, y):
-        val = self.f.eval(self.join(x, y))
-        return float(
-            self.f.codomain.distance_many(val[None, :], self.w[None, :])[0]
-        )
-
-    def residual_vec(self, x, y):
-        val = self.f.eval(self.join(x, y))
-        return np.asarray(self.f.codomain.canonical(val - self.w), dtype=float)
-
-    def monitor(self, x, y):
-        """Operator-norm product of the inverse y-block and the
-        x-block, the hypothesis quantity of the weight bound."""
-        jx, jy = self.blocks(x, y)
-        smin = float(np.linalg.svd(jy, compute_uv=False)[-1])
-        jx_norm = float(np.linalg.svd(jx, compute_uv=False)[0]) if jx.size else 0.0
-        return (jx_norm / smin if smin > 0 else np.inf), smin
+    def node_values(self, coords):
+        """Level-set residual |f(x, y) - w|, weight-bound monitor and
+        the y-block's smallest singular value at each row (x, y) of an
+        (N, m + n) block. The monitor is the operator-norm product of
+        the inverse y-block and the x-block, the hypothesis quantity of
+        the weight bound; the blocks are columns of one Jacobian."""
+        vals = self.f.eval_many(coords)
+        residual = self.f.codomain.distance_many(vals, self.w[None, :])
+        jac = self.f.jacobians_many(coords)
+        jx_norm = np.linalg.svd(jac[:, :, : self.m], compute_uv=False)[:, 0]
+        jy_smin = np.linalg.svd(jac[:, :, self.m :], compute_uv=False)[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            monitor = np.where(jy_smin > 0, jx_norm / jy_smin, np.inf)
+        return residual, monitor, jy_smin
 
     def projection_map(self):
         """The augmented square map (x, y) -> (x, f(x, y)). Lifting the
-        x-path paired with the constant w through it reproduces the
-        Davidenko continuation; the projection onto x is a local
-        homeomorphism exactly where the y-block is invertible."""
+        x-path paired with the constant w through it is the implicit
+        continuation; the projection onto x is a local homeomorphism
+        exactly where the y-block is invertible."""
         prob = self
+        top = np.eye(prob.m, prob.m + prob.n)
 
         def eval_one(c):
             return np.concatenate([c[: prob.m], prob.f.eval(c)])
 
+        def eval_many(cs):
+            return np.concatenate([cs[:, : prob.m], prob.f.eval_many(cs)], axis=1)
+
         def jac_one(c):
-            jac = jacobian_at(prob.f, c)
-            top = np.concatenate(
-                [np.eye(prob.m), np.zeros((prob.m, prob.n))], axis=1
-            )
-            return np.concatenate([top, jac], axis=0)
+            return np.concatenate([top, jacobian_at(prob.f, c)], axis=0)
+
+        def jac_many(cs):
+            tops = np.broadcast_to(top, (cs.shape[0],) + top.shape)
+            return np.concatenate([tops, prob.f.jacobians_many(cs)], axis=1)
 
         if isinstance(prob.f.codomain, Euclidean) and prob.f.codomain.p == 2.0:
             codomain = Euclidean(prob.m + prob.n)
@@ -151,7 +139,9 @@ class ImplicitProblem:
             codomain=codomain,
             jacobian_mode="analytic",
             eval_one=eval_one,
+            eval_many_fn=eval_many,
             jac_one=jac_one,
+            jac_many_fn=jac_many,
         )
 
     def augmented_path(self, p):
@@ -196,10 +186,6 @@ class ImplicitTrace:
     def final_y(self):
         return self.nodes[-1].y
 
-    @property
-    def penultimate_y(self):
-        return self.nodes[-2].y if len(self.nodes) > 1 else self.nodes[-1].y
-
     def node_arrays(self):
         ts = np.array([n.t for n in self.nodes])
         xs = np.stack([n.x for n in self.nodes])
@@ -230,49 +216,6 @@ class ImplicitTrace:
         return buf.getvalue()
 
 
-def _project_y(prob, x, y, tol, max_iter):
-    """Newton in y onto f(x, y) = w; x stays clamped. Returns
-    (y, residual, jy_smin) or raises on failure."""
-    y = np.asarray(y, dtype=float).copy()
-    r_vec = prob.residual_vec(x, y)
-    r = float(np.linalg.norm(r_vec))
-    best_y, best_r = y.copy(), r
-    for _ in range(max_iter):
-        if r <= tol:
-            _, jy = prob.blocks(x, y)
-            smin = float(np.linalg.svd(jy, compute_uv=False)[-1])
-            return y, r, smin
-        _, jy = prob.blocks(x, y)
-        try:
-            step = np.linalg.solve(jy, -r_vec)
-        except np.linalg.LinAlgError:
-            raise DomainError("projection hit a singular y-block")
-        lam = 1.0
-        for _ in range(30):
-            trial = y + lam * step
-            cand = prob.join(x, trial)
-            if prob.f.domain.contains(cand):
-                try:
-                    t_vec = prob.residual_vec(x, trial)
-                except (DomainError, EvalDomainError):
-                    lam *= 0.5
-                    continue
-                t_r = float(np.linalg.norm(t_vec))
-                if t_r < r:
-                    y, r_vec, r = trial, t_vec, t_r
-                    break
-            lam *= 0.5
-        else:
-            break
-        if r < best_r:
-            best_y, best_r = y.copy(), r
-    if best_r <= tol:
-        _, jy = prob.blocks(x, best_y)
-        smin = float(np.linalg.svd(jy, compute_uv=False)[-1])
-        return best_y, best_r, smin
-    raise DomainError("projection did not reach tolerance (residual %g)" % best_r)
-
-
 def _weight_increment(weight, a, b, n_sub=9):
     """Signed integral of 1/weight over [a, b] (trapezoid)."""
     if a == b:
@@ -282,12 +225,25 @@ def _weight_increment(weight, a, b, n_sub=9):
     return float((0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)).sum())
 
 
+def _level_solve(g, prob, xbar, ys, tol):
+    """newton_block on the projection map g from the rows (xbar, y_i),
+    y_i the rows of ys, toward the level point (xbar, w)."""
+    xs = np.broadcast_to(xbar, (ys.shape[0], prob.m))
+    starts = np.concatenate([xs, ys], axis=1)
+    return newton_block(g, prob.join(xbar, prob.w), starts, tol=tol, max_iter=60)
+
+
 def davidenko_lift(prob, p, y0, weight=None, opts=None):
-    """Continue y along the x-path p from y0 by adaptive RK4 with
-    step-doubling error control and a Newton projection onto the level
-    set after every accepted step. Verdict taxonomy matches the path
-    lifting engine; the singular trigger watches the y-block's smallest
-    singular value. When a weight is supplied, the trace logs the
+    """Continue y along the x-path p from y0 by lifting the path
+    t -> (p(t), w) through the projection map (x, y) -> (x, f(x, y)).
+
+    A start within residual_tol of the level set is first projected
+    onto it (Newton in y at fixed x) to project_tol, the tolerance of
+    the lift's corrector. The verdict is the lift's, with one more
+    rule: the first node whose y-block smallest singular value is under
+    singular_threshold ends the trace as FailedSingular at that node's
+    parameter, since there the projection onto x stops being a local
+    homeomorphism. When a weight is supplied, the trace logs the
     running integral of 1/weight over ||y|| and checks the a priori
     bound wherever the monitor hypothesis holds.
     """
@@ -301,126 +257,72 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
     if t1 <= t0:
         raise InputError("x-path domain has zero width")
     span = t1 - t0
-    y = prob.y_space.check_coords(
-        y0.coords if isinstance(y0, Point) else y0
-    ).copy()
+    y = prob.y_space.check_coords(y0.coords if isinstance(y0, Point) else y0)
     x = p.eval(t0)
-    r0 = prob.residual(x, y)
+    start = prob.join(x, y)
+    (r0,), _, (smin0,) = prob.node_values(start[None, :])
     if r0 > opts.residual_tol:
         raise InputError(
             "start residual %g exceeds tolerance %g" % (r0, opts.residual_tol)
         )
-    mon0, smin0 = prob.monitor(x, y)
     if smin0 < opts.singular_threshold:
         raise InputError("y-block is singular at the start (smin %g)" % smin0)
 
-    w_int = 0.0 if weight is not None else None
+    g = prob.projection_map()
+    if r0 > opts.project_tol:
+        start = _level_solve(g, prob, x, y[None, :], opts.project_tol).points[0]
+    lift = lift_path(
+        g,
+        prob.augmented_path(p),
+        start,
+        LiftOptions(
+            corrector_tol=opts.project_tol,
+            blowup_radius=opts.blowup_radius,
+            max_nodes=opts.max_nodes,
+        ),
+    )
+    ts, coords, _, _, _ = lift.node_arrays()
+    residual, monitor, jy_smin = prob.node_values(coords)
+    verdict = lift.verdict
+    fold = np.flatnonzero(jy_smin < opts.singular_threshold)
+    if fold.size:
+        keep = fold[0] + 1
+        b = min(float((ts[keep - 1] - t0) / span), 1.0)
+        verdict = Verdict(kind=FAILED_SINGULAR, b=b, d_minus=float(jy_smin[keep - 1]))
+    else:
+        keep = len(ts)
+        if verdict.d_minus is not None:
+            # the y-block's smallest singular value, not the augmented map's
+            verdict = dataclasses.replace(verdict, d_minus=float(jy_smin[-1]))
+
+    w_int = [None] * keep
+    if weight is not None:
+        norms = np.linalg.norm(coords[:keep, prob.m :], axis=1)
+        w_int = np.cumsum(
+            [0.0] + [_weight_increment(weight, u, v) for u, v in zip(norms, norms[1:])]
+        )
     nodes = [
-        ImplicitNode(t0, x.copy(), y.copy(), r0, mon0, smin0, w_int)
+        ImplicitNode(
+            float(ts[i]),
+            coords[i, : prob.m].copy(),
+            coords[i, prob.m :].copy(),
+            float(residual[i]),
+            float(monitor[i]),
+            float(jy_smin[i]),
+            None if w_int[i] is None else float(w_int[i]),
+        )
+        for i in range(keep)
     ]
-
-    def rhs(s, yv):
-        t = t0 + s * span
-        xv = p.eval(t)
-        vel = p.velocity(t) * span
-        jx, jy = prob.blocks(xv, yv)
-        return np.linalg.solve(jy, -(jx @ vel))
-
-    def rk4(s, yv, h):
-        k1 = rhs(s, yv)
-        k2 = rhs(s + 0.5 * h, yv + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, yv + 0.5 * h * k2)
-        k4 = rhs(s + h, yv + h * k3)
-        return yv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def make_trace(verdict):
-        return ImplicitTrace(
-            problem=prob,
-            path_kind=p.kind,
-            path_domain=(t0, t1),
-            nodes=nodes,
-            verdict=verdict,
-            options=opts,
-            weight_used=weight is not None,
-        )
-
-    def fail(kind, b, **kw):
-        return _finish(
-            make_trace(Verdict(kind=kind, b=min(b, 1.0), **kw)), p, weight, opts
-        )
-
-    s = 0.0
-    h = opts.h_init
-    last_smin = smin0
-    while True:
-        if len(nodes) >= opts.max_nodes:
-            return fail(FAILED_STALL, s, message="node budget exhausted")
-        h = min(h, 1.0 - s)
-        try:
-            y_full = rk4(s, y, h)
-            y_half = rk4(s + 0.5 * h, rk4(s, y, 0.5 * h), 0.5 * h)
-            err = float(np.linalg.norm(y_half - y_full)) / 15.0
-            scale = opts.atol * (1.0 + float(np.linalg.norm(y)))
-            if not np.isfinite(err) or err > scale:
-                raise DomainError("local error %g over budget" % err)
-            y_pred = y_half + (y_half - y_full) / 15.0
-            t_next = t0 + (s + h) * span
-            x_next = p.eval(t_next)
-            y_new, r_new, smin = _project_y(
-                prob, x_next, y_pred, opts.project_tol, opts.max_project_iter
-            )
-        except (DomainError, EvalDomainError, np.linalg.LinAlgError):
-            h *= 0.5
-            if h < opts.h_min:
-                b = s + 2.0 * h
-                if last_smin < opts.singular_threshold:
-                    return fail(FAILED_SINGULAR, b, d_minus=last_smin)
-                return fail(
-                    FAILED_STALL,
-                    b,
-                    d_minus=last_smin,
-                    message="step floor reached",
-                )
-            continue
-
-        s += h
-        t_here = t0 + s * span
-        mon = (
-            float(np.linalg.svd(prob.blocks(x_next, y_new)[0], compute_uv=False)[0])
-            / smin
-            if smin > 0
-            else np.inf
-        )
-        if weight is not None:
-            w_int += _weight_increment(
-                weight,
-                float(np.linalg.norm(nodes[-1].y)),
-                float(np.linalg.norm(y_new)),
-            )
-        nodes.append(
-            ImplicitNode(
-                t_here,
-                x_next.copy(),
-                y_new.copy(),
-                r_new,
-                mon,
-                smin,
-                w_int,
-            )
-        )
-        x, y = x_next, y_new
-        last_smin = smin
-
-        if not prob.f.domain.contains(prob.join(x, y)):
-            return fail(FAILED_DOMAIN_EXIT, s)
-        if smin < opts.singular_threshold:
-            return fail(FAILED_SINGULAR, s, d_minus=smin)
-        if float(np.linalg.norm(y)) > opts.blowup_radius:
-            return fail(FAILED_BLOWUP, s, last_norm=float(np.linalg.norm(y)))
-        if s >= 1.0:
-            return _finish(make_trace(Verdict(kind=COMPLETED, b=1.0)), p, weight, opts)
-        grow = 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0
-        h = min(opts.h_max, h * min(2.0, max(1.0, grow)))
+    trace = ImplicitTrace(
+        problem=prob,
+        path_kind=p.kind,
+        path_domain=(t0, t1),
+        nodes=nodes,
+        verdict=verdict,
+        options=opts,
+        weight_used=weight is not None,
+    )
+    return _finish(trace, p, weight, opts)
 
 
 def _finish(trace, p, weight, opts):
@@ -505,16 +407,13 @@ def branch_probe(prob, x_box, y_box, n_starts=32, n_grid=3, tol=1e-10):
     x_grid = x_box.lo + lam[:, None] * (x_box.hi - x_box.lo)
     y_starts = y_box.scale(unit_box_points(n_starts, prob.n))
 
+    g = prob.projection_map()
     sols = []  # (grid_index, y-coords)
     for gi, xbar in enumerate(x_grid):
+        sol = _level_solve(g, prob, xbar, y_starts, tol)
         found = []
-        for ys in y_starts:
-            if not prob.f.domain.contains(prob.join(xbar, ys)):
-                continue
-            try:
-                y_sol, r, smin = _project_y(prob, xbar, ys, tol, 60)
-            except (DomainError, EvalDomainError):
-                continue
+        for pt in sol.points[sol.status == CONVERGED]:
+            y_sol = pt[prob.m :]
             if any(np.linalg.norm(y_sol - k) <= 1e-8 * (1 + np.linalg.norm(k)) for k in found):
                 continue
             found.append(y_sol)

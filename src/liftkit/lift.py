@@ -23,7 +23,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .geometry import OpenSubset, Point
-from .mapdef import jacobian_at, local_solve
+from .mapdef import jacobian_at, local_solve, newton_block
 
 __all__ = [
     "LiftOptions",
@@ -47,6 +47,12 @@ FAILED_SINGULAR = "FailedSingular"
 FAILED_STALL = "FailedStall"
 FAILED_DOMAIN_EXIT = "FailedDomainExit"
 
+# the endpoint polish: at most POLISH_STEPS damped Newton steps, each
+# taken only if it strictly lowers the residual, down to the rounding
+# floor (POLISH_TOL stops only an exact zero)
+POLISH_STEPS = 8
+POLISH_TOL = np.finfo(float).tiny
+
 _ENGINE_NOTE = (
     "engine-conservative: the abstract continuation criterion needs only "
     "a convergent subsequence of lifted values; this engine demands a "
@@ -62,7 +68,6 @@ class LiftOptions:
     corrector_tol: float = 1e-10
     blowup_radius: float = 1e6
     singular_threshold: float = 1e-10
-    record_monitors: bool = True
     growth: float = 1.5
     max_corrector_iter: int = 25
     max_nodes: int = 100000
@@ -166,39 +171,6 @@ class ContinuationFailure(LiftkitError):
         self.trace = trace
 
 
-def _newton_polish(f, target, x, tol_keep, n_steps=3):
-    """A few undamped Newton steps to tighten an endpoint; returns the
-    best iterate, never worse than the input at tolerance tol_keep."""
-    y = np.asarray(target, dtype=float)
-
-    def resid(c):
-        return float(
-            f.codomain.distance_many(f.eval(c)[None, :], y[None, :])[0]
-        )
-
-    best = np.asarray(x, dtype=float)
-    best_r = resid(best)
-    cur = best
-    for _ in range(n_steps):
-        try:
-            jac = jacobian_at(f, cur)
-            step = np.linalg.solve(jac, -(f.codomain.canonical(f.eval(cur) - y)))
-            nxt = f.domain.canonical(cur + step)
-            if not f.domain.contains(nxt):
-                break
-            r = resid(nxt)
-        except (np.linalg.LinAlgError, DomainError, EvalDomainError):
-            break
-        cur = np.asarray(nxt, dtype=float)
-        if r < best_r:
-            best, best_r = cur, r
-        if r == 0.0:
-            break
-    if best_r <= tol_keep:
-        return best, best_r
-    return np.asarray(x, dtype=float), resid(np.asarray(x, dtype=float))
-
-
 def lift_path(f, p, x0, opts=None):
     """Lift the path p through f starting at the preimage x0.
 
@@ -230,10 +202,6 @@ def lift_path(f, p, x0, opts=None):
             "f(x0) misses p(start) by %.3g (corrector_tol %.3g)"
             % (r0, opts.corrector_tol)
         )
-
-    def smin_at(c):
-        sv = np.linalg.svd(jacobian_at(f, c), compute_uv=False)
-        return float(sv[-1])
 
     jac = jacobian_at(f, x)
     smin = float(np.linalg.svd(jac, compute_uv=False)[-1])
@@ -339,14 +307,18 @@ def lift_path(f, p, x0, opts=None):
         if norm > opts.blowup_radius:
             return fail(FAILED_BLOWUP, s, last_norm=norm)
         if s >= 1.0:
-            polished, pol_r = _newton_polish(
-                f, target, x, tol_keep=opts.corrector_tol
+            pol = newton_block(
+                f, target, x[None, :], tol=POLISH_TOL, max_iter=POLISH_STEPS
             )
-            if pol_r < res.residual:
+            polished, pol_r = pol.points[0], float(pol.residuals[0])
+            # a polish that took no step could differ from res only in
+            # how the batched evaluation rounds its residual
+            if pol.iterations[0] > 0 and pol_r < res.residual:
                 lift_length += float(
                     f.domain.chart_lengths(polished[None, :], x[None, :])[0]
                 )
-                nodes[-1] = LiftNode(t_here, polished, pol_r, smin_at(polished), 0.0)
+                sv = np.linalg.svd(jacobian_at(f, polished), compute_uv=False)
+                nodes[-1] = LiftNode(t_here, polished, pol_r, float(sv[-1]), 0.0)
             return make_trace(Verdict(kind=COMPLETED, b=1.0))
         dt = min(dt * opts.growth, opts.step_max)
 

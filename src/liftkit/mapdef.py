@@ -630,12 +630,12 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
     tolerance.
     """
     y = _solve_target(f, y, tol)
-    x = f.domain.check_coords(
-        x_guess.coords if isinstance(x_guess, Point) else x_guess
-    ).copy()
+    x = np.array(
+        x_guess.coords if isinstance(x_guess, Point) else x_guess, dtype=float
+    ).reshape(-1)
 
     with np.errstate(over="ignore"):
-        fx = f.eval(x)
+        fx = f.eval(x)  # tests the start's shape, finiteness and domain
         r = float(_distances(f, y, fx[None, :])[0])
         for iters in range(max_iter + 1):
             jac = jacobian_at(f, x)

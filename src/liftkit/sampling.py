@@ -24,7 +24,6 @@ from .errors import InputError
 __all__ = [
     "SOBOL_MAX_DIM",
     "unit_box_points",
-    "box_points",
     "sphere_directions",
     "normal_quantile",
 ]
@@ -106,11 +105,6 @@ def unit_box_points(n, dim):
         np.bitwise_xor(ints[:m], step, out=ints[h : h + m])
         h *= 2
     return ints[1:] * 2.0**-_SOBOL_BITS
-
-
-def box_points(box, n):
-    """n low-discrepancy points inside an axis-aligned box."""
-    return box.scale(unit_box_points(n, box.dim))
 
 
 # AS241 coefficients, highest degree first: the central region

@@ -257,6 +257,17 @@ def test_implicit_from_registry_with_weight(registry_file):
     assert doc["results"]["monitor_ok"] is True
 
 
+def test_implicit_fold_exits_one_singular():
+    argv = ["implicit", "--map", "y^3 - y - x", "--x-dim", "1", "--w", "0",
+            "--x-target=-0.3849001794597505", "--start-x", "0", "--start-y", "1",
+            "--json"]
+    code, first = invoke(list(argv))
+    assert code == 1
+    assert json.loads(first)["verdicts"]["continuation"] == "FailedSingular"
+    assert "NaN" not in first
+    assert invoke(list(argv)) == (code, first)
+
+
 # -- registry subcommand ---------------------------------------------------
 
 

@@ -1,7 +1,10 @@
-"""Implicit continuation: Davidenko stepping, folds, branches, weights."""
+"""Implicit continuation: lifting through the projection map, folds,
+branches, weights."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftkit import (
     AffineWeight,
@@ -184,3 +187,49 @@ def test_options_respected():
         prob, _x_segment(prob, 0.0, 2.0), np.array([0.0]), opts=opts
     )
     assert not trace.verdict.completed
+
+
+def _real_roots(coeffs):
+    roots = np.roots(coeffs)
+    return np.sort(roots[np.abs(roots.imag) <= 1e-9].real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.floats(min_value=-8.0, max_value=8.0))
+def test_implicit_values_match_cubic_root(x):
+    # y^3 + y = x has one real root; both forms reach it from (0, 0)
+    root = _real_roots([1.0, 0.0, 1.0, -x])[0]
+    outcomes = []
+    for f in (resolve_map("cubic_implicit"), expression_map("y^3 + y - x", variables=("x", "y"))):
+        prob = ImplicitProblem(f, 1, np.array([0.0]))
+        try:
+            y = implicit_eval(prob, np.array([x]), (np.array([0.0]), np.array([0.0])))
+        except ContinuationFailure as err:
+            outcomes.append(err.verdict.kind)
+            continue
+        outcomes.append("Completed")
+        assert abs(y.coords[0] - root) <= 1e-12 * (1.0 + abs(root))
+    assert outcomes == ["Completed", "Completed"]
+
+
+def test_branch_probe_members_are_the_three_roots():
+    f = expression_map("y^3 - y - x", variables=("x", "y"))
+    prob = ImplicitProblem(f, 1, np.array([0.0]))
+    rep = branch_probe(
+        prob,
+        Box(np.array([-0.15]), np.array([0.15])),
+        Box(np.array([-2.0]), np.array([2.0])),
+    )
+    assert rep.count == 3
+    for xbar in rep.x_grid:
+        ys = sorted(y[0] for grp in rep.groups for x, y in grp if x[0] == xbar[0])
+        assert np.allclose(ys, _real_roots([1.0, 0.0, -1.0, -xbar[0]]), rtol=0, atol=1e-10)
+
+
+def test_start_within_residual_tol_is_projected():
+    # residual 1e-9: over project_tol, under residual_tol
+    prob = _cubic()
+    trace = davidenko_lift(prob, _x_segment(prob, 0.0, 2.0), np.array([1e-9]))
+    assert trace.verdict.kind == "Completed"
+    assert trace.nodes[0].residual <= ImplicitOptions().project_tol
+    assert trace.final_y[0] == pytest.approx(1.0, abs=1e-12)

@@ -298,6 +298,15 @@ def test_trial_value_tests_the_domain_once():
     assert len(calls) == 1
 
 
+def test_local_solve_tests_its_start_once():
+    # one predicate call each for f.eval, jacobian_at and the result Point
+    calls = []
+    f = _counting_domain(resolve_map("powk(3)"), calls)
+    res = local_solve(f, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert res.iterations == 0 and res.residual == 0.0
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("spec", ["powk(3)", "shear3"])
 @pytest.mark.parametrize(
     "trial", [[np.nan, 1.0], [np.inf, 0.0], [3.0, 0.0], [0.0, 0.0]]

@@ -9,9 +9,11 @@ y-block d_y f is invertible: the covering criterion applied to the
 augmented map gives the global implicit function theorem. The lift
 engine of the lift module does the stepping; this module reads each
 lifted node as a pair (x, y) and records the level-set residual, the
-weight-bound monitor and the y-block's smallest singular value. A
-fold, where d_y f degenerates, ends the trace with a singular verdict;
-branch switching is out of scope.
+weight-bound monitor and the y-block's smallest singular value. The
+augmented map's Jacobian determinant is det d_y f, so the lift refuses
+any step across a fold, where d_y f degenerates, and halves its steps
+toward it; the fold ends the trace with a singular verdict instead of
+a jump to another branch. Branch switching is out of scope.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ __all__ = [
     "branch_probe",
     "BranchReport",
 ]
+
+# the lift halves its steps toward a fold down to this floor, where a
+# quadratic fold's y-block is near 1e-7, under the default threshold
+STEP_MIN = 1e-14
 
 WEIGHT_DISCREPANCY_NOTE = (
     "weight continuity: the a priori bound assumes a continuous weight; "
@@ -88,10 +94,6 @@ class ImplicitProblem:
 
     def join(self, x, y):
         return np.concatenate([np.asarray(x, float), np.asarray(y, float)])
-
-    def split(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return c[: self.m], c[self.m :]
 
     def node_values(self, coords):
         """Level-set residual |f(x, y) - w|, weight-bound monitor and
@@ -239,8 +241,10 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
 
     A start within residual_tol of the level set is first projected
     onto it (Newton in y at fixed x) to project_tol, the tolerance of
-    the lift's corrector. The verdict is the lift's, with one more
-    rule: the first node whose y-block smallest singular value is under
+    the lift's corrector; a start that does not project is an
+    InputError. The verdict is the lift's, which is FailedSingular
+    where the steps collapse at a fold, with one more rule: the first
+    node whose y-block smallest singular value is under
     singular_threshold ends the trace as FailedSingular at that node's
     parameter, since there the projection onto x stops being a local
     homeomorphism. When a weight is supplied, the trace logs the
@@ -254,8 +258,6 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
             % (p.space.dim, prob.m)
         )
     t0, t1 = p.domain
-    if t1 <= t0:
-        raise InputError("x-path domain has zero width")
     span = t1 - t0
     y = prob.y_space.check_coords(y0.coords if isinstance(y0, Point) else y0)
     x = p.eval(t0)
@@ -270,12 +272,19 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
 
     g = prob.projection_map()
     if r0 > opts.project_tol:
-        start = _level_solve(g, prob, x, y[None, :], opts.project_tol).points[0]
+        sol = _level_solve(g, prob, x, y[None, :], opts.project_tol)
+        if sol.status[0] != CONVERGED:
+            raise InputError(
+                "start within residual_tol %g does not project to project_tol %g"
+                % (opts.residual_tol, opts.project_tol)
+            )
+        start = sol.points[0]
     lift = lift_path(
         g,
         prob.augmented_path(p),
         start,
         LiftOptions(
+            step_min=STEP_MIN,
             corrector_tol=opts.project_tol,
             blowup_radius=opts.blowup_radius,
             max_nodes=opts.max_nodes,
@@ -322,10 +331,10 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
         options=opts,
         weight_used=weight is not None,
     )
-    return _finish(trace, p, weight, opts)
+    return _finish(trace, p, weight)
 
 
-def _finish(trace, p, weight, opts):
+def _finish(trace, p, weight):
     """Attach the weight-bound audit to a finished trace."""
     if weight is None:
         trace.weight_check = None

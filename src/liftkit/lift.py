@@ -3,9 +3,12 @@
 Given f with equal domain and codomain dimensions, a path p in the
 codomain, and a starting preimage x0 of p(start), the engine extends
 the lift node by node: a Jacobian predictor step followed by a damped
-Newton corrector onto the next path point. Failure is classified, not
-hidden: blow-up, near-singular Jacobian, step-size collapse, or domain
-exit, each with the furthest parameter reached.
+Newton corrector onto the next path point. A corrected point where the
+Jacobian determinant has changed sign lies on another sheet, so the
+step is refused and halved like a failed corrector; a path that runs
+into a fold ends there instead of jumping sheets. Failure is
+classified, not hidden: blow-up, near-singular Jacobian, step-size
+collapse, or domain exit, each with the furthest parameter reached.
 """
 
 from __future__ import annotations
@@ -171,13 +174,44 @@ class ContinuationFailure(LiftkitError):
         self.trace = trace
 
 
+def _keeps_orientation(f, x, xhat, res, orient):
+    """Whether a corrector result res, from the predicted point xhat
+    of a step from x, keeps the Jacobian determinant's sign orient.
+
+    A lift through a local homeomorphism keeps its orientation, so a
+    sign change means the corrector crossed the critical set, where the
+    determinant vanishes, and landed on another sheet: past a fold or
+    onto a fold's middle branch. The sign is read at the corrected
+    point, and also at the chord's midpoint when the corrector moved
+    farther than the predictor did, as it does when it jumps between
+    sheets of one sign across a fold. A midpoint outside the domain or
+    faulting tests nothing.
+    """
+    if orient == 0:
+        return True
+    if np.linalg.slogdet(res.jacobian)[0] != orient:
+        return False
+    x_new = res.coords
+    moved = f.domain.distance_many(np.stack([x_new, xhat]), np.stack([xhat, x]))
+    if moved[0] <= moved[1]:
+        return True
+    mid = f.domain.canonical(x + 0.5 * f.domain.canonical(x_new - x))
+    try:
+        jac_mid = jacobian_at(f, mid)
+    except (DomainError, EvalDomainError):
+        return True
+    return np.linalg.slogdet(jac_mid)[0] == orient
+
+
 def lift_path(f, p, x0, opts=None):
     """Lift the path p through f starting at the preimage x0.
 
     Requires f(x0) = p(start) within corrector_tol and a square
     Jacobian. Returns a LiftTrace whose verdict is Completed or one of
     the failure kinds, with b the furthest parameter reached (last
-    accepted parameter plus the final failed step, for stalls).
+    accepted parameter plus the final failed step, for stalls). A step
+    that collapses on a singular corrector or on a change of the
+    Jacobian determinant's sign is FailedSingular.
     """
     opts = opts or LiftOptions()
     if f.domain.dim != f.codomain.dim:
@@ -205,6 +239,7 @@ def lift_path(f, p, x0, opts=None):
 
     jac = jacobian_at(f, x)
     smin = float(np.linalg.svd(jac, compute_uv=False)[-1])
+    orient = np.linalg.slogdet(jac)[0]
     nodes = [LiftNode(t0, x.copy(), r0, smin, 0.0)]
     lift_length = 0.0
 
@@ -252,6 +287,8 @@ def lift_path(f, p, x0, opts=None):
                 tol=opts.corrector_tol,
                 max_iter=opts.max_corrector_iter,
             )
+            if not _keeps_orientation(f, x, xhat, res, orient):
+                raise SingularJacobianError("step crosses the critical set")
         except (
             NonConvergenceError,
             SingularJacobianError,

@@ -72,6 +72,28 @@ def test_fold_terminates_singular():
     assert trace.final_y[0] == pytest.approx(FOLD_Y, abs=1e-2)
 
 
+@pytest.mark.parametrize(
+    "x0, y0, x1, fold_x, fold_y",
+    [
+        (0.0, 1.0, -0.5, FOLD_X, FOLD_Y),  # upper branch
+        (0.0, 0.0, -0.5, FOLD_X, FOLD_Y),  # middle branch, either way
+        (0.0, 0.0, 0.5, -FOLD_X, -FOLD_Y),
+        (-0.9, -1.3007369, 1.3, -FOLD_X, -FOLD_Y),  # lower branch
+    ],
+)
+def test_path_past_a_fold_ends_singular_at_the_fold(x0, y0, x1, fold_x, fold_y):
+    # past the fold only a root on another branch is left; the trace
+    # must stop at the fold, not complete there
+    f = expression_map("y^3 - y - x", variables=("x", "y"))
+    prob = ImplicitProblem(f, 1, np.array([0.0]))
+    y_start = _real_roots([1.0, 0.0, -1.0, -x0])
+    y_start = y_start[np.argmin(np.abs(y_start - y0))]
+    trace = davidenko_lift(prob, _x_segment(prob, x0, x1), np.array([y_start]))
+    assert trace.verdict.kind == "FailedSingular"
+    assert trace.verdict.b == pytest.approx((fold_x - x0) / (x1 - x0), abs=1e-6)
+    assert trace.final_y[0] == pytest.approx(fold_y, abs=1e-2)
+
+
 def test_residual_bounded_on_all_traces(rng):
     f = expression_map("y + 0.5*sin(y) - x", variables=("x", "y"))
     prob = ImplicitProblem(f, 1, np.array([0.0]))
@@ -144,6 +166,22 @@ def test_branch_probe_parabola_two_groups():
     )
     assert rep.count == 2
     assert "heuristic" in rep.note
+
+
+def test_branch_probe_across_the_folds_keeps_the_middle_root_apart():
+    # slices x = -0.5, 0, 0.5: the outer roots continue to the next
+    # slice, the middle root at x = 0 reaches a fold either way
+    f = expression_map("y^3 - y - x", variables=("x", "y"))
+    prob = ImplicitProblem(f, 1, np.array([0.0]))
+    rep = branch_probe(
+        prob,
+        Box(np.array([-1.0]), np.array([1.0])),
+        Box(np.array([-2.0]), np.array([2.0])),
+    )
+    assert rep.count == 3
+    assert sorted(len(grp) for grp in rep.groups) == [1, 2, 2]
+    (single,) = [grp for grp in rep.groups if len(grp) == 1]
+    assert single[0][1][0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_branch_probe_identity_section_one_group():
@@ -224,6 +262,19 @@ def test_branch_probe_members_are_the_three_roots():
     for xbar in rep.x_grid:
         ys = sorted(y[0] for grp in rep.groups for x, y in grp if x[0] == xbar[0])
         assert np.allclose(ys, _real_roots([1.0, 0.0, -1.0, -xbar[0]]), rtol=0, atol=1e-10)
+
+
+def test_start_that_does_not_project_is_an_input_error():
+    # y^2 = x has no root at x = -1e-3; the start is within residual_tol
+    f = expression_map("y^2 - x", variables=("x", "y"))
+    prob = ImplicitProblem(f, 1, np.array([0.0]))
+    with pytest.raises(InputError, match="project_tol"):
+        davidenko_lift(
+            prob,
+            _x_segment(prob, -1e-3, 1.0),
+            np.array([1e-3]),
+            opts=ImplicitOptions(residual_tol=1e-2),
+        )
 
 
 def test_start_within_residual_tol_is_projected():

@@ -112,6 +112,19 @@ def test_domain_exit_verdict():
     assert trace.verdict.b < 1.0
 
 
+def test_lift_stops_at_a_fold_instead_of_changing_sheet():
+    # det J = -1 - 4xy is -1 at the start; the path passes the critical
+    # value F(0.5, -0.5) = (0.75, 0.75) at t = 0.375, and (2, 2) also has
+    # the preimage (1, -1) on the sheet where det J > 0
+    from liftkit import expression_map
+
+    f = expression_map("(x + y^2, x^2 - y)", variables=("x", "y"))
+    trace = lift_path(f, _seg2([0.0, 0.0], [2.0, 2.0]), np.zeros(2))
+    assert trace.verdict.kind == "FailedSingular"
+    assert trace.verdict.b == pytest.approx(0.375, abs=1e-6)
+    assert np.allclose(trace.final_coords, [0.5, -0.5], atol=1e-4)
+
+
 def test_loop_lift_polar_exp_shifts_by_two_pi(polar_exp):
     loop = Loop(Euclidean(2), np.array([0.0, 0.0]), 1.0)
     trace = lift_path(polar_exp, loop, np.array([0.0, 0.0]))

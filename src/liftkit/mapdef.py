@@ -5,6 +5,11 @@ A MapHandle bundles a map between two spaces with whichever Jacobian
 source is available: closed-form (analytic), forward-mode automatic
 differentiation for expression maps, or central finite differences on
 request.
+
+A built-in map is written once as a value formula and a Jacobian
+formula, formula(m, *coords), which call their functions as m.exp,
+m.cos, ...; the same formula evaluates one point over Python floats
+with math and a block of points over numpy columns (_pointwise).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,14 +95,6 @@ class MapHandle:
         if not np.all(np.isfinite(out)):
             raise DomainError("map %s produced non-finite values" % self.name)
         return out
-
-    def eval_point(self, point_or_coords):
-        coords = (
-            point_or_coords.coords
-            if isinstance(point_or_coords, Point)
-            else point_or_coords
-        )
-        return Point(self.eval(coords), self.codomain)
 
     def __call__(self, coords):
         return self.eval(coords)
@@ -179,75 +177,10 @@ def _fd_jacobian(f, c):
 # Built-in maps
 
 
-def _annulus(base_dim=2):
+def _annulus(inner, outer):
+    """The plane's open annulus inner < |z| < outer."""
     return subset_from_expression(
-        Euclidean(base_dim),
-        "min(x*x + y*y - %r, %r - x*x - y*y)" % (ANNULUS_INNER**2, ANNULUS_OUTER**2),
-    )
-
-
-def _make_identity(n=2):
-    n = int(n)
-    space = Euclidean(n)
-    eye = np.eye(n)
-    return MapHandle(
-        name="identity(%d)" % n,
-        domain=space,
-        codomain=space,
-        jacobian_mode="analytic",
-        eval_one=lambda c: c.copy(),
-        eval_many_fn=lambda P: P.copy(),
-        jac_one=lambda c: eye,
-        jac_many_fn=lambda P: np.broadcast_to(eye, (P.shape[0], n, n)).copy(),
-        params={"n": n},
-    )
-
-
-def _make_shear3():
-    def ev(c):
-        return np.array([c[0] + c[1] ** 3, c[1]])
-
-    def ev_many(P):
-        return np.stack([P[:, 0] + P[:, 1] ** 3, P[:, 1]], axis=1)
-
-    def jac(c):
-        return np.array([[1.0, 3.0 * c[1] ** 2], [0.0, 1.0]])
-
-    def jac_many(P):
-        n = P.shape[0]
-        out = np.zeros((n, 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        out[:, 0, 1] = 3.0 * P[:, 1] ** 2
-        return out
-
-    return MapHandle(
-        "shear3", Euclidean(2), Euclidean(2), "analytic",
-        ev, ev_many, jac, jac_many,
-    )
-
-
-def _make_shear3_inv():
-    def ev(c):
-        return np.array([c[0] - c[1] ** 3, c[1]])
-
-    def ev_many(P):
-        return np.stack([P[:, 0] - P[:, 1] ** 3, P[:, 1]], axis=1)
-
-    def jac(c):
-        return np.array([[1.0, -3.0 * c[1] ** 2], [0.0, 1.0]])
-
-    def jac_many(P):
-        n = P.shape[0]
-        out = np.zeros((n, 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        out[:, 0, 1] = -3.0 * P[:, 1] ** 2
-        return out
-
-    return MapHandle(
-        "shear3_inv", Euclidean(2), Euclidean(2), "analytic",
-        ev, ev_many, jac, jac_many,
+        Euclidean(2), "min(x*x + y*y - %r, %r - x*x - y*y)" % (inner**2, outer**2)
     )
 
 
@@ -259,156 +192,153 @@ def _exp(v):
         raise DomainError("exp overflow") from None
 
 
-def _make_expmap():
-    def ev(c):
-        return np.array([_exp(c[0])])
+# The functions a formula calls as m.<name> at one point: math's, over
+# Python floats, except that exp overflow is a DomainError, and arctan
+# keeps numpy's name (numpy 1.x has no atan).
+_FLOATS = types.SimpleNamespace(
+    exp=_exp, log=math.log, cos=math.cos, sin=math.sin, arctan=math.atan
+)
 
+
+def _pointwise(formula, shape):
+    """The one-point and the batched callable of formula(m, *coords),
+    which returns the entries, or the rows of entries, of a shape array,
+    each entry a scalar or a column.
+
+    One point runs it with m = _FLOATS over Python floats. A float power
+    that overflows raises OverflowError there, so the point runs again
+    over numpy scalars, which overflow to inf as a block does (the
+    handle refuses that, unless it ends finite as in 1 / (1 + inf)).
+    A block runs it once with m = numpy over its columns.
+    """
+    slots = [(slice(None),) + index for index in np.ndindex(*shape)]
+
+    def one(c):
+        try:
+            got = formula(_FLOATS, *c.tolist())
+        except OverflowError:
+            with np.errstate(all="ignore"):
+                got = formula(np, *c)
+        return np.array(got)
+
+    def many(P):
+        got = formula(np, *P.T)
+        if len(shape) == 2:
+            got = [entry for row in got for entry in row]
+        out = np.empty((P.shape[0],) + shape)
+        for slot, entry in zip(slots, got):
+            out[slot] = entry
+        return out
+
+    return one, many
+
+
+def _builtin(name, domain, codomain, value, jacobian, **params):
+    """An analytic MapHandle from its value and Jacobian formulas."""
+    ev, ev_many = _pointwise(value, (codomain.dim,))
+    jac, jac_many = _pointwise(jacobian, (codomain.dim, domain.dim))
     return MapHandle(
-        "expmap",
-        Euclidean(1),
-        Euclidean(1),
-        "analytic",
-        ev,
-        lambda P: np.exp(P),
-        lambda c: ev(c)[:, None],
-        lambda P: np.exp(P)[:, :, None],
+        name, domain, codomain, "analytic", ev, ev_many, jac, jac_many, params=params
+    )
+
+
+def _make_identity(n=2):
+    n = int(n)
+    space = Euclidean(n)
+    eye = np.eye(n).tolist()
+    return _builtin(
+        "identity(%d)" % n, space, space, lambda m, *c: c, lambda m, *c: eye, n=n
+    )
+
+
+def _make_shear3():
+    return _builtin(
+        "shear3", Euclidean(2), Euclidean(2),
+        lambda m, x, y: (x + y**3, y),
+        lambda m, x, y: ((1.0, 3.0 * y**2), (0.0, 1.0)),
+    )
+
+
+def _make_shear3_inv():
+    return _builtin(
+        "shear3_inv", Euclidean(2), Euclidean(2),
+        lambda m, x, y: (x - y**3, y),
+        lambda m, x, y: ((1.0, -3.0 * y**2), (0.0, 1.0)),
+    )
+
+
+def _make_expmap():
+    return _builtin(
+        "expmap", Euclidean(1), Euclidean(1),
+        lambda m, x: (m.exp(x),),
+        lambda m, x: ((m.exp(x),),),
     )
 
 
 def _make_logmap():
-    dom = subset_from_expression(Euclidean(1), "x")
-
-    return MapHandle(
-        "logmap",
-        dom,
-        Euclidean(1),
-        "analytic",
-        lambda c: np.array([math.log(c[0])]),
-        lambda P: np.log(P),
-        lambda c: np.array([[1.0 / c[0]]]),
-        lambda P: (1.0 / P)[:, :, None],
+    return _builtin(
+        "logmap", subset_from_expression(Euclidean(1), "x"), Euclidean(1),
+        lambda m, x: (m.log(x),),
+        lambda m, x: ((1.0 / x,),),
     )
 
 
 def _make_polar_exp():
-    def ev(c):
-        r = _exp(c[0])
-        return np.array([r * math.cos(c[1]), r * math.sin(c[1])])
+    def value(m, x, y):
+        r = m.exp(x)
+        return r * m.cos(y), r * m.sin(y)
 
-    def ev_many(P):
-        r = np.exp(P[:, 0])
-        return np.stack([r * np.cos(P[:, 1]), r * np.sin(P[:, 1])], axis=1)
+    def jacobian(m, x, y):
+        r = m.exp(x)
+        cs, sn = m.cos(y), m.sin(y)
+        return (r * cs, -r * sn), (r * sn, r * cs)
 
-    def jac(c):
-        r = _exp(c[0])
-        cs, sn = math.cos(c[1]), math.sin(c[1])
-        return np.array([[r * cs, -r * sn], [r * sn, r * cs]])
-
-    def jac_many(P):
-        r = np.exp(P[:, 0])
-        cs, sn = np.cos(P[:, 1]), np.sin(P[:, 1])
-        out = np.empty((P.shape[0], 2, 2))
-        out[:, 0, 0] = r * cs
-        out[:, 0, 1] = -r * sn
-        out[:, 1, 0] = r * sn
-        out[:, 1, 1] = r * cs
-        return out
-
-    return MapHandle(
-        "polar_exp", Euclidean(2), Euclidean(2), "analytic",
-        ev, ev_many, jac, jac_many,
-    )
+    return _builtin("polar_exp", Euclidean(2), Euclidean(2), value, jacobian)
 
 
 def _make_powk(k):
     k = int(k)
     if k == 0:
         raise InputError("powk needs a nonzero integer exponent")
-    dom = _annulus()
-    lo, hi = ANNULUS_INNER ** abs(k), ANNULUS_OUTER ** abs(k)
-    if k < 0:
-        lo, hi = 1.0 / hi, 1.0 / lo
-    cod = subset_from_expression(
-        Euclidean(2), "min(x*x + y*y - %r, %r - x*x - y*y)" % (lo**2, hi**2)
-    )
+    try:
+        image = _annulus(*sorted((ANNULUS_INNER**k, ANNULUS_OUTER**k)))
+    except OverflowError:
+        raise InputError("powk(%d): the image annulus overflows" % k) from None
 
-    def ev(c):
-        z = complex(c[0], c[1]) ** k
-        return np.array([z.real, z.imag])
+    # z = x + iy: Python's complex product at one point, numpy's on blocks
+    def value(m, x, y):
+        z = (x + 1j * y) ** k
+        return z.real, z.imag
 
-    def ev_many(P):
-        z = (P[:, 0] + 1j * P[:, 1]) ** k
-        return np.stack([z.real, z.imag], axis=1)
+    def jacobian(m, x, y):
+        w = k * (x + 1j * y) ** (k - 1)
+        return (w.real, -w.imag), (w.imag, w.real)
 
-    def jac(c):
-        w = k * complex(c[0], c[1]) ** (k - 1)
-        return np.array([[w.real, -w.imag], [w.imag, w.real]])
-
-    def jac_many(P):
-        w = k * (P[:, 0] + 1j * P[:, 1]) ** (k - 1)
-        out = np.empty((P.shape[0], 2, 2))
-        out[:, 0, 0] = w.real
-        out[:, 0, 1] = -w.imag
-        out[:, 1, 0] = w.imag
-        out[:, 1, 1] = w.real
-        return out
-
-    return MapHandle(
-        "powk(%d)" % k, dom, cod, "analytic",
-        ev, ev_many, jac, jac_many, params={"k": k},
-    )
+    domain = _annulus(ANNULUS_INNER, ANNULUS_OUTER)
+    return _builtin("powk(%d)" % k, domain, image, value, jacobian, k=k)
 
 
 def _make_arctan():
-    return MapHandle(
-        "arctan",
-        Euclidean(1),
-        Euclidean(1),
-        "analytic",
-        lambda c: np.array([math.atan(c[0])]),
-        lambda P: np.arctan(P),
-        lambda c: np.array([[1.0 / (1.0 + c[0] ** 2)]]),
-        lambda P: (1.0 / (1.0 + P**2))[:, :, None],
+    return _builtin(
+        "arctan", Euclidean(1), Euclidean(1),
+        lambda m, x: (m.arctan(x),),
+        lambda m, x: ((1.0 / (1.0 + x**2),),),
     )
 
 
 def _make_inclusion():
-    def jac_many(P):
-        out = np.zeros((P.shape[0], 2, 1))
-        out[:, 0, 0] = 1.0
-        return out
-
-    return MapHandle(
-        "inclusion",
-        Euclidean(1),
-        Euclidean(2),
-        "analytic",
-        lambda c: np.array([c[0], 0.0]),
-        lambda P: np.stack([P[:, 0], np.zeros(P.shape[0])], axis=1),
-        lambda c: np.array([[1.0], [0.0]]),
-        jac_many,
+    return _builtin(
+        "inclusion", Euclidean(1), Euclidean(2),
+        lambda m, x: (x, 0.0),
+        lambda m, x: ((1.0,), (0.0,)),
     )
 
 
 def _make_cubic_implicit():
-    def ev(c):
-        return np.array([c[1] ** 3 + c[1] - c[0]])
-
-    def ev_many(P):
-        return (P[:, 1] ** 3 + P[:, 1] - P[:, 0])[:, None]
-
-    def jac(c):
-        return np.array([[-1.0, 3.0 * c[1] ** 2 + 1.0]])
-
-    def jac_many(P):
-        out = np.empty((P.shape[0], 1, 2))
-        out[:, 0, 0] = -1.0
-        out[:, 0, 1] = 3.0 * P[:, 1] ** 2 + 1.0
-        return out
-
-    return MapHandle(
-        "cubic_implicit", Euclidean(2), Euclidean(1), "analytic",
-        ev, ev_many, jac, jac_many,
+    return _builtin(
+        "cubic_implicit", Euclidean(2), Euclidean(1),
+        lambda m, x, y: (y**3 + y - x,),
+        lambda m, x, y: ((-1.0, 3.0 * y**2 + 1.0),),
     )
 
 
@@ -437,18 +367,10 @@ def builtin_names():
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)$")
 
 
-def _component_evaluators(asts, n):
-    """Single-point and batched evaluation of a tuple of components."""
-
-    def one(c):
-        pt = c.tolist()
-        return np.array([exprlang.eval_ast(a, pt) for a in asts])
-
-    def many(P):
-        cols = [P[:, i] for i in range(n)]
-        return np.stack([exprlang.eval_ast(a, cols) for a in asts], axis=1)
-
-    return one, many
+def _components(asts):
+    """The formula of a tuple of component expressions; the walker
+    picks float or array evaluation from the coordinates it gets."""
+    return lambda m, *coords: [exprlang.eval_ast(a, coords) for a in asts]
 
 
 def expression_map(
@@ -483,7 +405,7 @@ def expression_map(
             % (m, codomain.dim)
         )
 
-    ev, ev_many = _component_evaluators(asts, n)
+    ev, ev_many = _pointwise(_components(asts), (m,))
     if jacobian_source is None:
         mode = "automatic"
 
@@ -499,14 +421,10 @@ def expression_map(
                 "jacobian needs %d expressions (rows x columns), got %d"
                 % (m * n, len(jasts))
             )
-        entries, entries_many = _component_evaluators(jasts, n)
-
-        def jac_one(c):
-            return entries(c).reshape(m, n)
-
-        def jac_many(P):
-            return entries_many(P).reshape(-1, m, n)
-
+        rows = [_components(jasts[i : i + n]) for i in range(0, m * n, n)]
+        jac_one, jac_many = _pointwise(
+            lambda lib, *c: [row(lib, *c) for row in rows], (m, n)
+        )
         mode = "analytic"
     if jacobian_mode == "finite_difference":
         mode = "finite_difference"

@@ -354,17 +354,29 @@ def test_overflowing_profile_fails_under_optimize_flag():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["hadamard", "--map", "expmap", "--center", "8"],  # batched Jacobians
-        ["deriv", "--map", "expmap", "--point", "709.5",
-         "--method", "shell_sampling"],  # batched evaluation
+        (["hadamard", "--map", "expmap", "--center", "8"], 2),  # batched Jacobians
+        (["deriv", "--map", "expmap", "--point", "709.5",
+          "--method", "shell_sampling"], 2),  # batched evaluation
+        # one-point evaluation: a float power overflows
+        (["invert", "--map", "shear3", "--target", "9,2", "--start", "0,1e103"], 2),
+        (["invert", "--map", "cubic_implicit", "--target", "9",
+          "--start", "0,1e103"], 2),
+        # a one-point Jacobian whose overflow ends in a finite 0
+        (["deriv", "--map", "arctan", "--point", "1e200",
+          "--method", "jacobian_svd"], 0),
     ],
-    ids=["hadamard", "deriv"],
+    ids=["hadamard", "deriv", "invert-shear3", "invert-cubic_implicit",
+         "deriv-arctan"],
 )
-def test_overflow_prints_only_the_error_line(argv):
+def test_overflow_prints_only_the_error_line(argv, code):
     proc = run_cli_process(argv)
-    assert proc.returncode == 2
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stderr == ""
+        assert "d_minus': 0.0, 'd_plus': 0.0" in proc.stdout
+        return
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

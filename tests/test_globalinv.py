@@ -1,16 +1,22 @@
 """Global inversion: pointwise inverse, fibers, monodromy, QI bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftkit import (
     Box,
     ContinuationFailure,
     Euclidean,
     LiftkitError,
+    LiftOptions,
     Loop,
     fiber_enumerate,
     invert_at,
+    jacobian_at,
     path_battery,
     quasi_isometry_bounds,
     resolve_map,
@@ -176,3 +182,39 @@ def test_qi_bounds_reject_nan():
 def test_qi_bounds_overflow_is_typed_error():
     with np.errstate(over="ignore"), pytest.raises(LiftkitError):
         quasi_isometry_bounds(resolve_map("expmap"), Box([0.0], [800.0]))
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    k=st.sampled_from([2, -2, 3, -3]),
+    radius=st.floats(0.6, 1.9),  # inside the 0.5 < |x| < 2 annulus powk lives on
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_powk_fiber_count_and_orbit_length_are_the_sheet_count(k, radius, angle):
+    # a covering projection's fibers all have the sheet count as their
+    # cardinality, and the lifted loop's monodromy orbit visits them all
+    f = resolve_map("powk(%d)" % k)
+    x0 = np.array([radius * math.cos(angle), radius * math.sin(angle)])
+    y = f.eval(x0)
+    loop = Loop(Euclidean(2), np.zeros(2), math.hypot(*y), phase=math.atan2(y[1], y[0]))
+    assert fiber_enumerate(f, y).count == abs(k)
+    assert sheet_count(f, y, loop, x0).sheets == abs(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    start=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_lifting_through_shear3_inverts_shear3_inv(shear3, target, start):
+    # the lifted preimage leaves a residual within the corrector
+    # tolerance; shear3_inv stretches that residual by the norm of its
+    # Jacobian at the target, so the preimage is that close to
+    # shear3_inv(target)
+    tol = LiftOptions().corrector_tol
+    inv = resolve_map("shear3_inv")
+    y = np.array(target)
+    pre = invert_at(shear3, y, np.array(start)).coords
+    assert np.linalg.norm(shear3.eval(pre) - y) <= tol
+    lipschitz = np.linalg.norm(jacobian_at(inv, y), 2)
+    assert np.linalg.norm(pre - inv.eval(y)) <= tol * lipschitz

@@ -1,6 +1,8 @@
 """Map handles: builtins, expression maps, resolution, local Newton."""
 
 import dataclasses
+import os
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from liftkit.mapdef import (
     SINGULAR,
     STALLED,
     _trial_value,
+    builtin_names,
 )
 
 
@@ -54,6 +57,12 @@ def test_powk_zero_rejected():
         resolve_map("powk(0)")
 
 
+@pytest.mark.parametrize("spec", ["powk(512)", "powk(-512)", "powk(2000)"])
+def test_powk_exponent_whose_annulus_overflows_rejected(spec):
+    with pytest.raises(InputError):
+        resolve_map(spec)
+
+
 def test_identity_jacobian():
     f = resolve_map("identity(3)")
     jac = jacobian_at(f, np.array([5.0, -1.0, 0.5]))
@@ -62,6 +71,16 @@ def test_identity_jacobian():
 
 def test_expmap_jacobian_at_zero(expmap):
     assert np.allclose(jacobian_at(expmap, np.array([0.0])), [[1.0]])
+
+
+def test_readme_lists_exactly_the_builtin_maps():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Built-in maps", 1)[1].split("\n## ", 1)[0]
+    # the first cell of each table row, e.g. `powk(k)`
+    named = re.findall(r"^\| `([a-z_0-9]+)", section, flags=re.MULTILINE)
+    assert sorted(named) == builtin_names()
 
 
 def test_unknown_bare_name_lists_builtins():
@@ -101,17 +120,30 @@ EXPRESSION_FORMS = {
 }
 
 
+BUILTIN_SPECS = [
+    "identity(2)", "identity(3)", "shear3", "shear3_inv", "expmap", "logmap",
+    "polar_exp", "powk(2)", "powk(-2)", "powk(3)", "powk(-3)", "powk(5)",
+    "arctan", "inclusion", "cubic_implicit",
+]
+
+
 @pytest.mark.parametrize(
     "spec",
-    ["shear3"] + list(EXPRESSION_FORMS.values()),
-    ids=["shear3"] + ["expr-" + name for name in EXPRESSION_FORMS],
+    BUILTIN_SPECS + list(EXPRESSION_FORMS.values()),
+    ids=BUILTIN_SPECS + ["expr-" + name for name in EXPRESSION_FORMS],
 )
-def test_jacobians_many_matches_single(spec):
+def test_jacobians_many_matches_single(spec, rng):
+    # the one-point and batched forms of a map may round apart only in
+    # the last places, relative to the size of the value or Jacobian
     f = resolve_map(spec)
-    pts = np.array([[0.0, 1.0], [1.0, -2.0], [0.5, 0.5]])
-    many = f.jacobians_many(pts)
-    for i, p in enumerate(pts):
-        assert np.allclose(many[i], jacobian_at(f, p))
+    box = rng.uniform(-2.2, 2.2, size=(400, f.dim_in))
+    pts = box[f.domain.contains_many(box)][:64]
+    assert len(pts) == 64
+    values, jacs = f.eval_many(pts), f.jacobians_many(pts)
+    for p, value, jac in zip(pts, values, jacs):
+        for many, one in ((value, f.eval(p)), (jac, jacobian_at(f, p))):
+            assert many.shape == one.shape
+            assert np.allclose(many, one, rtol=1e-13, atol=1e-13 * np.abs(one).max())
 
 
 @pytest.mark.parametrize("spec", ["shear3", EXPRESSION_FORMS["shear3"], "polar_exp"])

@@ -344,10 +344,11 @@ def default_radii(x0_coords, n=24, decades=3.0):
 
 def ball_infimum_profile(f, x0, radii=None, budget=32):
     """Estimate inf over closed balls around x0 of the lower scalar
-    derivative, at each radius, by dense sampling plus a lockstep
-    compass-search polish from the budget best samples in the ball
-    (deterministic). The result is a best-effort upper estimate of each
-    infimum; the sample budget is recorded so callers can tighten it.
+    derivative, at each radius, by dense sampling plus a compass-search
+    polish from the budget best samples in the ball, all radii in one
+    lockstep search (deterministic). The result is a best-effort upper
+    estimate of each infimum; the sample budget is recorded so callers
+    can tighten it.
     """
     if f.domain.dim != f.codomain.dim:
         raise InputError("profiles need a square Jacobian")
@@ -380,40 +381,56 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
     all_pts.append(x0c[None, :])
 
     def in_ball(pts, t):
-        # canonical points inside the domain and the ball, mask, distances
+        # canonical points, distances, and the mask of those inside the
+        # domain and the ball of radius t (a scalar or one per point)
         pts = f.domain.canonical(pts)
         d = f.domain.distance_many(pts, np.broadcast_to(x0c, pts.shape))
-        ok = f.domain.contains_many(pts) & (d <= t * (1.0 + 1e-12))
-        return pts[ok], ok, d[ok]
+        return pts, d, f.domain.contains_many(pts) & (d <= t * (1.0 + 1e-12))
 
-    cand, _, dists = in_ball(np.concatenate(all_pts, axis=0), t_last)
+    cand, dists, ok = in_ball(np.concatenate(all_pts, axis=0), t_last)
+    cand, dists = cand[ok], dists[ok]
     smins = _smin_batch(f, cand)
 
     samples = [(cand, smins, dists)]
 
-    for t in radii:
+    # one lockstep search whose rows are each radius's budget best samples
+    # in its ball (ties to the earlier sample); row_r[k] is the index of
+    # row k's radius
+    by_smin = np.argsort(smins, kind="stable")
+    starts, row_r = [], []
+    for j, t in enumerate(radii):
         # x0 itself is a sample, so no ball is empty
-        sel = dists <= t * (1.0 + 1e-12)
-        order = np.flatnonzero(sel)[np.argsort(smins[sel], kind="stable")]
+        order = by_smin[dists[by_smin] <= t * (1.0 + 1e-12)]
+        starts.append(cand[order[:budget]])
+        row_r.append(np.full(starts[-1].shape[0], j))
+    row_r = np.concatenate(row_r)
+    row_t = radii[row_r]
 
-        def objective(pts, _rows):
-            pts, ok, d = in_ball(pts, t)
-            vals = np.full(ok.shape, np.inf)
-            try:
-                vals[ok] = _smin_batch(f, pts)
-            except (DomainError, EvalDomainError):
-                return vals
-            # t <= t_last, so every feasible point is also a sample
-            samples.append((pts, vals[ok], d))
-            return vals
+    def objective(pts, rows):
+        pts, d, ok = in_ball(pts, row_t[rows])
+        vals = np.full(ok.shape, np.inf)
+        try:
+            vals[ok] = _smin_batch(f, pts[ok])
+        except (DomainError, EvalDomainError):
+            # a faulting point makes only its own radius's round infeasible
+            group = row_r[rows]
+            for j in np.unique(group):
+                sel = ok & (group == j)
+                try:
+                    vals[sel] = _smin_batch(f, pts[sel])
+                except (DomainError, EvalDomainError):
+                    ok &= group != j
+        # every radius is <= t_last, so every feasible point is a sample
+        samples.append((pts[ok], vals[ok], d[ok]))
+        return vals
 
-        compass_search(
-            objective,
-            cand[order[:budget]],
-            POLISH_STEP * t,
-            POLISH_MIN_STEP * t,
-            POLISH_ITERS,
-        )
+    compass_search(
+        objective,
+        np.concatenate(starts),
+        POLISH_STEP * row_t,
+        POLISH_MIN_STEP * row_t,
+        POLISH_ITERS,
+    )
 
     xs, ss, ds = (np.concatenate(part) for part in zip(*samples))
 

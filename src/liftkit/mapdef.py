@@ -62,6 +62,8 @@ class MapHandle:
     """A map with evaluation and Jacobian access.
 
     jacobian_mode is one of "analytic", "automatic", "finite_difference".
+    eval_one and jac_one take one point, eval_many_fn and jac_many_fn an
+    (N, dim_in) block.
     """
 
     name: str
@@ -69,9 +71,9 @@ class MapHandle:
     codomain: Space
     jacobian_mode: str
     eval_one: object = field(repr=False)
-    eval_many_fn: object = field(default=None, repr=False)
-    jac_one: object = field(default=None, repr=False)
-    jac_many_fn: object = field(default=None, repr=False)
+    eval_many_fn: object = field(repr=False)
+    jac_one: object = field(repr=False)
+    jac_many_fn: object = field(repr=False)
     asts: tuple = field(default=None, repr=False)
     fd_step: float = 1e-6
     params: dict = field(default_factory=dict)
@@ -112,10 +114,7 @@ class MapHandle:
             )
         # overflow shows up as a non-finite value, reported just below
         with np.errstate(all="ignore"):
-            if self.eval_many_fn is not None:
-                out = np.asarray(self.eval_many_fn(pts), dtype=float)
-            else:
-                out = np.stack([self.eval_one(p) for p in pts]).astype(float)
+            out = np.asarray(self.eval_many_fn(pts), dtype=float)
         if not np.all(np.isfinite(out)):
             raise DomainError("map %s produced non-finite values" % self.name)
         return out
@@ -124,7 +123,7 @@ class MapHandle:
         """Stack of Jacobians, shape (N, dim_out, dim_in)."""
         pts = np.asarray(pts, dtype=float)
         shape = (pts.shape[0], self.dim_out, self.dim_in)
-        if self.jac_many_fn is None or self.jacobian_mode == "finite_difference":
+        if self.jacobian_mode == "finite_difference":
             return np.array([jacobian_at(self, p) for p in pts]).reshape(shape)
         # overflow shows up as a non-finite entry, which is refused
         with np.errstate(all="ignore"):

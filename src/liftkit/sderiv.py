@@ -129,13 +129,14 @@ def compass_search(objective, starts, step, step_min, max_iter, project=None):
     x + step e_i for each axis i, then x - step e_i (candidates passed
     through project, if given), moves to its best strict improvement
     (the first on ties), or else halves its step (Kolda, Lewis & Torczon
-    2003). Returns the final points and values; each row ends where a
-    one-row run from it ends.
+    2003). step and step_min are scalars or per-row arrays. Returns the
+    final points and values; each row ends where a one-row run from it,
+    with its own step and step_min, ends.
     """
     x = np.array(starts, dtype=float)
     dim = x.shape[1]
     best = np.asarray(objective(x, np.arange(x.shape[0])), dtype=float)
-    steps = np.full(x.shape[0], float(step))
+    steps = np.full(x.shape[0], step, dtype=float)
     moves = np.concatenate([np.eye(dim), -np.eye(dim)])
     for _ in range(max_iter):
         rows = np.flatnonzero(steps >= step_min)

@@ -268,6 +268,51 @@ def test_implicit_fold_exits_one_singular():
     assert invoke(list(argv)) == (code, first)
 
 
+POLAR_EXP_FORM = "(exp(x)*cos(y), exp(x)*sin(y))"
+
+# each subcommand, on a built-in map and on its expression form
+REPORT_CASES = {
+    "invert": (["invert", "--target", "9,2", "--start", "0,0"], "shear3", "(x + y^3, y)"),
+    "lift": (["lift", "--path", "seg:1,0", "--start", "0"], "expmap", "exp(x)"),
+    "hadamard": (
+        ["hadamard", "--center", "0,0", "--weight", "affine:1,1"],
+        "polar_exp", POLAR_EXP_FORM,
+    ),
+    "fiber": (["fiber", "--target", "1,0.5"], "polar_exp", POLAR_EXP_FORM),
+    "sheets": (["sheets", "--target", "1,0", "--start", "0,0"], "polar_exp", POLAR_EXP_FORM),
+    "deriv": (
+        ["deriv", "--point", "1,1", "--method", "both", "--surjection"],
+        "shear3", "(x + y^3, y)",
+    ),
+    "implicit": (
+        ["implicit", "--x-dim", "1", "--w", "0", "--x-target", "2",
+         "--start-x", "0", "--start-y", "0"],
+        "cubic_implicit", "y^3 + y - x",
+    ),
+    "implicit --branches": (
+        ["implicit", "--x-dim", "1", "--w", "0", "--branches", "--x-box=1:1",
+         "--y-box=-2:2"],
+        "cubic_implicit", "y^3 + y - x",
+    ),
+}
+
+
+def _refuse_non_finite(token):
+    raise ValueError("report holds %s" % token)
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_reports_hold_no_nan_in_either_map_form(case):
+    argv, *forms = REPORT_CASES[case]
+    outcomes = []
+    for spec in forms:
+        code, out = invoke(argv + ["--map", spec, "--json"])
+        assert code in (0, 1), (spec, out)
+        doc = json.loads(out, parse_constant=_refuse_non_finite)
+        outcomes.append((code, doc["verdicts"]))
+    assert outcomes[0] == outcomes[1]
+
+
 # -- registry subcommand ---------------------------------------------------
 
 

@@ -1,11 +1,15 @@
 """Ball-infimum profiles, divergence classification, weight machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from liftkit import (
     AffineWeight,
     ConstantWeight,
+    DomainError,
+    EvalDomainError,
     ExpressionWeight,
     InputError,
     PowerWeight,
@@ -17,6 +21,9 @@ from liftkit import (
     weight_certificate,
     weight_from_profile,
 )
+from liftkit.hadamard import default_radii
+from liftkit.sampling import sphere_directions, unit_box_points
+from liftkit.sderiv import compass_search, d_pm_from_jacobian
 from oracles import EXP_AFFINE_AT_M3, shear_ball_infimum
 
 
@@ -209,3 +216,133 @@ def test_certificate_on_wide_map_uses_zero_lower_derivative():
     )
     assert not cert.passed
     assert cert.worst_margin == -1.0
+
+
+def _per_radius_profile(f, x0, radii, budget):
+    """Reference profile with one compass search per radius: the
+    (infima, samples per radius, partial integrals, regular, samples)
+    that the single lockstep search over all radii must reproduce."""
+    dim = x0.size
+    dirs = sphere_directions(min(64 * dim, 256), dim)
+    base = unit_box_points(64 * dim, dim) * 2.0 - 1.0
+    u = np.linspace(1.0 / base.shape[0], 1.0, base.shape[0])
+    norms = np.linalg.norm(base, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    interior = base / norms * (u ** (1.0 / dim))[:, None]
+    pts = [x0 + t * block for t in radii for block in (dirs, interior)]
+
+    def in_ball(pts, t):
+        pts = f.domain.canonical(pts)
+        d = f.domain.distance_many(pts, np.broadcast_to(x0, pts.shape))
+        ok = f.domain.contains_many(pts) & (d <= t * (1.0 + 1e-12))
+        return pts[ok], ok, d[ok]
+
+    def smin(pts):
+        return d_pm_from_jacobian(f.jacobians_many(pts))[0]
+
+    cand, _, dists = in_ball(np.concatenate(pts + [x0[None, :]]), radii[-1])
+    smins = smin(cand)
+    samples = [(cand, smins, dists)]
+    for t in radii:
+        sel = dists <= t * (1.0 + 1e-12)
+        order = np.flatnonzero(sel)[np.argsort(smins[sel], kind="stable")]
+
+        def objective(pts, _rows, t=t):
+            pts, ok, d = in_ball(pts, t)
+            vals = np.full(ok.shape, np.inf)
+            try:
+                vals[ok] = smin(pts)
+            except (DomainError, EvalDomainError):
+                return vals
+            samples.append((pts, vals[ok], d))
+            return vals
+
+        compass_search(objective, cand[order[:budget]], 0.05 * t, 1e-6 * t, 25)
+
+    xs, ss, ds = (np.concatenate(part) for part in zip(*samples))
+    infima, counts = np.empty(radii.shape), np.empty(radii.shape, dtype=int)
+    for j, t in enumerate(radii):
+        sel = ds <= t * (1.0 + 1e-12)
+        counts[j] = sel.sum()
+        infima[j] = ss[sel].min()
+        if j > 0:
+            infima[j] = min(infima[j], infima[j - 1])
+    steps = 0.5 * (infima[1:] + infima[:-1]) * np.diff(radii)
+    partial = np.concatenate([[0.0], np.cumsum(steps)])
+    regular = not np.any(~np.isfinite(ss) | (ss <= 0.0))
+    return infima, counts, partial, regular, (xs, ss, ds)
+
+
+def _sorted_samples(xs, ss, ds):
+    rows = np.column_stack([xs, ss, ds])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _assert_profile_is_reference(prof, ref):
+    infima, counts, partial, regular, samples = ref
+    assert np.array_equal(prof.infima, infima)
+    assert np.array_equal(prof.samples_per_radius, counts)
+    assert np.array_equal(prof.partial_integrals, partial)
+    assert prof.regular == regular
+    assert np.array_equal(
+        _sorted_samples(prof.sample_coords, prof.sample_d_minus, prof.sample_dists),
+        _sorted_samples(*samples),
+    )
+
+
+PROFILE_MAPS = [
+    "shear3",
+    "(x + y^3, y)",
+    "polar_exp",
+    "(exp(x)*cos(y), exp(x)*sin(y))",
+    "identity(2)",
+    "(x, y)",
+    "expmap",
+    "(exp(x)*cos(y), exp(x)*sin(y), z + x^2)",
+]
+
+
+@pytest.mark.parametrize("spec", PROFILE_MAPS)
+@pytest.mark.parametrize(
+    "center, radii, budget",
+    [(0.0, None, 32), (0.5, np.geomspace(0.1, 100.0, 12), 8)],
+    ids=["default-radii", "bench-radii"],
+)
+def test_profile_equals_one_search_per_radius(spec, center, radii, budget):
+    f = resolve_map(spec)
+    x0 = np.full(f.domain.dim, center)
+    if radii is None:
+        radii = default_radii(x0)
+    prof = ball_infimum_profile(f, x0, radii=radii, budget=budget)
+    _assert_profile_is_reference(prof, _per_radius_profile(f, x0, radii, budget))
+
+
+def _faulting_in_band(f, x0, lo, hi):
+    """f whose batched Jacobian raises DomainError on any block, after
+    the first (the profile's initial samples), holding a point at
+    distance in [lo, hi] from x0; faults[0] counts the raises."""
+    faults = [0]
+    calls = [0]
+
+    def jac_many(pts):
+        calls[0] += 1
+        d = np.linalg.norm(pts - x0, axis=1)
+        if calls[0] > 1 and np.any((d >= lo) & (d <= hi)):
+            faults[0] += 1
+            raise DomainError("fault in band")
+        return f.jac_many_fn(pts)
+
+    return dataclasses.replace(f, jac_many_fn=jac_many), faults
+
+
+@pytest.mark.parametrize("spec", ["shear3", "(x + y^3, y)"])
+def test_profile_fault_leaves_only_its_radius_round_infeasible(spec):
+    f = resolve_map(spec)
+    x0 = np.zeros(2)
+    radii = np.geomspace(0.1, 100.0, 12)
+    g, faults = _faulting_in_band(f, x0, 1.17, 1.2)
+    prof = ball_infimum_profile(g, x0, radii=radii, budget=8)
+    assert faults[0] > 0
+    g, ref_faults = _faulting_in_band(f, x0, 1.17, 1.2)
+    _assert_profile_is_reference(prof, _per_radius_profile(g, x0, radii, 8))
+    assert ref_faults[0] > 0

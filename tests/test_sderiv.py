@@ -172,9 +172,10 @@ def _compass_reference(objective, x, step, step_min, max_iter, project):
     dim=st.integers(1, 3),
     n_starts=st.integers(1, 6),
     project=st.booleans(),
+    per_row=st.booleans(),
     data=st.data(),
 )
-def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, data):
+def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, per_row, data):
     coord = st.floats(-2.0, 2.0, allow_nan=False)
     center = data.draw(st.lists(coord, min_size=dim, max_size=dim))
     weights = data.draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
@@ -188,14 +189,25 @@ def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, dat
     if project:
         starts[np.linalg.norm(starts, axis=1) == 0.0] = 1.0
         starts = proj(starts)
-    x_all, v_all = compass_search(objective, starts, 0.5, 1e-4, 30, project=proj)
+    step, step_min = np.full(n_starts, 0.5), np.full(n_starts, 1e-4)
+    if per_row:
+        # each row its own first and last step, as a profile gives each radius
+        step = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=n_starts,
+                                           max_size=n_starts)))
+        step_min = step * data.draw(st.lists(st.floats(1e-6, 0.5), min_size=n_starts,
+                                             max_size=n_starts))
+        x_all, v_all = compass_search(objective, starts, step, step_min, 30, project=proj)
+    else:
+        x_all, v_all = compass_search(objective, starts, 0.5, 1e-4, 30, project=proj)
     for k in range(n_starts):
         x_one, v_one = compass_search(
-            objective, starts[k : k + 1], 0.5, 1e-4, 30, project=proj
+            objective, starts[k : k + 1], step[k], step_min[k], 30, project=proj
         )
         assert np.array_equal(x_all[k], x_one[0])
         assert np.array_equal(v_all[k], v_one[0])
-        x_ref, v_ref = _compass_reference(objective, starts[k], 0.5, 1e-4, 30, proj)
+        x_ref, v_ref = _compass_reference(
+            objective, starts[k], step[k], step_min[k], 30, proj
+        )
         assert np.array_equal(x_one[0], x_ref)
         assert v_one[0] == v_ref
         assert v_all[k] <= objective(starts[k : k + 1])[0]

@@ -280,6 +280,8 @@ def cmd_lift(args, reg):
     verdicts = {"lift": v.kind}
     if v.engine_note:
         verdicts["note"] = v.engine_note
+    if v.message:
+        verdicts["cause"] = v.message
     rep = Report(
         command="lift",
         inputs={"map": args.map, "path": args.path, "start": list(x0)},
@@ -301,11 +303,15 @@ def cmd_invert(args, reg):
     try:
         pre = invert_at(f, y, x0, opts)
     except ContinuationFailure as fail:
+        v = fail.verdict
+        verdicts = {"invert": v.kind, "note": v.engine_note}
+        if v.message:
+            verdicts["cause"] = v.message
         rep = Report(
             command="invert",
             inputs={"map": args.map, "target": list(y), "start": list(x0)},
-            results={"verdict": fail.verdict.kind, "b": fail.verdict.b},
-            verdicts={"invert": fail.verdict.kind, "note": fail.verdict.engine_note},
+            results={"verdict": v.kind, "b": v.b},
+            verdicts=verdicts,
             tolerances={"corrector_tol": opts.corrector_tol},
             seed=args.seed,
         )

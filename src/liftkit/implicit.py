@@ -33,7 +33,7 @@ from .lift import (
     Verdict,
     lift_path,
 )
-from .mapdef import CONVERGED, MapHandle, jacobian_at, newton_block
+from .mapdef import CONVERGED, MapHandle, newton_block
 from .sampling import unit_box_points
 
 __all__ = [
@@ -114,18 +114,20 @@ class ImplicitProblem:
         """The augmented square map (x, y) -> (x, f(x, y)). Lifting the
         x-path paired with the constant w through it is the implicit
         continuation; the projection onto x is a local homeomorphism
-        exactly where the y-block is invertible."""
+        exactly where the y-block is invertible. Its one-point callables
+        call the inner map's unchecked kernels, since the augmented
+        handle has the inner map's domain and has checked the point."""
         prob = self
         top = np.eye(prob.m, prob.m + prob.n)
 
         def eval_one(c):
-            return np.concatenate([c[: prob.m], prob.f.eval(c)])
+            return np.concatenate([c[: prob.m], prob.f._value(c)])
 
         def eval_many(cs):
             return np.concatenate([cs[:, : prob.m], prob.f.eval_many(cs)], axis=1)
 
         def jac_one(c):
-            return np.concatenate([top, jacobian_at(prob.f, c)], axis=0)
+            return np.concatenate([top, prob.f._jacobian(c)], axis=0)
 
         def jac_many(cs):
             tops = np.broadcast_to(top, (cs.shape[0],) + top.shape)

@@ -26,7 +26,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .geometry import OpenSubset, Point
-from .mapdef import jacobian_at, local_solve, newton_block
+from .mapdef import BUDGET, _newton, jacobian_at, local_solve
 
 __all__ = [
     "LiftOptions",
@@ -50,9 +50,10 @@ FAILED_SINGULAR = "FailedSingular"
 FAILED_STALL = "FailedStall"
 FAILED_DOMAIN_EXIT = "FailedDomainExit"
 
-# the endpoint polish: at most POLISH_STEPS damped Newton steps, each
-# taken only if it strictly lowers the residual, down to the rounding
-# floor (POLISH_TOL stops only an exact zero)
+# the endpoint polish, local_solve's one-point loop: at most
+# POLISH_STEPS damped Newton steps, each taken only if it strictly
+# lowers the residual, down to the rounding floor (POLISH_TOL stops
+# only an exact zero)
 POLISH_STEPS = 8
 POLISH_TOL = np.finfo(float).tiny
 
@@ -211,7 +212,10 @@ def lift_path(f, p, x0, opts=None):
     the failure kinds, with b the furthest parameter reached (last
     accepted parameter plus the final failed step, for stalls). A step
     that collapses on a singular corrector or on a change of the
-    Jacobian determinant's sign is FailedSingular.
+    Jacobian determinant's sign is FailedSingular. The verdict of a
+    collapsed step names its cause in its message: the class and text
+    of the last error that halved the step. The start x0 is checked
+    once; the loop evaluates without checking its points again.
     """
     opts = opts or LiftOptions()
     if f.domain.dim != f.codomain.dim:
@@ -229,7 +233,7 @@ def lift_path(f, p, x0, opts=None):
     x = f.domain.check_coords(x0.coords if isinstance(x0, Point) else x0).copy()
     p_start = p.eval(t0)
     r0 = float(
-        f.codomain.distance_many(f.eval(x)[None, :], p_start[None, :])[0]
+        f.codomain.distance_many(f._value(x)[None, :], p_start[None, :])[0]
     )
     if r0 > opts.corrector_tol:
         raise InputError(
@@ -237,7 +241,7 @@ def lift_path(f, p, x0, opts=None):
             % (r0, opts.corrector_tol)
         )
 
-    jac = jacobian_at(f, x)
+    jac = f._jacobian(x)
     smin = float(np.linalg.svd(jac, compute_uv=False)[-1])
     orient = np.linalg.slogdet(jac)[0]
     nodes = [LiftNode(t0, x.copy(), r0, smin, 0.0)]
@@ -298,9 +302,12 @@ def lift_path(f, p, x0, opts=None):
             dt *= 0.5
             if dt < opts.step_min:
                 b = s + 2.0 * dt  # the step that just failed
+                cause = "%s: %s" % (type(err).__name__, err)
                 if isinstance(err, DomainError):
                     return fail(
-                        FAILED_DOMAIN_EXIT, b, message="corrector exits domain"
+                        FAILED_DOMAIN_EXIT,
+                        b,
+                        message="corrector exits domain (%s)" % cause,
                     )
                 if isinstance(f.domain, OpenSubset):
                     # a stall pressed against the boundary is an exit:
@@ -313,13 +320,14 @@ def lift_path(f, p, x0, opts=None):
                             return fail(
                                 FAILED_DOMAIN_EXIT,
                                 b,
-                                message="newton direction leaves the domain",
+                                message="newton direction leaves the domain (%s)"
+                                % cause,
                             )
                     except np.linalg.LinAlgError:
                         pass
                 if isinstance(err, SingularJacobianError):
-                    return fail(FAILED_SINGULAR, b, d_minus=smin)
-                return fail(FAILED_STALL, b, d_minus=smin)
+                    return fail(FAILED_SINGULAR, b, d_minus=smin, message=cause)
+                return fail(FAILED_STALL, b, d_minus=smin, message=cause)
             continue
 
         x_new = res.coords.copy()
@@ -334,28 +342,22 @@ def lift_path(f, p, x0, opts=None):
         p_cur = target
         jac = res.jacobian
 
-        if isinstance(f.domain, OpenSubset) and not f.domain.contains(x):
-            return fail(
-                FAILED_DOMAIN_EXIT, s, last_norm=f.domain.chart_norm(x)
-            )
         if smin < opts.singular_threshold:
             return fail(FAILED_SINGULAR, s, d_minus=smin)
         norm = f.domain.chart_norm(x)
         if norm > opts.blowup_radius:
             return fail(FAILED_BLOWUP, s, last_norm=norm)
         if s >= 1.0:
-            pol = newton_block(
-                f, target, x[None, :], tol=POLISH_TOL, max_iter=POLISH_STEPS
-            )
-            polished, pol_r = pol.points[0], float(pol.residuals[0])
-            # a polish that took no step could differ from res only in
-            # how the batched evaluation rounds its residual
-            if pol.iterations[0] > 0 and pol_r < res.residual:
+            pol = _newton(f, target, x, POLISH_TOL, POLISH_STEPS)
+            if pol.iterations > 0:  # each step lowered the residual
                 lift_length += float(
-                    f.domain.chart_lengths(polished[None, :], x[None, :])[0]
+                    f.domain.chart_lengths(pol.x[None, :], x[None, :])[0]
                 )
-                sv = np.linalg.svd(jacobian_at(f, polished), compute_uv=False)
-                nodes[-1] = LiftNode(t_here, polished, pol_r, float(sv[-1]), 0.0)
+                smin = pol.smin
+                if pol.status == BUDGET:  # its last step has no Jacobian yet
+                    sv = np.linalg.svd(jacobian_at(f, pol.x), compute_uv=False)
+                    smin = float(sv[-1])
+                nodes[-1] = LiftNode(t_here, pol.x, pol.residual, smin, 0.0)
             return make_trace(Verdict(kind=COMPLETED, b=1.0))
         dt = min(dt * opts.growth, opts.step_max)
 

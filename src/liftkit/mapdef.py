@@ -87,7 +87,12 @@ class MapHandle:
         return self.codomain.dim
 
     def eval(self, coords):
-        c = self.domain.check_coords(coords)
+        return self._value(self.domain.check_coords(coords))
+
+    def _value(self, c):
+        """f at coordinates c that the caller has checked (shape,
+        finiteness, domain); the value's shape and finiteness are
+        checked here."""
         out = np.asarray(self.eval_one(c), dtype=float).reshape(-1)
         if out.shape[0] != self.codomain.dim:
             raise InputError(
@@ -97,6 +102,15 @@ class MapHandle:
         if not np.all(np.isfinite(out)):
             raise DomainError("map %s produced non-finite values" % self.name)
         return out
+
+    def _jacobian(self, c):
+        """The Jacobian at checked coordinates c, by the handle's mode;
+        its shape and finiteness are checked here."""
+        if self.jacobian_mode == "finite_difference":
+            jac = _fd_jacobian(self, c)
+        else:
+            jac = self.jac_one(c)
+        return _checked_jacobians(self, jac, (self.codomain.dim, self.domain.dim))
 
     def __call__(self, coords):
         return self.eval(coords)
@@ -134,12 +148,7 @@ class MapHandle:
 def jacobian_at(f, x):
     """Jacobian of f at chart coordinates x, by the handle's mode."""
     coords = x.coords if isinstance(x, Point) else x
-    c = f.domain.check_coords(coords)
-    if f.jacobian_mode == "finite_difference":
-        jac = _fd_jacobian(f, c)
-    else:
-        jac = f.jac_one(c)
-    return _checked_jacobians(f, jac, (f.codomain.dim, f.domain.dim))
+    return f._jacobian(f.domain.check_coords(coords))
 
 
 def _checked_jacobians(f, jac, shape):
@@ -164,7 +173,7 @@ def _fd_jacobian(f, c):
             jac[:, i] = (f.eval(c + e) - f.eval(c - e)) / (2.0 * h)
         except DomainError:
             # one-sided difference at domain edges
-            f0 = f.eval(c)
+            f0 = f._value(c)
             try:
                 jac[:, i] = (f.eval(c + e) - f0) / h
             except DomainError:
@@ -541,30 +550,75 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
 
     Steps are halved until the residual norm strictly decreases; trial
     points outside the domain or hitting evaluation faults count as
-    failed trials, and an overflowing residual is +inf. Raises
-    SingularJacobianError when the Jacobian is rank-deficient at
-    working precision, NonConvergenceError when the budget ends above
-    tolerance.
+    failed trials, and an overflowing residual is +inf. The start is
+    checked once (shape, finiteness, domain); each trial point is
+    tested once, and the loop evaluates values and Jacobians without
+    checking its points again. Raises SingularJacobianError when the
+    Jacobian is rank-deficient at working precision,
+    NonConvergenceError when the line search stalls or the budget ends
+    above tolerance, and DomainError when every trial of a line search
+    leaves the domain or faults.
     """
     y = _solve_target(f, y, tol)
-    x = np.array(
-        x_guess.coords if isinstance(x_guess, Point) else x_guess, dtype=float
-    ).reshape(-1)
+    x = f.domain.check_coords(
+        x_guess.coords if isinstance(x_guess, Point) else x_guess
+    ).copy()
+    run = _newton(f, y, x, tol, max_iter)
+    if run.status == CONVERGED:
+        return LocalSolveResult(
+            Point(run.x, f.domain), run.iterations, run.residual, run.smin,
+            run.jacobian,
+        )
+    if run.status == SINGULAR:
+        raise SingularJacobianError(
+            "jacobian of %s singular at %s (smin=%.3g)"
+            % (f.name, run.x.tolist(), run.smin)
+        )
+    if run.status == DOMAIN:
+        raise DomainError(
+            "every newton trial from %s leaves the domain" % run.x.tolist()
+        )
+    if run.status == STALLED:
+        raise NonConvergenceError(
+            "newton line search stalled at residual %.3g (tol %.3g)"
+            % (run.residual, tol)
+        )
+    raise NonConvergenceError(
+        "newton did not reach tolerance %.3g in %d iterations (residual %.3g)"
+        % (tol, max_iter, run.residual)
+    )
 
+
+@dataclass
+class _NewtonRun:
+    """How _newton ended: a newton_block status, the last iterate, its
+    residual, and the Jacobian at it with its smallest singular value
+    (None after BUDGET, whose last step lands on a point not yet
+    differentiated)."""
+
+    status: str
+    x: np.ndarray
+    iterations: int
+    residual: float
+    jacobian: np.ndarray = None
+    smin: float = None
+
+
+def _newton(f, y, x, tol, max_iter):
+    """local_solve's loop from checked coordinates x toward the checked
+    target y. Failures are statuses, not errors; a fault in the start's
+    value or in a Jacobian raises."""
     with np.errstate(over="ignore"):
-        fx = f.eval(x)  # tests the start's shape, finiteness and domain
+        fx = f._value(x)
         r = float(_distances(f, y, fx[None, :])[0])
         for iters in range(max_iter + 1):
-            jac = jacobian_at(f, x)
+            jac = f._jacobian(x)
             sv = np.linalg.svd(jac, compute_uv=False)
             smin, smax = float(sv[-1]), float(sv[0])
             if r <= tol:
-                return LocalSolveResult(Point(x, f.domain), iters, r, smin, jac)
+                return _NewtonRun(CONVERGED, x, iters, r, jac, smin)
             if smin <= SINGULAR_RTOL * max(smax, 1.0):
-                raise SingularJacobianError(
-                    "jacobian of %s singular at %s (smin=%.3g)"
-                    % (f.name, x.tolist(), smin)
-                )
+                return _NewtonRun(SINGULAR, x, iters, r, jac, smin)
             residual_vec = f.codomain.canonical(fx - y)
             step = np.linalg.solve(jac, -residual_vec)
             faults = 0
@@ -578,18 +632,9 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
                     fx, r = got
                     break
             else:  # no trial improved
-                if faults == LINE_SEARCH_TRIALS:
-                    raise DomainError(
-                        "every newton trial from %s leaves the domain" % x.tolist()
-                    )
-                raise NonConvergenceError(
-                    "newton line search stalled at residual %.3g (tol %.3g)"
-                    % (r, tol)
-                )
-    raise NonConvergenceError(
-        "newton did not reach tolerance %.3g in %d iterations (residual %.3g)"
-        % (tol, max_iter, r)
-    )
+                why = DOMAIN if faults == LINE_SEARCH_TRIALS else STALLED
+                return _NewtonRun(why, x, iters, r, jac, smin)
+    return _NewtonRun(BUDGET, x, max_iter + 1, r)
 
 
 @dataclass
@@ -669,11 +714,11 @@ def _distances(f, y, vals):
 
 def _trial_value(f, y, p):
     """(f(p), distance to y), or None where p is non-finite, outside the
-    domain or its evaluation faults. f.eval makes the one domain test."""
-    if not all(map(math.isfinite, p.tolist())):
+    domain or its evaluation faults; p is tested once."""
+    if not all(map(math.isfinite, p.tolist())) or not f.domain.contains(p):
         return None
     try:
-        val = f.eval(p)
+        val = f._value(p)
     except _FAULTS:
         return None
     return val, float(_distances(f, y, val[None, :])[0])

@@ -53,6 +53,23 @@ def test_lift_reports_failure_with_exit_one():
     assert doc["results"]["final_point"][0] <= -5.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["lift", "--path", "seg:1,0"], ["invert", "--target", "0"]],
+    ids=["lift", "invert"],
+)
+def test_failure_reports_name_their_cause(argv):
+    # toward 0 at a tolerance under e^x's rounding the corrector stalls
+    causes = set()
+    for spec in ("expmap", "exp(x)"):
+        code, doc = invoke_json(argv + ["--map", spec, "--start", "0", "--tol", "1e-20"])
+        assert code == 1
+        assert doc["verdicts"][argv[0]] == "FailedStall"
+        causes.add(doc["verdicts"]["cause"])
+    (cause,) = causes
+    assert cause.startswith("NonConvergenceError: newton line search stalled")
+
+
 def test_lift_success_matches_explicit_inverse(tmp_path):
     out = str(tmp_path / "run")
     code, doc = invoke_json(

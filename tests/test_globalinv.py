@@ -201,6 +201,22 @@ def test_powk_fiber_count_and_orbit_length_are_the_sheet_count(k, radius, angle)
     assert sheet_count(f, y, loop, x0).sheets == abs(k)
 
 
+@settings(max_examples=36, deadline=None)
+@given(
+    k=st.sampled_from([5, -5, 7]),
+    radius=st.floats(0.6, 1.9),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_higher_powk_orbits_do_not_jump_sheets(k, radius, angle):
+    # each lift of the image loop turns x by 2*pi/k; a lift step that
+    # lands on another sheet changes the orbit and so its length
+    f = resolve_map("powk(%d)" % k)
+    x0 = np.array([radius * math.cos(angle), radius * math.sin(angle)])
+    y = f.eval(x0)
+    loop = Loop(Euclidean(2), np.zeros(2), math.hypot(*y), phase=math.atan2(y[1], y[0]))
+    assert sheet_count(f, y, loop, x0).sheets == abs(k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     target=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),

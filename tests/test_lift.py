@@ -1,5 +1,7 @@
 """Path lifting engine: completion, failure taxonomy, trace analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from liftkit import (
     InputError,
     LiftOptions,
     Loop,
+    OpenSubset,
     Segment,
     analyze_trace,
     lift_path,
     resolve_map,
 )
+from liftkit.mapdef import BUDGET
 from oracles import shear_inverse
 
 
@@ -38,21 +42,65 @@ def test_shear_segment_lands_on_inverse(shear3):
     assert np.allclose(trace.final_coords, [1.0, 2.0], atol=1e-8)
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Record in calls each call of module.name, with its result."""
+    real = getattr(module, name)
+
+    def counting(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_accepted_nodes_reuse_the_corrector_jacobian(shear3, monkeypatch):
-    calls = []
-    real = liftkit.lift.jacobian_at
-
-    def counting(f, x):
-        calls.append(x)
-        return real(f, x)
-
-    monkeypatch.setattr(liftkit.lift, "jacobian_at", counting)
+    calls, polish = [], []
+    _counting(monkeypatch, liftkit.lift, "jacobian_at", calls)
+    _counting(monkeypatch, liftkit.lift, "_newton", polish)
     opts = LiftOptions(step_max=0.02)
     trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
     assert trace.verdict.kind == "Completed"
     assert len(trace.nodes) > 50
-    # the start node, plus at most the endpoint polish
-    assert len(calls) <= 5
+    # the start's Jacobian comes from the checked start, each accepted
+    # node's from its corrector, the polished endpoint's from the polish
+    # unless the polish's budget ran out on a step not yet differentiated
+    ((_, run),) = polish
+    assert len(calls) == (run.status == BUDGET)
+
+
+def test_domain_tests_of_one_lift_step(monkeypatch):
+    # one accepted step from (1, 0) on the powk(3) annulus, then the
+    # polish; every point stays inside the annulus
+    tests, values, mids = [], [], []
+    f = resolve_map("powk(3)")
+    dom = f.domain
+
+    def predicate(c):
+        tests.append(c)
+        return dom.predicate(c)
+
+    def eval_one(c):
+        values.append(c)
+        return f.eval_one(c)
+
+    counted = OpenSubset(dom.base, predicate, dom._predicate_many, source=dom.source)
+    g = dataclasses.replace(f, domain=counted, eval_one=eval_one)
+    _counting(monkeypatch, liftkit.lift, "jacobian_at", mids)
+    target = f.eval(np.array([1.1, 0.1]))
+    opts = LiftOptions(step_init=1.0, step_max=1.0)
+    trace = lift_path(g, _seg2([1.0, 0.0], target), np.array([1.0, 0.0]), opts)
+    assert trace.verdict.completed and len(trace.nodes) == 2
+    assert np.allclose(trace.final_coords, [1.1, 0.1])
+    # a point is tested once and then evaluated: the start, the
+    # corrector's start and every line-search trial. Besides these, the
+    # step tests the predicted point once more (lift_path's guard before
+    # local_solve's entry check), the corrected point once more (as
+    # local_solve's result Point) and each point lift_path hands to
+    # jacobian_at (an orientation midpoint, or the endpoint of a polish
+    # whose budget ran out), and evaluates the polish's start, the
+    # corrected point, without a test.
+    assert len(tests) == len(values) + 1 + len(mids)
 
 
 def test_shear_random_targets_hit_explicit_inverse(shear3, rng):
@@ -74,6 +122,18 @@ def test_expmap_lift_toward_zero_fails(expmap):
     assert v.b >= 0.999
     assert trace.final_coords[0] <= -5.0
     assert v.engine_note
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_collapsed_step_names_its_cause(spec):
+    # e^x cannot meet a target near 0 to 1e-20: its rounding is larger,
+    # so the line search stalls and the steps halve down to step_min
+    f = resolve_map(spec)
+    p = Segment(Euclidean(1), np.array([1.0]), np.array([0.0]))
+    v = lift_path(f, p, np.array([0.0]), LiftOptions(corrector_tol=1e-20)).verdict
+    assert v.kind == "FailedStall"
+    assert v.message.startswith("NonConvergenceError: newton line search stalled")
+    assert v.message in v.summary()
 
 
 def test_start_residual_checked(shear3):

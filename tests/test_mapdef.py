@@ -30,9 +30,11 @@ from liftkit.mapdef import (
     DOMAIN,
     SINGULAR,
     STALLED,
+    _newton,
     _trial_value,
     builtin_names,
 )
+from liftkit.lift import POLISH_STEPS, POLISH_TOL
 
 
 def test_shear_handle_analytic_jacobian(shear3):
@@ -279,6 +281,40 @@ def test_newton_block_rows_equal_local_solve(spec, max_iter, data):
             assert sol.residuals[i] == res.residual
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(NEWTON_CASES)), data=st.data())
+def test_polish_core_equals_one_row_newton_block(spec, data):
+    # lift_path polishes its endpoint with local_solve's loop where it
+    # used a one-row newton_block; on this handle both see the same
+    # numbers, so the polish moved only by one-point rounding
+    target, half = NEWTON_CASES[spec]
+    f = _counting_block_handle(resolve_map(spec), [])
+    coord = st.floats(-half, half, allow_nan=False)
+    start = np.array(data.draw(st.tuples(coord, coord)))
+    starts = [start]
+    try:
+        # the polish starts where the corrector converged
+        starts.append(local_solve(f, target, start).coords)
+    except (NonConvergenceError, SingularJacobianError, DomainError, EvalDomainError):
+        pass
+    for x in starts:
+        if not f.domain.contains(x):
+            continue  # the polish starts inside the domain
+        try:
+            run = _newton(f, np.array(target), x, POLISH_TOL, POLISH_STEPS)
+        except (DomainError, EvalDomainError):
+            continue  # a start that faults, which a lifted node is not
+        sol = newton_block(f, target, x[None, :], tol=POLISH_TOL, max_iter=POLISH_STEPS)
+        assert run.status == sol.status[0]
+        assert run.iterations == sol.iterations[0]
+        assert np.array_equal(run.x, sol.points[0])
+        assert run.residual == sol.residuals[0]
+        if run.status == BUDGET:
+            assert run.jacobian is None
+        else:
+            assert np.array_equal(run.jacobian, jacobian_at(f, run.x))
+
+
 def test_newton_block_statuses():
     f = resolve_map("(log(x) + y, y^3 + y)")
     starts = np.array([[np.exp(-0.7), 1.0], [-1.0, 0.0], [3.0, -2.0]])
@@ -331,12 +367,13 @@ def test_trial_value_tests_the_domain_once():
 
 
 def test_local_solve_tests_its_start_once():
-    # one predicate call each for f.eval, jacobian_at and the result Point
+    # one predicate call for the start's check and one for the result
+    # Point; the loop's value and Jacobian at the start test nothing
     calls = []
     f = _counting_domain(resolve_map("powk(3)"), calls)
     res = local_solve(f, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert res.iterations == 0 and res.residual == 0.0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("spec", ["powk(3)", "shear3"])

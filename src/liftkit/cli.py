@@ -395,6 +395,7 @@ def cmd_sheets(args, reg):
             "target": list(y),
             "start": list(x0),
             "max_orbit": args.max_orbit,
+            "loop": args.loop,
         },
         results=results,
         verdicts=verdicts,

@@ -39,9 +39,7 @@ __all__ = [
     "ExpressionPath",
     "FunctionPath",
     "PathLengthResult",
-    "path_eval",
     "path_length",
-    "chord_sum",
     "reparam_arclength",
     "reverse_path",
 ]
@@ -736,20 +734,7 @@ class FunctionPath(Path):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and length
-
-
-def path_eval(p, t):
-    """Evaluate a path at parameter t, returning a Point."""
-    t = p._check_param(float(t))
-    return Point(p.eval(t), p.space)
-
-
-def chord_sum(p, ts):
-    """Sum of chord distances over the given parameter partition."""
-    ts = np.sort(np.asarray(ts, dtype=float))
-    pts = p.eval_many(ts)
-    return float(p.space.distance_many(pts[:-1], pts[1:]).sum())
+# Length
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .lift import (
     Verdict,
     lift_path,
 )
-from .mapdef import CONVERGED, MapHandle, newton_block
+from .mapdef import CONVERGED, MapHandle, newton_block, singular_extremes_many
 from .sampling import unit_box_points
 
 __all__ = [
@@ -104,8 +104,8 @@ class ImplicitProblem:
         vals = self.f.eval_many(coords)
         residual = self.f.codomain.distance_many(vals, self.w[None, :])
         jac = self.f.jacobians_many(coords)
-        jx_norm = np.linalg.svd(jac[:, :, : self.m], compute_uv=False)[:, 0]
-        jy_smin = np.linalg.svd(jac[:, :, self.m :], compute_uv=False)[:, -1]
+        _, jx_norm = singular_extremes_many(jac[:, :, : self.m])
+        jy_smin, _ = singular_extremes_many(jac[:, :, self.m :])
         with np.errstate(divide="ignore", invalid="ignore"):
             monitor = np.where(jy_smin > 0, jx_norm / jy_smin, np.inf)
         return residual, monitor, jy_smin

@@ -13,6 +13,7 @@ collapse, or domain exit, each with the furthest parameter reached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,15 @@ from .errors import (
     SingularJacobianError,
 )
 from .geometry import OpenSubset, Point
-from .mapdef import BUDGET, _newton, jacobian_at, local_solve
+from .mapdef import (
+    BUDGET,
+    _converged,
+    _newton,
+    det_sign,
+    jacobian_at,
+    linear_solve,
+    singular_extremes,
+)
 
 __all__ = [
     "LiftOptions",
@@ -175,8 +184,8 @@ class ContinuationFailure(LiftkitError):
         self.trace = trace
 
 
-def _keeps_orientation(f, x, xhat, res, orient):
-    """Whether a corrector result res, from the predicted point xhat
+def _keeps_orientation(f, x, xhat, run, orient):
+    """Whether a converged corrector run, from the predicted point xhat
     of a step from x, keeps the Jacobian determinant's sign orient.
 
     A lift through a local homeomorphism keeps its orientation, so a
@@ -190,9 +199,9 @@ def _keeps_orientation(f, x, xhat, res, orient):
     """
     if orient == 0:
         return True
-    if np.linalg.slogdet(res.jacobian)[0] != orient:
+    if det_sign(run.jacobian) != orient:
         return False
-    x_new = res.coords
+    x_new = run.x
     moved = f.domain.distance_many(np.stack([x_new, xhat]), np.stack([xhat, x]))
     if moved[0] <= moved[1]:
         return True
@@ -201,7 +210,7 @@ def _keeps_orientation(f, x, xhat, res, orient):
         jac_mid = jacobian_at(f, mid)
     except (DomainError, EvalDomainError):
         return True
-    return np.linalg.slogdet(jac_mid)[0] == orient
+    return det_sign(jac_mid) == orient
 
 
 def lift_path(f, p, x0, opts=None):
@@ -214,8 +223,11 @@ def lift_path(f, p, x0, opts=None):
     that collapses on a singular corrector or on a change of the
     Jacobian determinant's sign is FailedSingular. The verdict of a
     collapsed step names its cause in its message: the class and text
-    of the last error that halved the step. The start x0 is checked
-    once; the loop evaluates without checking its points again.
+    of the last error that halved the step; a FailedSingular or
+    FailedBlowUp verdict that ends on an accepted node names the
+    threshold and the value that crossed it. The start x0 and each
+    predicted point are checked once; the corrector (local_solve's
+    one-point loop) evaluates without checking its points again.
     """
     opts = opts or LiftOptions()
     if f.domain.dim != f.codomain.dim:
@@ -242,8 +254,8 @@ def lift_path(f, p, x0, opts=None):
         )
 
     jac = f._jacobian(x)
-    smin = float(np.linalg.svd(jac, compute_uv=False)[-1])
-    orient = np.linalg.slogdet(jac)[0]
+    smin = singular_extremes(jac)[0]
+    orient = det_sign(jac)
     nodes = [LiftNode(t0, x.copy(), r0, smin, 0.0)]
     lift_length = 0.0
 
@@ -277,21 +289,16 @@ def lift_path(f, p, x0, opts=None):
         target = p.eval(target_t)
         try:
             try:
-                rhs = f.codomain.canonical(target - p_cur)
-                xhat = x + np.linalg.solve(jac, rhs)
+                xhat = x + linear_solve(jac, f.codomain.canonical(target - p_cur))
             except np.linalg.LinAlgError:
                 xhat = x
             xhat = f.domain.canonical(xhat)
-            if not f.domain.contains(xhat):
+            if not (all(map(math.isfinite, xhat.tolist())) and f.domain.contains(xhat)):
                 xhat = x
-            res = local_solve(
-                f,
-                target,
-                xhat,
-                tol=opts.corrector_tol,
-                max_iter=opts.max_corrector_iter,
-            )
-            if not _keeps_orientation(f, x, xhat, res, orient):
+            # xhat is checked, so the corrector is local_solve's loop
+            tol, budget = opts.corrector_tol, opts.max_corrector_iter
+            run = _converged(f, _newton(f, target, xhat, tol, budget), tol, budget)
+            if not _keeps_orientation(f, x, xhat, run, orient):
                 raise SingularJacobianError("step crosses the critical set")
         except (
             NonConvergenceError,
@@ -314,7 +321,7 @@ def lift_path(f, p, x0, opts=None):
                     # probe whether the undamped newton direction leaves
                     try:
                         probe = f.domain.canonical(
-                            x + np.linalg.solve(jac, f.codomain.canonical(target - p_cur))
+                            x + linear_solve(jac, f.codomain.canonical(target - p_cur))
                         )
                         if not f.domain.contains(probe):
                             return fail(
@@ -330,23 +337,34 @@ def lift_path(f, p, x0, opts=None):
                 return fail(FAILED_STALL, b, d_minus=smin, message=cause)
             continue
 
-        x_new = res.coords.copy()
+        x_new = run.x.copy()
         lift_length += float(
             f.domain.chart_lengths(x_new[None, :], x[None, :])[0]
         )
         s += dt
         t_here = t0 + s * span
-        smin = res.jac_smin
-        nodes.append(LiftNode(t_here, x_new, res.residual, smin, dt * span))
+        smin = run.smin
+        nodes.append(LiftNode(t_here, x_new, run.residual, smin, dt * span))
         x = x_new
         p_cur = target
-        jac = res.jacobian
+        jac = run.jacobian
 
         if smin < opts.singular_threshold:
-            return fail(FAILED_SINGULAR, s, d_minus=smin)
+            return fail(
+                FAILED_SINGULAR,
+                s,
+                d_minus=smin,
+                message="smin %.3g < singular_threshold %.3g"
+                % (smin, opts.singular_threshold),
+            )
         norm = f.domain.chart_norm(x)
         if norm > opts.blowup_radius:
-            return fail(FAILED_BLOWUP, s, last_norm=norm)
+            return fail(
+                FAILED_BLOWUP,
+                s,
+                last_norm=norm,
+                message="norm %.3g > blowup_radius %.3g" % (norm, opts.blowup_radius),
+            )
         if s >= 1.0:
             pol = _newton(f, target, x, POLISH_TOL, POLISH_STEPS)
             if pol.iterations > 0:  # each step lowered the residual
@@ -355,8 +373,7 @@ def lift_path(f, p, x0, opts=None):
                 )
                 smin = pol.smin
                 if pol.status == BUDGET:  # its last step has no Jacobian yet
-                    sv = np.linalg.svd(jacobian_at(f, pol.x), compute_uv=False)
-                    smin = float(sv[-1])
+                    smin = singular_extremes(jacobian_at(f, pol.x))[0]
                 nodes[-1] = LiftNode(t_here, pol.x, pol.residual, smin, 0.0)
             return make_trace(Verdict(kind=COMPLETED, b=1.0))
         dt = min(dt * opts.growth, opts.step_max)

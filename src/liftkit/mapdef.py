@@ -1,5 +1,5 @@
 """Map definitions: built-in test maps, expression maps, Jacobians,
-and a damped Newton local solver.
+the small-matrix kernel, and a damped Newton local solver.
 
 A MapHandle bundles a map between two spaces with whichever Jacobian
 source is available: closed-form (analytic), forward-mode automatic
@@ -50,6 +50,12 @@ __all__ = [
     "expression_map",
     "ANNULUS_INNER",
     "ANNULUS_OUTER",
+    "singular_extremes",
+    "singular_extremes_many",
+    "det_sign",
+    "det_sign_many",
+    "linear_solve",
+    "linear_solve_many",
 ]
 
 # Annulus bounds for the complex power maps.
@@ -501,6 +507,195 @@ def _with_fd(handle, jacobian_mode):
 
 
 # ---------------------------------------------------------------------------
+# The small-matrix kernel: the extreme singular values, the determinant
+# sign and the linear solve of one matrix and of a stack of them. Square
+# 1x1 and 2x2 matrices take closed forms: for [[a, b], [c, d]],
+# smax = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2,
+# smin = |ad - bc| / smax, the sign of ad - bc, and Cramer's rule. Other
+# shapes go to LAPACK, and so do matrices whose entries are non-finite,
+# all zero, or so large or small that |a| + |b| + |c| + |d| lies outside
+# _SCALE_RANGE.
+
+_SCALE_RANGE = (2.0**-1000, 2.0**1000)
+
+
+def _det(a, b, c, d):
+    return a * d - b * c
+
+
+def _scaled(m, s, a, b, c, d):
+    """2^e and the entries over 2^e, for 2^(e-1) <= s < 2^e, s the sum of
+    the absolute entries; dividing by a power of two is exact, and the
+    scaled entries square without overflow or underflow.
+
+    m is math for Python floats and numpy for the columns of a stack.
+    _scaled, _det and _smax make the same correctly rounded operations
+    in the same order for both, so the one-matrix and the stacked forms
+    of the kernel agree bitwise (math.hypot and numpy.hypot do not)."""
+    e = m.frexp(s)[1]
+    k = m.ldexp(1.0, -e)
+    return m.ldexp(1.0, e), a * k, b * k, c * k, d * k
+
+
+def _smax(m, a, b, c, d):
+    """The largest singular value of scaled entries (not the naive
+    sqrt(s1^2 - det^2) form, which cancels on conformal matrices)."""
+    p, q = a + d, c - b
+    u, v = a - d, b + c
+    return 0.5 * (m.sqrt(p * p + q * q) + m.sqrt(u * u + v * v))
+
+
+def _entries(jac):
+    """(s, entries) of one square 1x1 or 2x2 matrix the closed forms
+    take, the entries Python floats in row order and s the sum of their
+    absolute values; None for LAPACK."""
+    if jac.shape == (2, 2):
+        (a, b), (c, d) = jac.tolist()
+        s = abs(a) + abs(b) + abs(c) + abs(d)
+        entries = (a, b, c, d)
+    elif jac.shape == (1, 1):
+        entries = (jac.item(),)
+        s = abs(entries[0])
+    else:
+        return None
+    lo, hi = _SCALE_RANGE
+    return (s, entries) if lo < s < hi else None
+
+
+def _entries_many(jacs):
+    """(ok, s, entry columns) of a stack of square 1x1 or 2x2 matrices,
+    ok marking the rows the closed forms take; None for another shape."""
+    if jacs.shape[1:] == (2, 2):
+        cols = (jacs[:, 0, 0], jacs[:, 0, 1], jacs[:, 1, 0], jacs[:, 1, 1])
+        s = abs(cols[0]) + abs(cols[1]) + abs(cols[2]) + abs(cols[3])
+    elif jacs.shape[1:] == (1, 1):
+        cols = (jacs[:, 0, 0],)
+        s = abs(cols[0])
+    else:
+        return None
+    lo, hi = _SCALE_RANGE
+    return (lo < s) & (s < hi), s, cols
+
+
+def _lapack_extremes(jac):
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv.shape[-1] == 0:
+        sv = np.zeros(sv.shape[:-1] + (1,))
+    smax = sv[..., 0]
+    smin = sv[..., -1] if jac.shape[-1] <= jac.shape[-2] else np.zeros_like(smax)
+    if jac.ndim == 2:
+        return float(smin), float(smax)
+    return smin, smax
+
+
+def singular_extremes(jac):
+    """(smin, smax) of one matrix: its largest singular value and its
+    smallest, which is 0 for a wider-than-tall matrix (it has a null
+    direction)."""
+    got = _entries(jac)
+    if got is None:
+        return _lapack_extremes(jac)
+    s, entries = got
+    if len(entries) == 1:
+        return s, s
+    scale, a, b, c, d = _scaled(math, s, *entries)
+    smax = _smax(math, a, b, c, d)
+    return abs(_det(a, b, c, d)) / smax * scale, smax * scale
+
+
+def singular_extremes_many(jacs):
+    """singular_extremes of each matrix of an (N, m, n) stack, as two
+    (N,) arrays; row i equals singular_extremes(jacs[i]) bitwise."""
+    jacs = np.asarray(jacs, dtype=float)
+    got = _entries_many(jacs)
+    if got is None:
+        return _lapack_extremes(jacs)
+    ok, s, entries = got
+    if len(entries) == 1:
+        smin, smax = s, s.copy()
+    else:
+        with np.errstate(all="ignore"):  # rows outside the range are redone
+            scale, a, b, c, d = _scaled(np, s, *entries)
+            smax = _smax(np, a, b, c, d)
+            smin = abs(_det(a, b, c, d)) / smax * scale
+            smax = smax * scale
+    if not ok.all():
+        smin[~ok], smax[~ok] = _lapack_extremes(jacs[~ok])
+    return smin, smax
+
+
+def det_sign(jac):
+    """The sign of a square matrix's determinant: 1.0, -1.0 or 0.0."""
+    got = _entries(jac)
+    if got is None:
+        return float(np.linalg.slogdet(jac)[0])
+    s, entries = got
+    det = entries[0] if len(entries) == 1 else _det(*_scaled(math, s, *entries)[1:])
+    return float((det > 0) - (det < 0))
+
+
+def det_sign_many(jacs):
+    """det_sign of each matrix of an (N, n, n) stack, as an (N,) array."""
+    jacs = np.asarray(jacs, dtype=float)
+    got = _entries_many(jacs)
+    if got is None:
+        return np.linalg.slogdet(jacs)[0]
+    ok, s, entries = got
+    with np.errstate(all="ignore"):
+        det = entries[0] if len(entries) == 1 else _det(*_scaled(np, s, *entries)[1:])
+    sign = np.sign(det)
+    if not ok.all():
+        sign[~ok] = np.linalg.slogdet(jacs[~ok])[0]
+    return sign
+
+
+def linear_solve(jac, rhs):
+    """The solution x of jac x = rhs for one square matrix and an (n,)
+    right-hand side. Raises numpy.linalg.LinAlgError when the matrix is
+    singular (for 2x2, when its scaled determinant is 0)."""
+    got = _entries(jac)
+    if got is None:
+        return np.linalg.solve(jac, rhs)
+    s, entries = got
+    r = np.asarray(rhs, dtype=float).tolist()
+    if len(entries) == 1:
+        return np.array([r[0] / entries[0]])
+    scale, a, b, c, d = _scaled(math, s, *entries)
+    det = _det(a, b, c, d)
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    # the scaled matrix maps x to rhs / scale, of about the size of x
+    r0, r1 = r[0] / scale, r[1] / scale
+    return np.array([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det])
+
+
+def linear_solve_many(jacs, rhs):
+    """linear_solve for each matrix of an (N, n, n) stack and row of an
+    (N, n) block of right-hand sides, as an (N, n) block; row i equals
+    linear_solve(jacs[i], rhs[i]) bitwise. Raises
+    numpy.linalg.LinAlgError when any matrix is singular."""
+    jacs = np.asarray(jacs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    got = _entries_many(jacs)
+    if got is None:
+        return np.linalg.solve(jacs, rhs[:, :, None])[:, :, 0]
+    ok, s, entries = got
+    with np.errstate(all="ignore"):
+        if len(entries) == 1:
+            x = rhs / entries[0][:, None]
+        else:
+            scale, a, b, c, d = _scaled(np, s, *entries)
+            det = _det(a, b, c, d)
+            if (det[ok] == 0.0).any():
+                raise np.linalg.LinAlgError("Singular matrix")
+            r0, r1 = rhs[:, 0] / scale, rhs[:, 1] / scale
+            x = np.stack([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det], axis=1)
+    if not ok.all():
+        x[~ok] = np.linalg.solve(jacs[~ok], rhs[~ok][:, :, None])[:, :, 0]
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Damped Newton: local_solve for one point, newton_block for a block of
 # starts. Both apply the rules below.
 
@@ -563,12 +758,17 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
     x = f.domain.check_coords(
         x_guess.coords if isinstance(x_guess, Point) else x_guess
     ).copy()
-    run = _newton(f, y, x, tol, max_iter)
+    run = _converged(f, _newton(f, y, x, tol, max_iter), tol, max_iter)
+    return LocalSolveResult(
+        Point(run.x, f.domain), run.iterations, run.residual, run.smin, run.jacobian
+    )
+
+
+def _converged(f, run, tol, max_iter):
+    """run, a _newton run with that tol and max_iter, when it converged;
+    otherwise the typed error local_solve raises for its status."""
     if run.status == CONVERGED:
-        return LocalSolveResult(
-            Point(run.x, f.domain), run.iterations, run.residual, run.smin,
-            run.jacobian,
-        )
+        return run
     if run.status == SINGULAR:
         raise SingularJacobianError(
             "jacobian of %s singular at %s (smin=%.3g)"
@@ -605,22 +805,22 @@ class _NewtonRun:
 
 
 def _newton(f, y, x, tol, max_iter):
-    """local_solve's loop from checked coordinates x toward the checked
-    target y. Failures are statuses, not errors; a fault in the start's
-    value or in a Jacobian raises."""
+    """local_solve's loop, also lift_path's corrector and polish, from
+    checked coordinates x toward the checked target y. Failures are
+    statuses, not errors; a fault in the start's value or in a Jacobian
+    raises."""
     with np.errstate(over="ignore"):
         fx = f._value(x)
         r = float(_distances(f, y, fx[None, :])[0])
         for iters in range(max_iter + 1):
             jac = f._jacobian(x)
-            sv = np.linalg.svd(jac, compute_uv=False)
-            smin, smax = float(sv[-1]), float(sv[0])
+            smin, smax = singular_extremes(jac)
             if r <= tol:
                 return _NewtonRun(CONVERGED, x, iters, r, jac, smin)
             if smin <= SINGULAR_RTOL * max(smax, 1.0):
                 return _NewtonRun(SINGULAR, x, iters, r, jac, smin)
             residual_vec = f.codomain.canonical(fx - y)
-            step = np.linalg.solve(jac, -residual_vec)
+            step = linear_solve(jac, -residual_vec)
             faults = 0
             for lam in _LAMBDAS:
                 trial = f.domain.canonical(x + lam * step)
@@ -686,17 +886,15 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
             jac, faulted = _jacobians(f, x[rows])
             stop(rows[faulted], DOMAIN, it)
             rows, jac = rows[~faulted], jac[~faulted]
-            sv = np.linalg.svd(jac, compute_uv=False)
+            smin, smax = singular_extremes_many(jac)
             done = r[rows] <= tol
-            singular = ~done & (
-                sv[:, -1] <= SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
-            )
+            singular = ~done & (smin <= SINGULAR_RTOL * np.maximum(smax, 1.0))
             stop(rows[done], CONVERGED, it)
             stop(rows[singular], SINGULAR, it)
             move = ~(done | singular)
             rows, jac = rows[move], jac[move]
             residual_vec = f.codomain.canonical(fx[rows] - y)
-            step = np.linalg.solve(jac, -residual_vec[:, :, None])[:, :, 0]
+            step = linear_solve_many(jac, -residual_vec)
             trials = x[rows, None] + _LAMBDAS[:, None] * step[:, None]
             trials = f.domain.canonical(trials.reshape(-1, n)).reshape(trials.shape)
             k, fx_k, r_k, all_faulted = _line_search(f, y, trials, r[rows])

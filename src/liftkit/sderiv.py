@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .geometry import OpenSubset, Point
-from .mapdef import jacobian_at
+from .mapdef import jacobian_at, singular_extremes, singular_extremes_many
 from .sampling import sphere_directions
 
 __all__ = [
@@ -65,17 +65,14 @@ def d_pm_from_jacobian(jac):
     singular value when the matrix has at least as many rows as
     columns; a wider-than-tall matrix always has a null direction, so
     d_minus is 0 there. An (m, n) matrix gives two floats, an
-    (N, m, n) stack two (N,) arrays.
+    (N, m, n) stack two (N,) arrays. Both come from the small-matrix
+    kernel (mapdef.singular_extremes): a closed form for 1x1/2x2,
+    LAPACK above.
     """
     jac = np.asarray(jac, dtype=float)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv.shape[-1] == 0:
-        sv = np.zeros(sv.shape[:-1] + (1,))
-    d_plus = sv[..., 0]
-    d_minus = sv[..., -1] if jac.shape[-1] <= jac.shape[-2] else np.zeros_like(d_plus)
     if jac.ndim == 2:
-        return float(d_minus), float(d_plus)
-    return d_minus, d_plus
+        return singular_extremes(jac)
+    return singular_extremes_many(jac)
 
 
 def _coords(space, x):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -68,6 +69,42 @@ def test_failure_reports_name_their_cause(argv):
         causes.add(doc["verdicts"]["cause"])
     (cause,) = causes
     assert cause.startswith("NonConvergenceError: newton line search stalled")
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_readme_lift_names_the_crossed_threshold(spec):
+    # the README's example ends on an accepted node whose smallest
+    # singular value is under singular_threshold
+    argv = ["lift", "--map", spec, "--path", "seg:1,0", "--start", "0", "--json"]
+    code, out = invoke(argv)
+    assert code == 1
+    assert invoke(argv) == (code, out)
+    doc = json.loads(out)
+    assert doc["verdicts"]["lift"] == "FailedSingular"
+    smin, threshold = re.fullmatch(
+        r"smin (\S+) < singular_threshold (\S+)", doc["verdicts"]["cause"]
+    ).groups()
+    assert float(smin) < float(threshold) == 1e-10
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_lift_from_a_subnormal_jacobian_gives_a_verdict(spec):
+    # e^-745 is the smallest subnormal, so the first predictor step
+    # overflows to inf; the step starts its corrector at x0 instead
+    argv = ["lift", "--map", spec, "--path", "seg:0,1", "--start=-745"]
+    code, doc = invoke_json(argv)
+    assert code == 1
+    assert doc["verdicts"]["lift"] == "FailedSingular"
+    assert doc["verdicts"]["cause"].startswith("smin 4.94e-324 < singular_threshold")
+
+
+def test_sheets_report_records_its_loop():
+    argv = ["sheets", "--map", "powk(3)", "--target", "1,0", "--start", "1,0"]
+    _, doc = invoke_json(argv)
+    assert doc["inputs"]["loop"] is None
+    _, doc = invoke_json(argv + ["--loop", "loop:0,0,1"])
+    assert doc["inputs"]["loop"] == "loop:0,0,1"
+    assert doc["results"]["sheets"] == 3
 
 
 def test_lift_success_matches_explicit_inverse(tmp_path):

@@ -18,6 +18,7 @@ from liftkit import (
     lift_path,
     resolve_map,
 )
+from liftkit.lift import POLISH_STEPS, POLISH_TOL
 from liftkit.mapdef import BUDGET
 from oracles import shear_inverse
 
@@ -55,17 +56,22 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_accepted_nodes_reuse_the_corrector_jacobian(shear3, monkeypatch):
-    calls, polish = [], []
+    calls, runs = [], []
     _counting(monkeypatch, liftkit.lift, "jacobian_at", calls)
-    _counting(monkeypatch, liftkit.lift, "_newton", polish)
+    _counting(monkeypatch, liftkit.lift, "_newton", runs)
     opts = LiftOptions(step_max=0.02)
     trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
     assert trace.verdict.kind == "Completed"
     assert len(trace.nodes) > 50
+    # one corrector run per accepted node (no step is refused here),
+    # then the polish
+    *correctors, (polish_args, run) = runs
+    assert len(correctors) == len(trace.nodes) - 1
+    assert all(args[3] == opts.corrector_tol for args, _ in correctors)
+    assert polish_args[3:] == (POLISH_TOL, POLISH_STEPS)
     # the start's Jacobian comes from the checked start, each accepted
     # node's from its corrector, the polished endpoint's from the polish
     # unless the polish's budget ran out on a step not yet differentiated
-    ((_, run),) = polish
     assert len(calls) == (run.status == BUDGET)
 
 
@@ -93,14 +99,13 @@ def test_domain_tests_of_one_lift_step(monkeypatch):
     assert trace.verdict.completed and len(trace.nodes) == 2
     assert np.allclose(trace.final_coords, [1.1, 0.1])
     # a point is tested once and then evaluated: the start, the
-    # corrector's start and every line-search trial. Besides these, the
-    # step tests the predicted point once more (lift_path's guard before
-    # local_solve's entry check), the corrected point once more (as
-    # local_solve's result Point) and each point lift_path hands to
+    # predicted point (the corrector's start) and every line-search
+    # trial. Besides these, the step tests each point lift_path hands to
     # jacobian_at (an orientation midpoint, or the endpoint of a polish
-    # whose budget ran out), and evaluates the polish's start, the
+    # whose budget ran out), and the polish evaluates its start, the
     # corrected point, without a test.
-    assert len(tests) == len(values) + 1 + len(mids)
+    assert len(tests) == len(values) - 1 + len(mids)
+    assert len(tests) == 6
 
 
 def test_shear_random_targets_hit_explicit_inverse(shear3, rng):
@@ -159,6 +164,21 @@ def test_blowup_verdict():
     trace = lift_path(f, p, np.array([0.0]), opts)
     assert trace.verdict.kind in ("FailedBlowUp", "FailedSingular", "FailedStall")
     assert trace.verdict.b < 1.0 or not trace.verdict.completed
+
+
+@pytest.mark.parametrize("form", ["analytic", "expression"])
+def test_blowup_names_the_crossed_radius(form):
+    # log x = t from x = 1 passes x = 1e6 at t = 13.8
+    from liftkit import expression_map
+
+    f = resolve_map("logmap")
+    if form == "expression":
+        f = expression_map("log(x)", domain=f.domain)
+    p = Segment(Euclidean(1), np.array([0.0]), np.array([20.0]))
+    v = lift_path(f, p, np.array([1.0])).verdict
+    assert v.kind == "FailedBlowUp"
+    assert v.message == "norm %.3g > blowup_radius 1e+06" % v.last_norm
+    assert v.last_norm > 1e6
 
 
 def test_domain_exit_verdict():

@@ -1,8 +1,10 @@
 """Map handles: builtins, expression maps, resolution, local Newton."""
 
 import dataclasses
+import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,12 @@ from liftkit.mapdef import (
     _newton,
     _trial_value,
     builtin_names,
+    det_sign,
+    det_sign_many,
+    linear_solve,
+    linear_solve_many,
+    singular_extremes,
+    singular_extremes_many,
 )
 from liftkit.lift import POLISH_STEPS, POLISH_TOL
 
@@ -404,3 +412,121 @@ def test_cubic_implicit_builtin_shape():
     f = resolve_map("cubic_implicit")
     assert f.dim_in == 2 and f.dim_out == 1
     assert np.allclose(f.eval(np.array([2.0, 1.0])), [0.0])
+
+
+# -- the small-matrix kernel -------------------------------------------------
+
+EPS = np.finfo(float).eps
+# entries 0 or of magnitude 1e-6 to 10: scaled by 2^-500, smaller ones
+# would be subnormal, where LAPACK itself is no reference
+_unit = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+
+
+@st.composite
+def _small_matrices(draw):
+    """A 1x1 or 2x2 matrix: random, conformal (polar_exp's Jacobian),
+    or rank one plus a small perturbation, scaled by 2^-500, 1 or 2^500."""
+    kind = draw(st.sampled_from(["1x1", "random", "conformal", "near_rank_one"]))
+    if kind == "1x1":
+        jac = np.array([[draw(_unit)]])
+    elif kind == "random":
+        jac = np.array(draw(st.lists(_unit, min_size=4, max_size=4))).reshape(2, 2)
+    elif kind == "conformal":
+        r = math.exp(draw(st.floats(-5.0, 5.0)))
+        y = draw(_unit)
+        jac = r * np.array([[math.cos(y), -math.sin(y)], [math.sin(y), math.cos(y)]])
+    else:
+        u, v = (np.array(draw(st.lists(_unit, min_size=2, max_size=2))) for _ in "uv")
+        noise = np.array(draw(st.lists(_unit, min_size=4, max_size=4))).reshape(2, 2)
+        jac = np.outer(u, v) + 10.0 ** draw(st.integers(-17, -4)) * noise
+    return jac * 2.0 ** draw(st.sampled_from([-500, 0, 500]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jac=_small_matrices(),
+    rhs=st.lists(st.integers(-10, 10), min_size=2, max_size=2),
+)
+def test_small_matrix_kernel_agrees_with_lapack(jac, rhs):
+    sv = np.linalg.svd(jac, compute_uv=False)
+    rhs = np.array(rhs[: jac.shape[0]], dtype=float) * sv[0]  # so x is O(cond)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smin, smax = singular_extremes(jac)
+        assert abs(smax - sv[0]) <= 8 * EPS * sv[0]
+        assert abs(smin - sv[-1]) <= 8 * EPS * sv[0]
+        if sv[-1] > 1e-6 * sv[0]:  # away from det = 0
+            assert det_sign(jac) == np.linalg.slogdet(jac)[0]
+            x, want = linear_solve(jac, rhs), np.linalg.solve(jac, rhs)
+            cond = sv[0] / sv[-1]
+            assert np.max(np.abs(x - want)) <= 8 * EPS * cond * np.max(np.abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    jacs=st.lists(
+        _small_matrices().filter(lambda j: j.shape == (2, 2)), min_size=1, max_size=8
+    ),
+    rhs=st.lists(st.tuples(_unit, _unit), min_size=8, max_size=8),
+)
+def test_small_matrix_kernel_stacked_form_is_bitwise_the_one_matrix_form(jacs, rhs):
+    # with rows the closed forms leave to LAPACK: all zero, non-finite,
+    # beyond the scale range
+    fallbacks = [np.zeros((2, 2)), np.full((2, 2), 2.0**1010), np.diag([np.inf, 1.0])]
+    stack = np.array(jacs + fallbacks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smin, smax = singular_extremes_many(stack)
+        signs = det_sign_many(stack)
+        for i, jac in enumerate(stack):  # LAPACK's svd makes inf NaN
+            got = [smin[i], smax[i], signs[i]]
+            want = [*singular_extremes(jac), det_sign(jac)]
+            assert np.array_equal(got, want, equal_nan=True)
+        invertible = stack[: len(jacs)][smin[: len(jacs)] > 0]
+        r = np.array(rhs[: len(invertible)]).reshape(-1, 2)
+        x = linear_solve_many(invertible, r)
+        for i, jac in enumerate(invertible):
+            assert np.array_equal(x[i], linear_solve(jac, r[i]))
+    scalars = np.array([2.0, -0.5, 0.0]).reshape(3, 1, 1)
+    smin, smax = singular_extremes_many(scalars)
+    assert smin.tolist() == smax.tolist() == [2.0, 0.5, 0.0]
+    assert det_sign_many(scalars).tolist() == [1.0, -1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "jac", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 3.0]], [[0.0]]],
+    ids=["rank_one", "zero_row", "zero_1x1"],
+)
+def test_small_matrix_kernel_singular_solve_raises(jac):
+    jac = np.array(jac)
+    rhs = np.ones(jac.shape[0])
+    assert det_sign(jac) == 0.0
+    assert singular_extremes(jac)[0] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        linear_solve(jac, rhs)
+    stack = np.stack([np.eye(jac.shape[0]), jac])
+    with pytest.raises(np.linalg.LinAlgError):
+        linear_solve_many(stack, np.stack([rhs, rhs]))
+
+
+def test_small_matrix_kernel_extremes_of_shapes():
+    # wide matrices have smin 0; larger ones go to LAPACK
+    assert singular_extremes(np.array([[3.0, 4.0]])) == (0.0, 5.0)
+    assert singular_extremes(np.array([[3.0], [4.0]])) == (5.0, 5.0)
+    smin, smax = singular_extremes(np.diag([1.0, 2.0, 3.0]))
+    assert (smin, smax) == pytest.approx((1.0, 3.0))
+    assert det_sign(np.diag([1.0, -2.0, 3.0])) == -1.0
+    x = linear_solve(np.diag([1.0, 2.0, 4.0]), np.ones(3))
+    assert np.allclose(x, [1.0, 0.5, 0.25])
+    # entries near 1e+-150 square without overflow or underflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e150, 1e-150, 1e300, 1e-300):
+            jac = scale * np.array([[1.0, 2.0], [3.0, 4.0]])
+            smin, smax = singular_extremes(jac)
+            sv = np.linalg.svd(jac, compute_uv=False)
+            assert smax == pytest.approx(sv[0], rel=1e-14)
+            assert smin == pytest.approx(sv[1], rel=1e-14)
+            assert det_sign(jac) == -1.0
+            x = linear_solve(jac, np.array([1.0, 1.0]) * scale)
+            assert np.allclose(x, [-1.0, 1.0])

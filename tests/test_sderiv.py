@@ -126,13 +126,19 @@ def test_shell_and_surjection_in_three_dimensions():
     assert np.all(np.isfinite(sur.ratios))
 
 
+def _unit_rows(p):
+    """Rows scaled to unit norm; a zero row, which a compass step can
+    reach (x = e_i, step 1), stays zero instead of dividing by 0."""
+    return p / np.maximum(np.linalg.norm(p, axis=1), 1e-300)[:, None]
+
+
 def _kinked_bowl(center, weights, wall, project):
     """Quadratic plus |.| terms with an infeasible half-space; only
     elementwise arithmetic, so a value does not depend on its batch."""
 
     def objective(pts, rows=None):
         if project:
-            pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+            pts = _unit_rows(pts)
         vals = np.zeros(pts.shape[0])
         for j, (c, w) in enumerate(zip(center, weights)):
             d = pts[:, j] - c
@@ -185,7 +191,7 @@ def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, per
                            min_size=n_starts, max_size=n_starts))
     )
     objective = _kinked_bowl(center, weights, wall, project)
-    proj = (lambda p: p / np.linalg.norm(p, axis=1)[:, None]) if project else None
+    proj = _unit_rows if project else None
     if project:
         starts[np.linalg.norm(starts, axis=1) == 0.0] = 1.0
         starts = proj(starts)

@@ -98,6 +98,10 @@ class Space:
         return self.distance_many(a, b)
 
     def check_coords(self, coords):
+        """Coordinates as a checked 1-d float array; a Point gives its
+        coordinates, checked against this space."""
+        if isinstance(coords, Point):
+            coords = coords.coords
         c = np.asarray(coords, dtype=float).reshape(-1)
         if c.shape[0] != self.dim:
             raise InputError(
@@ -273,11 +277,6 @@ class OpenSubset(Space):
     def chart_lengths(self, a, b):
         return self.base.chart_lengths(a, b)
 
-    def distance(self, a, b):
-        a = self.check_coords(a)
-        b = self.check_coords(b)
-        return float(self.base.distance_many(a[None, :], b[None, :])[0])
-
 
 def subset_from_expression(base, source, variables=None):
     """OpenSubset whose membership is expression > 0."""
@@ -353,23 +352,29 @@ class Point:
         return "Point(%s)" % np.array2string(self.coords, separator=", ")
 
 
-def _as_coords(space, point_or_coords):
-    if isinstance(point_or_coords, Point):
-        return space.check_coords(point_or_coords.coords)
-    return space.check_coords(point_or_coords)
-
-
 def distance(space, a, b):
     """Distance between two points (Point or coordinate vectors)."""
-    return space.distance(_as_coords(space, a), _as_coords(space, b))
+    return space.distance(a, b)
 
 
-def points_equal(space, a, b):
-    """Point identity at relative tolerance 1e-9, scaled by chart norms."""
-    ca = _as_coords(space, a)
-    cb = _as_coords(space, b)
-    scale = 1.0 + max(space.chart_norm(ca), space.chart_norm(cb))
-    return space.distance(ca, cb) <= POINT_IDENTITY_RTOL * scale
+def points_equal(space, a, b, rtol=POINT_IDENTITY_RTOL, atol=0.0):
+    """Point identity between every row of a and every row of b.
+
+    a is an (N, n) block and b an (M, n) block of chart coordinates;
+    the (N, M) mask holds d(a_i, b_j) <= max(rtol * (1 + max(|a_i|,
+    |b_j|)), atol), with d the space's distance (so quotient spaces
+    wrap) and |.| the 2-norm of the chart coordinates. The default is
+    point identity at relative tolerance 1e-9; atol is a floor for
+    callers whose points carry an absolute error.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, space.dim)
+    b = np.asarray(b, dtype=float).reshape(-1, space.dim)
+    n, m = a.shape[0], b.shape[0]
+    d = space.distance_many(np.repeat(a, m, axis=0), np.tile(b, (n, 1)))
+    norms = np.maximum(
+        np.linalg.norm(a, axis=1)[:, None], np.linalg.norm(b, axis=1)[None, :]
+    )
+    return d.reshape(n, m) <= np.maximum(rtol * (1.0 + norms), atol)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,7 @@ class Path:
     """A parametrized path on a space.
 
     Concrete kinds implement eval_many on chart coordinates; domain is
-    the closed parameter interval the path is currently restricted to.
+    the path's closed parameter interval.
     """
 
     kind = "path"
@@ -401,9 +406,6 @@ class Path:
     def breakpoints(self):
         """Interior parameters where the path may lose smoothness."""
         return np.empty(0)
-
-    def restrict(self, u, v):
-        raise NotImplementedError
 
     def reverse(self):
         raise NotImplementedError
@@ -441,31 +443,22 @@ class Segment(Path):
 
     kind = "segment"
 
-    def __init__(self, space, a, b, interval=(0.0, 1.0), domain=None):
+    def __init__(self, space, a, b, interval=(0.0, 1.0)):
         self.a = space.check_coords(a).copy()
         self.b = space.check_coords(b).copy()
         s0, s1 = float(interval[0]), float(interval[1])
         if s1 <= s0:
             raise InputError("segment interval must have positive width")
         self.interval = (s0, s1)
-        super().__init__(space, domain if domain is not None else (s0, s1))
+        super().__init__(space, (s0, s1))
 
     def eval_many(self, ts):
         s0, s1 = self.interval
         lam = (np.asarray(ts, float)[:, None] - s0) / (s1 - s0)
         return self.a + lam * (self.b - self.a)
 
-    def restrict(self, u, v):
-        u, v = self._restricted_domain(u, v)
-        return Segment(self.space, self.a, self.b, self.interval, (u, v))
-
     def reverse(self):
-        u, v = self.domain
-        if v == u:
-            return Segment(
-                self.space, self.eval(u), self.eval(u), (u, u + 1.0), (u, u)
-            )
-        return Segment(self.space, self.eval(v), self.eval(u), (u, v), (u, v))
+        return Segment(self.space, self.b, self.a, self.interval)
 
     def velocity(self, t):
         s0, s1 = self.interval
@@ -488,7 +481,7 @@ class Sampled(Path):
 
     kind = "sampled"
 
-    def __init__(self, space, params, knots, domain=None, kind=None, degenerate=False):
+    def __init__(self, space, params, knots, kind=None, degenerate=False):
         params = np.asarray(params, dtype=float).reshape(-1)
         knots = np.asarray(knots, dtype=float)
         if knots.ndim != 2 or knots.shape[0] != params.shape[0]:
@@ -510,10 +503,7 @@ class Sampled(Path):
         self.degenerate = degenerate
         if kind is not None:
             self.kind = kind
-        super().__init__(
-            space,
-            domain if domain is not None else (params[0], params[-1]),
-        )
+        super().__init__(space, (params[0], params[-1]))
 
     def eval_many(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -527,20 +517,12 @@ class Sampled(Path):
     def breakpoints(self):
         return self.params[1:-1].copy()
 
-    def restrict(self, u, v):
-        u, v = self._restricted_domain(u, v)
-        return Sampled(
-            self.space, self.params, self.knots, (u, v), self.kind, self.degenerate
-        )
-
     def reverse(self):
         if self.degenerate:
             return self
         u, v = self.domain
         new_params = (u + v) - self.params[::-1]
-        return Sampled(
-            self.space, new_params, self.knots[::-1].copy(), (u, v), self.kind
-        )
+        return Sampled(self.space, new_params, self.knots[::-1].copy(), kind=self.kind)
 
     def velocity(self, t):
         if self.degenerate:
@@ -593,7 +575,6 @@ class Loop(Path):
         winding=1,
         phase=0.0,
         interval=(0.0, 1.0),
-        domain=None,
     ):
         if space.dim != 2:
             raise InputError("loops need a 2-d space")
@@ -609,7 +590,7 @@ class Loop(Path):
         if s1 <= s0:
             raise InputError("loop interval must have positive width")
         self.interval = (s0, s1)
-        super().__init__(space, domain if domain is not None else (s0, s1))
+        super().__init__(space, (s0, s1))
 
     def _angles(self, ts):
         s0, s1 = self.interval
@@ -622,22 +603,8 @@ class Loop(Path):
             [np.cos(ang), np.sin(ang)], axis=-1
         )
 
-    def restrict(self, u, v):
-        u, v = self._restricted_domain(u, v)
-        return Loop(
-            self.space,
-            self.center,
-            self.radius,
-            self.winding,
-            self.phase,
-            self.interval,
-            (u, v),
-        )
-
     def reverse(self):
-        u, v = self.domain
-        s0, s1 = self.interval
-        new_phase = self.phase + TWO_PI * self.winding * ((u + v - 2.0 * s0) / (s1 - s0))
+        new_phase = self.phase + TWO_PI * self.winding
         return Loop(
             self.space,
             self.center,
@@ -645,7 +612,6 @@ class Loop(Path):
             -self.winding,
             new_phase,
             self.interval,
-            (u, v),
         )
 
     def velocity(self, t):
@@ -682,10 +648,6 @@ class ExpressionPath(Path):
             out[:, i] = exprlang.eval_ast(c, [ts])
         return out
 
-    def restrict(self, u, v):
-        u, v = self._restricted_domain(u, v)
-        return ExpressionPath(self.space, self.components, (u, v))
-
     def reverse(self):
         u, v = self.domain
         flip = exprlang.BinOp(
@@ -719,10 +681,6 @@ class FunctionPath(Path):
         t0, t1 = self.domain
         b = self._breaks
         return b[(b > t0) & (b < t1)].copy()
-
-    def restrict(self, u, v):
-        u, v = self._restricted_domain(u, v)
-        return FunctionPath(self.space, self._fn_many, (u, v), self._breaks)
 
     def reverse(self):
         t0, t1 = self.domain
@@ -828,9 +786,7 @@ def reparam_arclength(p, n_knots=1025, rel_tol=1e-9):
         keep = np.concatenate([[True], seg > 0])
         knots = knots[keep]
     if knots.shape[0] < 2:
-        return Sampled(
-            p.space, np.array([0.0]), knots[:1], (0.0, 0.0), degenerate=True
-        )
+        return Sampled(p.space, np.array([0.0]), knots[:1], degenerate=True)
     seg = p.space.chart_lengths(knots[:-1], knots[1:])
     params = np.concatenate([[0.0], np.cumsum(seg)])
     return Sampled(p.space, params, knots)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LiftkitError
-from .geometry import (
-    POINT_IDENTITY_RTOL,
-    Box,
-    Point,
-    Segment,
-    polyline,
-)
+from .geometry import Box, Point, Segment, points_equal, polyline
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import CONVERGED, newton_block
 from .sampling import unit_box_points
@@ -45,17 +39,13 @@ COMPLETENESS_NOTE = (
 TRANSLATION_TOL = 1e-6
 
 
-def _coords(space, value):
-    return space.check_coords(value.coords if isinstance(value, Point) else value)
-
-
 def invert_at(f, y, x0, opts=None):
     """Evaluate the global inverse of f at y by lifting the segment
     from f(x0) to y starting at x0. Returns the preimage Point when the
     lift completes; raises ContinuationFailure carrying the verdict and
     the partial trace otherwise."""
-    yc = _coords(f.codomain, y)
-    x0c = _coords(f.domain, x0)
+    yc = f.codomain.check_coords(y)
+    x0c = f.domain.check_coords(x0)
     y_start = f.eval(x0c)
     seg = Segment(f.codomain, y_start, yc)
     trace = lift_path(f, seg, x0c, opts)
@@ -84,16 +74,10 @@ class FiberReport:
         if not all(r <= tol for r in self.residuals):
             raise LiftkitError("fiber residual above tolerance %g" % tol)
         pts = [p.coords for p in self.preimages]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = float(
-                    space.distance_many(pts[i][None, :], pts[j][None, :])[0]
-                )
-                scale = 1.0 + max(
-                    space.chart_norm(pts[i]), space.chart_norm(pts[j])
-                )
-                if not d > POINT_IDENTITY_RTOL * scale:
-                    raise LiftkitError("fiber preimages %d and %d coincide" % (i, j))
+        same = np.triu(points_equal(space, pts, pts), 1)
+        if same.any():
+            i, j = np.argwhere(same)[0]
+            raise LiftkitError("fiber preimages %d and %d coincide" % (i, j))
 
 
 def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
@@ -106,7 +90,7 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
     """
     if f.domain.dim != f.codomain.dim:
         raise InputError("fiber enumeration needs a square system")
-    yc = _coords(f.codomain, y)
+    yc = f.codomain.check_coords(y)
     if seed_region is None:
         half = 4.0 * (1.0 + float(np.linalg.norm(yc)))
         seed_region = Box(np.full(f.domain.dim, -half), np.full(f.domain.dim, half))
@@ -123,25 +107,18 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
 
     sol = newton_block(f, yc, starts, tol=tol, max_iter=60)
     done = sol.status == CONVERGED
+    points, residuals = sol.points[done], sol.residuals[done]
+    same = points_equal(f.domain, points, points)
     found = []
-    residuals = []
-    for c, r in zip(sol.points[done], sol.residuals[done]):
-        dup = False
-        for k in found:
-            d = float(f.domain.distance_many(c[None, :], k[None, :])[0])
-            scale = 1.0 + max(f.domain.chart_norm(c), f.domain.chart_norm(k))
-            if d <= POINT_IDENTITY_RTOL * scale:
-                dup = True
-                break
-        if not dup:
-            found.append(c)
-            residuals.append(float(r))
+    for i in range(points.shape[0]):
+        if not same[i, found].any():
+            found.append(i)
 
-    order = sorted(range(len(found)), key=lambda i: tuple(found[i]))
+    order = sorted(found, key=lambda i: tuple(points[i]))
     report = FiberReport(
         target=Point(yc, f.codomain),
-        preimages=[Point(found[i], f.domain) for i in order],
-        residuals=[residuals[i] for i in order],
+        preimages=[Point(points[i], f.domain) for i in order],
+        residuals=[float(residuals[i]) for i in order],
         method="multistart",
         note=COMPLETENESS_NOTE,
         n_starts=int(starts.shape[0]),
@@ -160,8 +137,8 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
     successive endpoints is reported as a deck translation.
     """
     opts = opts or LiftOptions()
-    yc = _coords(f.codomain, y)
-    xc = _coords(f.domain, x_start)
+    yc = f.codomain.check_coords(y)
+    xc = f.domain.check_coords(x_start)
     t0, t1 = loop.domain
     scale = 1.0 + float(np.linalg.norm(yc))
     for t_end in (t0, t1):
@@ -190,19 +167,11 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
             note = "lift failed mid-orbit: " + trace.verdict.summary()
             break
         end = trace.final_coords
-        closed_at = None
-        for j, prev in enumerate(orbit):
-            d = float(f.domain.distance_many(end[None, :], prev[None, :])[0])
-            tol_id = POINT_IDENTITY_RTOL * (
-                1.0 + max(f.domain.chart_norm(end), f.domain.chart_norm(prev))
-            )
-            # orbit closure is decided at a looser tolerance than point
-            # identity: endpoint error accumulates over the whole lift
-            if d <= max(tol_id, 1e3 * opts.corrector_tol):
-                closed_at = j
-                break
-        if closed_at is not None:
-            sheets = len(orbit) - closed_at
+        # orbit closure is decided at a looser tolerance than point
+        # identity: endpoint error accumulates over the whole lift
+        closes = points_equal(f.domain, end, orbit, atol=1e3 * opts.corrector_tol)[0]
+        if closes.any():
+            sheets = len(orbit) - int(closes.argmax())
             perm = [(i + 1) % sheets for i in range(sheets)]
             monodromy = {"kind": "cyclic", "order": sheets, "permutation": perm}
             note = "orbit closed after %d lift(s)" % len(orbit)

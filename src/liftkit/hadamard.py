@@ -353,7 +353,7 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
     if f.domain.dim != f.codomain.dim:
         raise InputError("profiles need a square Jacobian")
     dim = f.domain.dim
-    x0c = f.domain.check_coords(x0.coords if isinstance(x0, Point) else x0)
+    x0c = f.domain.check_coords(x0)
     if radii is None:
         radii = default_radii(x0c)
     radii = np.asarray(radii, dtype=float)
@@ -603,7 +603,7 @@ def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None)
     every sample. worst_margin is min(product) - 1; pass needs
     worst_margin >= -1e-6.
     """
-    x0c = f.domain.check_coords(x0.coords if isinstance(x0, Point) else x0)
+    x0c = f.domain.check_coords(x0)
     val = validate_weight(w)
     if not val.ok:
         raise InputError(

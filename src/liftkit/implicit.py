@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import Euclidean, FunctionPath, Point, ProductSpace, Segment
+from .geometry import (
+    Euclidean,
+    FunctionPath,
+    Point,
+    ProductSpace,
+    Segment,
+    points_equal,
+)
 from .lift import (
     FAILED_SINGULAR,
     ContinuationFailure,
@@ -86,9 +93,7 @@ class ImplicitProblem:
         self.f = f
         self.m = x_dim
         self.n = f.domain.dim - x_dim
-        self.w = f.codomain.check_coords(
-            w.coords if isinstance(w, Point) else w
-        ).copy()
+        self.w = f.codomain.check_coords(w).copy()
         self.x_space = Euclidean(self.m)
         self.y_space = Euclidean(self.n)
 
@@ -261,7 +266,7 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
         )
     t0, t1 = p.domain
     span = t1 - t0
-    y = prob.y_space.check_coords(y0.coords if isinstance(y0, Point) else y0)
+    y = prob.y_space.check_coords(y0)
     x = p.eval(t0)
     start = prob.join(x, y)
     (r0,), _, (smin0,) = prob.node_values(start[None, :])
@@ -377,12 +382,8 @@ def implicit_eval(prob, x_target, start, opts=None):
     segment from the start pair (x0, y0). Returns the y-endpoint as a
     Point; raises ContinuationFailure on any failure verdict."""
     x0, y0 = start
-    x0c = prob.x_space.check_coords(
-        x0.coords if isinstance(x0, Point) else x0
-    )
-    xt = prob.x_space.check_coords(
-        x_target.coords if isinstance(x_target, Point) else x_target
-    )
+    x0c = prob.x_space.check_coords(x0)
+    xt = prob.x_space.check_coords(x_target)
     seg = Segment(prob.x_space, x0c, xt)
     trace = davidenko_lift(prob, seg, y0, opts=opts)
     if trace.verdict.completed:
@@ -422,14 +423,14 @@ def branch_probe(prob, x_box, y_box, n_starts=32, n_grid=3, tol=1e-10):
     sols = []  # (grid_index, y-coords)
     for gi, xbar in enumerate(x_grid):
         sol = _level_solve(g, prob, xbar, y_starts, tol)
+        ys = sol.points[sol.status == CONVERGED][:, prob.m :]
+        same = points_equal(prob.y_space, ys, ys, rtol=1e-8)
         found = []
-        for pt in sol.points[sol.status == CONVERGED]:
-            y_sol = pt[prob.m :]
-            if any(np.linalg.norm(y_sol - k) <= 1e-8 * (1 + np.linalg.norm(k)) for k in found):
-                continue
-            found.append(y_sol)
-        for y_sol in sorted(found, key=tuple):
-            sols.append((gi, y_sol))
+        for i in range(ys.shape[0]):
+            if not same[i, found].any():
+                found.append(i)
+        for i in sorted(found, key=lambda i: tuple(ys[i])):
+            sols.append((gi, ys[i]))
 
     parent = list(range(len(sols)))
 
@@ -458,14 +459,12 @@ def branch_probe(prob, x_box, y_box, n_starts=32, n_grid=3, tol=1e-10):
                 continue
             if not trace.verdict.completed:
                 continue
-            y_end = trace.final_y
-            for j in by_grid.get(gi + 1, []):
-                _, y_j = sols[j]
-                if np.linalg.norm(y_end - y_j) <= 1e-6 * (
-                    1.0 + np.linalg.norm(y_j)
-                ):
-                    union(i, j)
-                    break
+            nxt = by_grid.get(gi + 1, [])
+            meets = points_equal(
+                prob.y_space, trace.final_y, [sols[j][1] for j in nxt], rtol=1e-6
+            )[0]
+            if meets.any():
+                union(i, nxt[int(meets.argmax())])
 
     groups = {}
     for idx, (gi, y_sol) in enumerate(sols):

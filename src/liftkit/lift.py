@@ -242,7 +242,7 @@ def lift_path(f, p, x0, opts=None):
         raise InputError("path domain has zero width")
     span = t1 - t0
 
-    x = f.domain.check_coords(x0.coords if isinstance(x0, Point) else x0).copy()
+    x = f.domain.check_coords(x0).copy()
     p_start = p.eval(t0)
     r0 = float(
         f.codomain.distance_many(f._value(x)[None, :], p_start[None, :])[0]

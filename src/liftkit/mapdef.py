@@ -153,8 +153,7 @@ class MapHandle:
 
 def jacobian_at(f, x):
     """Jacobian of f at chart coordinates x, by the handle's mode."""
-    coords = x.coords if isinstance(x, Point) else x
-    return f._jacobian(f.domain.check_coords(coords))
+    return f._jacobian(f.domain.check_coords(x))
 
 
 def _checked_jacobians(f, jac, shape):
@@ -755,9 +754,7 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
     leaves the domain or faults.
     """
     y = _solve_target(f, y, tol)
-    x = f.domain.check_coords(
-        x_guess.coords if isinstance(x_guess, Point) else x_guess
-    ).copy()
+    x = f.domain.check_coords(x_guess).copy()
     run = _converged(f, _newton(f, y, x, tol, max_iter), tol, max_iter)
     return LocalSolveResult(
         Point(run.x, f.domain), run.iterations, run.residual, run.smin, run.jacobian

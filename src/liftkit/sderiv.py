@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import OpenSubset, Point
+from .geometry import OpenSubset
 from .mapdef import jacobian_at, singular_extremes, singular_extremes_many
 from .sampling import sphere_directions
 
@@ -73,10 +73,6 @@ def d_pm_from_jacobian(jac):
     if jac.ndim == 2:
         return singular_extremes(jac)
     return singular_extremes_many(jac)
-
-
-def _coords(space, x):
-    return space.check_coords(x.coords if isinstance(x, Point) else x)
 
 
 def _admissible_radius(f, c, rho0):
@@ -191,7 +187,7 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     winning directions by compass search on the sphere, and keeps a
     per-shell scale report for diagnostics.
     """
-    c = _coords(f.domain, x)
+    c = f.domain.check_coords(x)
     if method == "jacobian_svd":
         d_minus, d_plus = d_pm_from_jacobian(jacobian_at(f, c))
         return ScalarDerivEstimate(d_minus, d_plus, method)
@@ -238,7 +234,7 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
     higher dimension than the domain gets value 0: the image is too
     thin to contain any ball.
     """
-    c = _coords(f.domain, x)
+    c = f.domain.check_coords(x)
     if f.codomain.dim > f.domain.dim:
         rr = tuple(float(r) for r in (radii if radii is not None else ()))
         return SurjectionEstimate(

@@ -11,14 +11,17 @@ from liftkit import (
     DegenerateInputError,
     Euclidean,
     ExpressionPath,
+    FunctionPath,
     InputError,
     Loop,
     Point,
+    ProductSpace,
     Sampled,
     Segment,
     Torus,
     distance,
     path_length,
+    points_equal,
     polyline,
     reparam_arclength,
     reverse_path,
@@ -149,6 +152,34 @@ def test_reverse_is_involution():
     assert np.allclose(rr.eval_many(ts), p.eval_many(ts), atol=1e-12)
 
 
+def _reversal_cases():
+    plane = Euclidean(2)
+
+    def wave(ts):
+        return np.stack([np.sin(3.0 * ts), np.abs(ts - 1.0)], axis=1)
+
+    return [
+        Segment(plane, np.array([0.5, -1.0]), np.array([2.0, 3.0]), (0.5, 2.0)),
+        polyline(plane, [[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [4.0, 0.5]], (1.0, 3.0)),
+        Loop(plane, np.array([1.0, -2.0]), 1.5, winding=-2, phase=0.7, interval=(0.25, 1.5)),
+        ExpressionPath(plane, "(cos(t), t^2 - t)", (-1.0, 2.0)),
+        FunctionPath(plane, wave, (0.0, 2.0), breakpoints=[1.0]),
+    ]
+
+
+@pytest.mark.parametrize("p", _reversal_cases(), ids=lambda p: p.kind)
+def test_reversal_runs_the_path_backwards_on_its_domain(p):
+    u, v = p.domain
+    ts = np.linspace(u, v, 37)
+    r = reverse_path(p)
+    assert r.kind == p.kind
+    assert r.domain == p.domain
+    assert np.allclose(r.eval_many(ts), p.eval_many(u + v - ts), rtol=0.0, atol=1e-12)
+    rr = reverse_path(r)
+    assert rr.domain == p.domain
+    assert np.allclose(rr.eval_many(ts), p.eval_many(ts), rtol=0.0, atol=1e-12)
+
+
 def test_reversed_parabola_length_matches():
     s = Euclidean(2)
     p = ExpressionPath(s, "(t, t^2)", (0.0, 1.0))
@@ -169,6 +200,64 @@ def test_point_canonicalizes_on_quotient():
     s = CircleQuotient()
     p = Point(np.array([2 * np.pi + 0.3]), s)
     assert p.coords[0] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_check_coords_takes_a_point_of_its_own_dimension():
+    plane = Euclidean(2)
+    assert plane.check_coords(Point(np.array([1.0, 2.0]), plane)).tolist() == [1.0, 2.0]
+    with pytest.raises(InputError):
+        plane.check_coords(Point(np.array([1.0, 2.0, 3.0]), Euclidean(3)))
+
+
+_POINT_SPACES = [
+    Euclidean(2),
+    CircleQuotient(),
+    Torus(2),
+    ProductSpace([Euclidean(1), CircleQuotient()]),
+]
+
+
+@given(
+    space=st.sampled_from(_POINT_SPACES),
+    data=st.data(),
+    rtol=st.sampled_from([1e-9, 0.125, 0.5]),
+    atol=st.sampled_from([0.0, 0.25, 0.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_points_equal_is_the_pairwise_rule(space, data, rtol, atol):
+    # quarter-integer coordinates keep every norm and distance exact, so
+    # pairs land on the inclusive boundary and straddle +-pi
+    coord = st.integers(-16, 16).map(lambda k: k / 4.0)
+    block = st.lists(
+        st.lists(coord, min_size=space.dim, max_size=space.dim), max_size=4
+    )
+    a = np.array(data.draw(block), dtype=float).reshape(-1, space.dim)
+    b = np.array(data.draw(block), dtype=float).reshape(-1, space.dim)
+    mask = points_equal(space, a, b, rtol=rtol, atol=atol)
+    assert mask.shape == (a.shape[0], b.shape[0])
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            scale = 1.0 + max(space.chart_norm(ai), space.chart_norm(bj))
+            tol = max(rtol * scale, atol)
+            assert mask[i, j] == (space.distance(ai, bj) <= tol)
+
+
+def test_points_equal_boundaries_and_wraparound():
+    line = Euclidean(1)
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    # d = 1 = 0.5 * (1 + 1): the boundary counts as equal
+    assert points_equal(line, zero, one, rtol=0.5)[0, 0]
+    assert not points_equal(line, zero, one, rtol=0.49)[0, 0]
+    # the absolute floor, inclusive, for points near the origin
+    near = np.array([[1e-3]])
+    assert not points_equal(line, zero, near)[0, 0]
+    assert points_equal(line, zero, near, atol=1e-3)[0, 0]
+    assert not points_equal(line, zero, near, atol=0.999e-3)[0, 0]
+    # quotient distance: two representatives straddling +-pi coincide
+    circle = CircleQuotient()
+    a, b = np.array([[np.pi - 1e-10]]), np.array([[-np.pi + 1e-10]])
+    assert points_equal(circle, a, b)[0, 0]
+    assert not points_equal(Euclidean(1), a, b)[0, 0]
 
 
 def test_box_corners_and_contains():

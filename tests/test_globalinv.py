@@ -11,9 +11,11 @@ from liftkit import (
     Box,
     ContinuationFailure,
     Euclidean,
+    FiberReport,
     LiftkitError,
     LiftOptions,
     Loop,
+    Point,
     fiber_enumerate,
     invert_at,
     jacobian_at,
@@ -234,3 +236,21 @@ def test_lifting_through_shear3_inverts_shear3_inv(shear3, target, start):
     assert np.linalg.norm(shear3.eval(pre) - y) <= tol
     lipschitz = np.linalg.norm(jacobian_at(inv, y), 2)
     assert np.linalg.norm(pre - inv.eval(y)) <= tol * lipschitz
+
+
+def test_fiber_check_names_the_first_coinciding_pair():
+    plane = Euclidean(2)
+    pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-12], [1e-12, 0.0]]
+    report = FiberReport(
+        target=Point(np.zeros(2), plane),
+        preimages=[Point(np.array(c), plane) for c in pts],
+        residuals=[0.0] * 4,
+        method="multistart",
+        note="",
+    )
+    # (0, 3) and (1, 2) coincide; row-major order names (0, 3) first
+    with pytest.raises(LiftkitError, match="fiber preimages 0 and 3 coincide"):
+        report.check(plane, 1e-10)
+    report.preimages = report.preimages[:2]
+    report.residuals = report.residuals[:2]
+    report.check(plane, 1e-10)

@@ -27,7 +27,6 @@ from .geometry import (
     Euclidean,
     ExpressionPath,
     Loop,
-    Point,
     Segment,
     path_length,
     polyline,

@@ -11,6 +11,11 @@ Grammar (EBNF):
 A source string may also be a top-level parenthesized tuple
 "(e1, e2, ...)", which parses to one component per entry.
 
+Expressions are evaluated by generated code: each tuple of components
+is compiled once, on first use, into straight-line Python source with
+its forward-mode derivatives written out, in a point form over Python
+floats and math and a block form over numpy arrays (see "Forward-mode
+evaluation by generated code" below).
 Evaluation is strict about domains: log or sqrt of a negative number,
 division by zero, and non-finite intermediates raise EvalDomainError
 instead of propagating NaN or infinity.
@@ -21,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -40,6 +44,8 @@ __all__ = [
     "parse_single",
     "eval_ast",
     "jacobian_ad",
+    "compile_map",
+    "CompiledMap",
     "pretty",
     "substitute",
     "FUNCTION_NAMES",
@@ -94,10 +100,8 @@ class Ast:
     root: object
     variables: tuple
     source: str = field(default="", compare=False)
-    walk: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "walk", _compile(self.root))
+    # generated functions of the tuples of components this one leads
+    generated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def arity(self):
@@ -355,169 +359,538 @@ def parse_single(source, variables=None):
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode evaluation
+# Forward-mode evaluation by generated code
 #
-# Every Ast is compiled once, when it is built, into a closure
-# walk(x, dx, k) -> (value, tangent). x holds the variable values and dx
-# their tangents; k is 0 for a single point (Python floats, math) and 1
-# for a batch (numpy arrays). A tangent holds the partial derivatives in
-# all n variables: shape (n,) for a point, broadcastable to (N, n) for a
-# batch whose values are (N, 1) columns. None stands for a zero tangent,
-# so constants cost no derivative work and seeding every variable with
-# None evaluates values only.
+# A tuple of components is compiled, on first use, into the source of one
+# Python function, which is exec'd once and kept on the first component.
+# One generator (_emit writing into a _Writer) writes two forms of it.
+# The point form takes the variable values as Python floats and calls
+# math; a tangent, the partial derivatives in all n variables, is n float
+# locals. The block form takes numpy arrays, evaluated elementwise, and
+# calls numpy; a tangent is one array, broadcastable to (N, n) when the
+# variables are (N, 1) columns. Each form makes the operations the rules
+# below write, in their order, so the point form's floats are the entries
+# a point's numpy tangent would hold.
+#
+# A constant subtree has no tangent and costs no derivative work. Where a
+# tangent's absence is only known at run time (a min or max between a
+# constant and a variable at one point, a power by a constant subtree
+# that may be 0), a local flag holds it, the absent tangent's locals hold
+# 0.0, and the nodes above branch on the flag.
+#
+# Faults: every operation that can turn finite arguments non-finite is
+# checked right after it, and the generated function maps whatever it
+# raises (a failing float operation, a failed check, a tangent rule's
+# EvalDomainError) to the node whose line raised it, so the first
+# faulting node in evaluation order gives the message and the span. The
+# source holds only generated names, operators and the library names
+# below; numbers are bound in the function's namespace, never printed
+# (1e999 parses to inf, whose repr is not a literal).
 
-# (constant subtrees of a batch compute on floats, so may be complex)
-_FINITE = (math.isfinite, lambda v: type(v) is not complex and np.isfinite(v).all())
-_LIBS = (math, np)
-# raised by failing float operations (math.isfinite rejects complex)
-_FAULTS = (ArithmeticError, ValueError, TypeError)
-
-
-def _plus(da, db):
-    return db if da is None else da if db is None else da + db
-
-
-def _minus(da, db):
-    return _times(-1.0, db) if da is None else da if db is None else da - db
-
-
-def _times(p, d):
-    return None if d is None else p * d
-
-
-def _sqrt_tangent(m, a, v, da):
-    zero = v == 0
-    if np.any(zero & (da != 0)):
-        raise EvalDomainError("sqrt not differentiable at zero")
-    return np.where(zero, 0.0, da / (2.0 * np.where(zero, 1.0, v)))
-
-
-def _pow_tangent(a, b, v, da, db):
-    if db is not None:
-        if not np.all(a > 0):
-            raise EvalDomainError("power not differentiable at non-positive base")
-        return v * _plus(db * np.log(a), _times(b / a, da))
-    # constant exponent: direct rule, no log and no division
-    # (v * b / a overflows on subnormal bases)
-    if b == 0:
-        return None
-    zero = a == 0  # a < 0 has already failed unless b is an integer
-    if not float(b).is_integer() and np.any(zero):
-        if np.any(zero & (da != 0)):
-            raise EvalDomainError("power not differentiable at non-positive base")
-        a = np.where(zero, 1.0, a)
-    return b * a ** (b - 1.0) * da
-
-
-# name -> (float implementation, array implementation, tangent rule
-# (m, a, v, da) -> tangent of v = f(a) with m math or numpy, fault message)
-_FUNCTIONS = {
-    "sin": (math.sin, np.sin, lambda m, a, v, da: m.cos(a) * da, ""),
-    "cos": (math.cos, np.cos, lambda m, a, v, da: -m.sin(a) * da, ""),
-    "tan": (math.tan, np.tan, lambda m, a, v, da: (1.0 + v * v) * da, ""),
-    "exp": (math.exp, np.exp, lambda m, a, v, da: v * da, ""),
-    "log": (
-        math.log, np.log, lambda m, a, v, da: da / a, "log of a non-positive number"
-    ),
-    "sqrt": (math.sqrt, np.sqrt, _sqrt_tangent, "sqrt of a negative number"),
-    "abs": (abs, np.abs, lambda m, a, v, da: m.copysign(1.0, a) * (a != 0) * da, ""),
-    "atan": (math.atan, np.arctan, lambda m, a, v, da: da / (1.0 + a * a), ""),
-    "tanh": (math.tanh, np.tanh, lambda m, a, v, da: (1.0 - v * v) * da, ""),
+# generated name -> (point form, block form)
+_LIBRARY = {
+    "_sin": (math.sin, np.sin),
+    "_cos": (math.cos, np.cos),
+    "_tan": (math.tan, np.tan),
+    "_exp": (math.exp, np.exp),
+    "_log": (math.log, np.log),
+    "_sqrt": (math.sqrt, np.sqrt),
+    "_abs": (abs, np.abs),
+    "_atan": (math.atan, np.arctan),
+    "_tanh": (math.tanh, np.tanh),
+    "_copysign": (math.copysign, np.copysign),
+    "_isfinite": (math.isfinite, np.isfinite),
 }
-_NEGATION = (operator.neg, operator.neg, lambda m, a, v, da: -da, "")
-# variadic, 2 or more arguments: name -> "first argument beats second"
-_EXTREMES = {"min": operator.lt, "max": operator.gt}
-FUNCTION_NAMES = frozenset(_FUNCTIONS) | frozenset(_EXTREMES)
-# op -> (name, value, tangent rule (a, b, v, da, db) with da or db not None)
+# name -> (tangent factor k of argument a and value v, and whether the
+# tangent is k * da or da / k); sqrt has a rule of its own
+_UNARY = {
+    "sin": ("_cos(%(a)s)", "*"),
+    "cos": ("-_sin(%(a)s)", "*"),
+    "tan": ("1.0 + %(v)s * %(v)s", "*"),
+    "exp": ("%(v)s", "*"),
+    "log": ("%(a)s", "/"),
+    "sqrt": (None, None),
+    "abs": ("_copysign(1.0, %(a)s) * (%(a)s != 0)", "*"),
+    "atan": ("1.0 + %(a)s * %(a)s", "/"),
+    "tanh": ("1.0 - %(v)s * %(v)s", "*"),
+}
+_FAULT_MESSAGES = {
+    "log": "log of a non-positive number",
+    "sqrt": "sqrt of a negative number",
+}
+# numpy's forms of these can be non-finite at a finite argument (math's
+# raise instead); the other functions are finite wherever defined
+_UNBOUNDED = frozenset({"exp", "log", "sqrt"})
+# variadic, 2 or more arguments: name -> "argument beats the best so far"
+_EXTREMES = {"min": "<", "max": ">"}
+FUNCTION_NAMES = frozenset(_UNARY) | frozenset(_EXTREMES)
+# op -> (name, Python operator)
 _BINARY = {
-    "+": ("addition", operator.add, lambda a, b, v, da, db: _plus(da, db)),
-    "-": ("subtraction", operator.sub, lambda a, b, v, da, db: _minus(da, db)),
-    "*": ("multiplication", operator.mul,
-          lambda a, b, v, da, db: _plus(_times(b, da), _times(a, db))),
-    "/": ("division", operator.truediv,
-          lambda a, b, v, da, db: _minus(da, _times(v, db)) / b),
-    "^": ("power", operator.pow, _pow_tangent),
+    "+": ("addition", "+"),
+    "-": ("subtraction", "-"),
+    "*": ("multiplication", "*"),
+    "/": ("division", "/"),
+    "^": ("power", "**"),
 }
+# raised by failing float operations (math.isfinite rejects complex), by
+# the checks (ArithmeticError) and by the tangent rules
+_CAUGHT = (ArithmeticError, ValueError, TypeError, EvalDomainError)
+_HEADER = "def _generated(%s):\n    try:\n"
+_FOOTER = "\n    except _CAUGHT as err:\n        raise _fault(err) from None\n"
+# the source line of the body's first line
+_FIRST_LINE = _HEADER.count("\n") + 1
 
 
-def _compile(node):
-    """Closure walk(x, dx, k) -> (value, tangent) for one tree."""
+@dataclass(frozen=True)
+class _Dyn:
+    """A tangent absent when the local flag is true; its parts then hold
+    0.0."""
+
+    flag: str
+    parts: tuple
+
+
+def _part(t):
+    """The one part of a block-form tangent, 0.0 for an absent one."""
+    if t is None:
+        return "0.0"
+    return t.parts[0] if type(t) is _Dyn else t[0]
+
+
+class _Writer:
+    """The body of one generated function, line by line, with the owner of
+    each line: the node whose fault the line raises and, for a division,
+    the name of its divisor."""
+
+    def __init__(self, n, block, derivatives):
+        self.n = n
+        self.block = block
+        self.derivatives = derivatives
+        self.width = 1 if block else n  # parts per tangent
+        self.lines = []
+        self.owners = []
+        self.owner = None
+        self.depth = 2
+        self.count = 0
+        self.namespace = {name: forms[block] for name, forms in _LIBRARY.items()}
+        self.namespace.update(
+            _np=np,
+            _E=ArithmeticError,
+            _D=EvalDomainError,
+            _CAUGHT=_CAUGHT,
+            _SQRT="sqrt not differentiable at zero",
+            _POWER="power not differentiable at non-positive base",
+        )
+
+    def write(self, template, *names):
+        self.lines.append("    " * self.depth + template % names)
+        self.owners.append(self.owner)
+
+    def new(self):
+        self.count += 1
+        return self.count
+
+    def bind(self, value):
+        name = "_c%d" % self.new()
+        self.namespace[name] = value
+        return name
+
+    def seed(self, i):
+        """The tangent of variable i, every partial written out."""
+        if not self.derivatives:
+            return None
+        if self.block:
+            return (self.bind(_seeds(self.n)[i]),)
+        return tuple("1.0" if j == i else "0.0" for j in range(self.n))
+
+    def names(self, k):
+        return tuple("t%d_%d" % (k, j) for j in range(self.width))
+
+    def parts(self, k, template, *args):
+        """Write part j of node k's tangent as template over args, each a
+        tangent (its part j is taken) or a name; return the parts."""
+        names = self.names(k)
+        for j, name in enumerate(names):
+            self.write(
+                "%s = " + template, name, *[a[j] if type(a) is tuple else a for a in args]
+            )
+        return names
+
+    def check(self, v, power=False):
+        """Raise where v is non-finite (or, after a power, complex)."""
+        if self.block:
+            test = "type(%s) is complex or " % v if power else ""
+            self.write("if %snot _isfinite(%s).all(): raise _E", test, v)
+        elif power:
+            self.write("if not _isfinite(%s): raise _E", v)
+        else:
+            self.write("if %s - %s: raise _E", v, v)
+
+    def branches(self, k, cases):
+        """Write "if c1: ... elif/else: ..." over cases [(condition or None
+        for else, body)], each body writing its lines and returning a
+        tangent of node k. Returns node k's tangent; branch results that
+        differ are assigned to node k's own names."""
+        done = []
+        for cond, body in cases:
+            saved, self.lines, self.owners = (self.lines, self.owners), [], []
+            self.depth += 1
+            result = body()
+            self.depth -= 1
+            done.append((cond, result, self.lines, self.owners))
+            self.lines, self.owners = saved
+        results = [res for _, res, _, _ in done]
+        names = self.names(k)
+        if all(res is None for res in results):
+            merged = None
+        elif all(type(res) is tuple for res in results):
+            merged = results[0] if len(set(results)) == 1 else names
+        else:
+            merged = _Dyn("z%d" % k, names)
+        for i, (cond, res, lines, owners) in enumerate(done):
+            if cond is None:
+                self.write("else:")
+            else:
+                self.write("if %s:" if i == 0 else "elif %s:", cond)
+            self.lines += lines
+            self.owners += owners
+            self.depth += 1
+            size = len(self.lines)
+            if type(merged) is _Dyn and type(res) is not _Dyn:
+                self.write("z%d = %s", k, res is None)
+            if (merged is names or type(merged) is _Dyn) and type(res) is not _Dyn:
+                for name, part in zip(names, res or ("0.0",) * self.width):
+                    if name != part:
+                        self.write("%s = %s", name, part)
+            if not lines and len(self.lines) == size:
+                self.write("pass")
+            self.depth -= 1
+        return merged
+
+
+def _literal(node):
+    """The value of a number or of a negated literal, else None."""
     if isinstance(node, Num):
-        value = node.value
-        return lambda x, dx, k: (value, None)
-    if isinstance(node, Var):
-        i = node.index
-        return lambda x, dx, k: (x[i], dx[i])
+        return node.value
     if isinstance(node, Neg):
-        return _call(_NEGATION, "negation", _compile(node.arg), node.span)
+        inner = _literal(node.arg)
+        return None if inner is None else -inner
+    return None
+
+
+def _tangent(w, k, rule, tangents):
+    """Node k's tangent by rule(*tangents), branching on every argument
+    tangent whose absence is decided at run time."""
+    for i, t in enumerate(tangents):
+        if type(t) is _Dyn:
+            absent, present = list(tangents), list(tangents)
+            absent[i], present[i] = None, t.parts
+            return w.branches(k, [
+                (t.flag, lambda: _tangent(w, k, rule, absent)),
+                (None, lambda: _tangent(w, k, rule, present)),
+            ])
+    if all(t is None for t in tangents):
+        return None
+    return rule(*tangents)
+
+
+def _emit(w, node):
+    """Write the code of node's subtree, arguments first. Returns the name
+    of its value, its tangent (None, a tuple of parts or a _Dyn) and
+    whether the value may be a non-finite input: a variable, a constant,
+    or a min or max of those (every other value has been checked)."""
+    if isinstance(node, Num):
+        return w.bind(node.value), None, True
+    if isinstance(node, Var):
+        if not 0 <= node.index < w.n:
+            raise InputError("variable %r has no index among %d" % (node.name, w.n))
+        return "x%d" % node.index, w.seed(node.index), True
     if isinstance(node, BinOp):
-        return _binary(node.op, _compile(node.left), _compile(node.right), node.span)
-    if node.fn in _EXTREMES:
-        return _extreme(_EXTREMES[node.fn], [_compile(a) for a in node.args])
-    return _call(_FUNCTIONS[node.fn], node.fn + "()", _compile(node.args[0]), node.span)
+        args = [_emit(w, node.left), _emit(w, node.right)]
+    elif isinstance(node, Neg):
+        args = [_emit(w, node.arg)]
+    else:
+        args = [_emit(w, arg) for arg in node.args]
+    k = w.new()
+    v = "v%d" % k
+    if isinstance(node, BinOp):
+        (a, da, _), (b, db, _) = args
+        w.owner = (node, b if node.op == "/" else None)
+        w.write("%s = %s %s %s", v, a, _BINARY[node.op][1], b)
+        w.check(v, power=node.op == "^")
+        rule = _binary_rule(w, k, node, a, b, v)
+        tangents = [da, db]
+    elif isinstance(node, Neg) or node.fn in _UNARY:
+        ((a, da, raw),) = args
+        fn = "neg" if isinstance(node, Neg) else node.fn
+        w.owner = (node, None)
+        if fn == "neg":
+            w.write("%s = -%s", v, a)
+        else:
+            w.write("%s = _%s(%s)", v, fn, a)
+        if raw or (w.block and fn in _UNBOUNDED):
+            w.check(v)
+        rule = _unary_rule(w, k, fn, a, v)
+        tangents = [da]
+    else:
+        w.owner = (node, None)
+        return v, _extreme(w, k, node.fn, args), any(raw for _, _, raw in args)
+    tangent = _tangent(w, k, rule, tangents) if w.derivatives else None
+    return v, tangent, False
 
 
-def _binary(op, left, right, span):
-    what, value, tangent = _BINARY[op]
+def _binary_rule(w, k, node, a, b, v):
+    op = node.op
 
-    def binary(x, dx, k):
-        a, da = left(x, dx, k)
-        b, db = right(x, dx, k)
-        try:
-            v = value(a, b)
-            if _FINITE[k](v):
-                if da is None and db is None:
-                    return v, None
-                return v, tangent(a, b, v, da, db)
-        except _FAULTS:
-            pass
-        except EvalDomainError as err:
-            raise EvalDomainError(str(err), span) from None
-        if op == "/" and np.any(b == 0):
-            raise EvalDomainError("division by zero", span)
-        raise EvalDomainError("non-finite value in " + what, span)
+    def rule(da, db):
+        if op == "+":
+            return db if da is None else da if db is None else w.parts(
+                k, "%s + %s", da, db
+            )
+        if op == "-":
+            if da is None:
+                return w.parts(k, "-1.0 * %s", db)
+            return da if db is None else w.parts(k, "%s - %s", da, db)
+        if op == "*":
+            if da is None:
+                return w.parts(k, "%s * %s", a, db)
+            if db is None:
+                return w.parts(k, "%s * %s", b, da)
+            return w.parts(k, "%s * %s + %s * %s", b, da, a, db)
+        if op == "/":
+            if da is None:
+                return w.parts(k, "-1.0 * (%s * %s) / %s", v, db, b)
+            if db is None:
+                return w.parts(k, "%s / %s", da, b)
+            return w.parts(k, "(%s - %s * %s) / %s", da, v, db, b)
+        if db is not None:
+            w.write(
+                ("if not _np.all(%s > 0): raise _D(_POWER)" if w.block
+                 else "if not %s > 0: raise _D(_POWER)"), a
+            )
+            log = "k%d" % k
+            # numpy's log at a point too, as the block takes it
+            w.write("%s = _np.log(%s)" if w.block else "%s = float(_np.log(%s))", log, a)
+            if da is None:
+                return w.parts(k, "%s * (%s * %s)", v, db, log)
+            w.write("q%d = %s / %s", k, b, a)
+            return w.parts(k, "%s * (%s * %s + q%d * %s)", v, db, log, k, da)
+        # constant exponent: direct rule, no log and no division
+        # (v * b / a overflows on subnormal bases)
+        exponent = _literal(node.right)
+        if exponent is None:
+            return w.branches(k, [
+                ("%s == 0" % b, lambda: None),
+                (None, lambda: _constant_power(w, k, a, b, da, None)),
+            ])
+        if exponent == 0:
+            return None
+        return _constant_power(w, k, a, b, da, float(exponent).is_integer())
 
-    return binary
+    return rule
 
 
-def _call(row, what, arg, span):
-    scalar, array, tangent, fault = row
-    impls = (scalar, array)
-    fault = fault or "non-finite value in " + what
+def _constant_power(w, k, a, b, da, integer):
+    """Tangent of a^b for a constant b != 0; integer tells whether b is an
+    integer, None to test it at run time. A base of 0 with a non-integer
+    b has no derivative where a's tangent is nonzero."""
+    factor = "k%d" % k
+    w.write("%s = %s", factor, a)
+    if integer is not True:
+        if integer is None:
+            w.write("if not float(%s).is_integer():", b)
+            w.depth += 1
+        if w.block:
+            w.write("y%d = %s == 0", k, factor)
+            w.write("if _np.any(y%d):", k)
+            w.depth += 1
+            w.write("if _np.any(y%d & (%s != 0)): raise _D(_POWER)", k, da[0])
+            w.write("%s = _np.where(y%d, 1.0, %s)", factor, k, factor)
+        else:
+            w.write("if %s == 0:", factor)
+            w.depth += 1
+            w.write("if %s: raise _D(_POWER)", " or ".join("%s != 0" % p for p in da))
+            w.write("%s = 1.0", factor)
+        w.depth -= 2 if integer is None else 1
+    w.write("%s = %s * %s ** (%s - 1.0)", factor, b, factor, b)
+    return w.parts(k, "%s * %s", factor, da)
 
-    def call(x, dx, k):
-        a, da = arg(x, dx, k)
-        try:
-            v = impls[k](a)
-            if _FINITE[k](v):
-                return v, None if da is None else tangent(_LIBS[k], a, v, da)
-        except _FAULTS:
-            pass
-        except EvalDomainError as err:
-            raise EvalDomainError(str(err), span) from None
-        raise EvalDomainError(fault, span)
 
-    return call
+def _unary_rule(w, k, fn, a, v):
+    def rule(da):
+        if fn == "neg":
+            return w.parts(k, "-%s", da)
+        if fn == "sqrt":
+            return _sqrt_tangent(w, k, v, da)
+        template, op = _UNARY[fn]
+        factor = "k%d" % k
+        w.write("%s = " + template % {"a": a, "v": v}, factor)
+        if op == "*":
+            return w.parts(k, "%s * %s", factor, da)
+        return w.parts(k, "%s / %s", da, factor)
+
+    return rule
 
 
-def _extreme(beats, args):
-    # ties keep the earlier argument, for the value and the tangent alike
-    def extreme(x, dx, k):
-        best, bd = args[0](x, dx, k)
-        for arg in args[1:]:
-            a, da = arg(x, dx, k)
-            take = beats(a, best)
-            if k == 0:
-                best, bd = (a, da) if take else (best, bd)
-                continue
-            best = np.where(take, a, best)
-            if da is not None or bd is not None:
-                bd = np.where(
-                    take, 0.0 if da is None else da, 0.0 if bd is None else bd
-                )
-        return best, bd
+def _sqrt_tangent(w, k, v, da):
+    """da / (2 sqrt(a)), and 0 where sqrt(a) is 0 and da is too."""
+    if w.block:
+        zero = "y%d" % k
+        w.write("%s = %s == 0", zero, v)
+        w.write("if _np.any(%s & (%s != 0)): raise _D(_SQRT)", zero, da[0])
+        return w.parts(
+            k, "_np.where(%s, 0.0, %s / (2.0 * _np.where(%s, 1.0, %s)))", zero, da, zero, v
+        )
 
-    return extreme
+    def at_zero():
+        w.write("if %s: raise _D(_SQRT)", " or ".join("%s != 0" % p for p in da))
+        return ("0.0",) * w.width
+
+    def elsewhere():
+        w.write("k%d = 2.0 * %s", k, v)
+        return w.parts(k, "%s / %s", da, "k%d" % k)
+
+    return w.branches(k, [("%s == 0" % v, at_zero), (None, elsewhere)])
+
+
+def _extreme(w, k, fn, args):
+    """Write min or max over args [(value, tangent, raw)] into node k;
+    return its tangent. Ties keep the earlier argument, for the value and
+    the tangent alike."""
+    beats = _EXTREMES[fn]
+    v = "v%d" % k
+    w.write("%s = %s", v, args[0][0])
+    tangents = [t if w.derivatives else None for _, t, _ in args]
+    if w.block:
+        current = tangents[0]
+        for (a, _, _), t in zip(args[1:], tangents[1:]):
+            take = "y%d" % w.new()
+            w.write("%s = %s %s %s", take, a, beats, v)
+            w.write("%s = _np.where(%s, %s, %s)", v, take, a, v)
+            if t is not None or current is not None:
+                w.write("t%d = _np.where(%s, %s, %s)", k, take, _part(t), _part(current))
+                current = ("t%d" % k,)
+        if current is None or any(type(t) is tuple for t in tangents):
+            return current
+        w.write("z%d = %s", k, " and ".join(t.flag for t in tangents if t is not None))
+        return _Dyn("z%d" % k, current)
+    # a point takes the first argument that beats the best so far
+    if all(t is None for t in tangents):
+        kind = None
+    elif all(type(t) is tuple for t in tangents):
+        kind = tuple
+    else:
+        kind = _Dyn
+    names = w.names(k)
+
+    def take(t):
+        if kind is _Dyn:
+            flag = t.flag if type(t) is _Dyn else t is None
+            w.write("z%d = %s", k, flag)
+        if kind is not None:
+            parts = ("0.0",) * w.width if t is None else getattr(t, "parts", t)
+            for name, part in zip(names, parts):
+                w.write("%s = %s", name, part)
+
+    take(tangents[0])
+    for (a, _, _), t in zip(args[1:], tangents[1:]):
+        w.write("if %s %s %s:", a, beats, v)
+        w.depth += 1
+        w.write("%s = %s", v, a)
+        take(t)
+        w.depth -= 1
+    if kind is None:
+        return None
+    return names if kind is tuple else _Dyn("z%d" % k, names)
+
+
+def _fault_message(node):
+    if isinstance(node, BinOp):
+        return "non-finite value in " + _BINARY[node.op][0]
+    if isinstance(node, Neg):
+        return "non-finite value in negation"
+    return _FAULT_MESSAGES.get(node.fn, "non-finite value in %s()" % node.fn)
+
+
+def _located(owners, err):
+    """err, raised in a generated function, as the EvalDomainError of the
+    node whose line raised it; err itself when no node's line did."""
+    tb = err.__traceback__
+    line = tb.tb_lineno - _FIRST_LINE
+    owner = owners[line] if 0 <= line < len(owners) else None
+    if owner is None:
+        return err
+    node, divisor = owner
+    if isinstance(err, EvalDomainError):
+        message = str(err)
+    elif divisor is not None and np.any(_lookup(tb.tb_frame, divisor) == 0):
+        message = "division by zero"
+    else:
+        message = _fault_message(node)
+    return EvalDomainError(message, node.span)
+
+
+def _lookup(frame, name):
+    local = frame.f_locals
+    return local[name] if name in local else frame.f_globals[name]
+
+
+def _nonfinite_derivative(spans, rows):
+    """Raise for the first component whose Jacobian row is non-finite."""
+    for span, row in zip(spans, rows):
+        if not all(map(math.isfinite, row)):
+            raise EvalDomainError("non-finite derivative", span)
+
+
+def _generate(components, block, derivatives):
+    """The generated function of components (Ast sharing one variable
+    tuple), taking the n variable values. It returns the m component
+    values or, with derivatives, their tangents: at a point the (m, n)
+    Jacobian as nested lists, on a block one array or None per
+    component."""
+    n = components[0].arity
+    w = _Writer(n, block, derivatives)
+    roots = [_emit(w, c.root) for c in components]
+    w.owner = None
+    if not derivatives:
+        w.write("return [%s]", ", ".join(v for v, _, _ in roots))
+    elif block:
+        w.write(
+            "return [%s]",
+            ", ".join("None" if t is None else _part(t) for _, t, _ in roots),
+        )
+    else:
+        rows = [("0.0",) * n if t is None else getattr(t, "parts", t) for _, t, _ in roots]
+        jac = "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in rows)
+        names = [p for row in rows for p in row if p not in ("0.0", "1.0")]
+        if names:
+            test = " + ".join("(%s - %s)" % (p, p) for p in names)
+            w.write("if %s: _nonfinite(%s)", test, jac)
+        w.write("return %s", jac)
+    source = (
+        _HEADER % ", ".join("x%d" % i for i in range(n))
+        + "\n".join(w.lines)
+        + _FOOTER
+    )
+    namespace = w.namespace
+    namespace["_fault"] = functools.partial(_located, w.owners)
+    namespace["_nonfinite"] = functools.partial(
+        _nonfinite_derivative, [c.root.span for c in components]
+    )
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["_generated"]
+
+
+def _cached(make, components, *args):
+    """make(components, *args) for a tuple of components, made on first
+    use and kept on the first component (with the others, so their ids
+    in the key stay theirs)."""
+    key = (make,) + args + tuple(map(id, components[1:]))
+    cache = components[0].generated
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = (components[1:], make(components, *args))
+    return got[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -526,6 +899,80 @@ def _seeds(n):
     eye = np.eye(n)
     eye.flags.writeable = False
     return tuple(eye)
+
+
+@dataclass(frozen=True)
+class CompiledMap:
+    """The generated callables of a map whose rows are m components in n
+    variables: values(c) and jacobian(c) at a point c of shape (n,), an
+    (m,) and an (m, n) array; values_many(P) and jacobian_many(P) on an
+    (N, n) block, an (N, m) and an (N, m, n) array. A fault at any point
+    raises EvalDomainError."""
+
+    values: object
+    values_many: object
+    jacobian: object
+    jacobian_many: object
+
+
+def compile_map(components):
+    """The CompiledMap of components, a sequence of Ast sharing one
+    variable tuple; made once per tuple of components."""
+    comps = tuple(components)
+    if not comps:
+        raise InputError("no components given")
+    if len({c.variables for c in comps}) > 1:
+        raise InputError("components disagree on variables")
+    return _cached(_map_callables, comps)
+
+
+def _map_callables(comps):
+    m, n = len(comps), comps[0].arity
+
+    def lazily(block, derivatives):
+        # a one-slot cell holding the generated function, which is
+        # compiled on its first call (a serial caller never needs the
+        # block forms)
+        cell = []
+
+        def first(*x):
+            cell[0] = _cached(_generate, comps, block, derivatives)
+            return cell[0](*x)
+
+        cell.append(first)
+        return cell
+
+    point_values, block_values = lazily(False, False), lazily(True, False)
+    point_jacobian, block_jacobian = lazily(False, True), lazily(True, True)
+
+    def values(c):
+        return np.array(point_values[0](*c.tolist()))
+
+    def values_many(pts):
+        out = np.empty((pts.shape[0], m))
+        with np.errstate(all="ignore"):
+            got = block_values[0](*pts.T)
+        for i, value in enumerate(got):
+            out[:, i] = value
+        return out
+
+    def jacobian(c):
+        return np.array(point_jacobian[0](*c.tolist()), dtype=float)
+
+    def jacobian_many(pts):
+        jac = np.zeros((pts.shape[0], m, n))
+        with np.errstate(all="ignore"):
+            got = block_jacobian[0](*[pts[:, i : i + 1] for i in range(n)])
+        for i, d in enumerate(got):
+            if d is not None:
+                jac[:, i, :] = d
+        if not np.isfinite(jac).all():
+            rows_ok = np.isfinite(jac).all(axis=-1).all(axis=0)
+            bad = comps[int(np.argmin(rows_ok))]
+            raise EvalDomainError("non-finite derivative", bad.root.span)
+        return jac
+
+    return CompiledMap(values, values_many, jacobian, jacobian_many)
 
 
 def eval_ast(a, x):
@@ -540,12 +987,11 @@ def eval_ast(a, x):
             "expression takes %d variable(s) %s, got %d values"
             % (a.arity, a.variables, len(x))
         )
-    nothing = (None,) * len(x)
     if all(type(v) is float or np.ndim(v) == 0 for v in x):
-        return float(a.walk([float(v) for v in x], nothing, 0)[0])
+        return float(_cached(_generate, (a,), False, False)(*[float(v) for v in x])[0])
     env = [np.asarray(v, dtype=float) for v in x]
     with np.errstate(all="ignore"):
-        out = np.asarray(a.walk(env, nothing, 1)[0], dtype=float)
+        out = np.asarray(_cached(_generate, (a,), True, False)(*env)[0], dtype=float)
     if out.ndim == 0 and env and env[0].ndim > 0:
         out = np.broadcast_to(out, env[0].shape).copy()
     return out
@@ -559,31 +1005,15 @@ def jacobian_ad(components, x):
     m = len(components); for an (N, n) block of points it is an
     (N, m, n) stack. A fault at any point of a block raises.
     """
-    comps = list(components)
-    if not comps:
-        raise InputError("no components given")
-    if len({c.variables for c in comps}) > 1:
-        raise InputError("components disagree on variables")
+    comps = tuple(components)
+    compiled = compile_map(comps)
     n = comps[0].arity
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == n:
-        env, k = pts.tolist(), 0
-    elif pts.ndim == 2 and pts.shape[1] == n:
-        env, k = [pts[:, i : i + 1] for i in range(n)], 1
-    else:
-        raise InputError("point shape %s is not (%d,) or (N, %d)" % (pts.shape, n, n))
-    seeds = _seeds(n)
-    jac = np.zeros(pts.shape[:-1] + (len(comps), n))
-    with np.errstate(all="ignore"):
-        for i, c in enumerate(comps):
-            d = c.walk(env, seeds, k)[1]
-            if d is not None:
-                jac[..., i, :] = d
-    if not np.isfinite(jac).all():
-        rows_ok = np.isfinite(jac).all(axis=-1).reshape(-1, len(comps)).all(axis=0)
-        bad = comps[int(np.argmin(rows_ok))]
-        raise EvalDomainError("non-finite derivative", bad.root.span)
-    return jac
+        return compiled.jacobian(pts)
+    if pts.ndim == 2 and pts.shape[1] == n:
+        return compiled.jacobian_many(pts)
+    raise InputError("point shape %s is not (%d,) or (N, %d)" % (pts.shape, n, n))
 
 
 # ---------------------------------------------------------------------------

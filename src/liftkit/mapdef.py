@@ -9,7 +9,9 @@ request.
 A built-in map is written once as a value formula and a Jacobian
 formula, formula(m, *coords), which call their functions as m.exp,
 m.cos, ...; the same formula evaluates one point over Python floats
-with math and a block of points over numpy columns (_pointwise).
+with math and a block of points over numpy columns (_pointwise). An
+expression map calls the functions exprlang generates from its
+components (exprlang.compile_map).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
 )
 from .geometry import (
     Euclidean,
-    OpenSubset,
     Point,
     Space,
     subset_from_expression,
@@ -380,12 +381,6 @@ def builtin_names():
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)$")
 
 
-def _components(asts):
-    """The formula of a tuple of component expressions; the walker
-    picks float or array evaluation from the coordinates it gets."""
-    return lambda m, *coords: [exprlang.eval_ast(a, coords) for a in asts]
-
-
 def expression_map(
     source,
     variables=None,
@@ -418,15 +413,10 @@ def expression_map(
             % (m, codomain.dim)
         )
 
-    ev, ev_many = _pointwise(_components(asts), (m,))
+    compiled = exprlang.compile_map(asts)
     if jacobian_source is None:
         mode = "automatic"
-
-        def jac_one(c):
-            # one point (n,) or a block (N, n) alike
-            return exprlang.jacobian_ad(asts, c)
-
-        jac_many = jac_one
+        jac_one, jac_many = compiled.jacobian, compiled.jacobian_many
     else:
         jasts = exprlang.parse(jacobian_source, varnames)
         if len(jasts) != m * n:
@@ -434,10 +424,14 @@ def expression_map(
                 "jacobian needs %d expressions (rows x columns), got %d"
                 % (m * n, len(jasts))
             )
-        rows = [_components(jasts[i : i + n]) for i in range(0, m * n, n)]
-        jac_one, jac_many = _pointwise(
-            lambda lib, *c: [row(lib, *c) for row in rows], (m, n)
-        )
+        entries = exprlang.compile_map(jasts)
+
+        def jac_one(c):
+            return entries.values(c).reshape(m, n)
+
+        def jac_many(pts):
+            return entries.values_many(pts).reshape(pts.shape[0], m, n)
+
         mode = "analytic"
     if jacobian_mode == "finite_difference":
         mode = "finite_difference"
@@ -451,8 +445,8 @@ def expression_map(
         domain=domain,
         codomain=codomain,
         jacobian_mode=mode,
-        eval_one=ev,
-        eval_many_fn=ev_many,
+        eval_one=compiled.values,
+        eval_many_fn=compiled.values_many,
         jac_one=jac_one,
         jac_many_fn=jac_many,
         asts=asts,
@@ -544,21 +538,23 @@ def _smax(m, a, b, c, d):
     return 0.5 * (m.sqrt(p * p + q * q) + m.sqrt(u * u + v * v))
 
 
-def _entries(jac):
-    """(s, entries) of one square 1x1 or 2x2 matrix the closed forms
-    take, the entries Python floats in row order and s the sum of their
-    absolute values; None for LAPACK."""
+def _closed_form(jac):
+    """What the closed forms take of one square matrix, as Python
+    floats: (s, a) for [[a]], s = |a|; (2^e, a, b, c, d) for
+    [[a, b], [c, d]], the entries over 2^e (_scaled); None for LAPACK.
+    One matrix's singular values and solve can share it."""
     if jac.shape == (2, 2):
         (a, b), (c, d) = jac.tolist()
         s = abs(a) + abs(b) + abs(c) + abs(d)
-        entries = (a, b, c, d)
     elif jac.shape == (1, 1):
-        entries = (jac.item(),)
-        s = abs(entries[0])
+        a = jac.item()
+        s = abs(a)
     else:
         return None
     lo, hi = _SCALE_RANGE
-    return (s, entries) if lo < s < hi else None
+    if not lo < s < hi:
+        return None
+    return (s, a) if jac.shape == (1, 1) else _scaled(math, s, a, b, c, d)
 
 
 def _entries_many(jacs):
@@ -591,13 +587,16 @@ def singular_extremes(jac):
     """(smin, smax) of one matrix: its largest singular value and its
     smallest, which is 0 for a wider-than-tall matrix (it has a null
     direction)."""
-    got = _entries(jac)
-    if got is None:
+    return _extremes(jac, _closed_form(jac))
+
+
+def _extremes(jac, closed):
+    """singular_extremes of jac, given its _closed_form."""
+    if closed is None:
         return _lapack_extremes(jac)
-    s, entries = got
-    if len(entries) == 1:
-        return s, s
-    scale, a, b, c, d = _scaled(math, s, *entries)
+    if len(closed) == 2:
+        return closed[0], closed[0]
+    scale, a, b, c, d = closed
     smax = _smax(math, a, b, c, d)
     return abs(_det(a, b, c, d)) / smax * scale, smax * scale
 
@@ -625,11 +624,10 @@ def singular_extremes_many(jacs):
 
 def det_sign(jac):
     """The sign of a square matrix's determinant: 1.0, -1.0 or 0.0."""
-    got = _entries(jac)
-    if got is None:
+    closed = _closed_form(jac)
+    if closed is None:
         return float(np.linalg.slogdet(jac)[0])
-    s, entries = got
-    det = entries[0] if len(entries) == 1 else _det(*_scaled(math, s, *entries)[1:])
+    det = closed[1] if len(closed) == 2 else _det(*closed[1:])
     return float((det > 0) - (det < 0))
 
 
@@ -652,14 +650,17 @@ def linear_solve(jac, rhs):
     """The solution x of jac x = rhs for one square matrix and an (n,)
     right-hand side. Raises numpy.linalg.LinAlgError when the matrix is
     singular (for 2x2, when its scaled determinant is 0)."""
-    got = _entries(jac)
-    if got is None:
+    return _solve(jac, _closed_form(jac), rhs)
+
+
+def _solve(jac, closed, rhs):
+    """linear_solve of jac, given its _closed_form."""
+    if closed is None:
         return np.linalg.solve(jac, rhs)
-    s, entries = got
     r = np.asarray(rhs, dtype=float).tolist()
-    if len(entries) == 1:
-        return np.array([r[0] / entries[0]])
-    scale, a, b, c, d = _scaled(math, s, *entries)
+    if len(closed) == 2:
+        return np.array([r[0] / closed[1]])
+    scale, a, b, c, d = closed
     det = _det(a, b, c, d)
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
@@ -811,13 +812,14 @@ def _newton(f, y, x, tol, max_iter):
         r = float(_distances(f, y, fx[None, :])[0])
         for iters in range(max_iter + 1):
             jac = f._jacobian(x)
-            smin, smax = singular_extremes(jac)
+            closed = _closed_form(jac)
+            smin, smax = _extremes(jac, closed)
             if r <= tol:
                 return _NewtonRun(CONVERGED, x, iters, r, jac, smin)
             if smin <= SINGULAR_RTOL * max(smax, 1.0):
                 return _NewtonRun(SINGULAR, x, iters, r, jac, smin)
             residual_vec = f.codomain.canonical(fx - y)
-            step = linear_solve(jac, -residual_vec)
+            step = _solve(jac, closed, -residual_vec)
             faults = 0
             for lam in _LAMBDAS:
                 trial = f.domain.canonical(x + lam * step)

@@ -14,14 +14,13 @@ the scalar derivative dominates the global ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
 from .geometry import (
     FunctionPath,
-    Path,
     Sampled,
     Segment,
     path_length,

@@ -26,7 +26,6 @@ from liftkit import (
     expression_map,
     fiber_enumerate,
     find_tau,
-    implicit_eval,
     invert_at,
     length_bounds_report,
     lift_path,

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liftkit.errors import EvalDomainError, ParseError
@@ -19,6 +19,7 @@ from liftkit.exprlang import (
     pretty,
     substitute,
 )
+from liftkit.hadamard import ExpressionWeight
 
 
 def test_tuple_source_yields_two_components():
@@ -196,3 +197,253 @@ def test_dual_derivative_matches_finite_difference(px, py):
         for row, a in enumerate(asts):
             fd[row, col] = (eval_ast(a, hi) - eval_ast(a, lo)) / (2 * h)
     assert np.allclose(jac, fd, rtol=1e-4, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Random trees over the whole grammar: point and block forms, derivatives
+
+# 710 and 1e300 reach overflow: exp(710), 1e300 * 1e300, 10^710
+_LEAVES = ("x", "y", "0", "1", "2", "0.5", "3", "10", "0.001", "710", "1e300")
+_UNARY_FUNCTIONS = sorted(FUNCTION_NAMES - {"min", "max"})
+_COORD = st.floats(min_value=-3.0, max_value=3.0)
+# every function and operation, each at the root of its own random trees;
+# the tests below draw a fixed sequence (derandomize), since the filters
+# for rounding-decided and non-smooth cases are heuristics a fresh draw
+# could slip past
+_ROOTS = sorted(FUNCTION_NAMES) + ["neg", "+", "-", "*", "/", "^"]
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("(%s %s %s)".__mod__),
+        inner.map("(-%s)".__mod__),
+        st.tuples(st.sampled_from(_UNARY_FUNCTIONS), inner).map("%s(%s)".__mod__),
+        st.tuples(
+            st.sampled_from(["min", "max"]), st.lists(inner, min_size=2, max_size=3)
+        ).map(lambda t: "%s(%s)" % (t[0], ", ".join(t[1]))),
+    )
+
+
+_TREES = st.recursive(st.sampled_from(_LEAVES), _grow, max_leaves=8)
+
+
+def _rooted(root, left, right):
+    """The source of root applied to left (and right) subtrees."""
+    if root == "neg":
+        return "-(%s)" % left
+    if root in ("min", "max"):
+        return "%s(%s, %s)" % (root, left, right)
+    if root in FUNCTION_NAMES:
+        return "%s(%s)" % (root, left)
+    return "(%s) %s (%s)" % (left, root, right)
+
+
+def _outcome(call):
+    try:
+        return ("value", float(call()))
+    except EvalDomainError as err:
+        return ("fault", str(err), err.span)
+
+
+def _nudged(p, step=2.0**-48):
+    """p with one coordinate moved by step relative (a few ulps by
+    default), every way."""
+    for i in range(len(p)):
+        for sign in (-1.0, 1.0):
+            q = list(p)
+            q[i] += sign * step * max(1.0, abs(q[i]))
+            yield q
+
+
+def _steady(a, p):
+    """Whether a's outcome at p survives nudging p by a few ulps: the same
+    fault, or values within 1e-13 relative. Where it does not, rounding
+    decides the result, and math's and numpy's functions, which differ in
+    the last place, may decide it differently."""
+    base = _outcome(lambda: eval_ast(a, p))
+    for q in _nudged(p):
+        got = _outcome(lambda: eval_ast(a, q))
+        if got[0] != base[0] or (got[0] == "fault" and got != base):
+            return False
+        if got[0] == "value" and not (
+            got[1] == base[1] or abs(got[1] - base[1]) <= 1e-13 * abs(base[1])
+        ):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+@given(left=_TREES, right=_TREES, px=_COORD, py=_COORD)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_point_and_one_row_block_fault_together(root, left, right, px, py):
+    """The point form (math) and the block form (numpy) of one tree give
+    one fault, with one message and span, or values within 1e-12
+    relative, except where rounding decides the outcome."""
+    a = parse_single(_rooted(root, left, right), ("x", "y"))
+    point = _outcome(lambda: eval_ast(a, [px, py]))
+    block = _outcome(lambda: eval_ast(a, [np.array([px]), np.array([py])])[0])
+    if point[0] == block[0] == "value":
+        agree = block[1] == pytest.approx(point[1], rel=1e-12, abs=0.0)
+    else:
+        agree = point == block
+    assert agree or not _steady(a, [px, py])
+
+
+def _one_sided(a, p, h):
+    """Forward and backward difference quotients of a at p, one column
+    per variable; None where an evaluation faults."""
+    f0 = eval_ast(a, p)
+    fwd, bwd = np.empty(len(p)), np.empty(len(p))
+    for i in range(len(p)):
+        step = h * max(1.0, abs(p[i]))
+        hi, lo = list(p), list(p)
+        hi[i] += step
+        lo[i] -= step
+        try:
+            fwd[i] = (eval_ast(a, hi) - f0) / step
+            bwd[i] = (f0 - eval_ast(a, lo)) / step
+        except EvalDomainError:
+            return None
+    return fwd, bwd
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+@given(left=_TREES, right=_TREES, px=_COORD, py=_COORD)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_jacobians_match_central_differences_where_smooth(root, left, right, px, py):
+    """Where the tree is smooth around the point (its forward and backward
+    differences agree: no kink, tie switch or pole within the stencil)
+    and its tangent is too (no kink of a subtree at the point, such as
+    min(abs(x), x) at 0, whose tie keeps the one-sided tangent of abs),
+    the point Jacobian and the 1-row block Jacobian match central
+    differences."""
+    a = parse_single(_rooted(root, left, right), ("x", "y"))
+    p = [px, py]
+    try:
+        value = eval_ast(a, p)
+        jac = jacobian_ad([a], p)[0]
+        near = [jacobian_ad([a], q)[0] for q in _nudged(p, 1e-9)]
+    except EvalDomainError:
+        assume(False)
+    sides = _one_sided(a, p, 1e-6)
+    assume(sides is not None)
+    fwd, bwd = sides
+    central = (fwd + bwd) / 2.0
+    scale = 1.0 + abs(value) + np.abs(central).max()
+    assume(np.abs(fwd - bwd).max() <= 1e-3 * scale)
+    assume(all(np.abs(j - jac).max() <= 1e-4 * scale for j in near))
+    assert np.abs(jac - central).max() <= 1e-5 * scale
+    try:
+        block = jacobian_ad([a], np.array([p]))[0, 0]
+    except EvalDomainError as err:
+        # a block gives a min or max that picks a constant the zero
+        # tangent, a point gives it none, so an exponent such as
+        # min(-10, max(1e300, y)) is variable in the block alone, which
+        # then refuses a negative base
+        assert str(err) == "power not differentiable at non-positive base"
+    else:
+        assert np.abs(block - central).max() <= 1e-5 * scale
+
+
+# ---------------------------------------------------------------------------
+# Edge cases, pinned to the values and faults of the tree walker the
+# generated code replaced
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tolist(), np.signbit(values).tolist()
+
+
+def test_infinite_and_negative_zero_literals():
+    assert eval_ast(parse_single("1e999"), []) == math.inf
+    assert _fault(lambda: eval_ast(parse_single("1e999 + x"), [1.0])) == (
+        "non-finite value in addition", (0, 9)
+    )
+    zero = eval_ast(parse_single("-0.0"), [])
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+    a = parse_single("-0.0 * x")
+    assert _bits(jacobian_ad([a], [1.0])) == ([[-0.0]], [[True]])
+    assert _bits(jacobian_ad([a], [[1.0], [-2.0]])) == (
+        [[[-0.0]], [[-0.0]]], [[[True]], [[True]]]
+    )
+
+
+@pytest.mark.parametrize(
+    "source, fault",
+    [
+        ("-1e999", ("non-finite value in negation", (0, 6))),
+        ("abs(1e999)", ("non-finite value in abs()", (0, 10))),
+        ("exp(1e999)", ("non-finite value in exp()", (0, 10))),
+        ("sin(1e999)", ("non-finite value in sin()", (0, 10))),
+        ("max(1e999, x) * 0", ("non-finite value in multiplication", (0, 17))),
+    ],
+)
+def test_an_infinite_literal_faults_where_it_is_first_used(source, fault):
+    a = parse_single(source, ("x",))
+    assert _fault(lambda: eval_ast(a, [1.0])) == fault
+    assert _fault(lambda: eval_ast(a, [np.array([1.0, 2.0])])) == fault
+    assert _fault(lambda: jacobian_ad([a], [1.0])) == fault
+
+
+def test_min_and_max_pass_an_infinite_literal_by():
+    a = parse_single("x + min(1e999, x)", ("x",))
+    assert eval_ast(a, [1.0]) == 2.0
+    assert eval_ast(a, [np.array([1.0, 2.0])]).tolist() == [2.0, 4.0]
+    assert jacobian_ad([a], [1.0]).tolist() == [[2.0]]
+
+
+def test_complex_power_of_constants_is_a_power_fault():
+    a = parse_single("(-8)^(1/3) + x", ("x",))
+    expected = ("non-finite value in power", (0, 10))
+    assert _fault(lambda: eval_ast(a, [1.0])) == expected
+    assert _fault(lambda: eval_ast(a, [np.array([1.0, 2.0])])) == expected
+    assert _fault(lambda: jacobian_ad([a], [1.0])) == expected
+    assert _fault(lambda: jacobian_ad([a], [[1.0]])) == expected
+
+
+def test_zero_arity_power_as_a_weight():
+    assert eval_ast(parse_single("2^3"), []) == 8.0
+    weight = ExpressionWeight("2^3")
+    assert weight(1.0) == 8.0
+    assert weight(np.array([0.5, 2.0])).tolist() == [8.0, 8.0]
+
+
+@pytest.mark.parametrize(
+    "source, at, row",
+    [
+        ("min(x, y)", [1.0, 1.0], [1.0, 0.0]),
+        ("max(y, x)", [1.0, 1.0], [0.0, 1.0]),
+        ("min(x, 1) * y", [1.0, -2.0], [-2.0, 1.0]),
+        ("min(1, x) * y", [1.0, -2.0], [0.0, 1.0]),
+    ],
+)
+def test_min_max_ties_keep_the_earlier_argument(source, at, row):
+    a = parse_single(source, ("x", "y"))
+    assert jacobian_ad([a], at).tolist() == [row]
+    assert jacobian_ad([a], [at]).tolist() == [[row]]
+
+
+def test_sqrt_and_abs_tangents_at_zero():
+    sqrt = parse_single("sqrt(x)", ("x",))
+    fault = ("sqrt not differentiable at zero", (0, 7))
+    assert _fault(lambda: jacobian_ad([sqrt], [0.0])) == fault
+    assert _fault(lambda: jacobian_ad([sqrt], [[4.0], [0.0]])) == fault
+    # a zero tangent at a zero root is no fault
+    assert _bits(jacobian_ad([parse_single("sqrt(x*x)")], [0.0])) == ([[0.0]], [[False]])
+    a = parse_single("abs(x)")
+    assert _bits(jacobian_ad([a], [0.0])) == ([[0.0]], [[False]])
+    assert _bits(jacobian_ad([a], [-0.0])) == ([[-0.0]], [[True]])
+    assert _bits(jacobian_ad([a], [[0.0], [-0.0], [-3.0]])) == (
+        [[[0.0]], [[-0.0]], [[-1.0]]], [[[False]], [[True]], [[True]]]
+    )
+
+
+def test_variable_exponent_at_a_non_positive_base():
+    a = parse_single("x^y", ("x", "y"))
+    assert eval_ast(a, [0.0, 2.0]) == 0.0
+    fault = ("power not differentiable at non-positive base", (0, 3))
+    assert _fault(lambda: jacobian_ad([a], [0.0, 2.0])) == fault
+    assert _fault(lambda: jacobian_ad([a], [-1.0, 2.0])) == fault
+    assert _fault(lambda: jacobian_ad([a], [[2.0, 2.0], [-1.0, 2.0]])) == fault
+    b = parse_single("(0-1)^x", ("x",))
+    assert _fault(lambda: jacobian_ad([b], [2.0])) == (fault[0], (0, 7))

@@ -10,7 +10,6 @@ from liftkit import (
     AffineWeight,
     Box,
     ContinuationFailure,
-    Euclidean,
     ImplicitOptions,
     ImplicitProblem,
     InputError,

@@ -18,7 +18,8 @@ floats and math and a block form over numpy arrays (see "Forward-mode
 evaluation by generated code" below).
 Evaluation is strict about domains: log or sqrt of a negative number,
 division by zero, and non-finite intermediates raise EvalDomainError
-instead of propagating NaN or infinity.
+instead of propagating NaN or infinity, except in a CompiledMap's block
+forms, which mark each faulting row NaN (BlockForm).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "jacobian_ad",
     "compile_map",
     "CompiledMap",
+    "BlockForm",
     "pretty",
     "substitute",
     "FUNCTION_NAMES",
@@ -382,10 +384,13 @@ def parse_single(source, variables=None):
 # checked right after it, and the generated function maps whatever it
 # raises (a failing float operation, a failed check, a tangent rule's
 # EvalDomainError) to the node whose line raised it, so the first
-# faulting node in evaluation order gives the message and the span. The
-# source holds only generated names, operators and the library names
-# below; numbers are bound in the function's namespace, never printed
-# (1e999 parses to inf, whose repr is not a literal).
+# faulting node in evaluation order gives the message and the span. A
+# failed check of the block form raises nothing: it ORs its rows into
+# the mask _m and keeps the first fault in _f, and a constant subtree's
+# fault (a Python float division by zero, say) faults every row. The source holds only generated names,
+# operators and the library names below; numbers and nodes are bound in
+# the function's namespace, never printed (1e999 parses to inf, whose
+# repr is not a literal).
 
 # generated name -> (point form, block form)
 _LIBRARY = {
@@ -436,7 +441,7 @@ _BINARY = {
 # the checks (ArithmeticError) and by the tangent rules
 _CAUGHT = (ArithmeticError, ValueError, TypeError, EvalDomainError)
 _HEADER = "def _generated(%s):\n    try:\n"
-_FOOTER = "\n    except _CAUGHT as err:\n        raise _fault(err) from None\n"
+_FOOTER = "\n    except _CAUGHT as err:\n        %s\n"
 # the source line of the body's first line
 _FIRST_LINE = _HEADER.count("\n") + 1
 
@@ -480,11 +485,23 @@ class _Writer:
             _CAUGHT=_CAUGHT,
             _SQRT="sqrt not differentiable at zero",
             _POWER="power not differentiable at non-positive base",
+            _at=_fault_at,
         )
+        if block:
+            self.write("_m, _f = False, None")
 
     def write(self, template, *names):
         self.lines.append("    " * self.depth + template % names)
         self.owners.append(self.owner)
+
+    def mark(self, test, rows, message="None"):
+        """Block form: where test holds, OR rows into the mask and keep
+        the current node's fault unless the block has one."""
+        node, divisor = self.owner
+        self.write(
+            "if %s: _m, _f = _m | %s, _f or _at(%s, %s, %s)",
+            test, rows, self.bind(node), divisor or "None", message,
+        )
 
     def new(self):
         self.count += 1
@@ -517,10 +534,11 @@ class _Writer:
         return names
 
     def check(self, v, power=False):
-        """Raise where v is non-finite (or, after a power, complex)."""
+        """Fault where v is non-finite (or, after a power, complex)."""
         if self.block:
-            test = "type(%s) is complex or " % v if power else ""
-            self.write("if %snot _isfinite(%s).all(): raise _E", test, v)
+            if power:
+                self.write("if type(%s) is complex: raise _E", v)
+            self.mark("not _isfinite(%s).all()" % v, "~_isfinite(%s)" % v)
         elif power:
             self.write("if not _isfinite(%s): raise _E", v)
         else:
@@ -664,10 +682,11 @@ def _binary_rule(w, k, node, a, b, v):
                 return w.parts(k, "%s / %s", da, b)
             return w.parts(k, "(%s - %s * %s) / %s", da, v, db, b)
         if db is not None:
-            w.write(
-                ("if not _np.all(%s > 0): raise _D(_POWER)" if w.block
-                 else "if not %s > 0: raise _D(_POWER)"), a
-            )
+            if w.block:
+                # a may be a Python float, whose ~ is not a logical not
+                w.mark("not _np.all(%s > 0)" % a, "_np.logical_not(%s > 0)" % a, "_POWER")
+            else:
+                w.write("if not %s > 0: raise _D(_POWER)", a)
             log = "k%d" % k
             # numpy's log at a point too, as the block takes it
             w.write("%s = _np.log(%s)" if w.block else "%s = float(_np.log(%s))", log, a)
@@ -704,7 +723,7 @@ def _constant_power(w, k, a, b, da, integer):
             w.write("y%d = %s == 0", k, factor)
             w.write("if _np.any(y%d):", k)
             w.depth += 1
-            w.write("if _np.any(y%d & (%s != 0)): raise _D(_POWER)", k, da[0])
+            _mark_tangent(w, "y%d" % k, da[0], "_POWER")
             w.write("%s = _np.where(y%d, 1.0, %s)", factor, k, factor)
         else:
             w.write("if %s == 0:", factor)
@@ -737,7 +756,7 @@ def _sqrt_tangent(w, k, v, da):
     if w.block:
         zero = "y%d" % k
         w.write("%s = %s == 0", zero, v)
-        w.write("if _np.any(%s & (%s != 0)): raise _D(_SQRT)", zero, da[0])
+        _mark_tangent(w, zero, da[0], "_SQRT")
         return w.parts(
             k, "_np.where(%s, 0.0, %s / (2.0 * _np.where(%s, 1.0, %s)))", zero, da, zero, v
         )
@@ -751,6 +770,12 @@ def _sqrt_tangent(w, k, v, da):
         return w.parts(k, "%s / %s", da, "k%d" % k)
 
     return w.branches(k, [("%s == 0" % v, at_zero), (None, elsewhere)])
+
+
+def _mark_tangent(w, zero, da, message):
+    """Block form: rows where zero holds and da is nonzero fault."""
+    hit = "(%s & (%s != 0))" % (zero, da)
+    w.mark("_np.any%s" % hit, "%s.any(-1, keepdims=True)" % hit, message)
 
 
 def _extreme(w, k, fn, args):
@@ -812,6 +837,17 @@ def _fault_message(node):
     return _FAULT_MESSAGES.get(node.fn, "non-finite value in %s()" % node.fn)
 
 
+def _fault_at(node, divisor, message=None):
+    """node's EvalDomainError: message, else "division by zero" where
+    divisor (a division's right side, else None) holds a 0."""
+    if message is None:
+        if divisor is not None and np.any(divisor == 0):
+            message = "division by zero"
+        else:
+            message = _fault_message(node)
+    return EvalDomainError(message, node.span)
+
+
 def _located(owners, err):
     """err, raised in a generated function, as the EvalDomainError of the
     node whose line raised it; err itself when no node's line did."""
@@ -821,13 +857,11 @@ def _located(owners, err):
     if owner is None:
         return err
     node, divisor = owner
-    if isinstance(err, EvalDomainError):
-        message = str(err)
-    elif divisor is not None and np.any(_lookup(tb.tb_frame, divisor) == 0):
-        message = "division by zero"
-    else:
-        message = _fault_message(node)
-    return EvalDomainError(message, node.span)
+    return _fault_at(
+        node,
+        None if divisor is None else _lookup(tb.tb_frame, divisor),
+        str(err) if isinstance(err, EvalDomainError) else None,
+    )
 
 
 def _lookup(frame, name):
@@ -847,16 +881,17 @@ def _generate(components, block, derivatives):
     tuple), taking the n variable values. It returns the m component
     values or, with derivatives, their tangents: at a point the (m, n)
     Jacobian as nested lists, on a block one array or None per
-    component."""
+    component, then the mask of faulting rows and the first fault."""
     n = components[0].arity
     w = _Writer(n, block, derivatives)
     roots = [_emit(w, c.root) for c in components]
     w.owner = None
     if not derivatives:
-        w.write("return [%s]", ", ".join(v for v, _, _ in roots))
+        results = "[%s]" % ", ".join(v for v, _, _ in roots)
+        w.write("return %s, _m, _f" if block else "return %s", results)
     elif block:
         w.write(
-            "return [%s]",
+            "return [%s], _m, _f",
             ", ".join("None" if t is None else _part(t) for _, t, _ in roots),
         )
     else:
@@ -870,7 +905,8 @@ def _generate(components, block, derivatives):
     source = (
         _HEADER % ", ".join("x%d" % i for i in range(n))
         + "\n".join(w.lines)
-        + _FOOTER
+        # a constant subtree's fault faults a block's every row
+        + _FOOTER % ("return (), True, _f or _fault(err)" if block else "raise _fault(err) from None")
     )
     namespace = w.namespace
     namespace["_fault"] = functools.partial(_located, w.owners)
@@ -901,18 +937,29 @@ def _seeds(n):
     return tuple(eye)
 
 
+class BlockForm:
+    """A block callable from masked(P) -> (block, first fault or None):
+    it returns the block alone, a faulting row NaN, raising for none."""
+
+    def __init__(self, masked):
+        self.masked = masked
+
+    def __call__(self, pts):
+        return self.masked(pts)[0]
+
+
 @dataclass(frozen=True)
 class CompiledMap:
     """The generated callables of a map whose rows are m components in n
     variables: values(c) and jacobian(c) at a point c of shape (n,), an
-    (m,) and an (m, n) array; values_many(P) and jacobian_many(P) on an
-    (N, n) block, an (N, m) and an (N, m, n) array. A fault at any point
-    raises EvalDomainError."""
+    (m,) and an (m, n) array, raising at a fault; the BlockForms
+    values_many(P) and jacobian_many(P) on an (N, n) block, an (N, m)
+    and an (N, m, n) array (a non-finite derivative faults too)."""
 
     values: object
-    values_many: object
+    values_many: BlockForm
     jacobian: object
-    jacobian_many: object
+    jacobian_many: BlockForm
 
 
 def compile_map(components):
@@ -951,10 +998,12 @@ def _map_callables(comps):
     def values_many(pts):
         out = np.empty((pts.shape[0], m))
         with np.errstate(all="ignore"):
-            got = block_values[0](*pts.T)
+            got, bad, fault = block_values[0](*pts.T)
         for i, value in enumerate(got):
             out[:, i] = value
-        return out
+        if fault is not None:
+            out[np.broadcast_to(bad, pts.shape[:1])] = np.nan
+        return out, fault
 
     def jacobian(c):
         return np.array(point_jacobian[0](*c.tolist()), dtype=float)
@@ -962,17 +1011,20 @@ def _map_callables(comps):
     def jacobian_many(pts):
         jac = np.zeros((pts.shape[0], m, n))
         with np.errstate(all="ignore"):
-            got = block_jacobian[0](*[pts[:, i : i + 1] for i in range(n)])
+            got, bad, fault = block_jacobian[0](*[pts[:, i : i + 1] for i in range(n)])
         for i, d in enumerate(got):
             if d is not None:
                 jac[:, i, :] = d
-        if not np.isfinite(jac).all():
-            rows_ok = np.isfinite(jac).all(axis=-1).all(axis=0)
-            bad = comps[int(np.argmin(rows_ok))]
-            raise EvalDomainError("non-finite derivative", bad.root.span)
-        return jac
+        finite = np.isfinite(jac)
+        if fault is not None:
+            jac[np.broadcast_to(bad, (pts.shape[0], 1))[:, 0]] = np.nan
+        elif not finite.all():
+            rows_ok = finite.all(axis=-1).all(axis=0)
+            comp = comps[int(np.argmin(rows_ok))]
+            fault = EvalDomainError("non-finite derivative", comp.root.span)
+        return jac, fault
 
-    return CompiledMap(values, values_many, jacobian, jacobian_many)
+    return CompiledMap(values, BlockForm(values_many), jacobian, BlockForm(jacobian_many))
 
 
 def eval_ast(a, x):
@@ -991,7 +1043,10 @@ def eval_ast(a, x):
         return float(_cached(_generate, (a,), False, False)(*[float(v) for v in x])[0])
     env = [np.asarray(v, dtype=float) for v in x]
     with np.errstate(all="ignore"):
-        out = np.asarray(_cached(_generate, (a,), True, False)(*env)[0], dtype=float)
+        got, _, fault = _cached(_generate, (a,), True, False)(*env)
+    if fault is not None:
+        raise fault
+    out = np.asarray(got[0], dtype=float)
     if out.ndim == 0 and env and env[0].ndim > 0:
         out = np.broadcast_to(out, env[0].shape).copy()
     return out
@@ -1012,7 +1067,10 @@ def jacobian_ad(components, x):
     if pts.ndim == 1 and pts.shape[0] == n:
         return compiled.jacobian(pts)
     if pts.ndim == 2 and pts.shape[1] == n:
-        return compiled.jacobian_many(pts)
+        jac, fault = compiled.jacobian_many.masked(pts)
+        if fault is not None:
+            raise fault
+        return jac
     raise InputError("point shape %s is not (%d,) or (N, %d)" % (pts.shape, n, n))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .errors import DegenerateInputError, DomainError, InputError
+from .errors import DegenerateInputError, DomainError, EvalDomainError, InputError
 
 __all__ = [
     "Space",
@@ -239,7 +239,9 @@ class ProductSpace(Space):
 class OpenSubset(Space):
     """An open subset of a base space, cut out by predicate(coords) > 0
     truthiness. The predicate receives a coordinate vector; an optional
-    vectorized form receives an (N, dim) block."""
+    vectorized form receives an (N, dim) block. Both answer where they
+    cannot evaluate, not raise (subset_from_expression's say False), so
+    a block holding overflowing or non-finite points gets its mask."""
 
     def __init__(self, base, predicate, predicate_many=None, source=None):
         self.base = base
@@ -279,20 +281,26 @@ class OpenSubset(Space):
 
 
 def subset_from_expression(base, source, variables=None):
-    """OpenSubset whose membership is expression > 0."""
+    """OpenSubset whose membership is expression > 0. A point where the
+    expression faults or is non-finite is outside."""
     ast = exprlang.parse_single(source, variables)
     if ast.arity != base.dim:
         raise InputError(
             "predicate has %d variables, space has dimension %d"
             % (ast.arity, base.dim)
         )
+    block = exprlang.compile_map((ast,)).values_many
 
     def pred(c):
-        return exprlang.eval_ast(ast, list(np.asarray(c, float))) > 0.0
+        try:
+            value = exprlang.eval_ast(ast, list(np.asarray(c, float)))
+        except EvalDomainError:
+            return False
+        return 0.0 < value < math.inf
 
     def pred_many(pts):
-        cols = [pts[:, i] for i in range(base.dim)]
-        return np.asarray(exprlang.eval_ast(ast, cols)) > 0.0
+        value = block(pts)[:, 0]  # NaN where the expression faults
+        return (value > 0.0) & (value < math.inf)
 
     return OpenSubset(base, pred, pred_many, source=source)
 

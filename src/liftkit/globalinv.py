@@ -237,13 +237,13 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
     pts = pts[f.domain.contains_many(pts)]
     if pts.shape[0] == 0:
         raise InputError("no samples land inside the domain")
-    smin, smax = d_pm_from_jacobian(f.jacobians_many(pts))
+    smin, smax = d_pm_from_jacobian(f._jacobians(pts))
     alpha = float(smin.min())
     beta = float(smax.max())
     alpha_K = None
     n_in_K = None
     if compact_K is not None:
-        vals = f.eval_many(pts)
+        vals = f._values(pts)
         mask = compact_K.contains_many(vals)
         n_in_K = int(mask.sum())
         if n_in_K:

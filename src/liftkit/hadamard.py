@@ -334,7 +334,9 @@ class HadamardProfile:
 
 
 def _smin_batch(f, pts):
-    return d_pm_from_jacobian(f.jacobians_many(pts))[0]
+    """The lower scalar derivative at points the caller has tested;
+    raises where one faults."""
+    return d_pm_from_jacobian(f._jacobians(pts))[0]
 
 
 def default_radii(x0_coords, n=24, decades=3.0):
@@ -348,7 +350,8 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
     polish from the budget best samples in the ball, all radii in one
     lockstep search (deterministic). The result is a best-effort upper
     estimate of each infimum; the sample budget is recorded so callers
-    can tighten it.
+    can tighten it. A sample whose Jacobian faults raises; a polish
+    candidate whose Jacobian faults is infeasible, and only it.
     """
     if f.domain.dim != f.codomain.dim:
         raise InputError("profiles need a square Jacobian")
@@ -394,32 +397,23 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
     samples = [(cand, smins, dists)]
 
     # one lockstep search whose rows are each radius's budget best samples
-    # in its ball (ties to the earlier sample); row_r[k] is the index of
-    # row k's radius
+    # in its ball (ties to the earlier sample); row_t[k] is row k's radius
     by_smin = np.argsort(smins, kind="stable")
-    starts, row_r = [], []
-    for j, t in enumerate(radii):
+    starts, row_t = [], []
+    for t in radii:
         # x0 itself is a sample, so no ball is empty
         order = by_smin[dists[by_smin] <= t * (1.0 + 1e-12)]
         starts.append(cand[order[:budget]])
-        row_r.append(np.full(starts[-1].shape[0], j))
-    row_r = np.concatenate(row_r)
-    row_t = radii[row_r]
+        row_t.append(np.full(starts[-1].shape[0], t))
+    row_t = np.concatenate(row_t)
 
     def objective(pts, rows):
+        # a faulting point is infeasible, as a point outside the ball is
         pts, d, ok = in_ball(pts, row_t[rows])
+        jac, faulted, _ = f._jacobians_block(pts[ok])
+        ok[ok] = ~faulted
         vals = np.full(ok.shape, np.inf)
-        try:
-            vals[ok] = _smin_batch(f, pts[ok])
-        except (DomainError, EvalDomainError):
-            # a faulting point makes only its own radius's round infeasible
-            group = row_r[rows]
-            for j in np.unique(group):
-                sel = ok & (group == j)
-                try:
-                    vals[sel] = _smin_batch(f, pts[sel])
-                except (DomainError, EvalDomainError):
-                    ok &= group != j
+        vals[ok] = d_pm_from_jacobian(jac[~faulted])[0]
         # every radius is <= t_last, so every feasible point is a sample
         samples.append((pts[ok], vals[ok], d[ok]))
         return vals

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .exprlang import BlockForm
 from .geometry import (
     Euclidean,
     FunctionPath,
@@ -108,7 +109,7 @@ class ImplicitProblem:
         the weight bound; the blocks are columns of one Jacobian."""
         vals = self.f.eval_many(coords)
         residual = self.f.codomain.distance_many(vals, self.w[None, :])
-        jac = self.f.jacobians_many(coords)
+        jac = self.f._jacobians(coords)  # eval_many tested the points
         _, jx_norm = singular_extremes_many(jac[:, :, : self.m])
         jy_smin, _ = singular_extremes_many(jac[:, :, self.m :])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,9 +120,11 @@ class ImplicitProblem:
         """The augmented square map (x, y) -> (x, f(x, y)). Lifting the
         x-path paired with the constant w through it is the implicit
         continuation; the projection onto x is a local homeomorphism
-        exactly where the y-block is invertible. Its one-point callables
-        call the inner map's unchecked kernels, since the augmented
-        handle has the inner map's domain and has checked the point."""
+        exactly where the y-block is invertible. Its callables call the
+        inner map's unchecked kernels, since the augmented handle has the
+        inner map's domain and has checked or tested its points; its
+        block callables keep the inner map's faulting rows and first
+        fault."""
         prob = self
         top = np.eye(prob.m, prob.m + prob.n)
 
@@ -129,14 +132,16 @@ class ImplicitProblem:
             return np.concatenate([c[: prob.m], prob.f._value(c)])
 
         def eval_many(cs):
-            return np.concatenate([cs[:, : prob.m], prob.f.eval_many(cs)], axis=1)
+            vals, _, fault = prob.f._values_block(cs)
+            return np.concatenate([cs[:, : prob.m], vals], axis=1), fault
 
         def jac_one(c):
             return np.concatenate([top, prob.f._jacobian(c)], axis=0)
 
         def jac_many(cs):
+            jac, _, fault = prob.f._jacobians_block(cs)
             tops = np.broadcast_to(top, (cs.shape[0],) + top.shape)
-            return np.concatenate([tops, prob.f.jacobians_many(cs)], axis=1)
+            return np.concatenate([tops, jac], axis=1), fault
 
         if isinstance(prob.f.codomain, Euclidean) and prob.f.codomain.p == 2.0:
             codomain = Euclidean(prob.m + prob.n)
@@ -148,9 +153,9 @@ class ImplicitProblem:
             codomain=codomain,
             jacobian_mode="analytic",
             eval_one=eval_one,
-            eval_many_fn=eval_many,
+            eval_many_fn=BlockForm(eval_many),
             jac_one=jac_one,
-            jac_many_fn=jac_many,
+            jac_many_fn=BlockForm(jac_many),
         )
 
     def augmented_path(self, p):

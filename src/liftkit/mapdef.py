@@ -12,6 +12,11 @@ m.cos, ...; the same formula evaluates one point over Python floats
 with math and a block of points over numpy columns (_pointwise). An
 expression map calls the functions exprlang generates from its
 components (exprlang.compile_map).
+
+Blocks are masked, not refused: a block callable returns every row, a
+row it cannot evaluate non-finite (see MapHandle), and batched callers
+such as newton_block read the mask of faulting rows, so one bad point
+never sinks a batch and no block is redone row by row.
 """
 
 from __future__ import annotations
@@ -69,8 +74,15 @@ class MapHandle:
     """A map with evaluation and Jacobian access.
 
     jacobian_mode is one of "analytic", "automatic", "finite_difference".
-    eval_one and jac_one take one point, eval_many_fn and jac_many_fn an
-    (N, dim_in) block.
+    eval_one and jac_one take one point and may raise at a fault.
+    eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
+    block they return all N values or Jacobians, a row they cannot
+    evaluate holding a non-finite entry, without raising; an
+    exprlang.BlockForm also names its first fault. The kernels
+    _values_block and _jacobians_block return (block, faulting rows,
+    first fault or None) in one pass. eval_many and jacobians_many check
+    the block's shape and domain and raise its first fault, as _values
+    and _jacobians do at points the caller has tested.
     """
 
     name: str
@@ -117,12 +129,22 @@ class MapHandle:
             jac = _fd_jacobian(self, c)
         else:
             jac = self.jac_one(c)
-        return _checked_jacobians(self, jac, (self.codomain.dim, self.domain.dim))
+        jac = _shaped(self, jac, (self.dim_out, self.dim_in))
+        if not np.isfinite(jac).all():
+            raise DomainError("jacobian of %s is non-finite" % self.name)
+        return jac
 
     def __call__(self, coords):
         return self.eval(coords)
 
     def eval_many(self, pts):
+        return self._values(self._checked_block(pts))
+
+    def jacobians_many(self, pts):
+        """Stack of Jacobians, shape (N, dim_out, dim_in)."""
+        return self._jacobians(self._checked_block(pts))
+
+    def _checked_block(self, pts):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.domain.dim:
             raise InputError("expected an (N, %d) block" % self.domain.dim)
@@ -133,23 +155,42 @@ class MapHandle:
                 "point %s is outside the domain of %s"
                 % (pts[bad].tolist(), self.name)
             )
-        # overflow shows up as a non-finite value, reported just below
-        with np.errstate(all="ignore"):
-            out = np.asarray(self.eval_many_fn(pts), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise DomainError("map %s produced non-finite values" % self.name)
-        return out
+        return pts
 
-    def jacobians_many(self, pts):
-        """Stack of Jacobians, shape (N, dim_out, dim_in)."""
-        pts = np.asarray(pts, dtype=float)
-        shape = (pts.shape[0], self.dim_out, self.dim_in)
-        if self.jacobian_mode == "finite_difference":
-            return np.array([jacobian_at(self, p) for p in pts]).reshape(shape)
-        # overflow shows up as a non-finite entry, which is refused
-        with np.errstate(all="ignore"):
-            jac = self.jac_many_fn(pts)
-        return _checked_jacobians(self, jac, shape)
+    def _values(self, pts):
+        return _unmasked(self._values_block(pts), "map %s produced non-finite values", self)
+
+    def _jacobians(self, pts):
+        return _unmasked(self._jacobians_block(pts), "jacobian of %s is non-finite", self)
+
+    def _values_block(self, pts):
+        return _masked(self.eval_many_fn, pts)
+
+    def _jacobians_block(self, pts):
+        fn = self.jac_many_fn
+        if self.jacobian_mode == "finite_difference":  # one-point Jacobians
+            fn = exprlang.BlockForm(lambda rows: _fd_jacobians(self, rows))
+        jac, faulted, fault = _masked(fn, pts)
+        return _shaped(self, jac, (pts.shape[0], self.dim_out, self.dim_in)), faulted, fault
+
+
+def _masked(fn, pts):
+    """(block, faulting rows, first fault) of the block callable fn."""
+    with np.errstate(all="ignore"):
+        out, fault = fn.masked(pts) if isinstance(fn, exprlang.BlockForm) else (fn(pts), None)
+    out = np.asarray(out, dtype=float)
+    finite = np.isfinite(out)
+    if finite.all():  # a clean block pays one test, as a raising check would
+        return out, np.zeros(out.shape[0], dtype=bool), fault
+    return out, ~finite.all(axis=tuple(range(1, out.ndim))), fault
+
+
+def _unmasked(got, message, f):
+    """A kernel's block, raising its first fault where a row faults."""
+    block, faulted, fault = got
+    if faulted.any():
+        raise fault or DomainError(message % f.name)
+    return block
 
 
 def jacobian_at(f, x):
@@ -157,14 +198,12 @@ def jacobian_at(f, x):
     return f._jacobian(f.domain.check_coords(x))
 
 
-def _checked_jacobians(f, jac, shape):
+def _shaped(f, jac, shape):
     jac = np.asarray(jac, dtype=float)
     if jac.shape != shape:
         raise InputError(
             "jacobian of %s has shape %s, expected %s" % (f.name, jac.shape, shape)
         )
-    if not np.isfinite(jac).all():
-        raise DomainError("jacobian of %s is non-finite" % f.name)
     return jac
 
 
@@ -185,6 +224,19 @@ def _fd_jacobian(f, c):
             except DomainError:
                 jac[:, i] = (f0 - f.eval(c - e)) / h
     return jac
+
+
+def _fd_jacobians(f, pts):
+    """f's one-point Jacobians at the rows of pts, a faulting row NaN,
+    and the first row fault."""
+    jac = np.full((pts.shape[0], f.codomain.dim, f.domain.dim), np.nan)
+    fault = None
+    for i, p in enumerate(pts):
+        try:
+            jac[i] = f._jacobian(p)
+        except _FAULTS as err:
+            fault = fault or err
+    return jac, fault
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +481,11 @@ def expression_map(
         def jac_one(c):
             return entries.values(c).reshape(m, n)
 
-        def jac_many(pts):
-            return entries.values_many(pts).reshape(pts.shape[0], m, n)
+        def jac_masked(pts):
+            vals, fault = entries.values_many.masked(pts)
+            return vals.reshape(pts.shape[0], m, n), fault
 
+        jac_many = exprlang.BlockForm(jac_masked)
         mode = "analytic"
     if jacobian_mode == "finite_difference":
         mode = "finite_difference"
@@ -858,8 +912,8 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
     the full step, then the rows it did not improve try all remaining
     halvings at once and each takes its largest improving one, the step
     the sequential search accepts (Allgower & Georg, Introduction to
-    Numerical Continuation Methods). A block that eval_many or
-    jacobians_many refuses is redone row by row.
+    Numerical Continuation Methods). Each block's faulting rows are
+    read off the map's masked kernels.
     """
     y = _solve_target(f, y, tol)
     n = f.domain.dim
@@ -876,13 +930,13 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
         active[rows] = False
 
     with np.errstate(over="ignore"):
-        fx, r, faulted = _trial_values(f, y, x)
+        fx, r, faulted = _block_values(f, y, x)
         stop(np.flatnonzero(faulted), DOMAIN, 0)
         for it in range(max_iter + 1):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            jac, faulted = _jacobians(f, x[rows])
+            jac, faulted, _ = f._jacobians_block(x[rows])
             stop(rows[faulted], DOMAIN, it)
             rows, jac = rows[~faulted], jac[~faulted]
             smin, smax = singular_extremes_many(jac)
@@ -923,50 +977,14 @@ def _trial_value(f, y, p):
 
 def _block_values(f, y, pts):
     """Values of f at the rows of pts, their distances to y, and the
-    mask of rows outside the domain (NaN values, distance +inf). Raises
-    when eval_many refuses the block."""
+    mask of rows outside the domain or faulting (distance +inf)."""
     vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
     dist = np.full(pts.shape[0], np.inf)
     ok = f.domain.contains_many(pts)
-    if ok.any():
-        vals[ok] = f.eval_many(pts[ok])
-        dist[ok] = _distances(f, y, vals[ok])
+    vals[ok], faulted, _ = f._values_block(pts[ok])
+    ok[ok] = ~faulted
+    dist[ok] = _distances(f, y, vals[ok])
     return vals, dist, ~ok
-
-
-def _trial_values(f, y, pts):
-    """_block_values, with a refused block redone row by row: the
-    mask then also holds the rows whose evaluation faults."""
-    try:
-        return _block_values(f, y, pts)
-    except _FAULTS:
-        pass
-    vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
-    dist = np.full(pts.shape[0], np.inf)
-    faulted = np.ones(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        got = _trial_value(f, y, p)
-        if got is not None:
-            vals[i], dist[i] = got
-            faulted[i] = False
-    return vals, dist, faulted
-
-
-def _jacobians(f, pts):
-    """Jacobians at the rows of pts and the mask of rows whose Jacobian
-    faults (left zero). A refused block is redone row by row."""
-    faulted = np.zeros(pts.shape[0], dtype=bool)
-    try:
-        return f.jacobians_many(pts), faulted
-    except _FAULTS:
-        pass
-    jac = np.zeros((pts.shape[0], f.codomain.dim, f.domain.dim))
-    for i, p in enumerate(pts):
-        try:
-            jac[i] = jacobian_at(f, p)
-        except _FAULTS:
-            faulted[i] = True
-    return jac, faulted
 
 
 def _line_search(f, y, trials, r):
@@ -976,26 +994,12 @@ def _line_search(f, y, trials, r):
     and whether every trial faulted."""
     n_rows, n_trials, n = trials.shape
     k = np.full(n_rows, -1)
-    fx, dist, all_faulted = _trial_values(f, y, trials[:, 0])
+    fx, dist, all_faulted = _block_values(f, y, trials[:, 0])
     k[dist < r] = 0
     rest = np.flatnonzero(k < 0)
     if rest.size == 0:
         return k, fx, dist, all_faulted
-    try:
-        vals, d, faulted = _block_values(f, y, trials[rest, 1:].reshape(-1, n))
-    except _FAULTS:
-        # search each waiting row one trial at a time
-        for i in rest:
-            for j in range(1, n_trials):
-                got = _trial_value(f, y, trials[i, j])
-                if got is None:
-                    continue
-                all_faulted[i] = False
-                if got[1] < r[i]:
-                    k[i] = j
-                    fx[i], dist[i] = got
-                    break
-        return k, fx, dist, all_faulted
+    vals, d, faulted = _block_values(f, y, trials[rest, 1:].reshape(-1, n))
     better = d.reshape(rest.size, -1) < r[rest, None]
     all_faulted[rest] &= faulted.reshape(rest.size, -1).all(axis=1)
     hit = np.flatnonzero(better.any(axis=1))

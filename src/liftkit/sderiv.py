@@ -105,7 +105,7 @@ def _shell_ratios(f, c, fc, rho, dirs):
     ok = f.domain.contains_many(pts)
     out = np.full(pts.shape[0], np.inf)
     if np.any(ok):
-        vals = f.eval_many(pts[ok])
+        vals = f._values(pts[ok])
         dd = f.domain.distance_many(pts[ok], np.broadcast_to(c, pts[ok].shape))
         dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
         out[ok] = dc / dd
@@ -261,7 +261,7 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
             raise DomainError(
                 "sphere of radius %g leaves the domain; pass smaller radii" % t
             )
-        vals = f.eval_many(pts)
+        vals = f._values(pts)
         dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
         starts.append(dirs[int(np.argmin(dc))])
     # the grid only brackets the closest image point; polish it

@@ -431,6 +431,22 @@ def test_overflowing_profile_exits_two_in_both_forms(spec, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["powk(3)", "annulus_cube"])
+def test_overflowing_start_is_outside_the_domain_in_both_forms(spec, tmp_path, capsys):
+    registry = tmp_path / "registry.ini"
+    registry.write_text(
+        "[map annulus_cube]\ndim_in = 2\ndim_out = 2\n"
+        "components = x^3 - 3*x*y^2 ; 3*x^2*y - y^3\n"
+        "domain = min(x*x + y*y - 0.25, 4.0 - x*x - y*y)\n",
+        encoding="utf-8",
+    )
+    argv = ["invert", "--map", spec, "--target", "1,0", "--start", "1e200,0",
+            "--registry", str(registry)]
+    code, _ = invoke(argv)
+    assert code == 2
+    assert "outside" in capsys.readouterr().err
+
+
 def run_cli_process(argv, *python_flags):
     """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -253,8 +253,10 @@ def _per_radius_profile(f, x0, radii, budget):
             try:
                 vals[ok] = smin(pts)
             except (DomainError, EvalDomainError):
-                return vals
-            samples.append((pts, vals[ok], d))
+                # a faulting point is infeasible on its own
+                vals[ok] = [_smin_or_inf(smin, p) for p in pts]
+            feasible = np.isfinite(vals[ok])
+            samples.append((pts[feasible], vals[ok][feasible], d[feasible]))
             return vals
 
         compass_search(objective, cand[order[:budget]], 0.05 * t, 1e-6 * t, 25)
@@ -317,26 +319,39 @@ def test_profile_equals_one_search_per_radius(spec, center, radii, budget):
     _assert_profile_is_reference(prof, _per_radius_profile(f, x0, radii, budget))
 
 
+def _smin_or_inf(smin, p):
+    try:
+        return smin(p[None, :])[0]
+    except (DomainError, EvalDomainError):
+        return np.inf
+
+
 def _faulting_in_band(f, x0, lo, hi):
-    """f whose batched Jacobian raises DomainError on any block, after
-    the first (the profile's initial samples), holding a point at
-    distance in [lo, hi] from x0; faults[0] counts the raises."""
+    """f whose batched Jacobian is NaN at the rows at distance in
+    [lo, hi] from x0 on any block after the first (the profile's initial
+    samples); faults[0] counts the rows so marked."""
     faults = [0]
     calls = [0]
 
     def jac_many(pts):
         calls[0] += 1
+        jac = np.array(f.jac_many_fn(pts))
         d = np.linalg.norm(pts - x0, axis=1)
-        if calls[0] > 1 and np.any((d >= lo) & (d <= hi)):
-            faults[0] += 1
-            raise DomainError("fault in band")
-        return f.jac_many_fn(pts)
+        if calls[0] > 1:
+            band = (d >= lo) & (d <= hi)
+            jac[band] = np.nan
+            faults[0] += int(band.sum())
+        return jac
 
     return dataclasses.replace(f, jac_many_fn=jac_many), faults
 
 
 @pytest.mark.parametrize("spec", ["shear3", "(x + y^3, y)"])
-def test_profile_fault_leaves_only_its_radius_round_infeasible(spec):
+def test_profile_fault_leaves_only_its_point_infeasible(spec):
+    # a polish candidate whose Jacobian faults is infeasible, and the
+    # other candidates of its block, of its radius and of the others,
+    # are not: the lockstep profile still ends where one search per
+    # radius ends, each skipping exactly the faulting points
     f = resolve_map(spec)
     x0 = np.zeros(2)
     radii = np.geomspace(0.1, 100.0, 12)

@@ -26,6 +26,8 @@ from liftkit.errors import (
     SingularJacobianError,
 )
 from liftkit.geometry import OpenSubset
+from liftkit.globalinv import fiber_enumerate
+from liftkit.implicit import ImplicitProblem
 from liftkit.mapdef import (
     BUDGET,
     CONVERGED,
@@ -335,6 +337,87 @@ def test_newton_block_statuses():
         newton_block(f, [0.3, 2.0], [[np.nan, 0.0]])
 
 
+# a point's coordinate that faults the maps below (log or 1/x at x <= 0,
+# exp overflow at 800) or keeps them well inside their domains
+_MASK_X = st.one_of(st.sampled_from([-1.0, 0.0, 800.0]), st.floats(0.1, 3.0))
+_LOG_MAP = "(log(x) + y, y^3 + y)"
+MASK_HANDLES = {
+    "builtin": lambda: resolve_map("polar_exp"),
+    "expression": lambda: resolve_map(_LOG_MAP),
+    "jacobian_source": lambda: expression_map(
+        _LOG_MAP, jacobian_source="(1/x, 1, 0, 3*y^2 + 1)"
+    ),
+    "finite_difference": lambda: resolve_map(_LOG_MAP, jacobian_mode="finite_difference"),
+    "projection": lambda: ImplicitProblem(
+        expression_map("y^3 + y - exp(x)"), 1, [0.0]
+    ).projection_map(),
+}
+
+
+def _faults(call):
+    try:
+        call()
+    except (DomainError, EvalDomainError):
+        return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MASK_HANDLES)),
+    rows=st.lists(st.tuples(_MASK_X, st.floats(-2.0, 2.0)), min_size=1, max_size=8),
+)
+def test_masked_kernels_mark_the_rows_a_point_faults_at(kind, rows):
+    # each kernel evaluates the whole block once: its mask holds exactly
+    # the rows where the one-point call faults, and its other rows equal
+    # the raising block call on the clean rows alone
+    f = MASK_HANDLES[kind]()
+    pts = np.array(rows)
+    for kernel, one, many in (
+        (f._values_block, f.eval, f.eval_many),
+        (f._jacobians_block, lambda p: jacobian_at(f, p), f.jacobians_many),
+    ):
+        block, faulted, fault = kernel(pts)
+        assert faulted.tolist() == [_faults(lambda: one(p)) for p in pts]
+        assert np.array_equal(block[~faulted], many(pts[~faulted]))
+        # a numpy formula names no fault; the others name their first
+        if faulted.any() and kind != "builtin":
+            assert isinstance(fault, (DomainError, EvalDomainError))
+
+
+def test_newton_block_makes_no_one_point_evaluations():
+    # trials at x <= 0 fault; the masks take them, so no block is redone
+    # one point at a time
+    calls = []
+    f = resolve_map(_LOG_MAP)
+    counted = dataclasses.replace(
+        f,
+        eval_one=lambda c: calls.append(c) or f.eval_one(c),
+        jac_one=lambda c: calls.append(c) or f.jac_one(c),
+    )
+    report = fiber_enumerate(counted, [0.3, 2.0])
+    assert len(report.preimages) == 1
+    assert np.allclose(report.preimages[0].coords, [math.exp(-0.7), 1.0], atol=1e-9)
+    starts = np.array([[0.05, 3.0], [-1.0, 0.0], [2.0, -2.0], [0.3, 0.3]])
+    sol = newton_block(counted, [0.3, 2.0], starts)
+    assert calls == []
+    assert list(sol.status) == [CONVERGED, DOMAIN, CONVERGED, CONVERGED]
+
+
+@pytest.mark.parametrize("spec", ["powk(3)", EXPRESSION_FORMS["powk(3)"]])
+def test_jacobians_many_checks_its_block_like_eval_many(spec):
+    f = resolve_map(spec)
+    for call in (f.eval_many, f.jacobians_many):
+        with pytest.raises(InputError):
+            call(np.array([0.0, 1.0]))
+        with pytest.raises(InputError):
+            call(np.zeros((2, 3)))
+    if spec == "powk(3)":  # the expression form's domain is the plane
+        for call in (f.eval_many, f.jacobians_many):
+            with pytest.raises(DomainError, match="outside the domain"):
+                call(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_polar_exp_overflow_is_a_domain_fault(polar_exp):
     for fn in (polar_exp.eval, lambda c: jacobian_at(polar_exp, c)):
         with pytest.raises(DomainError, match="exp overflow"):
@@ -395,6 +478,26 @@ def test_failed_trials_give_none(spec, trial):
         assert got is not None  # the plane has no boundary to leave
     else:
         assert got is None
+
+
+def _powk3_forms():
+    """powk(3), built in and as an expression on the same annulus."""
+    builtin = resolve_map("powk(3)")
+    expr = expression_map(EXPRESSION_FORMS["powk(3)"], domain=builtin.domain)
+    return builtin, expr
+
+
+@pytest.mark.parametrize("form", [0, 1], ids=["builtin", "expression"])
+@pytest.mark.parametrize("p", [[np.inf, 0.0], [1e200, 0.0], [np.nan, 1.0]])
+def test_domain_membership_answers_where_its_predicate_faults(form, p):
+    f = _powk3_forms()[form]
+    p = np.array(p)
+    assert not f.domain.contains(p)
+    assert f.domain.contains_many(np.array([p, [1.0, 0.0]])).tolist() == [False, True]
+    assert _trial_value(f, np.array([1.0, 0.0]), p) is None
+    if np.isfinite(p).all():  # a non-finite start is an InputError
+        with pytest.raises(DomainError, match="outside"):
+            local_solve(f, [1.0, 0.0], p)
 
 
 def test_expression_map_with_domain_and_name():

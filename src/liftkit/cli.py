@@ -126,6 +126,13 @@ def _map(args, reg):
     return resolve_map(args.map, registry=reg)
 
 
+def _weight(spec, reg):
+    """The registry's weight named spec, else the weight spec parsed."""
+    if reg is not None and reg.has_weight(spec):
+        return reg.get_weight(spec)
+    return parse_weight_spec(spec)
+
+
 def _lift_opts(args):
     if getattr(args, "tol", None):
         return LiftOptions(corrector_tol=float(args.tol))
@@ -418,10 +425,7 @@ def cmd_hadamard(args, reg):
 
     weight = None
     if args.weight:
-        if reg is not None and reg.has_weight(args.weight):
-            weight = reg.get_weight(args.weight)
-        else:
-            weight = parse_weight_spec(args.weight)
+        weight = _weight(args.weight, reg)
         val = validate_weight(weight)
         results["weight"] = {
             "description": weight.describe(),
@@ -553,13 +557,7 @@ def cmd_implicit(args, reg):
         )
         return rep, {}, EXIT_OK
 
-    weight = None
-    if args.weight:
-        weight = (
-            reg.get_weight(args.weight)
-            if reg is not None and reg.has_weight(args.weight)
-            else parse_weight_spec(args.weight)
-        )
+    weight = _weight(args.weight, reg) if args.weight else None
 
     if args.x_path:
         p = _path(args.x_path, prob.x_space, reg)

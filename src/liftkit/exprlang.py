@@ -19,7 +19,7 @@ evaluation by generated code" below).
 Evaluation is strict about domains: log or sqrt of a negative number,
 division by zero, and non-finite intermediates raise EvalDomainError
 instead of propagating NaN or infinity, except in a CompiledMap's block
-forms, which mark each faulting row NaN (BlockForm).
+forms, which mark each faulting row NaN and return the first fault.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "jacobian_ad",
     "compile_map",
     "CompiledMap",
-    "BlockForm",
     "pretty",
     "substitute",
     "FUNCTION_NAMES",
@@ -937,29 +936,19 @@ def _seeds(n):
     return tuple(eye)
 
 
-class BlockForm:
-    """A block callable from masked(P) -> (block, first fault or None):
-    it returns the block alone, a faulting row NaN, raising for none."""
-
-    def __init__(self, masked):
-        self.masked = masked
-
-    def __call__(self, pts):
-        return self.masked(pts)[0]
-
-
 @dataclass(frozen=True)
 class CompiledMap:
     """The generated callables of a map whose rows are m components in n
     variables: values(c) and jacobian(c) at a point c of shape (n,), an
-    (m,) and an (m, n) array, raising at a fault; the BlockForms
-    values_many(P) and jacobian_many(P) on an (N, n) block, an (N, m)
-    and an (N, m, n) array (a non-finite derivative faults too)."""
+    (m,) and an (m, n) array, raising at a fault; values_many(P) and
+    jacobian_many(P) on an (N, n) block return the pair (an (N, m) or
+    an (N, m, n) array, first fault or None), a faulting row NaN (a
+    non-finite derivative faults too)."""
 
     values: object
-    values_many: BlockForm
+    values_many: object
     jacobian: object
-    jacobian_many: BlockForm
+    jacobian_many: object
 
 
 def compile_map(components):
@@ -1024,7 +1013,7 @@ def _map_callables(comps):
             fault = EvalDomainError("non-finite derivative", comp.root.span)
         return jac, fault
 
-    return CompiledMap(values, BlockForm(values_many), jacobian, BlockForm(jacobian_many))
+    return CompiledMap(values, values_many, jacobian, jacobian_many)
 
 
 def eval_ast(a, x):
@@ -1067,7 +1056,7 @@ def jacobian_ad(components, x):
     if pts.ndim == 1 and pts.shape[0] == n:
         return compiled.jacobian(pts)
     if pts.ndim == 2 and pts.shape[1] == n:
-        jac, fault = compiled.jacobian_many.masked(pts)
+        jac, fault = compiled.jacobian_many(pts)
         if fault is not None:
             raise fault
         return jac

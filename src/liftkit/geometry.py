@@ -30,6 +30,7 @@ __all__ = [
     "Box",
     "Point",
     "points_equal",
+    "distinct_rows",
     "distance",
     "Path",
     "Segment",
@@ -299,7 +300,7 @@ def subset_from_expression(base, source, variables=None):
         return 0.0 < value < math.inf
 
     def pred_many(pts):
-        value = block(pts)[:, 0]  # NaN where the expression faults
+        value = block(pts)[0][:, 0]  # NaN where the expression faults
         return (value > 0.0) & (value < math.inf)
 
     return OpenSubset(base, pred, pred_many, source=source)
@@ -383,6 +384,18 @@ def points_equal(space, a, b, rtol=POINT_IDENTITY_RTOL, atol=0.0):
         np.linalg.norm(a, axis=1)[:, None], np.linalg.norm(b, axis=1)[None, :]
     )
     return d.reshape(n, m) <= np.maximum(rtol * (1.0 + norms), atol)
+
+
+def distinct_rows(space, pts, rtol=POINT_IDENTITY_RTOL):
+    """The first row of each group of coinciding rows of an (N, n)
+    block: the indices of the rows that equal (points_equal at rtol) no
+    earlier row kept, in lexicographic order of their coordinates."""
+    same = points_equal(space, pts, pts, rtol=rtol)
+    found = []
+    for i in range(same.shape[0]):
+        if not same[i, found].any():
+            found.append(i)
+    return sorted(found, key=lambda i: tuple(pts[i]))
 
 
 # ---------------------------------------------------------------------------

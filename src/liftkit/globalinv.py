@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LiftkitError
-from .geometry import Box, Point, Segment, points_equal, polyline
+from .geometry import Box, Point, Segment, distinct_rows, points_equal, polyline
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import CONVERGED, newton_block
 from .sampling import unit_box_points
@@ -108,13 +108,7 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
     sol = newton_block(f, yc, starts, tol=tol, max_iter=60)
     done = sol.status == CONVERGED
     points, residuals = sol.points[done], sol.residuals[done]
-    same = points_equal(f.domain, points, points)
-    found = []
-    for i in range(points.shape[0]):
-        if not same[i, found].any():
-            found.append(i)
-
-    order = sorted(found, key=lambda i: tuple(points[i]))
+    order = distinct_rows(f.domain, points)
     report = FiberReport(
         target=Point(yc, f.codomain),
         preimages=[Point(points[i], f.domain) for i in order],

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .exprlang import BlockForm
 from .geometry import (
     Euclidean,
     FunctionPath,
     Point,
     ProductSpace,
     Segment,
+    distinct_rows,
     points_equal,
 )
 from .lift import (
@@ -153,9 +153,9 @@ class ImplicitProblem:
             codomain=codomain,
             jacobian_mode="analytic",
             eval_one=eval_one,
-            eval_many_fn=BlockForm(eval_many),
+            eval_many_fn=eval_many,
             jac_one=jac_one,
-            jac_many_fn=BlockForm(jac_many),
+            jac_many_fn=jac_many,
         )
 
     def augmented_path(self, p):
@@ -429,12 +429,7 @@ def branch_probe(prob, x_box, y_box, n_starts=32, n_grid=3, tol=1e-10):
     for gi, xbar in enumerate(x_grid):
         sol = _level_solve(g, prob, xbar, y_starts, tol)
         ys = sol.points[sol.status == CONVERGED][:, prob.m :]
-        same = points_equal(prob.y_space, ys, ys, rtol=1e-8)
-        found = []
-        for i in range(ys.shape[0]):
-            if not same[i, found].any():
-                found.append(i)
-        for i in sorted(found, key=lambda i: tuple(ys[i])):
+        for i in distinct_rows(prob.y_space, ys, rtol=1e-8):
             sols.append((gi, ys[i]))
 
     parent = list(range(len(sols)))

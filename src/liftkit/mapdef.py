@@ -3,8 +3,8 @@ the small-matrix kernel, and a damped Newton local solver.
 
 A MapHandle bundles a map between two spaces with whichever Jacobian
 source is available: closed-form (analytic), forward-mode automatic
-differentiation for expression maps, or central finite differences on
-request.
+differentiation for expression maps, or finite differences on request
+(_with_fd: one rule over a block of values, _fd_block).
 
 A built-in map is written once as a value formula and a Jacobian
 formula, formula(m, *coords), which call their functions as m.exp,
@@ -13,8 +13,9 @@ with math and a block of points over numpy columns (_pointwise). An
 expression map calls the functions exprlang generates from its
 components (exprlang.compile_map).
 
-Blocks are masked, not refused: a block callable returns every row, a
-row it cannot evaluate non-finite (see MapHandle), and batched callers
+Blocks are masked, not refused: a block callable returns the pair (every
+row, first fault or None), a row it cannot evaluate non-finite (see
+MapHandle), and batched callers
 such as newton_block read the mask of faulting rows, so one bad point
 never sinks a batch and no block is redone row by row.
 """
@@ -69,20 +70,25 @@ ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
 
 
+# finite differences step coordinate j of x by h = FD_STEP * max(1, |x_j|)
+FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class MapHandle:
     """A map with evaluation and Jacobian access.
 
-    jacobian_mode is one of "analytic", "automatic", "finite_difference".
+    jacobian_mode labels the Jacobian's source: "analytic",
+    "automatic" or "finite_difference" (a handle _with_fd made).
     eval_one and jac_one take one point and may raise at a fault.
     eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
-    block they return all N values or Jacobians, a row they cannot
-    evaluate holding a non-finite entry, without raising; an
-    exprlang.BlockForm also names its first fault. The kernels
-    _values_block and _jacobians_block return (block, faulting rows,
-    first fault or None) in one pass. eval_many and jacobians_many check
-    the block's shape and domain and raise its first fault, as _values
-    and _jacobians do at points the caller has tested.
+    block they return the pair (all N values or Jacobians, first fault
+    or None), a row they cannot evaluate holding a non-finite entry,
+    without raising. The kernels _values_block and _jacobians_block
+    return (block, faulting rows, first fault or None) in one pass.
+    eval_many and jacobians_many check the block's shape and domain and
+    raise its first fault, as _values and _jacobians do at points the
+    caller has tested.
     """
 
     name: str
@@ -93,9 +99,6 @@ class MapHandle:
     eval_many_fn: object = field(repr=False)
     jac_one: object = field(repr=False)
     jac_many_fn: object = field(repr=False)
-    asts: tuple = field(default=None, repr=False)
-    fd_step: float = 1e-6
-    params: dict = field(default_factory=dict)
 
     @property
     def dim_in(self):
@@ -123,13 +126,9 @@ class MapHandle:
         return out
 
     def _jacobian(self, c):
-        """The Jacobian at checked coordinates c, by the handle's mode;
-        its shape and finiteness are checked here."""
-        if self.jacobian_mode == "finite_difference":
-            jac = _fd_jacobian(self, c)
-        else:
-            jac = self.jac_one(c)
-        jac = _shaped(self, jac, (self.dim_out, self.dim_in))
+        """The Jacobian at checked coordinates c; its shape and
+        finiteness are checked here."""
+        jac = _shaped(self, self.jac_one(c), (self.dim_out, self.dim_in))
         if not np.isfinite(jac).all():
             raise DomainError("jacobian of %s is non-finite" % self.name)
         return jac
@@ -167,17 +166,14 @@ class MapHandle:
         return _masked(self.eval_many_fn, pts)
 
     def _jacobians_block(self, pts):
-        fn = self.jac_many_fn
-        if self.jacobian_mode == "finite_difference":  # one-point Jacobians
-            fn = exprlang.BlockForm(lambda rows: _fd_jacobians(self, rows))
-        jac, faulted, fault = _masked(fn, pts)
+        jac, faulted, fault = _masked(self.jac_many_fn, pts)
         return _shaped(self, jac, (pts.shape[0], self.dim_out, self.dim_in)), faulted, fault
 
 
 def _masked(fn, pts):
     """(block, faulting rows, first fault) of the block callable fn."""
     with np.errstate(all="ignore"):
-        out, fault = fn.masked(pts) if isinstance(fn, exprlang.BlockForm) else (fn(pts), None)
+        out, fault = fn(pts)
     out = np.asarray(out, dtype=float)
     finite = np.isfinite(out)
     if finite.all():  # a clean block pays one test, as a raising check would
@@ -207,36 +203,48 @@ def _shaped(f, jac, shape):
     return jac
 
 
-def _fd_jacobian(f, c):
-    n = f.domain.dim
-    jac = np.empty((f.codomain.dim, n))
-    for i in range(n):
-        h = f.fd_step * max(1.0, abs(c[i]))
-        e = np.zeros(n)
-        e[i] = h
-        try:
-            jac[:, i] = (f.eval(c + e) - f.eval(c - e)) / (2.0 * h)
-        except DomainError:
-            # one-sided difference at domain edges
-            f0 = f._value(c)
-            try:
-                jac[:, i] = (f.eval(c + e) - f0) / h
-            except DomainError:
-                jac[:, i] = (f0 - f.eval(c - e)) / h
-    return jac
-
-
-def _fd_jacobians(f, pts):
-    """f's one-point Jacobians at the rows of pts, a faulting row NaN,
-    and the first row fault."""
-    jac = np.full((pts.shape[0], f.codomain.dim, f.domain.dim), np.nan)
-    fault = None
-    for i, p in enumerate(pts):
-        try:
-            jac[i] = f._jacobian(p)
-        except _FAULTS as err:
-            fault = fault or err
-    return jac, fault
+def _fd_block(f, pts):
+    """f's finite-difference Jacobians at the rows of an (N, n) block and
+    the first faulting row's fault, from one _values_block call on the
+    stencil x, x +- h e_j, h = FD_STEP * max(1, |x_j|), whose points
+    fault where non-finite or outside the domain. Column j is the
+    central difference where x +- h e_j both evaluate, else the forward
+    one, else the backward one (so f(x) counts only there); a row with
+    no difference in a column is NaN, with its first faulting stencil
+    point's fault (one more call, on that point)."""
+    n_rows, n = pts.shape
+    h = FD_STEP * np.maximum(1.0, np.abs(pts))
+    x, steps = pts[:, None], h[:, :, None] * np.eye(n)  # steps[i, j] = h_ij e_j
+    stencil = np.concatenate([x, x + steps, x - steps], axis=1).reshape(-1, n)
+    inside = np.isfinite(stencil).all(axis=1)
+    inside[inside] = f.domain.contains_many(stencil[inside])
+    vals = np.full((stencil.shape[0], f.dim_out), np.nan)
+    vals[inside], faulted, _ = f._values_block(stencil[inside])
+    ok = inside.copy()
+    ok[inside] = ~faulted
+    f0, fp, fm = np.split(vals.reshape(n_rows, 2 * n + 1, f.dim_out), [1, n + 1], axis=1)
+    ok = ok.reshape(n_rows, 2 * n + 1)
+    o0, op, om = np.split(ok, [1, n + 1], axis=1)
+    central, forward = op & om, op & o0
+    hh = h[:, :, None]
+    with np.errstate(all="ignore"):
+        cols = np.where(
+            central[..., None],
+            (fp - fm) / (2.0 * hh),
+            np.where(forward[..., None], (fp - f0) / hh, (f0 - fm) / hh),
+        )
+    jac = cols.transpose(0, 2, 1)
+    bad = ~(central | forward | (o0 & om)).all(axis=1)
+    if not bad.any():
+        return jac, None
+    jac[bad] = np.nan
+    i = np.flatnonzero(bad)[0]
+    k = i * (2 * n + 1) + np.flatnonzero(~ok[i])[0]
+    if not inside[k]:
+        return jac, DomainError(
+            "point %s is outside the domain of %s" % (stencil[k].tolist(), f.name)
+        )
+    return jac, f._values_block(stencil[k : k + 1])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,8 @@ def _pointwise(formula, shape):
     that overflows raises OverflowError there, so the point runs again
     over numpy scalars, which overflow to inf as a block does (the
     handle refuses that, unless it ends finite as in 1 / (1 + inf)).
-    A block runs it once with m = numpy over its columns.
+    A block runs it once with m = numpy over its columns and names no
+    fault.
     """
     slots = [(slice(None),) + index for index in np.ndindex(*shape)]
 
@@ -294,27 +303,23 @@ def _pointwise(formula, shape):
         out = np.empty((P.shape[0],) + shape)
         for slot, entry in zip(slots, got):
             out[slot] = entry
-        return out
+        return out, None
 
     return one, many
 
 
-def _builtin(name, domain, codomain, value, jacobian, **params):
+def _builtin(name, domain, codomain, value, jacobian):
     """An analytic MapHandle from its value and Jacobian formulas."""
     ev, ev_many = _pointwise(value, (codomain.dim,))
     jac, jac_many = _pointwise(jacobian, (codomain.dim, domain.dim))
-    return MapHandle(
-        name, domain, codomain, "analytic", ev, ev_many, jac, jac_many, params=params
-    )
+    return MapHandle(name, domain, codomain, "analytic", ev, ev_many, jac, jac_many)
 
 
 def _make_identity(n=2):
     n = int(n)
     space = Euclidean(n)
     eye = np.eye(n).tolist()
-    return _builtin(
-        "identity(%d)" % n, space, space, lambda m, *c: c, lambda m, *c: eye, n=n
-    )
+    return _builtin("identity(%d)" % n, space, space, lambda m, *c: c, lambda m, *c: eye)
 
 
 def _make_shear3():
@@ -381,7 +386,7 @@ def _make_powk(k):
         return (w.real, -w.imag), (w.imag, w.real)
 
     domain = _annulus(ANNULUS_INNER, ANNULUS_OUTER)
-    return _builtin("powk(%d)" % k, domain, image, value, jacobian, k=k)
+    return _builtin("powk(%d)" % k, domain, image, value, jacobian)
 
 
 def _make_arctan():
@@ -445,7 +450,8 @@ def expression_map(
     """Build a MapHandle from component expressions.
 
     jacobian_source, when given, holds dim_out*dim_in expressions in
-    row-major order and switches the handle to analytic mode.
+    row-major order and switches the handle to analytic mode;
+    jacobian_mode="finite_difference" asks for _with_fd's handle.
     """
     asts = exprlang.parse(source, variables)
     varnames = asts[0].variables
@@ -481,20 +487,12 @@ def expression_map(
         def jac_one(c):
             return entries.values(c).reshape(m, n)
 
-        def jac_masked(pts):
-            vals, fault = entries.values_many.masked(pts)
+        def jac_many(pts):
+            vals, fault = entries.values_many(pts)
             return vals.reshape(pts.shape[0], m, n), fault
 
-        jac_many = exprlang.BlockForm(jac_masked)
         mode = "analytic"
-    if jacobian_mode == "finite_difference":
-        mode = "finite_difference"
-    elif jacobian_mode not in (None, mode):
-        raise InputError(
-            "jacobian mode %r not available for this map" % jacobian_mode
-        )
-
-    return MapHandle(
+    handle = MapHandle(
         name=name or source,
         domain=domain,
         codomain=codomain,
@@ -503,18 +501,19 @@ def expression_map(
         eval_many_fn=compiled.values_many,
         jac_one=jac_one,
         jac_many_fn=jac_many,
-        asts=asts,
     )
+    return _with_fd(handle, jacobian_mode)
 
 
 def resolve_map(spec, registry=None, jacobian_mode=None):
     """Resolve a map from a name or expression text.
 
     Lookup order: built-in names (with optional integer argument, e.g.
-    powk(3)), then the registry, then expression parsing.
+    powk(3)), then the registry, then expression parsing. A handle
+    resolves to itself, in the mode asked for.
     """
     if isinstance(spec, MapHandle):
-        return spec
+        return _with_fd(spec, jacobian_mode)
     if not isinstance(spec, str):
         raise InputError("map spec must be a string or MapHandle")
     text = spec.strip()
@@ -544,12 +543,27 @@ def resolve_map(spec, registry=None, jacobian_mode=None):
 
 
 def _with_fd(handle, jacobian_mode):
+    """handle in jacobian_mode: itself for None or its own mode; for
+    "finite_difference", its values with _fd_block's Jacobians, a point
+    taken as a one-row block."""
     if jacobian_mode in (None, handle.jacobian_mode):
         return handle
-    if jacobian_mode == "finite_difference":
-        return dataclasses.replace(handle, jacobian_mode="finite_difference")
-    raise InputError(
-        "jacobian mode %r not available for %s" % (jacobian_mode, handle.name)
+    if jacobian_mode != "finite_difference":
+        raise InputError(
+            "jacobian mode %r not available for %s" % (jacobian_mode, handle.name)
+        )
+
+    def jac_one(c):
+        jac, fault = _fd_block(handle, c[None, :])
+        if fault is not None:
+            raise fault
+        return jac[0]
+
+    return dataclasses.replace(
+        handle,
+        jacobian_mode="finite_difference",
+        jac_one=jac_one,
+        jac_many_fn=lambda pts: _fd_block(handle, pts),
     )
 
 

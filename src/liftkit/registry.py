@@ -86,6 +86,32 @@ def _base_space(tag, dim):
     raise InputError("unknown space annotation %r" % tag)
 
 
+def _field(body, section, key, convert=float, default=None):
+    """body[key] by convert (float, int, str or a parser), or default if
+    given and the key is absent; a missing key, or a bad number, is an
+    InputError naming the section and key."""
+    if key not in body:
+        if default is None:
+            raise InputError("%s is missing key %r" % (section, key))
+        return default
+    try:
+        return convert(body[key])
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise InputError(
+            "%s: %s = %r is not %s" % (section, key, body[key], kind)
+        ) from None
+
+
+# weight family -> (constructor, parameter keys, in the spec's order)
+_WEIGHT_FAMILIES = {
+    "constant": (ConstantWeight, ("c",)),
+    "affine": (AffineWeight, ("a", "b")),
+    "power": (PowerWeight, ("a", "b", "gamma")),
+}
+_COUNTS = {1: "one parameter", 2: "two parameters", 3: "three parameters"}
+
+
 def parse_weight_spec(text):
     """Weight from a compact spec: constant:c, affine:a,b,
     power:a,b,gamma, or expr:<formula in t>."""
@@ -99,19 +125,13 @@ def parse_weight_spec(text):
     if family in ("expr", "expression"):
         return ExpressionWeight(rest.strip())
     vals = parse_vector(rest)
-    if family == "constant":
-        if vals.size != 1:
-            raise InputError("constant weight takes one parameter")
-        return ConstantWeight(float(vals[0]))
-    if family == "affine":
-        if vals.size != 2:
-            raise InputError("affine weight takes two parameters a,b")
-        return AffineWeight(float(vals[0]), float(vals[1]))
-    if family == "power":
-        if vals.size != 3:
-            raise InputError("power weight takes three parameters a,b,gamma")
-        return PowerWeight(float(vals[0]), float(vals[1]), float(vals[2]))
-    raise InputError("unknown weight family %r" % family)
+    if family not in _WEIGHT_FAMILIES:
+        raise InputError("unknown weight family %r" % family)
+    make, keys = _WEIGHT_FAMILIES[family]
+    if vals.size != len(keys):
+        names = "" if len(keys) == 1 else " " + ",".join(keys)
+        raise InputError("%s weight takes %s%s" % (family, _COUNTS[len(keys)], names))
+    return make(*map(float, vals))
 
 
 class Registry:
@@ -127,6 +147,12 @@ class Registry:
         self._weights = {}
         self._paths = {}
         self._implicits = {}
+        self._sections = {
+            "map": self._maps,
+            "weight": self._weights,
+            "path": self._paths,
+            "implicit": self._implicits,
+        }
 
     # -- section intake ----------------------------------------------------
 
@@ -148,26 +174,13 @@ class Registry:
                     "section [%s] needs the form [kind name]" % section
                 )
             kind, name = parts[0].lower(), parts[1].strip()
-            body = dict(cp[section])
-            if kind == "map":
-                reg._maps[name] = body
-            elif kind == "weight":
-                reg._weights[name] = body
-            elif kind == "path":
-                reg._paths[name] = body
-            elif kind == "implicit":
-                reg._implicits[name] = body
-            else:
+            if kind not in reg._sections:
                 raise InputError("unknown section kind %r in [%s]" % (kind, section))
+            reg._sections[kind][name] = dict(cp[section])
         return reg
 
     def names(self):
-        return {
-            "maps": sorted(self._maps),
-            "weights": sorted(self._weights),
-            "paths": sorted(self._paths),
-            "implicits": sorted(self._implicits),
-        }
+        return {kind + "s": sorted(bodies) for kind, bodies in self._sections.items()}
 
     # -- maps ----------------------------------------------------------------
 
@@ -178,13 +191,10 @@ class Registry:
         if name not in self._maps:
             raise InputError("registry has no map %r" % name)
         body = self._maps[name]
-        try:
-            dim_in = int(body["dim_in"])
-            dim_out = int(body["dim_out"])
-            comp_src = body["components"]
-        except KeyError as err:
-            raise InputError("map %s is missing key %s" % (name, err))
-        comps = _split_exprs(comp_src)
+        section = "map %s" % name
+        dim_in = _field(body, section, "dim_in", int)
+        dim_out = _field(body, section, "dim_out", int)
+        comps = _split_exprs(_field(body, section, "components", str))
         if len(comps) != dim_out:
             raise InputError(
                 "map %s declares dim_out = %d but has %d components"
@@ -231,19 +241,13 @@ class Registry:
         if family in ("expr", "expression"):
             if "expr" not in body:
                 raise InputError("weight %s needs an expr key" % name)
-            return ExpressionWeight(body["expr"])
-        try:
-            if family == "constant":
-                return ConstantWeight(float(body["c"]))
-            if family == "affine":
-                return AffineWeight(float(body["a"]), float(body["b"]))
-            if family == "power":
-                return PowerWeight(
-                    float(body["a"]), float(body["b"]), float(body["gamma"])
-                )
-        except KeyError as err:
-            raise InputError("weight %s is missing key %s" % (name, err))
-        raise InputError("weight %s has unknown family %r" % (name, family))
+            return parse_weight_spec("expr:" + body["expr"])
+        if family not in _WEIGHT_FAMILIES:
+            raise InputError("weight %s has unknown family %r" % (name, family))
+        section = "weight %s" % name
+        keys = _WEIGHT_FAMILIES[family][1]
+        values = [_field(body, section, key) for key in keys]
+        return parse_weight_spec("%s:%s" % (family, ",".join(map(repr, values))))
 
     # -- paths ---------------------------------------------------------------
 
@@ -263,12 +267,13 @@ class Registry:
                     space, parse_vector(body["start"]), parse_vector(body["end"])
                 )
             if kind == "loop":
+                section = "path %s" % name
                 return Loop(
                     space,
                     parse_vector(body["center"]),
-                    float(body["radius"]),
-                    winding=int(body.get("winding", 1)),
-                    phase=float(body.get("phase", 0.0)),
+                    _field(body, section, "radius"),
+                    winding=_field(body, section, "winding", int, 1),
+                    phase=_field(body, section, "phase", float, 0.0),
                 )
             if kind == "polyline":
                 knots = [parse_vector(k) for k in _split_exprs(body["knots"])]
@@ -292,12 +297,10 @@ class Registry:
         if name not in self._implicits:
             raise InputError("registry has no implicit problem %r" % name)
         body = self._implicits[name]
-        try:
-            map_ref = body["map"]
-            x_dim = int(body["x_dim"])
-            w = parse_vector(body["w"])
-        except KeyError as err:
-            raise InputError("implicit %s is missing key %s" % (name, err))
+        section = "implicit %s" % name
+        map_ref = _field(body, section, "map", str)
+        x_dim = _field(body, section, "x_dim", int)
+        w = _field(body, section, "w", parse_vector)
         f = resolve_map(map_ref, registry=self)
         return ImplicitProblem(f, x_dim, w)
 
@@ -306,39 +309,29 @@ class Registry:
     def validate(self):
         """Build every section; returns a list of (section, error) pairs."""
         problems = []
-        for name in sorted(self._maps):
-            try:
-                self.get_map(name)
-            except LiftkitError as err:
-                problems.append(("map %s" % name, str(err)))
-        for name in sorted(self._weights):
-            try:
-                self.get_weight(name)
-            except LiftkitError as err:
-                problems.append(("weight %s" % name, str(err)))
-        for name in sorted(self._paths):
-            try:
-                # paths need a space; validate in a neutral one of the
-                # right width by probing common dims
-                built = False
-                last = None
-                for dim in (1, 2, 3, 4):
-                    try:
-                        self.get_path(name, Euclidean(dim))
-                        built = True
-                        break
-                    except LiftkitError as err:
-                        last = err
-                if not built:
-                    raise last
-            except LiftkitError as err:
-                problems.append(("path %s" % name, str(err)))
-        for name in sorted(self._implicits):
-            try:
-                self.get_implicit(name)
-            except LiftkitError as err:
-                problems.append(("implicit %s" % name, str(err)))
+        for kind, bodies, build in (
+            ("map", self._maps, self.get_map),
+            ("weight", self._weights, self.get_weight),
+            ("path", self._paths, self._probe_path),
+            ("implicit", self._implicits, self.get_implicit),
+        ):
+            for name in sorted(bodies):
+                try:
+                    build(name)
+                except LiftkitError as err:
+                    problems.append(("%s %s" % (kind, name), str(err)))
         return problems
+
+    def _probe_path(self, name):
+        """The named path in the first Euclidean space of dimension 1 to
+        4 it builds in (a path needs a space of the right width); the
+        last failure otherwise."""
+        for dim in (1, 2, 3, 4):
+            try:
+                return self.get_path(name, Euclidean(dim))
+            except LiftkitError as err:
+                last = err
+        raise last
 
 
 def load_registry(path):

@@ -27,6 +27,7 @@ from liftkit import (
     reverse_path,
     subset_from_expression,
 )
+from liftkit.geometry import distinct_rows
 from oracles import L_PARABOLA
 
 
@@ -258,6 +259,17 @@ def test_points_equal_boundaries_and_wraparound():
     a, b = np.array([[np.pi - 1e-10]]), np.array([[-np.pi + 1e-10]])
     assert points_equal(circle, a, b)[0, 0]
     assert not points_equal(Euclidean(1), a, b)[0, 0]
+
+
+def test_distinct_rows_keeps_the_first_of_each_group():
+    # rows 0, 2 and 4 coincide; so do 1 and 3 on the circle (+-pi)
+    pts = np.array([[1.0], [np.pi - 1e-10], [1.0 + 1e-12], [-np.pi + 1e-10], [1.0]])
+    assert distinct_rows(CircleQuotient(), pts) == [0, 1]
+    assert distinct_rows(Euclidean(1), pts) == [3, 0, 1]
+    # a looser tolerance merges more
+    assert distinct_rows(Euclidean(1), np.array([[0.0], [1e-8]]), rtol=1e-8) == [0]
+    assert distinct_rows(Euclidean(1), np.array([[1e-8], [0.0]])) == [1, 0]
+    assert distinct_rows(Euclidean(2), np.empty((0, 2))) == []
 
 
 def test_box_corners_and_contains():

@@ -168,6 +168,69 @@ def test_finite_difference_mode_holds_for_batched_jacobians(spec):
     assert fd.jacobians_many(np.empty((0, 2))).shape == (0, 2, 2)
 
 
+def test_finite_difference_is_one_sided_at_a_domain_edge():
+    # x - h faults, so the x column takes the forward difference
+    # (log(x + h) - log(x)) / h, as the built-in logmap's, whose x - h
+    # is outside its domain, does
+    edge = np.array([1e-7, 0.0])
+    fd = expression_map("(log(x) + y, y)", jacobian_mode="finite_difference")
+    want = jacobian_at(resolve_map("logmap", jacobian_mode="finite_difference"), edge[:1])
+    assert want[0, 0] == pytest.approx(math.log(11.0) / 1e-6, rel=1e-9)
+    one = jacobian_at(fd, edge)
+    assert one[0, 0] == want[0, 0]
+    assert np.allclose(one[:, 1], [1.0, 1.0], atol=1e-6) and one[1, 0] == 0.0
+    many = fd.jacobians_many(np.array([[1.0, 0.5], edge]))
+    assert np.array_equal(many[1], one)
+    # a row no difference reaches faults as its first faulting stencil
+    # point does
+    with pytest.raises(EvalDomainError, match="log of a non-positive number"):
+        jacobian_at(fd, [-1.0, 0.0])
+    with pytest.raises(EvalDomainError, match="log of a non-positive number"):
+        fd.jacobians_many(np.array([[1.0, 0.5], [-1.0, 0.0]]))
+
+
+def test_finite_difference_central_where_the_point_itself_faults():
+    # sin(x)/x faults at 0, but both neighbours evaluate
+    f = expression_map("sin(x)/x", jacobian_mode="finite_difference")
+    with pytest.raises(EvalDomainError):
+        f.eval([0.0])
+    assert np.array_equal(jacobian_at(f, [0.0]), [[0.0]])
+    many = f.jacobians_many(np.array([[1.0], [0.0]]))
+    assert np.array_equal(many[1], [[0.0]])
+    assert np.array_equal(many[0], jacobian_at(f, [1.0]))
+
+
+def test_finite_difference_blocks_make_no_one_point_calls():
+    calls = []
+    fd = expression_map(_LOG_MAP, jacobian_mode="finite_difference")
+    counted = dataclasses.replace(
+        fd,
+        eval_one=lambda c: calls.append(c) or fd.eval_one(c),
+        jac_one=lambda c: calls.append(c) or fd.jac_one(c),
+    )
+    pts = np.array([[0.5, 1.0], [1e-7, 0.0], [-1.0, 0.0], [2.0, -1.5]])
+    block, faulted, fault = counted._jacobians_block(pts)
+    assert calls == []
+    assert faulted.tolist() == [False, False, True, False]
+    assert isinstance(fault, EvalDomainError)
+    assert np.array_equal(block[~faulted], counted.jacobians_many(pts[~faulted]))
+    assert calls == []
+
+
+def test_resolve_map_of_a_handle_takes_the_mode(shear3):
+    assert resolve_map(shear3) is shear3
+    assert resolve_map(shear3, jacobian_mode="analytic") is shear3
+    fd = resolve_map(shear3, jacobian_mode="finite_difference")
+    assert fd.jacobian_mode == "finite_difference"
+    assert resolve_map(fd, jacobian_mode="finite_difference") is fd
+    p = np.array([0.3, 0.7])
+    assert not np.array_equal(jacobian_at(fd, p), jacobian_at(shear3, p))
+    assert np.allclose(jacobian_at(fd, p), jacobian_at(shear3, p), atol=1e-6)
+    for mode in ("bogus", "automatic"):
+        with pytest.raises(InputError, match="not available"):
+            resolve_map(shear3, jacobian_mode=mode)
+
+
 def test_jacobians_many_rejects_non_finite_like_jacobian_at(expmap):
     with pytest.raises(DomainError):
         jacobian_at(expmap, np.array([800.0]))
@@ -242,10 +305,10 @@ def _counting_block_handle(f, jac_calls):
 
     def jac_one(c):
         jac_calls.append(1)
-        return f.jac_many_fn(c[None, :])[0]
+        return f.jac_many_fn(c[None, :])[0][0]
 
     return dataclasses.replace(
-        f, eval_one=lambda c: f.eval_many_fn(c[None, :])[0], jac_one=jac_one
+        f, eval_one=lambda c: f.eval_many_fn(c[None, :])[0][0], jac_one=jac_one
     )
 
 

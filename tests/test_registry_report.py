@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from liftkit.cli import run
 from liftkit.errors import InputError
 from liftkit.geometry import Euclidean, Point
 from liftkit.hadamard import AffineWeight, PowerWeight
@@ -111,6 +112,103 @@ start = 0, 0
     assert "path pbad" in sections
 
 
+BAD_NUMBERS = """\
+[weight wbad]
+family = affine
+a = one
+b = 1
+
+[path pbad]
+kind = loop
+center = 0, 0
+radius = abc
+
+[map mbad]
+dim_in = two
+dim_out = 1
+components = x
+
+[implicit ibad]
+map = cubic_implicit
+x_dim = 1.5
+w = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hadamard", "--weight", "wbad"], "weight wbad: a = 'one' is not a number"),
+        (
+            ["lift", "--map", "polar_exp", "--path", "pbad", "--start", "0,0"],
+            "path pbad: radius = 'abc' is not a number",
+        ),
+        (
+            ["invert", "--map", "mbad", "--target", "1", "--start", "0"],
+            "map mbad: dim_in = 'two' is not an integer",
+        ),
+        (
+            ["implicit", "--problem", "ibad", "--x-target", "1", "--start-x", "0",
+             "--start-y", "0"],
+            "implicit ibad: x_dim = '1.5' is not an integer",
+        ),
+    ],
+    ids=["weight", "path", "map", "implicit"],
+)
+def test_a_bad_number_in_a_registry_is_an_input_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "numbers.ini"
+    path.write_text(BAD_NUMBERS, encoding="utf-8")
+    assert run(argv + ["--registry", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_validate_lists_bad_numbers(tmp_path, capsys):
+    path = tmp_path / "numbers.ini"
+    path.write_text(BAD_NUMBERS, encoding="utf-8")
+    sections = [sec for sec, _ in Registry.from_file(str(path)).validate()]
+    assert sections == ["map mbad", "weight wbad", "path pbad", "implicit ibad"]
+    assert run(["registry", "validate", "--registry", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["results"]["problems"]) == 4
+
+
+def test_weight_long_forms_match_their_specs(tmp_path):
+    text = """\
+[weight wc]
+family = constant
+c = 2.5
+
+[weight wp]
+family = power
+a = 1
+b = 0.5
+gamma = 0.25
+
+[weight we]
+family = expr
+expr = 1 + t
+
+[weight wmissing]
+family = power
+a = 1
+b = 1
+"""
+    path = tmp_path / "weights.ini"
+    path.write_text(text, encoding="utf-8")
+    reg = Registry.from_file(str(path))
+    for name, spec in (
+        ("wc", "constant:2.5"),
+        ("wp", "power:1,0.5,0.25"),
+        ("we", "expr:1 + t"),
+    ):
+        got, want = reg.get_weight(name), parse_weight_spec(spec)
+        assert type(got) is type(want)
+        assert got.describe() == want.describe()
+        assert got(3.0) == want(3.0)
+    with pytest.raises(InputError, match="^weight wmissing is missing key 'gamma'$"):
+        reg.get_weight("wmissing")
+
+
 def test_unknown_section_kind_rejected(tmp_path):
     path = tmp_path / "odd.ini"
     path.write_text("[gadget g]\nfoo = 1\n", encoding="utf-8")
@@ -139,8 +237,15 @@ def test_parse_vector():
 def test_parse_weight_spec_families():
     assert parse_weight_spec("constant:2")(9.0) == pytest.approx(2.0)
     assert parse_weight_spec("affine:1,1")(1.0) == pytest.approx(2.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown weight family 'mystery'$"):
         parse_weight_spec("mystery:1")
+    for spec, message in (
+        ("constant:1,2", "constant weight takes one parameter"),
+        ("affine:1", "affine weight takes two parameters a,b"),
+        ("power:1,2", "power weight takes three parameters a,b,gamma"),
+    ):
+        with pytest.raises(InputError, match="^%s$" % message):
+            parse_weight_spec(spec)
 
 
 # -- report documents ------------------------------------------------------

@@ -364,20 +364,24 @@ def parse_single(source, variables=None):
 #
 # A tuple of components is compiled, on first use, into the source of one
 # Python function, which is exec'd once and kept on the first component.
-# One generator (_emit writing into a _Writer) writes two forms of it.
-# The point form takes the variable values as Python floats and calls
-# math; a tangent, the partial derivatives in all n variables, is n float
-# locals. The block form takes numpy arrays, evaluated elementwise, and
-# calls numpy; a tangent is one array, broadcastable to (N, n) when the
-# variables are (N, 1) columns. Each form makes the operations the rules
-# below write, in their order, so the point form's floats are the entries
-# a point's numpy tangent would hold.
+# One generator (_emit writing into a _Writer) writes two forms of it: a
+# point form, which takes the variable values as Python floats and calls
+# math, and a block form, which takes one numpy array per variable (the
+# points' coordinates) and calls numpy, elementwise. The rules below write
+# one text for both; only the _Writer tells them apart, by its library
+# names, its fault checks (raise or mark) and its select (if or
+# np.where). Each form makes the operations the rules write, in their
+# order, so a point's floats are the entries its block would hold.
 #
-# A constant subtree has no tangent and costs no derivative work. Where a
-# tangent's absence is only known at run time (a min or max between a
-# constant and a variable at one point, a power by a constant subtree
-# that may be 0), a local flag holds it, the absent tangent's locals hold
-# 0.0, and the nodes above branch on the flag.
+# A tangent, the partial derivatives in the n variables, is n parts: each
+# the name of a local (a float at a point, a float or an array on a
+# block), the seed 1.0, or None for a partial that is zero by the tree's
+# structure, which is decided when the code is generated. A None part is
+# neither computed nor stored, and a factor 1.0 is not written (x * 1.0
+# is x), so a constant subtree, whose parts are all None, costs no
+# derivative work. A min or max takes its parts from the argument it
+# picks, 0.0 for a None part, and a power whose exponent has no tangent
+# (a constant subtree, say) has 0.0 parts where the exponent is 0.
 #
 # Faults: every operation that can turn finite arguments non-finite is
 # checked right after it, and the generated function maps whatever it
@@ -386,8 +390,9 @@ def parse_single(source, variables=None):
 # faulting node in evaluation order gives the message and the span. A
 # failed check of the block form raises nothing: it ORs its rows into
 # the mask _m and keeps the first fault in _f, and a constant subtree's
-# fault (a Python float division by zero, say) faults every row. The source holds only generated names,
-# operators and the library names below; numbers and nodes are bound in
+# fault (a Python float division by zero, say) faults every row. The
+# source holds only generated names, operators, the literals 0.0, 1.0
+# and 2.0, and the library names below; numbers and nodes are bound in
 # the function's namespace, never printed (1e999 parses to inf, whose
 # repr is not a literal).
 
@@ -405,8 +410,8 @@ _LIBRARY = {
     "_copysign": (math.copysign, np.copysign),
     "_isfinite": (math.isfinite, np.isfinite),
 }
-# name -> (tangent factor k of argument a and value v, and whether the
-# tangent is k * da or da / k); sqrt has a rule of its own
+# name -> (tangent factor k of argument a and value v, and whether a
+# tangent part p becomes k * p or p / k); sqrt has a rule of its own
 _UNARY = {
     "sin": ("_cos(%(a)s)", "*"),
     "cos": ("-_sin(%(a)s)", "*"),
@@ -445,22 +450,6 @@ _FOOTER = "\n    except _CAUGHT as err:\n        %s\n"
 _FIRST_LINE = _HEADER.count("\n") + 1
 
 
-@dataclass(frozen=True)
-class _Dyn:
-    """A tangent absent when the local flag is true; its parts then hold
-    0.0."""
-
-    flag: str
-    parts: tuple
-
-
-def _part(t):
-    """The one part of a block-form tangent, 0.0 for an absent one."""
-    if t is None:
-        return "0.0"
-    return t.parts[0] if type(t) is _Dyn else t[0]
-
-
 class _Writer:
     """The body of one generated function, line by line, with the owner of
     each line: the node whose fault the line raises and, for a division,
@@ -470,11 +459,9 @@ class _Writer:
         self.n = n
         self.block = block
         self.derivatives = derivatives
-        self.width = 1 if block else n  # parts per tangent
         self.lines = []
         self.owners = []
         self.owner = None
-        self.depth = 2
         self.count = 0
         self.namespace = {name: forms[block] for name, forms in _LIBRARY.items()}
         self.namespace.update(
@@ -490,17 +477,8 @@ class _Writer:
             self.write("_m, _f = False, None")
 
     def write(self, template, *names):
-        self.lines.append("    " * self.depth + template % names)
+        self.lines.append("        " + template % names)
         self.owners.append(self.owner)
-
-    def mark(self, test, rows, message="None"):
-        """Block form: where test holds, OR rows into the mask and keep
-        the current node's fault unless the block has one."""
-        node, divisor = self.owner
-        self.write(
-            "if %s: _m, _f = _m | %s, _f or _at(%s, %s, %s)",
-            test, rows, self.bind(node), divisor or "None", message,
-        )
 
     def new(self):
         self.count += 1
@@ -512,25 +490,25 @@ class _Writer:
         return name
 
     def seed(self, i):
-        """The tangent of variable i, every partial written out."""
-        if not self.derivatives:
-            return None
-        if self.block:
-            return (self.bind(_seeds(self.n)[i]),)
-        return tuple("1.0" if j == i else "0.0" for j in range(self.n))
+        """The tangent of variable i (of a constant for i None)."""
+        d = self.derivatives
+        return tuple("1.0" if d and j == i else None for j in range(self.n))
 
-    def names(self, k):
-        return tuple("t%d_%d" % (k, j) for j in range(self.width))
-
-    def parts(self, k, template, *args):
-        """Write part j of node k's tangent as template over args, each a
-        tangent (its part j is taken) or a name; return the parts."""
-        names = self.names(k)
-        for j, name in enumerate(names):
-            self.write(
-                "%s = " + template, name, *[a[j] if type(a) is tuple else a for a in args]
-            )
-        return names
+    def parts(self, k, rule, *tangents):
+        """Node k's tangent: part j is rule(*the parts j of tangents),
+        written to a local, and None where those are all None. A part the
+        rule hands back unchanged is not copied."""
+        out = []
+        for j, args in enumerate(zip(*tangents)):
+            if not any(args):
+                out.append(None)
+                continue
+            part = rule(*args)
+            if part not in args:
+                self.write("t%d_%d = %s", k, j, part)
+                part = "t%d_%d" % (k, j)
+            out.append(part)
+        return tuple(out)
 
     def check(self, v, power=False):
         """Fault where v is non-finite (or, after a power, complex)."""
@@ -543,46 +521,83 @@ class _Writer:
         else:
             self.write("if %s - %s: raise _E", v, v)
 
-    def branches(self, k, cases):
-        """Write "if c1: ... elif/else: ..." over cases [(condition or None
-        for else, body)], each body writing its lines and returning a
-        tangent of node k. Returns node k's tangent; branch results that
-        differ are assigned to node k's own names."""
-        done = []
-        for cond, body in cases:
-            saved, self.lines, self.owners = (self.lines, self.owners), [], []
-            self.depth += 1
-            result = body()
-            self.depth -= 1
-            done.append((cond, result, self.lines, self.owners))
-            self.lines, self.owners = saved
-        results = [res for _, res, _, _ in done]
-        names = self.names(k)
-        if all(res is None for res in results):
-            merged = None
-        elif all(type(res) is tuple for res in results):
-            merged = results[0] if len(set(results)) == 1 else names
+    def check_unbounded(self, v):
+        """After exp, log or sqrt: a check where the library returns a
+        non-finite value rather than raise."""
+        if self.block:
+            self.check(v)
+
+    def require(self, ok, message):
+        """Fault with message where the elementwise test ok fails."""
+        if self.block:
+            # ok may be a Python bool, whose ~ is not a logical not
+            self.mark("not _np.all(%s)" % ok, "_np.logical_not(%s)" % ok, message)
         else:
-            merged = _Dyn("z%d" % k, names)
-        for i, (cond, res, lines, owners) in enumerate(done):
-            if cond is None:
-                self.write("else:")
-            else:
-                self.write("if %s:" if i == 0 else "elif %s:", cond)
-            self.lines += lines
-            self.owners += owners
-            self.depth += 1
-            size = len(self.lines)
-            if type(merged) is _Dyn and type(res) is not _Dyn:
-                self.write("z%d = %s", k, res is None)
-            if (merged is names or type(merged) is _Dyn) and type(res) is not _Dyn:
-                for name, part in zip(names, res or ("0.0",) * self.width):
-                    if name != part:
-                        self.write("%s = %s", name, part)
-            if not lines and len(self.lines) == size:
-                self.write("pass")
-            self.depth -= 1
-        return merged
+            self.write("if not (%s): raise _D(%s)", ok, message)
+
+    def mark(self, test, rows, message="None"):
+        """Block form: where test holds, OR rows into the mask and keep
+        the current node's fault unless the block has one."""
+        node, divisor = self.owner
+        self.write(
+            "if %s: _m, _f = _m | %s, _f or _at(%s, %s, %s)",
+            test, rows, self.bind(node), divisor or "None", message,
+        )
+
+    def select(self, test, pairs):
+        """Where the elementwise test holds, each (name, value) pair's
+        name takes the value."""
+        if self.block:
+            y = "y%d" % self.new()
+            self.write("%s = %s", y, test)
+            for name, value in pairs:
+                self.write("%s = _np.where(%s, %s, %s)", name, y, value, name)
+        else:
+            self.write("if %s:", test)
+            for name, value in pairs:
+                self.write("    %s = %s", name, value)
+
+    def source(self, roots):
+        """The function's text, returning the values of roots [(value,
+        tangent, raw)] or, with derivatives, their Jacobian rows (None
+        for a partial zero by structure on a block; a non-finite entry
+        faults at a point), then, on a block, the mask and the fault."""
+        if self.derivatives:
+            zero = "None" if self.block else "0.0"
+            rows = [[p or zero for p in t] for _, t, _ in roots]
+            result = "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in rows)
+            names = [p for row in rows for p in row if p not in (zero, "1.0")]
+            if names and not self.block:
+                test = " + ".join("(%s - %s)" % (p, p) for p in names)
+                self.write("if %s: _nonfinite(%s)", test, result)
+        else:
+            result = "[%s]" % ", ".join(v for v, _, _ in roots)
+        if self.block:
+            self.write("return %s, _m, _f", result)
+            # a constant subtree's fault faults a block's every row
+            footer = "return (), True, _f or _fault(err)"
+        else:
+            self.write("return %s", result)
+            footer = "raise _fault(err) from None"
+        names = ", ".join("x%d" % i for i in range(self.n))
+        return _HEADER % names + "\n".join(self.lines) + _FOOTER % footer
+
+    def log(self, a):
+        """numpy's log of a, at a point too, as the block takes it."""
+        return ("_np.log(%s)" if self.block else "float(_np.log(%s))") % a
+
+
+def _times(x, y):
+    """x * y without a factor 1.0 (exact)."""
+    return y if x == "1.0" else x if y == "1.0" else "%s * %s" % (x, y)
+
+
+def _still(test, tangent):
+    """The test, or every part of tangent is 0: where the test fails, only
+    a tangent that does not move is differentiable."""
+    if "1.0" in tangent:
+        return test
+    return "(%s) | (%s)" % (test, " & ".join("(%s == 0)" % p for p in tangent if p))
 
 
 def _literal(node):
@@ -595,29 +610,13 @@ def _literal(node):
     return None
 
 
-def _tangent(w, k, rule, tangents):
-    """Node k's tangent by rule(*tangents), branching on every argument
-    tangent whose absence is decided at run time."""
-    for i, t in enumerate(tangents):
-        if type(t) is _Dyn:
-            absent, present = list(tangents), list(tangents)
-            absent[i], present[i] = None, t.parts
-            return w.branches(k, [
-                (t.flag, lambda: _tangent(w, k, rule, absent)),
-                (None, lambda: _tangent(w, k, rule, present)),
-            ])
-    if all(t is None for t in tangents):
-        return None
-    return rule(*tangents)
-
-
 def _emit(w, node):
     """Write the code of node's subtree, arguments first. Returns the name
-    of its value, its tangent (None, a tuple of parts or a _Dyn) and
-    whether the value may be a non-finite input: a variable, a constant,
-    or a min or max of those (every other value has been checked)."""
+    of its value, its tangent and whether the value may be a non-finite
+    input: a variable, a constant, or a min or max of those (every other
+    value has been checked)."""
     if isinstance(node, Num):
-        return w.bind(node.value), None, True
+        return w.bind(node.value), w.seed(None), True
     if isinstance(node, Var):
         if not 0 <= node.index < w.n:
             raise InputError("variable %r has no index among %d" % (node.name, w.n))
@@ -630,202 +629,136 @@ def _emit(w, node):
         args = [_emit(w, arg) for arg in node.args]
     k = w.new()
     v = "v%d" % k
+    w.owner = (node, args[1][0] if isinstance(node, BinOp) and node.op == "/" else None)
     if isinstance(node, BinOp):
         (a, da, _), (b, db, _) = args
-        w.owner = (node, b if node.op == "/" else None)
         w.write("%s = %s %s %s", v, a, _BINARY[node.op][1], b)
         w.check(v, power=node.op == "^")
-        rule = _binary_rule(w, k, node, a, b, v)
-        tangents = [da, db]
-    elif isinstance(node, Neg) or node.fn in _UNARY:
+        tangent = _binary_tangent(w, k, node, a, b, v, da, db) if any(da + db) else da
+        return v, tangent, False
+    if isinstance(node, Neg) or node.fn in _UNARY:
         ((a, da, raw),) = args
         fn = "neg" if isinstance(node, Neg) else node.fn
-        w.owner = (node, None)
         if fn == "neg":
             w.write("%s = -%s", v, a)
         else:
             w.write("%s = _%s(%s)", v, fn, a)
-        if raw or (w.block and fn in _UNBOUNDED):
+        if raw:
             w.check(v)
-        rule = _unary_rule(w, k, fn, a, v)
-        tangents = [da]
-    else:
-        w.owner = (node, None)
-        return v, _extreme(w, k, node.fn, args), any(raw for _, _, raw in args)
-    tangent = _tangent(w, k, rule, tangents) if w.derivatives else None
-    return v, tangent, False
+        elif fn in _UNBOUNDED:
+            w.check_unbounded(v)
+        return v, _unary_tangent(w, k, fn, a, v, da) if any(da) else da, False
+    return v, _extreme(w, k, node.fn, args), any(raw for _, _, raw in args)
 
 
-def _binary_rule(w, k, node, a, b, v):
+def _binary_tangent(w, k, node, a, b, v, da, db):
     op = node.op
+    if op == "+":
+        return w.parts(k, lambda p, q: "%s + %s" % (p, q) if p and q else p or q, da, db)
+    if op == "-":
+        return w.parts(
+            k, lambda p, q: "%s - %s" % (p, q) if p and q else p or "-" + q, da, db
+        )
+    if op == "*":
 
-    def rule(da, db):
-        if op == "+":
-            return db if da is None else da if db is None else w.parts(
-                k, "%s + %s", da, db
-            )
-        if op == "-":
-            if da is None:
-                return w.parts(k, "-1.0 * %s", db)
-            return da if db is None else w.parts(k, "%s - %s", da, db)
-        if op == "*":
-            if da is None:
-                return w.parts(k, "%s * %s", a, db)
-            if db is None:
-                return w.parts(k, "%s * %s", b, da)
-            return w.parts(k, "%s * %s + %s * %s", b, da, a, db)
-        if op == "/":
-            if da is None:
-                return w.parts(k, "-1.0 * (%s * %s) / %s", v, db, b)
-            if db is None:
-                return w.parts(k, "%s / %s", da, b)
-            return w.parts(k, "(%s - %s * %s) / %s", da, v, db, b)
-        if db is not None:
-            if w.block:
-                # a may be a Python float, whose ~ is not a logical not
-                w.mark("not _np.all(%s > 0)" % a, "_np.logical_not(%s > 0)" % a, "_POWER")
-            else:
-                w.write("if not %s > 0: raise _D(_POWER)", a)
-            log = "k%d" % k
-            # numpy's log at a point too, as the block takes it
-            w.write("%s = _np.log(%s)" if w.block else "%s = float(_np.log(%s))", log, a)
-            if da is None:
-                return w.parts(k, "%s * (%s * %s)", v, db, log)
-            w.write("q%d = %s / %s", k, b, a)
-            return w.parts(k, "%s * (%s * %s + q%d * %s)", v, db, log, k, da)
-        # constant exponent: direct rule, no log and no division
-        # (v * b / a overflows on subnormal bases)
-        exponent = _literal(node.right)
-        if exponent is None:
-            return w.branches(k, [
-                ("%s == 0" % b, lambda: None),
-                (None, lambda: _constant_power(w, k, a, b, da, None)),
-            ])
-        if exponent == 0:
-            return None
-        return _constant_power(w, k, a, b, da, float(exponent).is_integer())
+        def product(p, q):
+            if p and q:
+                return "%s + %s" % (_times(b, p), _times(a, q))
+            return _times(b, p) if p else _times(a, q)
 
-    return rule
+        return w.parts(k, product, da, db)
+    if op == "/":
+
+        def quotient(p, q):
+            if not q:
+                return "%s / %s" % (p, b)
+            if not p:
+                return "-(%s) / %s" % (_times(v, q), b)
+            return "(%s - %s) / %s" % (p, _times(v, q), b)
+
+        return w.parts(k, quotient, da, db)
+    if any(db):
+        w.require("%s > 0" % a, "_POWER")
+        log, ratio = "k%d" % k, "q%d" % k
+        w.write("%s = %s", log, w.log(a))
+        if any(da):
+            w.write("%s = %s / %s", ratio, b, a)
+
+        def power(p, q):
+            if p and q:
+                return "%s * (%s + %s)" % (v, _times(q, log), _times(ratio, p))
+            return "%s * (%s)" % (v, _times(ratio, p) if p else _times(q, log))
+
+        return w.parts(k, power, da, db)
+    # constant exponent: direct rule, no log and no division
+    # (v * b / a overflows on subnormal bases)
+    exponent = _literal(node.right)
+    if exponent == 0:
+        return db
+    integer = None if exponent is None else float(exponent).is_integer()
+    return _constant_power(w, k, a, b, da, integer)
 
 
 def _constant_power(w, k, a, b, da, integer):
-    """Tangent of a^b for a constant b != 0; integer tells whether b is an
-    integer, None to test it at run time. A base of 0 with a non-integer
-    b has no derivative where a's tangent is nonzero."""
+    """Tangent of a^b for an exponent b without a tangent; integer tells
+    whether the literal b is an integer, None for a b known only at run
+    time, which may also be 0 (zero parts there). A base of 0 with a
+    non-integer b has no derivative where a's tangent is nonzero."""
     factor = "k%d" % k
     w.write("%s = %s", factor, a)
-    if integer is not True:
-        if integer is None:
-            w.write("if not float(%s).is_integer():", b)
-            w.depth += 1
-        if w.block:
-            w.write("y%d = %s == 0", k, factor)
-            w.write("if _np.any(y%d):", k)
-            w.depth += 1
-            _mark_tangent(w, "y%d" % k, da[0], "_POWER")
-            w.write("%s = _np.where(y%d, 1.0, %s)", factor, k, factor)
-        else:
-            w.write("if %s == 0:", factor)
-            w.depth += 1
-            w.write("if %s: raise _D(_POWER)", " or ".join("%s != 0" % p for p in da))
-            w.write("%s = 1.0", factor)
-        w.depth -= 2 if integer is None else 1
-    w.write("%s = %s * %s ** (%s - 1.0)", factor, b, factor, b)
-    return w.parts(k, "%s * %s", factor, da)
-
-
-def _unary_rule(w, k, fn, a, v):
-    def rule(da):
-        if fn == "neg":
-            return w.parts(k, "-%s", da)
-        if fn == "sqrt":
-            return _sqrt_tangent(w, k, v, da)
-        template, op = _UNARY[fn]
-        factor = "k%d" % k
-        w.write("%s = " + template % {"a": a, "v": v}, factor)
-        if op == "*":
-            return w.parts(k, "%s * %s", factor, da)
-        return w.parts(k, "%s / %s", da, factor)
-
-    return rule
-
-
-def _sqrt_tangent(w, k, v, da):
-    """da / (2 sqrt(a)), and 0 where sqrt(a) is 0 and da is too."""
-    if w.block:
-        zero = "y%d" % k
-        w.write("%s = %s == 0", zero, v)
-        _mark_tangent(w, zero, da[0], "_SQRT")
-        return w.parts(
-            k, "_np.where(%s, 0.0, %s / (2.0 * _np.where(%s, 1.0, %s)))", zero, da, zero, v
+    if integer is None:
+        w.require(_still("(%s != 0) | (%s %% 1.0 == 0)" % (factor, b), da), "_POWER")
+        # a base of 1 keeps b * base^(b - 1) finite where it is unused
+        w.select(
+            "(%s == 0) & (%s %% 1.0 != 0) | (%s == 0)" % (factor, b, b),
+            [(factor, "1.0")],
         )
-
-    def at_zero():
-        w.write("if %s: raise _D(_SQRT)", " or ".join("%s != 0" % p for p in da))
-        return ("0.0",) * w.width
-
-    def elsewhere():
-        w.write("k%d = 2.0 * %s", k, v)
-        return w.parts(k, "%s / %s", da, "k%d" % k)
-
-    return w.branches(k, [("%s == 0" % v, at_zero), (None, elsewhere)])
+    elif not integer:
+        w.require(_still("%s != 0" % factor, da), "_POWER")
+        w.select("%s == 0" % factor, [(factor, "1.0")])
+    w.write("%s = %s * %s ** (%s - 1.0)", factor, b, factor, b)
+    tangent = w.parts(k, lambda p: _times(factor, p), da)
+    if integer is None:
+        w.select("%s == 0" % b, [(part, "0.0") for part in tangent if part])
+    return tangent
 
 
-def _mark_tangent(w, zero, da, message):
-    """Block form: rows where zero holds and da is nonzero fault."""
-    hit = "(%s & (%s != 0))" % (zero, da)
-    w.mark("_np.any%s" % hit, "%s.any(-1, keepdims=True)" % hit, message)
+def _unary_tangent(w, k, fn, a, v, da):
+    if fn == "neg":
+        return w.parts(k, lambda p: "-" + p, da)
+    factor = "k%d" % k
+    if fn == "sqrt":
+        # p / (2 sqrt(a)), and p / 1 = 0 where sqrt(a) is 0 and p is too
+        w.require(_still("%s != 0" % v, da), "_SQRT")
+        w.write("%s = 2.0 * %s", factor, v)
+        w.select("%s == 0" % v, [(factor, "1.0")])
+        return w.parts(k, lambda p: "%s / %s" % (p, factor), da)
+    template, op = _UNARY[fn]
+    w.write("%s = " + template % {"a": a, "v": v}, factor)
+    if op == "*":
+        return w.parts(k, lambda p: _times(factor, p), da)
+    return w.parts(k, lambda p: "%s / %s" % (p, factor), da)
 
 
 def _extreme(w, k, fn, args):
     """Write min or max over args [(value, tangent, raw)] into node k;
     return its tangent. Ties keep the earlier argument, for the value and
     the tangent alike."""
-    beats = _EXTREMES[fn]
     v = "v%d" % k
     w.write("%s = %s", v, args[0][0])
-    tangents = [t if w.derivatives else None for _, t, _ in args]
-    if w.block:
-        current = tangents[0]
-        for (a, _, _), t in zip(args[1:], tangents[1:]):
-            take = "y%d" % w.new()
-            w.write("%s = %s %s %s", take, a, beats, v)
-            w.write("%s = _np.where(%s, %s, %s)", v, take, a, v)
-            if t is not None or current is not None:
-                w.write("t%d = _np.where(%s, %s, %s)", k, take, _part(t), _part(current))
-                current = ("t%d" % k,)
-        if current is None or any(type(t) is tuple for t in tangents):
-            return current
-        w.write("z%d = %s", k, " and ".join(t.flag for t in tangents if t is not None))
-        return _Dyn("z%d" % k, current)
-    # a point takes the first argument that beats the best so far
-    if all(t is None for t in tangents):
-        kind = None
-    elif all(type(t) is tuple for t in tangents):
-        kind = tuple
-    else:
-        kind = _Dyn
-    names = w.names(k)
-
-    def take(t):
-        if kind is _Dyn:
-            flag = t.flag if type(t) is _Dyn else t is None
-            w.write("z%d = %s", k, flag)
-        if kind is not None:
-            parts = ("0.0",) * w.width if t is None else getattr(t, "parts", t)
-            for name, part in zip(names, parts):
-                w.write("%s = %s", name, part)
-
-    take(tangents[0])
-    for (a, _, _), t in zip(args[1:], tangents[1:]):
-        w.write("if %s %s %s:", a, beats, v)
-        w.depth += 1
-        w.write("%s = %s", v, a)
-        take(t)
-        w.depth -= 1
-    if kind is None:
-        return None
-    return names if kind is tuple else _Dyn("z%d" % k, names)
+    names = [
+        "t%d_%d" % (k, j) if any(t[j] for _, t, _ in args) else None
+        for j in range(w.n)
+    ]
+    for name, part in zip(names, args[0][1]):
+        if name:
+            w.write("%s = %s", name, part or "0.0")
+    for a, t, _ in args[1:]:
+        w.select(
+            "%s %s %s" % (a, _EXTREMES[fn], v),
+            [(v, a)] + [(name, part or "0.0") for name, part in zip(names, t) if name],
+        )
+    return tuple(names)
 
 
 def _fault_message(node):
@@ -879,34 +812,13 @@ def _generate(components, block, derivatives):
     """The generated function of components (Ast sharing one variable
     tuple), taking the n variable values. It returns the m component
     values or, with derivatives, their tangents: at a point the (m, n)
-    Jacobian as nested lists, on a block one array or None per
-    component, then the mask of faulting rows and the first fault."""
-    n = components[0].arity
-    w = _Writer(n, block, derivatives)
+    Jacobian as nested lists, on a block its rows of parts, None for a
+    partial zero by structure, then the mask of faulting rows and the
+    first fault."""
+    w = _Writer(components[0].arity, block, derivatives)
     roots = [_emit(w, c.root) for c in components]
     w.owner = None
-    if not derivatives:
-        results = "[%s]" % ", ".join(v for v, _, _ in roots)
-        w.write("return %s, _m, _f" if block else "return %s", results)
-    elif block:
-        w.write(
-            "return [%s], _m, _f",
-            ", ".join("None" if t is None else _part(t) for _, t, _ in roots),
-        )
-    else:
-        rows = [("0.0",) * n if t is None else getattr(t, "parts", t) for _, t, _ in roots]
-        jac = "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in rows)
-        names = [p for row in rows for p in row if p not in ("0.0", "1.0")]
-        if names:
-            test = " + ".join("(%s - %s)" % (p, p) for p in names)
-            w.write("if %s: _nonfinite(%s)", test, jac)
-        w.write("return %s", jac)
-    source = (
-        _HEADER % ", ".join("x%d" % i for i in range(n))
-        + "\n".join(w.lines)
-        # a constant subtree's fault faults a block's every row
-        + _FOOTER % ("return (), True, _f or _fault(err)" if block else "raise _fault(err) from None")
-    )
+    source = w.source(roots)
     namespace = w.namespace
     namespace["_fault"] = functools.partial(_located, w.owners)
     namespace["_nonfinite"] = functools.partial(
@@ -926,14 +838,6 @@ def _cached(make, components, *args):
     if got is None:
         got = cache[key] = (components[1:], make(components, *args))
     return got[1]
-
-
-@functools.lru_cache(maxsize=None)
-def _seeds(n):
-    """Unit tangents of the n variables: read-only rows of the identity."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return tuple(eye)
 
 
 @dataclass(frozen=True)
@@ -1000,13 +904,14 @@ def _map_callables(comps):
     def jacobian_many(pts):
         jac = np.zeros((pts.shape[0], m, n))
         with np.errstate(all="ignore"):
-            got, bad, fault = block_jacobian[0](*[pts[:, i : i + 1] for i in range(n)])
-        for i, d in enumerate(got):
-            if d is not None:
-                jac[:, i, :] = d
+            got, bad, fault = block_jacobian[0](*pts.T)
+        for i, row in enumerate(got):
+            for j, part in enumerate(row):
+                if part is not None:
+                    jac[:, i, j] = part
         finite = np.isfinite(jac)
         if fault is not None:
-            jac[np.broadcast_to(bad, (pts.shape[0], 1))[:, 0]] = np.nan
+            jac[np.broadcast_to(bad, pts.shape[:1])] = np.nan
         elif not finite.all():
             rows_ok = finite.all(axis=-1).all(axis=0)
             comp = comps[int(np.argmin(rows_ok))]

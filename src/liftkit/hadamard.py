@@ -494,10 +494,6 @@ class DivergenceReport:
     caveat: str
     window: tuple
 
-    @property
-    def divergent(self):
-        return self.klass == "divergent"
-
 
 def _fit_models(t, r):
     logt, logr = np.log(t), np.log(r)

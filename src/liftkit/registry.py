@@ -77,6 +77,12 @@ def _split_exprs(text):
     return [p.strip() for p in str(text).split(";") if p.strip()]
 
 
+def _parse_knots(text):
+    """A polyline's knots: vectors of one length separated by ';' (np.stack
+    raises ValueError for none or for mixed lengths)."""
+    return np.stack([parse_vector(k) for k in _split_exprs(text)])
+
+
 def _base_space(tag, dim):
     tag = (tag or "euclidean").strip().lower()
     if tag == "euclidean":
@@ -87,20 +93,23 @@ def _base_space(tag, dim):
 
 
 def _field(body, section, key, convert=float, default=None):
-    """body[key] by convert (float, int, str or a parser), or default if
-    given and the key is absent; a missing key, or a bad number, is an
-    InputError naming the section and key."""
+    """body[key] by convert (float, int, str, parse_vector or
+    _parse_knots), or default if given and the key is absent; a missing
+    key, or a bad value, is an InputError naming the section and key."""
     if key not in body:
         if default is None:
             raise InputError("%s is missing key %r" % (section, key))
         return default
     try:
         return convert(body[key])
-    except ValueError:
-        kind = "an integer" if convert is int else "a number"
+    except (ValueError, InputError):
+        kind = _KINDS.get(convert, "a number")
         raise InputError(
             "%s: %s = %r is not %s" % (section, key, body[key], kind)
         ) from None
+
+
+_KINDS = {int: "an integer", parse_vector: "a vector", _parse_knots: "a list of vectors"}
 
 
 # weight family -> (constructor, parameter keys, in the spec's order)
@@ -260,38 +269,31 @@ class Registry:
         if name not in self._paths:
             raise InputError("registry has no path %r" % name)
         body = self._paths[name]
+        section = "path %s" % name
         kind = body.get("kind", "").strip().lower()
-        try:
-            if kind == "segment":
-                return Segment(
-                    space, parse_vector(body["start"]), parse_vector(body["end"])
-                )
-            if kind == "loop":
-                section = "path %s" % name
-                return Loop(
-                    space,
-                    parse_vector(body["center"]),
-                    _field(body, section, "radius"),
-                    winding=_field(body, section, "winding", int, 1),
-                    phase=_field(body, section, "phase", float, 0.0),
-                )
-            if kind == "polyline":
-                knots = [parse_vector(k) for k in _split_exprs(body["knots"])]
-                return polyline(space, np.stack(knots))
-            if kind == "expression":
-                dom = parse_vector(body.get("domain", "0, 1"))
-                if dom.size != 2:
-                    raise InputError("path %s domain needs two numbers" % name)
-                comps = "(" + ", ".join(_split_exprs(body["components"])) + ")"
-                return ExpressionPath(space, comps, (float(dom[0]), float(dom[1])))
-        except KeyError as err:
-            raise InputError("path %s is missing key %s" % (name, err))
+        if kind == "segment":
+            start = _field(body, section, "start", parse_vector)
+            return Segment(space, start, _field(body, section, "end", parse_vector))
+        if kind == "loop":
+            return Loop(
+                space,
+                _field(body, section, "center", parse_vector),
+                _field(body, section, "radius"),
+                winding=_field(body, section, "winding", int, 1),
+                phase=_field(body, section, "phase", float, 0.0),
+            )
+        if kind == "polyline":
+            return polyline(space, _field(body, section, "knots", _parse_knots))
+        if kind == "expression":
+            dom = _field(body, section, "domain", parse_vector, np.array([0.0, 1.0]))
+            if dom.size != 2:
+                raise InputError("path %s domain needs two numbers" % name)
+            comps = _split_exprs(_field(body, section, "components", str))
+            source = "(" + ", ".join(comps) + ")"
+            return ExpressionPath(space, source, (float(dom[0]), float(dom[1])))
         raise InputError("path %s has unknown kind %r" % (name, kind))
 
     # -- implicit problems -------------------------------------------------
-
-    def has_implicit(self, name):
-        return name in self._implicits
 
     def get_implicit(self, name):
         if name not in self._implicits:

@@ -333,16 +333,8 @@ def test_jacobians_match_central_differences_where_smooth(root, left, right, px,
     assume(np.abs(fwd - bwd).max() <= 1e-3 * scale)
     assume(all(np.abs(j - jac).max() <= 1e-4 * scale for j in near))
     assert np.abs(jac - central).max() <= 1e-5 * scale
-    try:
-        block = jacobian_ad([a], np.array([p]))[0, 0]
-    except EvalDomainError as err:
-        # a block gives a min or max that picks a constant the zero
-        # tangent, a point gives it none, so an exponent such as
-        # min(-10, max(1e300, y)) is variable in the block alone, which
-        # then refuses a negative base
-        assert str(err) == "power not differentiable at non-positive base"
-    else:
-        assert np.abs(block - central).max() <= 1e-5 * scale
+    block = jacobian_ad([a], np.array([p]))[0, 0]
+    assert np.abs(block - central).max() <= 1e-5 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +413,54 @@ def test_min_max_ties_keep_the_earlier_argument(source, at, row):
     a = parse_single(source, ("x", "y"))
     assert jacobian_ad([a], at).tolist() == [row]
     assert jacobian_ad([a], [at]).tolist() == [[row]]
+
+
+def _both_forms(a, at):
+    """jacobian_ad of a at one point and on a 1-row block: one fault, or
+    the same row, to the sign of every zero."""
+    point = _outcome_row(lambda: jacobian_ad([a], at)[0])
+    block = _outcome_row(lambda: jacobian_ad([a], [at])[0, 0])
+    assert point == block
+    return point
+
+
+def _outcome_row(call):
+    try:
+        return _bits(call())
+    except EvalDomainError as err:
+        return str(err), err.span
+
+
+def test_a_min_or_max_picking_a_constant_has_a_zero_tangent():
+    # the partial in x is y * 0.0: its sign is y's, in both forms
+    a = parse_single("min(1, x) * y", ("x", "y"))
+    assert _both_forms(a, [2.0, -3.0]) == ([-0.0, 1.0], [True, False])
+    assert _both_forms(a, [0.5, -3.0]) == ([-3.0, 0.5], [True, False])
+    # so an exponent holding one is variable, and refuses a negative base
+    power = parse_single("x^min(2, y)", ("x", "y"))
+    fault = ("power not differentiable at non-positive base", (0, 11))
+    assert _both_forms(power, [-2.0, 3.0]) == fault
+    assert _both_forms(power, [-2.0, 1.0]) == fault
+    assert _both_forms(power, [2.0, 3.0]) == ([4.0, 0.0], [False, False])
+
+
+def test_a_power_by_a_constant_subtree():
+    # an exponent that is 0 at run time gives zero parts, at any base
+    zero = parse_single("x^(1-1)", ("x",))
+    for x in (0.0, -2.0, 3.0):
+        assert _both_forms(zero, [x]) == ([0.0], [False])
+    # a non-integer one refuses a zero base whose tangent moves in any
+    # variable
+    a = parse_single("(x*y)^sin(2)", ("x", "y"))
+    fault = ("power not differentiable at non-positive base", (0, 12))
+    assert _both_forms(a, [0.0, 1.0]) == fault
+    assert _both_forms(a, [1.0, 0.0]) == fault
+    assert _both_forms(parse_single("(x*0)^sin(2)", ("x", "y")), [1.0, 2.0])[0] == [0.0, 0.0]
+    # an exponent without a tangent need not be one number on a block
+    b = parse_single("x^(y^0 - y^0 - 1)", ("x", "y"))
+    block = [[2.0, 1.0], [-4.0, 3.0]]
+    assert jacobian_ad([b], block).tolist() == [[[-0.25, 0.0]], [[-0.0625, 0.0]]]
+    assert [jacobian_ad([b], p).tolist() for p in block] == [[[-0.25, 0.0]], [[-0.0625, 0.0]]]
 
 
 def test_sqrt_and_abs_tangents_at_zero():

@@ -172,6 +172,60 @@ def test_validate_lists_bad_numbers(tmp_path, capsys):
     assert len(doc["results"]["problems"]) == 4
 
 
+BAD_VECTORS = """\
+[path pseg]
+kind = segment
+start = 0, zero
+end = 1, 1
+
+[path ploop]
+kind = loop
+center = 0;0
+radius = 1
+
+[path pknots]
+kind = polyline
+knots = 0, 0; 1
+
+[path pexpr]
+kind = expression
+components = t; 0
+domain = 0, one
+
+[implicit ivec]
+map = cubic_implicit
+x_dim = 1
+w = 0, nought
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", "--path", "pseg"], "path pseg: start = '0, zero' is not a vector"),
+        (["lift", "--path", "ploop"], "path ploop: center = '0;0' is not a vector"),
+        (
+            ["lift", "--path", "pknots"],
+            "path pknots: knots = '0, 0; 1' is not a list of vectors",
+        ),
+        (["lift", "--path", "pexpr"], "path pexpr: domain = '0, one' is not a vector"),
+        (
+            ["implicit", "--problem", "ivec", "--x-target", "1", "--start-x", "0",
+             "--start-y", "0"],
+            "implicit ivec: w = '0, nought' is not a vector",
+        ),
+    ],
+    ids=["segment-start", "loop-center", "polyline-knots", "expression-domain", "implicit-w"],
+)
+def test_a_bad_vector_in_a_registry_names_its_section_and_key(tmp_path, capsys, argv, message):
+    path = tmp_path / "vectors.ini"
+    path.write_text(BAD_VECTORS, encoding="utf-8")
+    if argv[0] == "lift":
+        argv = argv + ["--map", "polar_exp", "--start", "0,0"]
+    assert run(argv + ["--registry", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_weight_long_forms_match_their_specs(tmp_path):
     text = """\
 [weight wc]

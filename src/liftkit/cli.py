@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .errors import LiftkitError
+from .errors import InputError, LiftkitError
 from .geometry import (
     Box,
     Euclidean,
@@ -133,9 +133,20 @@ def _weight(spec, reg):
     return parse_weight_spec(spec)
 
 
+def _tol(text):
+    """--tol's reader: a finite positive number, else an InputError."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError("--tol must be a finite positive number, got %r" % text)
+    return tol
+
+
 def _lift_opts(args):
-    if getattr(args, "tol", None):
-        return LiftOptions(corrector_tol=float(args.tol))
+    if args.tol is not None:
+        return LiftOptions(corrector_tol=args.tol)
     return LiftOptions()
 
 
@@ -338,7 +349,7 @@ def cmd_fiber(args, reg):
     f = _map(args, reg)
     y = _vec(args.target)
     region = _box(args.region, f.domain.dim) if args.region else None
-    tol = float(args.tol) if args.tol else 1e-10
+    tol = args.tol if args.tol is not None else 1e-10
     report = fiber_enumerate(
         f, y, seed_region=region, n_starts=args.n_starts, tol=tol
     )
@@ -515,8 +526,8 @@ def cmd_implicit(args, reg):
         prob = ImplicitProblem(f, int(args.x_dim), _vec(args.w))
 
     opts = (
-        ImplicitOptions(residual_tol=float(args.tol))
-        if args.tol
+        ImplicitOptions(residual_tol=args.tol)
+        if args.tol is not None
         else ImplicitOptions()
     )
     tolerances = {
@@ -648,7 +659,9 @@ def build_parser():
     common.add_argument(
         "--json", action="store_true", help="print the JSON report to stdout"
     )
-    common.add_argument("--tol", type=float, help="override the main tolerance")
+    common.add_argument(
+        "--tol", type=_tol, help="override the main tolerance (finite, positive)"
+    )
 
     ap = argparse.ArgumentParser(
         prog="liftkit",
@@ -779,14 +792,13 @@ def run(argv):
     """Entry point; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parser.parse_args(argv)  # --tol's reader raises InputError
         reg = Registry.from_file(args.registry) if args.registry else None
         report, files, code = args.func(args, reg)
         _emit(report, files, args)
         return code
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except LiftkitError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT

@@ -472,6 +472,7 @@ class _Writer:
             _SQRT="sqrt not differentiable at zero",
             _POWER="power not differentiable at non-positive base",
             _at=_fault_at,
+            _pow=_power,
         )
         if block:
             self.write("_m, _f = False, None")
@@ -585,6 +586,20 @@ class _Writer:
     def log(self, a):
         """numpy's log of a, at a point too, as the block takes it."""
         return ("_np.log(%s)" if self.block else "float(_np.log(%s))") % a
+
+    def power(self, a, b):
+        """a ** b, which overflows to inf at a point as on a block."""
+        return ("%s ** (%s)" if self.block else "_pow(%s, %s)") % (a, b)
+
+
+def _power(a, b):
+    """a ** b of Python floats, numpy's inf where the float ** overflows
+    (it raises OverflowError)."""
+    try:
+        return a**b
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.power(a, b))
 
 
 def _times(x, y):
@@ -716,7 +731,7 @@ def _constant_power(w, k, a, b, da, integer):
     elif not integer:
         w.require(_still("%s != 0" % factor, da), "_POWER")
         w.select("%s == 0" % factor, [(factor, "1.0")])
-    w.write("%s = %s * %s ** (%s - 1.0)", factor, b, factor, b)
+    w.write("%s = %s * %s", factor, b, w.power(factor, "%s - 1.0" % b))
     tangent = w.parts(k, lambda p: _times(factor, p), da)
     if integer is None:
         w.select("%s == 0" % b, [(part, "0.0") for part in tangent if part])
@@ -843,8 +858,9 @@ def _cached(make, components, *args):
 @dataclass(frozen=True)
 class CompiledMap:
     """The generated callables of a map whose rows are m components in n
-    variables: values(c) and jacobian(c) at a point c of shape (n,), an
-    (m,) and an (m, n) array, raising at a fault; values_many(P) and
+    variables: values(c) and jacobian(c) at a point c, a sequence of n
+    Python floats, return a list of m floats and m lists of n floats,
+    raising at a fault; values_many(P) and
     jacobian_many(P) on an (N, n) block return the pair (an (N, m) or
     an (N, m, n) array, first fault or None), a faulting row NaN (a
     non-finite derivative faults too)."""
@@ -886,7 +902,7 @@ def _map_callables(comps):
     point_jacobian, block_jacobian = lazily(False, True), lazily(True, True)
 
     def values(c):
-        return np.array(point_values[0](*c.tolist()))
+        return point_values[0](*c)
 
     def values_many(pts):
         out = np.empty((pts.shape[0], m))
@@ -899,7 +915,7 @@ def _map_callables(comps):
         return out, fault
 
     def jacobian(c):
-        return np.array(point_jacobian[0](*c.tolist()), dtype=float)
+        return point_jacobian[0](*c)
 
     def jacobian_many(pts):
         jac = np.zeros((pts.shape[0], m, n))
@@ -959,7 +975,7 @@ def jacobian_ad(components, x):
     n = comps[0].arity
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1 and pts.shape[0] == n:
-        return compiled.jacobian(pts)
+        return np.array(compiled.jacobian(pts.tolist()), dtype=float)
     if pts.ndim == 2 and pts.shape[1] == n:
         jac, fault = compiled.jacobian_many(pts)
         if fault is not None:

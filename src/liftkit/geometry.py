@@ -67,16 +67,73 @@ def _wrap_angle(a):
     return (np.asarray(a, dtype=float) + math.pi) % TWO_PI - math.pi
 
 
+def _wrap_angles(c):
+    """_wrap_angle of each Python float of c, as a list; Python's float %
+    and numpy's make the same fmod and sign correction."""
+    return [(a + math.pi) % TWO_PI - math.pi for a in c]
+
+
+def _float_sum(terms):
+    """The sum of a list of Python floats in numpy's order, so that it
+    equals a row of an (N, n) block's sum over its last axis bitwise:
+    in order under 8 terms; from 8 to 128, eight running sums over the
+    terms in groups of 8, added as ((s0 + s1) + (s2 + s3)) + ((s4 + s5)
+    + (s6 + s7)), then the remaining terms in order; above 128, the sum
+    of two halves split at a multiple of 8 (numpy's pairwise sum)."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    if n <= 128:
+        s = terms[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                s[j] += terms[i + j]
+        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        for t in terms[end:]:
+            total += t
+        return total
+    half = n // 2
+    half -= half % 8
+    return _float_sum(terms[:half]) + _float_sum(terms[half:])
+
+
+def _squares(a, b):
+    return [(u - v) * (u - v) for u, v in zip(a, b)]
+
+
+def _floats(c):
+    """The coordinates c, an array or a sequence of numbers, as a
+    sequence of Python floats (an array's list; c itself otherwise)."""
+    return c.tolist() if isinstance(c, np.ndarray) else c
+
+
 class Space:
-    """Base class; concrete spaces define dim, distance, and membership."""
+    """Base class; concrete spaces define dim, distance, and membership.
+
+    A space has block forms, on arrays whose rows are points
+    (canonical, contains_many, distance_many, chart_lengths), and
+    one-point forms on one point's coordinates given as a sequence of
+    Python floats (canonical_one, contains, distance_one,
+    chart_length_one), which answer in Python floats (canonical_one may
+    hand back its argument). A one-point form equals its block form's
+    row bitwise; an overflowing difference gives +inf in both (NaN after
+    a quotient's wrap).
+    """
 
     dim = 0
 
     def canonical(self, coords):
         return np.asarray(coords, dtype=float)
 
+    def canonical_one(self, c):
+        return c
+
     def contains(self, coords):
-        return np.asarray(coords).shape[-1] == self.dim
+        return len(coords) == self.dim
 
     def contains_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -85,10 +142,13 @@ class Space:
     def distance_many(self, a, b):
         raise NotImplementedError
 
+    def distance_one(self, a, b):
+        """distance_many of the one-row blocks a and b, as a float."""
+        with np.errstate(over="ignore"):
+            return float(self.distance_many(np.array([a], float), np.array([b], float))[0])
+
     def distance(self, a, b):
-        a = self.check_coords(a)
-        b = self.check_coords(b)
-        return float(self.distance_many(a[None, :], b[None, :])[0])
+        return self.distance_one(self.check_coords(a).tolist(), self.check_coords(b).tolist())
 
     def chart_lengths(self, a, b):
         """Length of the chart-straight piece from a to b (rowwise).
@@ -97,6 +157,9 @@ class Space:
         chord may wind and so be longer than the quotient distance.
         """
         return self.distance_many(a, b)
+
+    def chart_length_one(self, a, b):
+        return self.distance_one(a, b)
 
     def check_coords(self, coords):
         """Coordinates as a checked 1-d float array; a Point gives its
@@ -111,7 +174,7 @@ class Space:
             )
         if not np.all(np.isfinite(c)):
             raise InputError("point has non-finite coordinates")
-        if not self.contains(c):
+        if not self.contains(c.tolist()):
             raise DomainError("point %s is outside %r" % (c.tolist(), self))
         return c
 
@@ -138,6 +201,16 @@ class Euclidean(Space):
     def distance_many(self, a, b):
         return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
 
+    def distance_one(self, a, b):
+        # other p take the base form: numpy's power may round unlike libm's
+        if self.p == 2.0:
+            return math.sqrt(_float_sum(_squares(a, b)))
+        if self.p == 1.0:
+            return _float_sum([abs(u - v) for u, v in zip(a, b)])
+        if self.p == math.inf:
+            return max([abs(u - v) for u, v in zip(a, b)])
+        return super().distance_one(a, b)
+
 
 class CircleQuotient(Space):
     """R modulo 2*pi with the quotient (arc) distance."""
@@ -150,13 +223,23 @@ class CircleQuotient(Space):
     def canonical(self, coords):
         return _wrap_angle(coords)
 
+    def canonical_one(self, c):
+        return _wrap_angles(c)
+
     def distance_many(self, a, b):
         d = _wrap_angle(np.asarray(a, float) - np.asarray(b, float))
         return np.abs(d)[..., 0]
 
+    def distance_one(self, a, b):
+        (d,) = _wrap_angles([a[0] - b[0]])
+        return abs(d)
+
     def chart_lengths(self, a, b):
         d = np.asarray(a, float) - np.asarray(b, float)
         return np.abs(d)[..., 0]
+
+    def chart_length_one(self, a, b):
+        return abs(a[0] - b[0])
 
 
 class Torus(Space):
@@ -174,13 +257,23 @@ class Torus(Space):
     def canonical(self, coords):
         return _wrap_angle(coords)
 
+    def canonical_one(self, c):
+        return _wrap_angles(c)
+
     def distance_many(self, a, b):
         d = _wrap_angle(np.asarray(a, float) - np.asarray(b, float))
         return np.sqrt((d * d).sum(axis=-1))
 
+    def distance_one(self, a, b):
+        d = _wrap_angles([u - v for u, v in zip(a, b)])
+        return math.sqrt(_float_sum([v * v for v in d]))
+
     def chart_lengths(self, a, b):
         d = np.asarray(a, float) - np.asarray(b, float)
         return np.sqrt((d * d).sum(axis=-1))
+
+    def chart_length_one(self, a, b):
+        return math.sqrt(_float_sum(_squares(a, b)))
 
 
 class ProductSpace(Space):
@@ -205,11 +298,14 @@ class ProductSpace(Space):
             c[..., sl] = s.canonical(c[..., sl])
         return c
 
+    def canonical_one(self, c):
+        out = []
+        for s, sl in zip(self.parts, self._slices):
+            out.extend(s.canonical_one(c[sl]))
+        return out
+
     def contains(self, coords):
-        c = np.asarray(coords, dtype=float)
-        return all(
-            s.contains(c[..., sl]) for s, sl in zip(self.parts, self._slices)
-        )
+        return all(s.contains(coords[sl]) for s, sl in zip(self.parts, self._slices))
 
     def contains_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -227,6 +323,9 @@ class ProductSpace(Space):
             acc = d * d if acc is None else acc + d * d
         return np.sqrt(acc)
 
+    def distance_one(self, a, b):
+        return self._combined_one("distance_one", a, b)
+
     def chart_lengths(self, a, b):
         a = np.asarray(a, float)
         b = np.asarray(b, float)
@@ -236,13 +335,26 @@ class ProductSpace(Space):
             acc = d * d if acc is None else acc + d * d
         return np.sqrt(acc)
 
+    def chart_length_one(self, a, b):
+        return self._combined_one("chart_length_one", a, b)
+
+    def _combined_one(self, form, a, b):
+        """The 2-norm of the parts' one-point form, summed in order as the
+        block forms do."""
+        acc = None
+        for s, sl in zip(self.parts, self._slices):
+            d = getattr(s, form)(a[sl], b[sl])
+            acc = d * d if acc is None else acc + d * d
+        return math.sqrt(acc)
+
 
 class OpenSubset(Space):
     """An open subset of a base space, cut out by predicate(coords) > 0
-    truthiness. The predicate receives a coordinate vector; an optional
-    vectorized form receives an (N, dim) block. Both answer where they
-    cannot evaluate, not raise (subset_from_expression's say False), so
-    a block holding overflowing or non-finite points gets its mask."""
+    truthiness. The predicate receives one point's coordinates as a
+    sequence of Python floats; an optional vectorized form receives an
+    (N, dim) block. Both answer where they cannot evaluate, not raise
+    (subset_from_expression's say False), so a block holding
+    overflowing or non-finite points gets its mask."""
 
     def __init__(self, base, predicate, predicate_many=None, source=None):
         self.base = base
@@ -258,11 +370,11 @@ class OpenSubset(Space):
     def canonical(self, coords):
         return self.base.canonical(coords)
 
+    def canonical_one(self, c):
+        return self.base.canonical_one(c)
+
     def contains(self, coords):
-        c = np.asarray(coords, dtype=float)
-        if not self.base.contains(c):
-            return False
-        return bool(self.predicate(c))
+        return self.base.contains(coords) and bool(self.predicate(coords))
 
     def contains_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -277,8 +389,14 @@ class OpenSubset(Space):
     def distance_many(self, a, b):
         return self.base.distance_many(a, b)
 
+    def distance_one(self, a, b):
+        return self.base.distance_one(a, b)
+
     def chart_lengths(self, a, b):
         return self.base.chart_lengths(a, b)
+
+    def chart_length_one(self, a, b):
+        return self.base.chart_length_one(a, b)
 
 
 def subset_from_expression(base, source, variables=None):
@@ -290,11 +408,12 @@ def subset_from_expression(base, source, variables=None):
             "predicate has %d variables, space has dimension %d"
             % (ast.arity, base.dim)
         )
-    block = exprlang.compile_map((ast,)).values_many
+    compiled = exprlang.compile_map((ast,))
+    one, block = compiled.values, compiled.values_many
 
     def pred(c):
         try:
-            value = exprlang.eval_ast(ast, list(np.asarray(c, float)))
+            value = one(_floats(c))[0]
         except EvalDomainError:
             return False
         return 0.0 < value < math.inf
@@ -492,8 +611,7 @@ class Segment(Path):
         v = t1 if v is None else self._check_param(float(v))
         if v <= u:
             return 0.0
-        pts = self.eval_many(np.array([u, v]))
-        return float(self.space.chart_lengths(pts[:1], pts[1:])[0])
+        return self.space.chart_length_one(*self.eval_many(np.array([u, v])).tolist())
 
 
 class Sampled(Path):

@@ -136,14 +136,12 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
     t0, t1 = loop.domain
     scale = 1.0 + float(np.linalg.norm(yc))
     for t_end in (t0, t1):
-        gap = float(
-            f.codomain.distance_many(loop.eval(t_end)[None, :], yc[None, :])[0]
-        )
+        gap = f.codomain.distance_one(loop.eval(t_end).tolist(), yc.tolist())
         if gap > 1e-9 * scale:
             raise InputError(
                 "loop endpoint at t=%g misses the target by %g" % (t_end, gap)
             )
-    gap = float(f.codomain.distance_many(f.eval(xc)[None, :], yc[None, :])[0])
+    gap = f.codomain.distance_one(f.eval(xc).tolist(), yc.tolist())
     if gap > opts.corrector_tol:
         raise InputError("f(x_start) misses the target by %g" % gap)
 

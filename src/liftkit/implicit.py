@@ -39,6 +39,7 @@ from .lift import (
     ContinuationFailure,
     LiftOptions,
     Verdict,
+    _check_options,
     lift_path,
 )
 from .mapdef import CONVERGED, MapHandle, newton_block, singular_extremes_many
@@ -73,6 +74,9 @@ class ImplicitOptions:
     singular_threshold: float = 1e-6  # on the y-block's smallest singular value
     blowup_radius: float = 1e6  # on the norm of (x, y)
     max_nodes: int = 200000
+
+    def __post_init__(self):
+        _check_options(self)
 
 
 class ImplicitProblem:
@@ -127,16 +131,17 @@ class ImplicitProblem:
         fault."""
         prob = self
         top = np.eye(prob.m, prob.m + prob.n)
+        top_rows = top.tolist()
 
         def eval_one(c):
-            return np.concatenate([c[: prob.m], prob.f._value(c)])
+            return [*c[: prob.m], *prob.f._value(c)]
 
         def eval_many(cs):
             vals, _, fault = prob.f._values_block(cs)
             return np.concatenate([cs[:, : prob.m], vals], axis=1), fault
 
         def jac_one(c):
-            return np.concatenate([top, prob.f._jacobian(c)], axis=0)
+            return [*top_rows, *prob.f._jacobian(c)]
 
         def jac_many(cs):
             jac, _, fault = prob.f._jacobians_block(cs)

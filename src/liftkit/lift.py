@@ -13,6 +13,7 @@ collapse, or domain exit, each with the furthest parameter reached.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,11 +30,12 @@ from .errors import (
 from .geometry import OpenSubset, Point
 from .mapdef import (
     BUDGET,
+    _closed_form,
     _converged,
     _newton,
+    _solve,
     det_sign,
     jacobian_at,
-    linear_solve,
     singular_extremes,
 )
 
@@ -59,10 +61,9 @@ FAILED_SINGULAR = "FailedSingular"
 FAILED_STALL = "FailedStall"
 FAILED_DOMAIN_EXIT = "FailedDomainExit"
 
-# the endpoint polish, local_solve's one-point loop: at most
-# POLISH_STEPS damped Newton steps, each taken only if it strictly
-# lowers the residual, down to the rounding floor (POLISH_TOL stops
-# only an exact zero)
+# the endpoint polish, a _newton run: at most POLISH_STEPS damped Newton
+# steps, each taken only if it strictly lowers the residual, down to the
+# rounding floor (POLISH_TOL stops only an exact zero)
 POLISH_STEPS = 8
 POLISH_TOL = np.finfo(float).tiny
 
@@ -86,10 +87,29 @@ class LiftOptions:
     max_nodes: int = 100000
 
     def __post_init__(self):
+        _check_options(self)
         if not (0.0 < self.step_min <= self.step_init <= self.step_max):
             raise InputError("need 0 < step_min <= step_init <= step_max")
-        if self.corrector_tol <= 0:
-            raise InputError("corrector_tol must be positive")
+        if self.growth < 1.0:
+            raise InputError("growth must be at least 1, got %r" % self.growth)
+        if self.max_corrector_iter < 0:
+            raise InputError("max_corrector_iter must be at least 0")
+
+
+def _check_options(opts):
+    """Refuse an options record with a non-finite field, a tolerance or
+    blowup_radius <= 0, a singular_threshold < 0 or max_nodes < 1 (the
+    fields it has of these)."""
+    for f in dataclasses.fields(opts):
+        value = getattr(opts, f.name)
+        if not math.isfinite(value):
+            raise InputError("%s must be finite, got %r" % (f.name, value))
+        if (f.name.endswith("_tol") or f.name == "blowup_radius") and value <= 0:
+            raise InputError("%s must be positive, got %r" % (f.name, value))
+    if opts.singular_threshold < 0:
+        raise InputError("singular_threshold must be at least 0")
+    if opts.max_nodes < 1:
+        raise InputError("max_nodes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -186,7 +206,8 @@ class ContinuationFailure(LiftkitError):
 
 def _keeps_orientation(f, x, xhat, run, orient):
     """Whether a converged corrector run, from the predicted point xhat
-    of a step from x, keeps the Jacobian determinant's sign orient.
+    of a step from x (both Python floats), keeps the Jacobian
+    determinant's sign orient.
 
     A lift through a local homeomorphism keeps its orientation, so a
     sign change means the corrector crossed the critical set, where the
@@ -201,11 +222,11 @@ def _keeps_orientation(f, x, xhat, run, orient):
         return True
     if det_sign(run.jacobian) != orient:
         return False
-    x_new = run.x
-    moved = f.domain.distance_many(np.stack([x_new, xhat]), np.stack([xhat, x]))
-    if moved[0] <= moved[1]:
+    dom, x_new = f.domain, run.x
+    if dom.distance_one(x_new, xhat) <= dom.distance_one(xhat, x):
         return True
-    mid = f.domain.canonical(x + 0.5 * f.domain.canonical(x_new - x))
+    chord = dom.canonical_one([u - v for u, v in zip(x_new, x)])
+    mid = dom.canonical_one([u + 0.5 * v for u, v in zip(x, chord)])
     try:
         jac_mid = jacobian_at(f, mid)
     except (DomainError, EvalDomainError):
@@ -226,8 +247,9 @@ def lift_path(f, p, x0, opts=None):
     of the last error that halved the step; a FailedSingular or
     FailedBlowUp verdict that ends on an accepted node names the
     threshold and the value that crossed it. The start x0 and each
-    predicted point are checked once; the corrector (local_solve's
-    one-point loop) evaluates without checking its points again.
+    predicted point are checked once; the corrector evaluates without
+    checking its points again. Between the checked start and the
+    nodes' coordinates, every point is a list of Python floats.
     """
     opts = opts or LiftOptions()
     if f.domain.dim != f.codomain.dim:
@@ -242,11 +264,10 @@ def lift_path(f, p, x0, opts=None):
         raise InputError("path domain has zero width")
     span = t1 - t0
 
-    x = f.domain.check_coords(x0).copy()
-    p_start = p.eval(t0)
-    r0 = float(
-        f.codomain.distance_many(f._value(x)[None, :], p_start[None, :])[0]
-    )
+    dom, cod = f.domain, f.codomain
+    x = dom.check_coords(x0).tolist()
+    p_start = p.eval(t0).tolist()
+    r0 = cod.distance_one(f._value(x), p_start)
     if r0 > opts.corrector_tol:
         raise InputError(
             "f(x0) misses p(start) by %.3g (corrector_tol %.3g)"
@@ -256,7 +277,7 @@ def lift_path(f, p, x0, opts=None):
     jac = f._jacobian(x)
     smin = singular_extremes(jac)[0]
     orient = det_sign(jac)
-    nodes = [LiftNode(t0, x.copy(), r0, smin, 0.0)]
+    nodes = [LiftNode(t0, np.array(x), r0, smin, 0.0)]
     lift_length = 0.0
 
     def make_trace(verdict):
@@ -286,16 +307,17 @@ def lift_path(f, p, x0, opts=None):
             )
         dt = min(dt, 1.0 - s)
         target_t = t0 + (s + dt) * span
-        target = p.eval(target_t)
+        target = p.eval(target_t).tolist()
+        move = cod.canonical_one([u - v for u, v in zip(target, p_cur)])
         try:
             try:
-                xhat = x + linear_solve(jac, f.codomain.canonical(target - p_cur))
+                xhat = [u + v for u, v in zip(x, _solve(jac, _closed_form(jac), move))]
             except np.linalg.LinAlgError:
                 xhat = x
-            xhat = f.domain.canonical(xhat)
-            if not (all(map(math.isfinite, xhat.tolist())) and f.domain.contains(xhat)):
+            xhat = dom.canonical_one(xhat)
+            if not (all(map(math.isfinite, xhat)) and dom.contains(xhat)):
                 xhat = x
-            # xhat is checked, so the corrector is local_solve's loop
+            # xhat is checked, so the corrector evaluates without tests
             tol, budget = opts.corrector_tol, opts.max_corrector_iter
             run = _converged(f, _newton(f, target, xhat, tol, budget), tol, budget)
             if not _keeps_orientation(f, x, xhat, run, orient):
@@ -316,14 +338,13 @@ def lift_path(f, p, x0, opts=None):
                         b,
                         message="corrector exits domain (%s)" % cause,
                     )
-                if isinstance(f.domain, OpenSubset):
+                if isinstance(dom, OpenSubset):
                     # a stall pressed against the boundary is an exit:
                     # probe whether the undamped newton direction leaves
                     try:
-                        probe = f.domain.canonical(
-                            x + linear_solve(jac, f.codomain.canonical(target - p_cur))
-                        )
-                        if not f.domain.contains(probe):
+                        step = _solve(jac, _closed_form(jac), move)
+                        probe = dom.canonical_one([u + v for u, v in zip(x, step)])
+                        if not dom.contains(probe):
                             return fail(
                                 FAILED_DOMAIN_EXIT,
                                 b,
@@ -337,14 +358,12 @@ def lift_path(f, p, x0, opts=None):
                 return fail(FAILED_STALL, b, d_minus=smin, message=cause)
             continue
 
-        x_new = run.x.copy()
-        lift_length += float(
-            f.domain.chart_lengths(x_new[None, :], x[None, :])[0]
-        )
+        x_new = run.x
+        lift_length += dom.chart_length_one(x_new, x)
         s += dt
         t_here = t0 + s * span
         smin = run.smin
-        nodes.append(LiftNode(t_here, x_new, run.residual, smin, dt * span))
+        nodes.append(LiftNode(t_here, np.array(x_new), run.residual, smin, dt * span))
         x = x_new
         p_cur = target
         jac = run.jacobian
@@ -357,24 +376,27 @@ def lift_path(f, p, x0, opts=None):
                 message="smin %.3g < singular_threshold %.3g"
                 % (smin, opts.singular_threshold),
             )
-        norm = f.domain.chart_norm(x)
-        if norm > opts.blowup_radius:
-            return fail(
-                FAILED_BLOWUP,
-                s,
-                last_norm=norm,
-                message="norm %.3g > blowup_radius %.3g" % (norm, opts.blowup_radius),
-            )
+        # chart_norm's BLAS dot may round unlike a float sum (it fuses a
+        # multiply and add); math.hypot, within an ulp of it, only rules
+        # out a blow-up far inside the radius
+        if math.hypot(*x) > 0.5 * opts.blowup_radius:
+            norm = dom.chart_norm(x)
+            if norm > opts.blowup_radius:
+                return fail(
+                    FAILED_BLOWUP,
+                    s,
+                    last_norm=norm,
+                    message="norm %.3g > blowup_radius %.3g"
+                    % (norm, opts.blowup_radius),
+                )
         if s >= 1.0:
             pol = _newton(f, target, x, POLISH_TOL, POLISH_STEPS)
             if pol.iterations > 0:  # each step lowered the residual
-                lift_length += float(
-                    f.domain.chart_lengths(pol.x[None, :], x[None, :])[0]
-                )
+                lift_length += dom.chart_length_one(pol.x, x)
                 smin = pol.smin
                 if pol.status == BUDGET:  # its last step has no Jacobian yet
                     smin = singular_extremes(jacobian_at(f, pol.x))[0]
-                nodes[-1] = LiftNode(t_here, pol.x, pol.residual, smin, 0.0)
+                nodes[-1] = LiftNode(t_here, np.array(pol.x), pol.residual, smin, 0.0)
             return make_trace(Verdict(kind=COMPLETED, b=1.0))
         dt = min(dt * opts.growth, opts.step_max)
 

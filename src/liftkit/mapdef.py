@@ -42,6 +42,7 @@ from .geometry import (
     Euclidean,
     Point,
     Space,
+    _floats,
     subset_from_expression,
 )
 
@@ -80,8 +81,12 @@ class MapHandle:
 
     jacobian_mode labels the Jacobian's source: "analytic",
     "automatic" or "finite_difference" (a handle _with_fd made).
-    eval_one and jac_one take one point and may raise at a fault.
-    eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
+    eval_one and jac_one are the point protocol: they take one point as
+    a sequence of dim_in Python floats and return dim_out floats, or
+    dim_out rows of dim_in floats, and may raise at a fault; they agree
+    bitwise with a row of the block callables wherever both are
+    finite, and _value, _jacobian and _newton keep their points as
+    floats. eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
     block they return the pair (all N values or Jacobians, first fault
     or None), a row they cannot evaluate holding a non-finite entry,
     without raising. The kernels _values_block and _jacobians_block
@@ -109,28 +114,35 @@ class MapHandle:
         return self.codomain.dim
 
     def eval(self, coords):
-        return self._value(self.domain.check_coords(coords))
+        return np.array(self._value(self.domain.check_coords(coords).tolist()))
 
     def _value(self, c):
-        """f at coordinates c that the caller has checked (shape,
-        finiteness, domain); the value's shape and finiteness are
-        checked here."""
-        out = np.asarray(self.eval_one(c), dtype=float).reshape(-1)
-        if out.shape[0] != self.codomain.dim:
+        """f at coordinates c, Python floats the caller has checked
+        (shape, finiteness, domain), as floats; their number and
+        finiteness are checked here."""
+        out = self.eval_one(c)
+        if len(out) != self.codomain.dim:
             raise InputError(
                 "map %s returned %d components, codomain has dimension %d"
-                % (self.name, out.shape[0], self.codomain.dim)
+                % (self.name, len(out), self.codomain.dim)
             )
-        if not np.all(np.isfinite(out)):
+        if not all(map(math.isfinite, out)):
             raise DomainError("map %s produced non-finite values" % self.name)
         return out
 
     def _jacobian(self, c):
-        """The Jacobian at checked coordinates c; its shape and
-        finiteness are checked here."""
-        jac = _shaped(self, self.jac_one(c), (self.dim_out, self.dim_in))
-        if not np.isfinite(jac).all():
-            raise DomainError("jacobian of %s is non-finite" % self.name)
+        """The Jacobian at checked coordinates c (Python floats), as
+        rows of floats; its shape and finiteness are checked here."""
+        jac = self.jac_one(c)
+        lengths = list(map(len, jac))
+        if lengths != [self.dim_in] * self.dim_out:
+            raise InputError(
+                "jacobian of %s has rows of lengths %s, expected %d rows of %d"
+                % (self.name, lengths, self.dim_out, self.dim_in)
+            )
+        for row in jac:
+            if not all(map(math.isfinite, row)):
+                raise DomainError("jacobian of %s is non-finite" % self.name)
         return jac
 
     def __call__(self, coords):
@@ -167,7 +179,12 @@ class MapHandle:
 
     def _jacobians_block(self, pts):
         jac, faulted, fault = _masked(self.jac_many_fn, pts)
-        return _shaped(self, jac, (pts.shape[0], self.dim_out, self.dim_in)), faulted, fault
+        shape = (pts.shape[0], self.dim_out, self.dim_in)
+        if jac.shape != shape:
+            raise InputError(
+                "jacobian of %s has shape %s, expected %s" % (self.name, jac.shape, shape)
+            )
+        return jac, faulted, fault
 
 
 def _masked(fn, pts):
@@ -191,16 +208,7 @@ def _unmasked(got, message, f):
 
 def jacobian_at(f, x):
     """Jacobian of f at chart coordinates x, by the handle's mode."""
-    return f._jacobian(f.domain.check_coords(x))
-
-
-def _shaped(f, jac, shape):
-    jac = np.asarray(jac, dtype=float)
-    if jac.shape != shape:
-        raise InputError(
-            "jacobian of %s has shape %s, expected %s" % (f.name, jac.shape, shape)
-        )
-    return jac
+    return np.array(f._jacobian(f.domain.check_coords(x).tolist()), dtype=float)
 
 
 def _fd_block(f, pts):
@@ -279,22 +287,21 @@ def _pointwise(formula, shape):
     which returns the entries, or the rows of entries, of a shape array,
     each entry a scalar or a column.
 
-    One point runs it with m = _FLOATS over Python floats. A float power
-    that overflows raises OverflowError there, so the point runs again
-    over numpy scalars, which overflow to inf as a block does (the
-    handle refuses that, unless it ends finite as in 1 / (1 + inf)).
-    A block runs it once with m = numpy over its columns and names no
-    fault.
+    One point runs it with m = _FLOATS over Python floats and returns its
+    floats. A float power that overflows raises OverflowError there, so
+    the point runs again over numpy scalars, which overflow to inf as a
+    block does (the handle refuses that, unless it ends finite as in
+    1 / (1 + inf)). A block runs it once with m = numpy over its columns
+    and names no fault.
     """
     slots = [(slice(None),) + index for index in np.ndindex(*shape)]
 
     def one(c):
         try:
-            got = formula(_FLOATS, *c.tolist())
+            return formula(_FLOATS, *c)
         except OverflowError:
             with np.errstate(all="ignore"):
-                got = formula(np, *c)
-        return np.array(got)
+                return np.array(formula(np, *np.array(c, dtype=float))).tolist()
 
     def many(P):
         got = formula(np, *P.T)
@@ -485,7 +492,8 @@ def expression_map(
         entries = exprlang.compile_map(jasts)
 
         def jac_one(c):
-            return entries.values(c).reshape(m, n)
+            vals = entries.values(c)
+            return [vals[i * n : (i + 1) * n] for i in range(m)]
 
         def jac_many(pts):
             vals, fault = entries.values_many(pts)
@@ -554,10 +562,10 @@ def _with_fd(handle, jacobian_mode):
         )
 
     def jac_one(c):
-        jac, fault = _fd_block(handle, c[None, :])
+        jac, fault = _fd_block(handle, np.array([c], dtype=float))
         if fault is not None:
             raise fault
-        return jac[0]
+        return jac[0].tolist()
 
     return dataclasses.replace(
         handle,
@@ -607,22 +615,25 @@ def _smax(m, a, b, c, d):
 
 
 def _closed_form(jac):
-    """What the closed forms take of one square matrix, as Python
-    floats: (s, a) for [[a]], s = |a|; (2^e, a, b, c, d) for
-    [[a, b], [c, d]], the entries over 2^e (_scaled); None for LAPACK.
-    One matrix's singular values and solve can share it."""
-    if jac.shape == (2, 2):
-        (a, b), (c, d) = jac.tolist()
+    """What the closed forms take of one square matrix, an array or rows
+    of Python floats, as Python floats: (s, a) for [[a]], s = |a|;
+    (2^e, a, b, c, d) for [[a, b], [c, d]], the entries over 2^e
+    (_scaled); None for LAPACK. One matrix's singular values and solve
+    can share it."""
+    if isinstance(jac, np.ndarray):
+        jac = jac.tolist()
+    if len(jac) == 2 and len(jac[0]) == len(jac[1]) == 2:
+        (a, b), (c, d) = jac
         s = abs(a) + abs(b) + abs(c) + abs(d)
-    elif jac.shape == (1, 1):
-        a = jac.item()
+    elif len(jac) == 1 and len(jac[0]) == 1:
+        ((a,),) = jac
         s = abs(a)
     else:
         return None
     lo, hi = _SCALE_RANGE
     if not lo < s < hi:
         return None
-    return (s, a) if jac.shape == (1, 1) else _scaled(math, s, a, b, c, d)
+    return (s, a) if len(jac) == 1 else _scaled(math, s, a, b, c, d)
 
 
 def _entries_many(jacs):
@@ -641,6 +652,7 @@ def _entries_many(jacs):
 
 
 def _lapack_extremes(jac):
+    jac = np.asarray(jac, dtype=float)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv.shape[-1] == 0:
         sv = np.zeros(sv.shape[:-1] + (1,))
@@ -694,7 +706,7 @@ def det_sign(jac):
     """The sign of a square matrix's determinant: 1.0, -1.0 or 0.0."""
     closed = _closed_form(jac)
     if closed is None:
-        return float(np.linalg.slogdet(jac)[0])
+        return float(np.linalg.slogdet(np.asarray(jac, dtype=float))[0])
     det = closed[1] if len(closed) == 2 else _det(*closed[1:])
     return float((det > 0) - (det < 0))
 
@@ -718,23 +730,23 @@ def linear_solve(jac, rhs):
     """The solution x of jac x = rhs for one square matrix and an (n,)
     right-hand side. Raises numpy.linalg.LinAlgError when the matrix is
     singular (for 2x2, when its scaled determinant is 0)."""
-    return _solve(jac, _closed_form(jac), rhs)
+    return np.array(_solve(jac, _closed_form(jac), np.asarray(rhs, dtype=float).tolist()))
 
 
-def _solve(jac, closed, rhs):
-    """linear_solve of jac, given its _closed_form."""
+def _solve(jac, closed, r):
+    """linear_solve of jac, given its _closed_form, for a right-hand side
+    r of Python floats, as Python floats."""
     if closed is None:
-        return np.linalg.solve(jac, rhs)
-    r = np.asarray(rhs, dtype=float).tolist()
+        return np.linalg.solve(np.asarray(jac, dtype=float), r).tolist()
     if len(closed) == 2:
-        return np.array([r[0] / closed[1]])
+        return [r[0] / closed[1]]
     scale, a, b, c, d = closed
     det = _det(a, b, c, d)
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
     # the scaled matrix maps x to rhs / scale, of about the size of x
     r0, r1 = r[0] / scale, r[1] / scale
-    return np.array([(d * r0 - b * r1) / det, (a * r1 - c * r0) / det])
+    return [(d * r0 - b * r1) / det, (a * r1 - c * r0) / det]
 
 
 def linear_solve_many(jacs, rhs):
@@ -772,6 +784,7 @@ SINGULAR_RTOL = 1e-14
 # the line search tries lam = 1, 1/2, ..., 2^-(LINE_SEARCH_TRIALS - 1)
 LINE_SEARCH_TRIALS = 30
 _LAMBDAS = np.ldexp(1.0, -np.arange(LINE_SEARCH_TRIALS))
+_LAMBDA_FLOATS = _LAMBDAS.tolist()
 
 # newton_block row statuses; for the failures local_solve raises
 # SingularJacobianError, NonConvergenceError (stalled, budget) or
@@ -823,10 +836,14 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
     leaves the domain or faults.
     """
     y = _solve_target(f, y, tol)
-    x = f.domain.check_coords(x_guess).copy()
+    x = f.domain.check_coords(x_guess)
     run = _converged(f, _newton(f, y, x, tol, max_iter), tol, max_iter)
     return LocalSolveResult(
-        Point(run.x, f.domain), run.iterations, run.residual, run.smin, run.jacobian
+        Point(run.x, f.domain),
+        run.iterations,
+        run.residual,
+        run.smin,
+        np.array(run.jacobian, dtype=float),
     )
 
 
@@ -838,11 +855,11 @@ def _converged(f, run, tol, max_iter):
     if run.status == SINGULAR:
         raise SingularJacobianError(
             "jacobian of %s singular at %s (smin=%.3g)"
-            % (f.name, run.x.tolist(), run.smin)
+            % (f.name, list(run.x), run.smin)
         )
     if run.status == DOMAIN:
         raise DomainError(
-            "every newton trial from %s leaves the domain" % run.x.tolist()
+            "every newton trial from %s leaves the domain" % list(run.x)
         )
     if run.status == STALLED:
         raise NonConvergenceError(
@@ -857,50 +874,53 @@ def _converged(f, run, tol, max_iter):
 
 @dataclass
 class _NewtonRun:
-    """How _newton ended: a newton_block status, the last iterate, its
-    residual, and the Jacobian at it with its smallest singular value
-    (None after BUDGET, whose last step lands on a point not yet
-    differentiated)."""
+    """How _newton ended: a newton_block status, the last iterate (Python
+    floats), its residual, and the Jacobian at it (rows of floats) with
+    its smallest singular value (None after BUDGET, whose last step
+    lands on a point not yet differentiated)."""
 
     status: str
-    x: np.ndarray
+    x: list
     iterations: int
     residual: float
-    jacobian: np.ndarray = None
+    jacobian: list = None
     smin: float = None
 
 
 def _newton(f, y, x, tol, max_iter):
     """local_solve's loop, also lift_path's corrector and polish, from
-    checked coordinates x toward the checked target y. Failures are
-    statuses, not errors; a fault in the start's value or in a Jacobian
-    raises."""
-    with np.errstate(over="ignore"):
-        fx = f._value(x)
-        r = float(_distances(f, y, fx[None, :])[0])
-        for iters in range(max_iter + 1):
-            jac = f._jacobian(x)
-            closed = _closed_form(jac)
-            smin, smax = _extremes(jac, closed)
-            if r <= tol:
-                return _NewtonRun(CONVERGED, x, iters, r, jac, smin)
-            if smin <= SINGULAR_RTOL * max(smax, 1.0):
-                return _NewtonRun(SINGULAR, x, iters, r, jac, smin)
-            residual_vec = f.codomain.canonical(fx - y)
-            step = _solve(jac, closed, -residual_vec)
-            faults = 0
-            for lam in _LAMBDAS:
-                trial = f.domain.canonical(x + lam * step)
-                got = _trial_value(f, y, trial)
-                if got is None:
-                    faults += 1
-                elif got[1] < r:
-                    x = np.asarray(trial, dtype=float)
-                    fx, r = got
-                    break
-            else:  # no trial improved
-                why = DOMAIN if faults == LINE_SEARCH_TRIALS else STALLED
-                return _NewtonRun(why, x, iters, r, jac, smin)
+    checked coordinates x toward the checked target y (arrays or
+    sequences of Python floats). The iterate, residual vector, step and
+    trial points are Python floats, each the row newton_block holds.
+    Failures are statuses, not errors; a fault in the start's value or
+    in a Jacobian raises."""
+    dom, cod = f.domain, f.codomain
+    y, x = _floats(y), _floats(x)
+    fx = f._value(x)
+    r = cod.distance_one(fx, y)
+    for iters in range(max_iter + 1):
+        jac = f._jacobian(x)
+        closed = _closed_form(jac)
+        smin, smax = _extremes(jac, closed)
+        if r <= tol:
+            return _NewtonRun(CONVERGED, x, iters, r, jac, smin)
+        if smin <= SINGULAR_RTOL * max(smax, 1.0):
+            return _NewtonRun(SINGULAR, x, iters, r, jac, smin)
+        residual_vec = cod.canonical_one([u - v for u, v in zip(fx, y)])
+        step = _solve(jac, closed, [-v for v in residual_vec])
+        faults = 0
+        for lam in _LAMBDA_FLOATS:
+            trial = dom.canonical_one([u + lam * v for u, v in zip(x, step)])
+            got = _trial_value(f, y, trial)
+            if got is None:
+                faults += 1
+            elif got[1] < r:
+                x = trial
+                fx, r = got
+                break
+        else:  # no trial improved
+            why = DOMAIN if faults == LINE_SEARCH_TRIALS else STALLED
+            return _NewtonRun(why, x, iters, r, jac, smin)
     return _NewtonRun(BUDGET, x, max_iter + 1, r)
 
 
@@ -973,20 +993,17 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
     return NewtonBlockResult(x, r, iterations, status)
 
 
-def _distances(f, y, vals):
-    return f.codomain.distance_many(vals, y[None, :])
-
-
 def _trial_value(f, y, p):
-    """(f(p), distance to y), or None where p is non-finite, outside the
-    domain or its evaluation faults; p is tested once."""
-    if not all(map(math.isfinite, p.tolist())) or not f.domain.contains(p):
+    """(f(p), distance to y) for Python floats p and y, or None where p is
+    non-finite, outside the domain or its evaluation faults; p is tested
+    once."""
+    if not all(map(math.isfinite, p)) or not f.domain.contains(p):
         return None
     try:
         val = f._value(p)
     except _FAULTS:
         return None
-    return val, float(_distances(f, y, val[None, :])[0])
+    return val, f.codomain.distance_one(val, y)
 
 
 def _block_values(f, y, pts):
@@ -997,7 +1014,7 @@ def _block_values(f, y, pts):
     ok = f.domain.contains_many(pts)
     vals[ok], faulted, _ = f._values_block(pts[ok])
     ok[ok] = ~faulted
-    dist[ok] = _distances(f, y, vals[ok])
+    dist[ok] = f.codomain.distance_many(vals[ok], y[None, :])
     return vals, dist, ~ok
 
 

@@ -86,15 +86,13 @@ def _ratio_upper(f, q, sub_len_q, u, v):
         raise DegenerateInputError(
             "zero-length subpath on [%g, %g]; reparametrize by arc length" % (u, v)
         )
-    pts = q.eval_many(np.array([u, v]))
-    pu, pv = f.eval(pts[0]), f.eval(pts[1])
-    return float(f.codomain.distance_many(pu[None, :], pv[None, :])[0]) / length
+    pu, pv = (f.eval(p).tolist() for p in q.eval_many(np.array([u, v])))
+    return f.codomain.distance_one(pu, pv) / length
 
 
 def _ratio_lower(q, sub_len_p, u, v):
     """ell(p over [u, v]) / d(q(u), q(v)); infinite when q(u) = q(v)."""
-    pts = q.eval_many(np.array([u, v]))
-    den = float(q.space.distance_many(pts[:1], pts[1:])[0])
+    den = q.space.distance_one(*q.eval_many(np.array([u, v])).tolist())
     if den == 0.0:
         return math.inf
     return sub_len_p(u, v) / den
@@ -199,8 +197,7 @@ def find_tau(f, q, direction="upper", tol_t=None, max_depth=MAX_BISECTION_DEPTH)
         ratio = lambda u, v: _ratio_upper(f, q, sub_q, u, v)
         better = lambda left, right: left >= right  # keep larger; tie -> left
     else:
-        pts = q.eval_many(np.array([a, b]))
-        if float(q.space.distance_many(pts[:1], pts[1:])[0]) == 0.0:
+        if q.space.distance_one(*q.eval_many(np.array([a, b])).tolist()) == 0.0:
             raise DegenerateInputError(
                 "lower certificate needs distinct path endpoints"
             )

@@ -422,6 +422,35 @@ def test_dimension_mismatch_exits_two(capsys):
     assert code == 2
 
 
+_TOL_COMMANDS = {
+    "invert": ["invert", "--map", "shear3", "--target", "1,1", "--start", "0,0"],
+    "lift": ["lift", "--map", "shear3", "--path", "seg:0,0,9,2", "--start", "0,0"],
+    "fiber": ["fiber", "--map", "powk(3)", "--target", "1,0", "--n-starts", "8"],
+    "implicit": ["implicit", "--map", "cubic_implicit", "--x-dim", "1", "--w", "0",
+                 "--x-target", "2", "--start-x", "0", "--start-y", "0"],
+    "deriv": ["deriv", "--map", "shear3", "--point", "0,0"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "inf", "-1e-9", "1e-400", "tight"])
+@pytest.mark.parametrize("command", sorted(_TOL_COMMANDS))
+def test_a_bad_tol_is_an_input_error(command, tol, capsys):
+    code, out = invoke(_TOL_COMMANDS[command] + ["--tol=" + tol, "--json"])
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("invert", "corrector_tol"), ("fiber", "residual_tol"), ("implicit", "residual_tol")],
+)
+def test_tol_reaches_the_report(command, key):
+    code, doc = invoke_json(_TOL_COMMANDS[command] + ["--tol", "1e-9"])
+    assert code == 0
+    assert doc["tolerances"][key] == 1e-9
+
+
 @pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
 def test_overflowing_profile_exits_two_in_both_forms(spec, capsys):
     with np.errstate(over="ignore"):

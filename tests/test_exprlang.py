@@ -463,6 +463,17 @@ def test_a_power_by_a_constant_subtree():
     assert [jacobian_ad([b], p).tolist() for p in block] == [[[-0.25, 0.0]], [[-0.0625, 0.0]]]
 
 
+def test_an_overflowing_tangent_of_a_constant_power_is_a_derivative_fault():
+    # the value 1e-300^0.54 is finite, the factor 1e-300^-0.46 overflows:
+    # a Python float ** raises there, numpy's gives inf, and both forms
+    # report the component's non-finite derivative
+    a = parse_single("sin(x)^sin(10)", ("x",))
+    assert math.isfinite(eval_ast(a, [1e-300]))
+    assert _both_forms(a, [1e-300]) == ("non-finite derivative", (0, 14))
+    b = parse_single("x^-0.5 + y", ("x", "y"))
+    assert _both_forms(b, [1e-310, 1.0]) == ("non-finite derivative", (0, 10))
+
+
 def test_sqrt_and_abs_tangents_at_zero():
     sqrt = parse_single("sqrt(x)", ("x",))
     fault = ("sqrt not differentiable at zero", (0, 7))

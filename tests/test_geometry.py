@@ -1,5 +1,7 @@
 """Spaces, paths, lengths, reparametrization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,65 @@ def test_points_equal_is_the_pairwise_rule(space, data, rtol, atol):
             scale = 1.0 + max(space.chart_norm(ai), space.chart_norm(bj))
             tol = max(rtol * scale, atol)
             assert mask[i, j] == (space.distance(ai, bj) <= tol)
+
+
+_ONE_POINT_SPACES = [
+    Euclidean(dim, p) for p in (1.0, 2.0, 3.0, math.inf) for dim in (1, 2, 9)
+] + [
+    Euclidean(17),
+    CircleQuotient(),
+    Torus(2),
+    Torus(9),
+    ProductSpace([Euclidean(1), CircleQuotient()]),
+    ProductSpace([Torus(2), Euclidean(2, p=1.0), CircleQuotient()]),
+    subset_from_expression(Euclidean(2), "min(x*x + y*y - 0.25, 4 - x*x - y*y)"),
+    subset_from_expression(Torus(2), "log(x + 1) - y"),
+]
+# small, wide and huge coordinates: differences of huge ones overflow
+_ONE_POINT_COORD = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.5e154, -math.pi, math.pi]),
+)
+
+
+def _same_bits(x, y):
+    """x and y are one float, zeros of one sign; any NaN matches any."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@given(space=st.sampled_from(_ONE_POINT_SPACES), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_point_forms_are_rows_of_the_block_forms(space, data):
+    point = st.lists(_ONE_POINT_COORD, min_size=space.dim, max_size=space.dim)
+    a = np.array(data.draw(st.lists(point, min_size=1, max_size=3)))
+    b = np.array(data.draw(st.lists(point, min_size=a.shape[0], max_size=a.shape[0])))
+    with np.errstate(all="ignore"):
+        canonical = space.canonical(a)
+        inside = space.contains_many(a)
+        dist = space.distance_many(a, b)
+        chart = space.chart_lengths(a, b)
+    for i in range(a.shape[0]):
+        ai, bi = a[i].tolist(), b[i].tolist()
+        got = space.canonical_one(ai)
+        assert all(type(v) is float for v in got)
+        assert all(map(_same_bits, got, canonical[i].tolist()))
+        assert space.contains(ai) == inside[i]
+        assert _same_bits(space.distance_one(ai, bi), dist[i])
+        assert _same_bits(space.chart_length_one(ai, bi), chart[i])
+
+
+def test_one_point_distance_of_an_overflowing_difference_is_inf():
+    a, b = [1e308, 0.0], [-1e308, 0.0]
+    for space in (Euclidean(2), Euclidean(2, p=1.0), Euclidean(2, p=3.0), Torus(2)):
+        with np.errstate(all="ignore"):
+            block = space.distance_many(np.array([a]), np.array([b]))[0]
+        got = space.distance_one(a, b)
+        assert _same_bits(got, block)
+        if not isinstance(space, Torus):
+            assert got == math.inf
 
 
 def test_points_equal_boundaries_and_wraparound():

@@ -1,6 +1,8 @@
 """Implicit continuation: lifting through the projection map, folds,
 branches, weights."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,20 @@ def test_start_within_residual_tol_is_projected():
     assert trace.verdict.kind == "Completed"
     assert trace.nodes[0].residual <= ImplicitOptions().project_tol
     assert trace.final_y[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"residual_tol": 0.0},
+        {"project_tol": -1e-10},
+        {"project_tol": math.nan},
+        {"singular_threshold": -1.0},
+        {"singular_threshold": math.inf},
+        {"blowup_radius": 0.0},
+        {"max_nodes": 0},
+    ],
+)
+def test_implicit_options_are_checked_like_lift_options(bad):
+    with pytest.raises(InputError, match=next(iter(bad))):
+        ImplicitOptions(**bad)

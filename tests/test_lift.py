@@ -1,6 +1,7 @@
 """Path lifting engine: completion, failure taxonomy, trace analysis."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -267,6 +268,37 @@ def test_options_validation():
         LiftOptions(step_init=0.0)
     with pytest.raises(InputError):
         LiftOptions(step_min=1.0, step_max=0.1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"growth": 0.0},
+        {"growth": -1.0},
+        {"growth": 0.999},
+        {"blowup_radius": -1.0},
+        {"blowup_radius": 0.0},
+        {"singular_threshold": math.nan},
+        {"singular_threshold": -1e-12},
+        {"max_nodes": 0},
+        {"max_corrector_iter": -1},
+        {"corrector_tol": 0.0},
+        {"corrector_tol": math.inf},
+        {"step_max": math.inf},
+        {"step_min": math.nan},
+        {"blowup_radius": math.inf},
+        {"growth": math.nan},
+    ],
+)
+def test_options_that_break_the_engine_are_refused(bad):
+    with pytest.raises(InputError, match=next(iter(bad))):
+        LiftOptions(**bad)
+
+
+def test_options_at_their_limits_are_accepted(shear3):
+    opts = LiftOptions(growth=1.0, singular_threshold=0.0, max_corrector_iter=0, max_nodes=1)
+    trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
+    assert trace.verdict.kind == "FailedStall" and len(trace.nodes) == 1
 
 
 def test_max_nodes_guard(shear3):

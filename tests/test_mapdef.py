@@ -305,10 +305,10 @@ def _counting_block_handle(f, jac_calls):
 
     def jac_one(c):
         jac_calls.append(1)
-        return f.jac_many_fn(c[None, :])[0][0]
+        return f.jac_many_fn(np.array([c]))[0][0].tolist()
 
     return dataclasses.replace(
-        f, eval_one=lambda c: f.eval_many_fn(c[None, :])[0][0], jac_one=jac_one
+        f, eval_one=lambda c: f.eval_many_fn(np.array([c]))[0][0].tolist(), jac_one=jac_one
     )
 
 

@@ -67,42 +67,13 @@ def _wrap_angle(a):
     return (np.asarray(a, dtype=float) + math.pi) % TWO_PI - math.pi
 
 
-def _wrap_angles(c):
-    """_wrap_angle of each Python float of c, as a list; Python's float %
-    and numpy's make the same fmod and sign correction."""
-    return [(a + math.pi) % TWO_PI - math.pi for a in c]
-
-
 def _float_sum(terms):
-    """The sum of a list of Python floats in numpy's order, so that it
-    equals a row of an (N, n) block's sum over its last axis bitwise:
-    in order under 8 terms; from 8 to 128, eight running sums over the
-    terms in groups of 8, added as ((s0 + s1) + (s2 + s3)) + ((s4 + s5)
-    + (s6 + s7)), then the remaining terms in order; above 128, the sum
-    of two halves split at a multiple of 8 (numpy's pairwise sum)."""
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    if n <= 128:
-        s = terms[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            for j in range(8):
-                s[j] += terms[i + j]
-        total = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-        for t in terms[end:]:
-            total += t
-        return total
-    half = n // 2
-    half -= half % 8
-    return _float_sum(terms[:half]) + _float_sum(terms[half:])
-
-
-def _squares(a, b):
-    return [(u - v) * (u - v) for u, v in zip(a, b)]
+    """The sum of a list of Python floats in order: numpy's sum of a
+    block's row of fewer than 8 terms (from 8 on it sums pairwise)."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def _floats(c):
@@ -119,9 +90,14 @@ class Space:
     one-point forms on one point's coordinates given as a sequence of
     Python floats (canonical_one, contains, distance_one,
     chart_length_one), which answer in Python floats (canonical_one may
-    hand back its argument). A one-point form equals its block form's
-    row bitwise; an overflowing difference gives +inf in both (NaN after
-    a quotient's wrap).
+    hand back its argument). The base one-point forms run the block
+    form on a one-row block, so each is its block form's row bitwise;
+    an overflowing difference gives +inf (NaN after a quotient's wrap).
+    Only Euclidean spaces of fewer than 8 coordinates with p = 1, 2 or
+    inf keep hand-written float forms, and open subsets of them reach
+    those: the serial lifts of the benchmark (perfbench's lift and
+    certify workloads) run on Euclidean(2) and an annulus in it, where
+    a one-row block's numpy overhead would dominate a lift step.
     """
 
     dim = 0
@@ -130,7 +106,8 @@ class Space:
         return np.asarray(coords, dtype=float)
 
     def canonical_one(self, c):
-        return c
+        with np.errstate(all="ignore"):  # a wrap of an overflow is NaN
+            return self.canonical(np.array([c], float))[0].tolist()
 
     def contains(self, coords):
         return len(coords) == self.dim
@@ -144,8 +121,7 @@ class Space:
 
     def distance_one(self, a, b):
         """distance_many of the one-row blocks a and b, as a float."""
-        with np.errstate(over="ignore"):
-            return float(self.distance_many(np.array([a], float), np.array([b], float))[0])
+        return _one_row(self.distance_many, a, b)
 
     def distance(self, a, b):
         return self.distance_one(self.check_coords(a).tolist(), self.check_coords(b).tolist())
@@ -159,7 +135,7 @@ class Space:
         return self.distance_many(a, b)
 
     def chart_length_one(self, a, b):
-        return self.distance_one(a, b)
+        return _one_row(self.chart_lengths, a, b)
 
     def check_coords(self, coords):
         """Coordinates as a checked 1-d float array; a Point gives its
@@ -182,6 +158,12 @@ class Space:
         return float(np.linalg.norm(np.asarray(coords, dtype=float)))
 
 
+def _one_row(form, a, b):
+    """The block form form on the one-row blocks a and b, as a float."""
+    with np.errstate(all="ignore"):  # overflowing differences give inf
+        return float(form(np.array([a], float), np.array([b], float))[0])
+
+
 class Euclidean(Space):
     def __init__(self, dim, p=2.0):
         dim = int(dim)
@@ -198,18 +180,26 @@ class Euclidean(Space):
             return "Euclidean(%d)" % self.dim
         return "Euclidean(%d, p=%g)" % (self.dim, self.p)
 
+    def canonical_one(self, c):
+        return c
+
     def distance_many(self, a, b):
         return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
 
     def distance_one(self, a, b):
-        # other p take the base form: numpy's power may round unlike libm's
-        if self.p == 2.0:
-            return math.sqrt(_float_sum(_squares(a, b)))
-        if self.p == 1.0:
-            return _float_sum([abs(u - v) for u, v in zip(a, b)])
-        if self.p == math.inf:
-            return max([abs(u - v) for u, v in zip(a, b)])
+        # float forms where numpy sums in order; other p take the block
+        # form (numpy's power may round unlike libm's)
+        if self.dim < 8:
+            if self.p == 2.0:
+                return math.sqrt(_float_sum([(u - v) * (u - v) for u, v in zip(a, b)]))
+            if self.p == 1.0:
+                return _float_sum([abs(u - v) for u, v in zip(a, b)])
+            if self.p == math.inf:
+                return max([abs(u - v) for u, v in zip(a, b)])
         return super().distance_one(a, b)
+
+    def chart_length_one(self, a, b):
+        return self.distance_one(a, b)
 
 
 class CircleQuotient(Space):
@@ -223,23 +213,13 @@ class CircleQuotient(Space):
     def canonical(self, coords):
         return _wrap_angle(coords)
 
-    def canonical_one(self, c):
-        return _wrap_angles(c)
-
     def distance_many(self, a, b):
         d = _wrap_angle(np.asarray(a, float) - np.asarray(b, float))
         return np.abs(d)[..., 0]
 
-    def distance_one(self, a, b):
-        (d,) = _wrap_angles([a[0] - b[0]])
-        return abs(d)
-
     def chart_lengths(self, a, b):
         d = np.asarray(a, float) - np.asarray(b, float)
         return np.abs(d)[..., 0]
-
-    def chart_length_one(self, a, b):
-        return abs(a[0] - b[0])
 
 
 class Torus(Space):
@@ -257,23 +237,13 @@ class Torus(Space):
     def canonical(self, coords):
         return _wrap_angle(coords)
 
-    def canonical_one(self, c):
-        return _wrap_angles(c)
-
     def distance_many(self, a, b):
         d = _wrap_angle(np.asarray(a, float) - np.asarray(b, float))
         return np.sqrt((d * d).sum(axis=-1))
 
-    def distance_one(self, a, b):
-        d = _wrap_angles([u - v for u, v in zip(a, b)])
-        return math.sqrt(_float_sum([v * v for v in d]))
-
     def chart_lengths(self, a, b):
         d = np.asarray(a, float) - np.asarray(b, float)
         return np.sqrt((d * d).sum(axis=-1))
-
-    def chart_length_one(self, a, b):
-        return math.sqrt(_float_sum(_squares(a, b)))
 
 
 class ProductSpace(Space):
@@ -298,12 +268,6 @@ class ProductSpace(Space):
             c[..., sl] = s.canonical(c[..., sl])
         return c
 
-    def canonical_one(self, c):
-        out = []
-        for s, sl in zip(self.parts, self._slices):
-            out.extend(s.canonical_one(c[sl]))
-        return out
-
     def contains(self, coords):
         return all(s.contains(coords[sl]) for s, sl in zip(self.parts, self._slices))
 
@@ -323,9 +287,6 @@ class ProductSpace(Space):
             acc = d * d if acc is None else acc + d * d
         return np.sqrt(acc)
 
-    def distance_one(self, a, b):
-        return self._combined_one("distance_one", a, b)
-
     def chart_lengths(self, a, b):
         a = np.asarray(a, float)
         b = np.asarray(b, float)
@@ -335,28 +296,16 @@ class ProductSpace(Space):
             acc = d * d if acc is None else acc + d * d
         return np.sqrt(acc)
 
-    def chart_length_one(self, a, b):
-        return self._combined_one("chart_length_one", a, b)
-
-    def _combined_one(self, form, a, b):
-        """The 2-norm of the parts' one-point form, summed in order as the
-        block forms do."""
-        acc = None
-        for s, sl in zip(self.parts, self._slices):
-            d = getattr(s, form)(a[sl], b[sl])
-            acc = d * d if acc is None else acc + d * d
-        return math.sqrt(acc)
-
 
 class OpenSubset(Space):
     """An open subset of a base space, cut out by predicate(coords) > 0
     truthiness. The predicate receives one point's coordinates as a
-    sequence of Python floats; an optional vectorized form receives an
-    (N, dim) block. Both answer where they cannot evaluate, not raise
-    (subset_from_expression's say False), so a block holding
+    sequence of Python floats; its vectorized form predicate_many
+    receives an (N, dim) block. Both answer where they cannot evaluate,
+    not raise (subset_from_expression's say False), so a block holding
     overflowing or non-finite points gets its mask."""
 
-    def __init__(self, base, predicate, predicate_many=None, source=None):
+    def __init__(self, base, predicate, predicate_many, source=None):
         self.base = base
         self.dim = base.dim
         self.predicate = predicate
@@ -379,12 +328,7 @@ class OpenSubset(Space):
     def contains_many(self, pts):
         pts = np.asarray(pts, dtype=float)
         ok = self.base.contains_many(pts)
-        if self._predicate_many is not None:
-            return ok & np.asarray(self._predicate_many(pts), dtype=bool)
-        inner = np.fromiter(
-            (bool(self.predicate(p)) for p in pts), dtype=bool, count=pts.shape[0]
-        )
-        return ok & inner
+        return ok & np.asarray(self._predicate_many(pts), dtype=bool)
 
     def distance_many(self, a, b):
         return self.base.distance_many(a, b)

@@ -8,14 +8,18 @@ import pytest
 
 import liftkit.lift
 from liftkit import (
+    CircleQuotient,
     ContinuationFailure,
     Euclidean,
     InputError,
     LiftOptions,
     Loop,
     OpenSubset,
+    ProductSpace,
     Segment,
+    Torus,
     analyze_trace,
+    expression_map,
     lift_path,
     resolve_map,
 )
@@ -306,3 +310,29 @@ def test_max_nodes_guard(shear3):
     opts = LiftOptions(max_nodes=3)
     trace = lift_path(shear3, p, np.array([0.0, 0.0]), opts)
     assert not trace.verdict.completed
+
+
+_CIRCLE_LINE = ProductSpace((Euclidean(1), CircleQuotient()))
+
+
+@pytest.mark.parametrize(
+    "f, a, b, end",
+    [
+        # t -> t/2 lifts the circle's loop through the double cover
+        (expression_map("2*x", codomain=CircleQuotient()), [0.0], [2 * math.pi],
+         [math.pi]),
+        # the lift winds twice in y, once in x, and is not reduced
+        (expression_map("(x + 0.1*sin(y), y)", codomain=Torus(2)), [0.0, 0.0],
+         [2 * math.pi, 4 * math.pi], [2 * math.pi, 4 * math.pi]),
+        # y + x winds the circle factor; the domain's point is reduced
+        (expression_map("(x, y + x)", domain=_CIRCLE_LINE, codomain=_CIRCLE_LINE),
+         [0.0, 0.0], [1.0, 7.0], [1.0, 6.0 - 2 * math.pi]),
+    ],
+    ids=["circle", "torus", "product"],
+)
+def test_serial_lifts_through_quotients_and_products(f, a, b, end):
+    # these spaces answer a point with their block forms' one-row blocks
+    trace = lift_path(f, Segment(f.codomain, a, b), np.array(a))
+    assert trace.verdict.kind == "Completed"
+    assert len(trace.nodes) == 15
+    assert trace.final_coords.tolist() == end

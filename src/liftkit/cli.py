@@ -28,6 +28,7 @@ from .geometry import (
     ExpressionPath,
     Loop,
     Segment,
+    chart_norm,
     path_length,
     polyline,
 )
@@ -333,7 +334,7 @@ def cmd_invert(args, reg):
             seed=args.seed,
         )
         return rep, {}, EXIT_VERDICT
-    resid = float(np.linalg.norm(f.eval(pre.coords) - y))
+    resid = f.codomain.distance_one(f.eval(pre.coords).tolist(), y.tolist())
     rep = Report(
         command="invert",
         inputs={"map": args.map, "target": list(y), "start": list(x0)},
@@ -383,7 +384,7 @@ def cmd_sheets(args, reg):
     else:
         if f.codomain.dim != 2:
             raise LiftkitError("default loop needs a 2-d codomain; pass --loop")
-        r = float(np.linalg.norm(y))
+        r = chart_norm(y)
         if r == 0:
             raise LiftkitError("target at the origin; pass --loop explicitly")
         loop = Loop(

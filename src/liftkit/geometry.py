@@ -32,6 +32,7 @@ __all__ = [
     "points_equal",
     "distinct_rows",
     "distance",
+    "chart_norm",
     "Path",
     "Segment",
     "Sampled",
@@ -74,6 +75,17 @@ def _float_sum(terms):
     for t in terms:
         total += t
     return total
+
+
+def chart_norm(coords):
+    """The 2-norm of one point's chart coordinates (an array or a
+    sequence of numbers), as a float: the row norm of points_equal, bit
+    for bit (numpy sums a row of fewer than 8 squares in order)."""
+    c = _floats(coords)
+    if len(c) < 8:
+        return math.sqrt(_float_sum([v * v for v in c]))
+    with np.errstate(over="ignore"):  # as Python's float square overflows
+        return float(_pnorm(np.array([c], float), 2.0)[0])
 
 
 def _floats(c):
@@ -154,8 +166,6 @@ class Space:
             raise DomainError("point %s is outside %r" % (c.tolist(), self))
         return c
 
-    def chart_norm(self, coords):
-        return float(np.linalg.norm(np.asarray(coords, dtype=float)))
 
 
 def _one_row(form, a, b):
@@ -443,9 +453,7 @@ def points_equal(space, a, b, rtol=POINT_IDENTITY_RTOL, atol=0.0):
     b = np.asarray(b, dtype=float).reshape(-1, space.dim)
     n, m = a.shape[0], b.shape[0]
     d = space.distance_many(np.repeat(a, m, axis=0), np.tile(b, (n, 1)))
-    norms = np.maximum(
-        np.linalg.norm(a, axis=1)[:, None], np.linalg.norm(b, axis=1)[None, :]
-    )
+    norms = np.maximum(_pnorm(a, 2.0)[:, None], _pnorm(b, 2.0)[None, :])
     return d.reshape(n, m) <= np.maximum(rtol * (1.0 + norms), atol)
 
 

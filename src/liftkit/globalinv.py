@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, LiftkitError
-from .geometry import Box, Point, Segment, distinct_rows, points_equal, polyline
+from .geometry import (
+    Box,
+    Point,
+    Segment,
+    chart_norm,
+    distinct_rows,
+    points_equal,
+    polyline,
+)
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import CONVERGED, newton_block
 from .sampling import unit_box_points
@@ -92,7 +100,7 @@ def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
         raise InputError("fiber enumeration needs a square system")
     yc = f.codomain.check_coords(y)
     if seed_region is None:
-        half = 4.0 * (1.0 + float(np.linalg.norm(yc)))
+        half = 4.0 * (1.0 + chart_norm(yc))
         seed_region = Box(np.full(f.domain.dim, -half), np.full(f.domain.dim, half))
     # rejection-sample the region so restrictive domains (thin annuli,
     # small open subsets) still get the full multistart budget
@@ -134,7 +142,7 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
     yc = f.codomain.check_coords(y)
     xc = f.domain.check_coords(x_start)
     t0, t1 = loop.domain
-    scale = 1.0 + float(np.linalg.norm(yc))
+    scale = 1.0 + chart_norm(yc)
     for t_end in (t0, t1):
         gap = f.codomain.distance_one(loop.eval(t_end).tolist(), yc.tolist())
         if gap > 1e-9 * scale:

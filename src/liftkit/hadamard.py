@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EvalDomainError, InputError, LiftkitError
 from .exprlang import eval_ast, parse_single
-from .geometry import Box, Point
+from .geometry import Box, Point, chart_norm
 from .sampling import sphere_directions, unit_box_points
 from .sderiv import compass_search, d_pm_from_jacobian
 
@@ -340,7 +340,7 @@ def _smin_batch(f, pts):
 
 
 def default_radii(x0_coords, n=24, decades=3.0):
-    t_max = 1e2 * (1.0 + float(np.linalg.norm(x0_coords)))
+    t_max = 1e2 * (1.0 + chart_norm(x0_coords))
     return np.geomspace(t_max * 10.0**-decades, t_max, n)
 
 
@@ -606,7 +606,7 @@ def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None)
     else:
         region = sample_region
         if region is None:
-            half = 1e1 * (1.0 + float(np.linalg.norm(x0c)))
+            half = 1e1 * (1.0 + chart_norm(x0c))
             region = Box(x0c - half, x0c + half)
         pts = region.scale(unit_box_points(n_samples, f.domain.dim))
     pts = f.domain.canonical(pts)

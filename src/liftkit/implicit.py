@@ -31,6 +31,7 @@ from .geometry import (
     Point,
     ProductSpace,
     Segment,
+    chart_norm,
     distinct_rows,
     points_equal,
 )
@@ -372,9 +373,7 @@ def _finish(trace, p, weight):
     t0, t1 = trace.path_domain
     span = t1 - t0
     # sup of the x-speed over the nodes, in normalized parameter
-    speeds = [
-        float(np.linalg.norm(p.velocity(float(t)) * span)) for t in ts
-    ]
+    speeds = [chart_norm(p.velocity(float(t)) * span) for t in ts]
     v_sup = max(speeds)
     ok = True
     for nd in trace.nodes:

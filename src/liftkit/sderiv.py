@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import OpenSubset
+from .geometry import OpenSubset, chart_norm
 from .mapdef import jacobian_at, singular_extremes, singular_extremes_many
 from .sampling import sphere_directions
 
@@ -195,7 +195,7 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
         raise InputError("unknown method %r" % method)
 
     dim = f.domain.dim
-    rho0 = SHELL_RHO0_SCALE * (1.0 + f.domain.chart_norm(c))
+    rho0 = SHELL_RHO0_SCALE * (1.0 + chart_norm(c))
     rho0 = _admissible_radius(f, c, rho0)
     dirs = sphere_directions(SHELL_DIRS_PER_DIM * dim, dim)
     fc = f.eval(c)
@@ -246,7 +246,7 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
         )
     dim = f.domain.dim
     if radii is None:
-        rho0 = SHELL_RHO0_SCALE * (1.0 + f.domain.chart_norm(c))
+        rho0 = SHELL_RHO0_SCALE * (1.0 + chart_norm(c))
         rho0 = _admissible_radius(f, c, rho0)
         radii = [rho0 * 2.0**-k for k in range(SHELL_LEVELS + 1)]
     radii = sorted(float(r) for r in radii)

@@ -29,7 +29,7 @@ from liftkit import (
     reverse_path,
     subset_from_expression,
 )
-from liftkit.geometry import distinct_rows
+from liftkit.geometry import chart_norm, distinct_rows
 from oracles import L_PARABOLA
 
 
@@ -240,7 +240,7 @@ def test_points_equal_is_the_pairwise_rule(space, data, rtol, atol):
     assert mask.shape == (a.shape[0], b.shape[0])
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            scale = 1.0 + max(space.chart_norm(ai), space.chart_norm(bj))
+            scale = 1.0 + max(chart_norm(ai), chart_norm(bj))
             tol = max(rtol * scale, atol)
             assert mask[i, j] == (space.distance(ai, bj) <= tol)
 
@@ -291,6 +291,18 @@ def test_one_point_forms_are_rows_of_the_block_forms(space, data):
         assert space.contains(ai) == inside[i]
         assert _same_bits(space.distance_one(ai, bi), dist[i])
         assert _same_bits(space.chart_length_one(ai, bi), chart[i])
+
+
+@given(data=st.data(), dim=st.sampled_from([1, 2, 3, 7, 8, 9, 17, 130]))
+@settings(max_examples=200, deadline=None)
+def test_chart_norm_is_the_row_norm_of_points_equal(data, dim):
+    point = st.lists(_ONE_POINT_COORD, min_size=dim, max_size=dim)
+    block = np.array(data.draw(st.lists(point, min_size=1, max_size=3)))
+    with np.errstate(over="ignore"):
+        rows = np.linalg.norm(block, axis=1)  # numpy's unfused row sums
+    for i, row in enumerate(block):
+        assert _same_bits(chart_norm(row.tolist()), rows[i])
+        assert _same_bits(chart_norm(row), rows[i])
 
 
 def test_one_point_distance_of_an_overflowing_difference_is_inf():

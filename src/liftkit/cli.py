@@ -145,10 +145,25 @@ def _tol(text):
     return tol
 
 
-def _lift_opts(args):
-    if args.tol is not None:
-        return LiftOptions(corrector_tol=args.tol)
-    return LiftOptions()
+def _add_tol(p, default, what):
+    """--tol on a subcommand that reads it, setting its what."""
+    p.add_argument(
+        "--tol",
+        type=_tol,
+        default=default,
+        help="%s, a finite positive number (default %g)" % (what, default),
+    )
+
+
+def _verdict_entries(key, v):
+    """A continuation verdict as report verdicts: its kind under key,
+    with the engine's note and the failure's cause when it has them."""
+    out = {key: v.kind}
+    if v.engine_note:
+        out["note"] = v.engine_note
+    if v.message:
+        out["cause"] = v.message
+    return out
 
 
 def _point_list(points):
@@ -281,7 +296,7 @@ def cmd_lift(args, reg):
     f = _map(args, reg)
     p = _path(args.path, f.codomain, reg)
     x0 = _vec(args.start)
-    opts = _lift_opts(args)
+    opts = LiftOptions(corrector_tol=args.tol)
     trace = lift_path(f, p, x0, opts)
     analysis = analyze_trace(trace, domain_space=f.domain)
     v = trace.verdict
@@ -295,16 +310,11 @@ def cmd_lift(args, reg):
         "alpha_hat": analysis.alpha_hat,
         "tail_diameters": [[t, d] for t, d in analysis.tail_diameters],
     }
-    verdicts = {"lift": v.kind}
-    if v.engine_note:
-        verdicts["note"] = v.engine_note
-    if v.message:
-        verdicts["cause"] = v.message
     rep = Report(
         command="lift",
         inputs={"map": args.map, "path": args.path, "start": list(x0)},
         results=results,
-        verdicts=verdicts,
+        verdicts=_verdict_entries("lift", v),
         tolerances={"corrector_tol": opts.corrector_tol},
         seed=args.seed,
         artifacts=["lift_trace.csv"] if args.out else [],
@@ -317,19 +327,16 @@ def cmd_invert(args, reg):
     f = _map(args, reg)
     y = _vec(args.target)
     x0 = _vec(args.start)
-    opts = _lift_opts(args)
+    opts = LiftOptions(corrector_tol=args.tol)
     try:
         pre = invert_at(f, y, x0, opts)
     except ContinuationFailure as fail:
         v = fail.verdict
-        verdicts = {"invert": v.kind, "note": v.engine_note}
-        if v.message:
-            verdicts["cause"] = v.message
         rep = Report(
             command="invert",
             inputs={"map": args.map, "target": list(y), "start": list(x0)},
             results={"verdict": v.kind, "b": v.b},
-            verdicts=verdicts,
+            verdicts=_verdict_entries("invert", v),
             tolerances={"corrector_tol": opts.corrector_tol},
             seed=args.seed,
         )
@@ -350,9 +357,8 @@ def cmd_fiber(args, reg):
     f = _map(args, reg)
     y = _vec(args.target)
     region = _box(args.region, f.domain.dim) if args.region else None
-    tol = args.tol if args.tol is not None else 1e-10
     report = fiber_enumerate(
-        f, y, seed_region=region, n_starts=args.n_starts, tol=tol
+        f, y, seed_region=region, n_starts=args.n_starts, tol=args.tol
     )
     rows = ["x_%d" % (i + 1) for i in range(f.domain.dim)] + ["residual"]
     lines = [",".join(rows)]
@@ -368,7 +374,7 @@ def cmd_fiber(args, reg):
             "note": report.note,
         },
         verdicts={"fiber": "enumerated", "completeness": "best-effort"},
-        tolerances={"residual_tol": tol, "n_starts": args.n_starts},
+        tolerances={"residual_tol": args.tol, "n_starts": args.n_starts},
         seed=args.seed,
         artifacts=["fiber.csv"] if args.out else [],
     )
@@ -390,7 +396,8 @@ def cmd_sheets(args, reg):
         loop = Loop(
             f.codomain, np.zeros(2), r, winding=1, phase=math.atan2(y[1], y[0])
         )
-    report = sheet_count(f, y, loop, x0, max_orbit=args.max_orbit)
+    opts = LiftOptions(corrector_tol=args.tol)
+    report = sheet_count(f, y, loop, x0, max_orbit=args.max_orbit, opts=opts)
     mono = dict(report.monodromy or {})
     if "vector" in mono:
         mono["vector"] = [float(v) for v in mono["vector"]]
@@ -403,7 +410,7 @@ def cmd_sheets(args, reg):
     verdicts = {"orbit": "closed" if report.sheets else "open"}
     code = EXIT_OK
     if report.verdict is not None:
-        verdicts["lift"] = report.verdict.kind
+        verdicts.update(_verdict_entries("lift", report.verdict))
         verdicts["orbit"] = "aborted"
         code = EXIT_VERDICT
     rep = Report(
@@ -417,7 +424,11 @@ def cmd_sheets(args, reg):
         },
         results=results,
         verdicts=verdicts,
-        tolerances={"translation_tol": TRANSLATION_TOL, "max_orbit": args.max_orbit},
+        tolerances={
+            "corrector_tol": opts.corrector_tol,
+            "translation_tol": TRANSLATION_TOL,
+            "max_orbit": args.max_orbit,
+        },
         seed=args.seed,
     )
     return rep, {}, code
@@ -526,11 +537,7 @@ def cmd_implicit(args, reg):
         f = _map(args, reg)
         prob = ImplicitProblem(f, int(args.x_dim), _vec(args.w))
 
-    opts = (
-        ImplicitOptions(residual_tol=args.tol)
-        if args.tol is not None
-        else ImplicitOptions()
-    )
+    opts = ImplicitOptions(residual_tol=args.tol)
     tolerances = {
         "residual_tol": opts.residual_tol,
         "project_tol": opts.project_tol,
@@ -595,7 +602,7 @@ def cmd_implicit(args, reg):
         "max_residual": max(n.residual for n in trace.nodes),
         "nodes": len(trace.nodes),
     }
-    verdicts = {"continuation": v.kind}
+    verdicts = _verdict_entries("continuation", v)
     if weight is not None:
         results["weight_check"] = trace.weight_check
         results["monitor_ok"] = trace.monitor_ok
@@ -660,9 +667,6 @@ def build_parser():
     common.add_argument(
         "--json", action="store_true", help="print the JSON report to stdout"
     )
-    common.add_argument(
-        "--tol", type=_tol, help="override the main tolerance (finite, positive)"
-    )
 
     ap = argparse.ArgumentParser(
         prog="liftkit",
@@ -702,12 +706,14 @@ def build_parser():
     p.add_argument("--map", required=True)
     p.add_argument("--path", required=True)
     p.add_argument("--start", required=True)
+    _add_tol(p, LiftOptions.corrector_tol, "corrector tolerance")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("invert", parents=[common], help="global inverse at a point")
     p.add_argument("--map", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--start", required=True)
+    _add_tol(p, LiftOptions.corrector_tol, "corrector tolerance")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("fiber", parents=[common], help="enumerate a fiber")
@@ -715,6 +721,7 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--n-starts", type=int, default=64)
     p.add_argument("--region", help="seed region lo:hi")
+    _add_tol(p, 1e-10, "Newton residual tolerance")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("sheets", parents=[common], help="sheet count by loop orbit")
@@ -723,6 +730,7 @@ def build_parser():
     p.add_argument("--start", required=True)
     p.add_argument("--loop", help="loop spec; default circles the origin")
     p.add_argument("--max-orbit", type=int, default=8)
+    _add_tol(p, LiftOptions.corrector_tol, "corrector tolerance of the loop's lifts")
     p.set_defaults(func=cmd_sheets)
 
     p = sub.add_parser(
@@ -753,6 +761,7 @@ def build_parser():
     p.add_argument("--x-box")
     p.add_argument("--y-box")
     p.add_argument("--n-starts", type=int, default=32)
+    _add_tol(p, ImplicitOptions.residual_tol, "start residual tolerance")
     p.set_defaults(func=cmd_implicit)
 
     p = sub.add_parser("registry", parents=[common], help="inspect a registry file")

@@ -315,7 +315,14 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
     if fold.size:
         keep = fold[0] + 1
         b = min(float((ts[keep - 1] - t0) / span), 1.0)
-        verdict = Verdict(kind=FAILED_SINGULAR, b=b, d_minus=float(jy_smin[keep - 1]))
+        smin = float(jy_smin[keep - 1])
+        verdict = Verdict(
+            kind=FAILED_SINGULAR,
+            b=b,
+            d_minus=smin,
+            message="y-block smin %.3g < singular_threshold %.3g"
+            % (smin, opts.singular_threshold),
+        )
     else:
         keep = len(ts)
         if verdict.d_minus is not None:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -422,33 +423,119 @@ def test_dimension_mismatch_exits_two(capsys):
     assert code == 2
 
 
+# the subcommands that read --tol
 _TOL_COMMANDS = {
     "invert": ["invert", "--map", "shear3", "--target", "1,1", "--start", "0,0"],
     "lift": ["lift", "--map", "shear3", "--path", "seg:0,0,9,2", "--start", "0,0"],
     "fiber": ["fiber", "--map", "powk(3)", "--target", "1,0", "--n-starts", "8"],
     "implicit": ["implicit", "--map", "cubic_implicit", "--x-dim", "1", "--w", "0",
                  "--x-target", "2", "--start-x", "0", "--start-y", "0"],
+    "sheets": ["sheets", "--map", "powk(3)", "--target", "1,0", "--start", "1,0"],
+}
+# and those that refuse it, having no tolerance it could set
+_NO_TOL_COMMANDS = {
     "deriv": ["deriv", "--map", "shear3", "--point", "0,0"],
+    "length": ["length", "--dim", "2", "--path", "seg:0,0,1,1"],
+    "meanvalue": ["meanvalue", "--map", "shear3", "--path", "seg:0,0,1,1"],
+    "hadamard": ["hadamard", "--weight", "constant:1"],
+    "registry": ["registry", "list"],
 }
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "inf", "-1e-9", "1e-400", "tight"])
-@pytest.mark.parametrize("command", sorted(_TOL_COMMANDS))
+@pytest.mark.parametrize("command", sorted({**_TOL_COMMANDS, **_NO_TOL_COMMANDS}))
 def test_a_bad_tol_is_an_input_error(command, tol, capsys):
-    code, out = invoke(_TOL_COMMANDS[command] + ["--tol=" + tol, "--json"])
+    argv = {**_TOL_COMMANDS, **_NO_TOL_COMMANDS}[command]
+    code, out = invoke(argv + ["--tol=" + tol, "--json"])
     assert code == 2
     assert out == ""
-    assert "--tol must be a finite positive number" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command in _TOL_COMMANDS:
+        assert "--tol must be a finite positive number" in err
+    else:
+        assert "unrecognized arguments: --tol=" + tol in err
+
+
+@pytest.mark.parametrize("command", sorted(_NO_TOL_COMMANDS))
+def test_a_tol_nothing_reads_is_refused(command, capsys):
+    code, out = invoke(_NO_TOL_COMMANDS[command] + ["--tol", "1e-9", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "command, key",
-    [("invert", "corrector_tol"), ("fiber", "residual_tol"), ("implicit", "residual_tol")],
+    [
+        ("invert", "corrector_tol"),
+        ("lift", "corrector_tol"),
+        ("fiber", "residual_tol"),
+        ("implicit", "residual_tol"),
+        ("sheets", "corrector_tol"),
+    ],
 )
 def test_tol_reaches_the_report(command, key):
+    code, default = invoke_json(_TOL_COMMANDS[command])
     code, doc = invoke_json(_TOL_COMMANDS[command] + ["--tol", "1e-9"])
     assert code == 0
     assert doc["tolerances"][key] == 1e-9
+    assert default["tolerances"][key] != 1e-9
+
+
+def test_sheets_lifts_at_the_given_tol():
+    # under the rounding of z^3 the loop's first lift stalls
+    code, doc = invoke_json(_TOL_COMMANDS["sheets"] + ["--tol", "1e-20"])
+    assert code == 1
+    assert doc["verdicts"]["lift"] == "FailedStall"
+    assert doc["verdicts"]["cause"].startswith("NonConvergenceError")
+
+
+_CAUSE_REGISTRY = """
+[map fold_cubic]
+dim_in = 2
+dim_out = 1
+components = y^3 - y - x
+jacobian = -1 ; 3*y^2 - 1
+
+[map annulus_cube]
+dim_in = 2
+dim_out = 2
+components = x^3 - 3*x*y^2 ; 3*x^2*y - y^3
+jacobian = 3*x^2 - 3*y^2 ; -6*x*y ; 6*x*y ; 3*x^2 - 3*y^2
+domain = min(x*x + y*y - 0.25, 4.0 - x*x - y*y)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, key, kind, cause",
+    [
+        # the branch through y = 0 folds at x = -2 / (3 * sqrt(3))
+        (["implicit", "--x-dim", "1", "--w", "0", "--x-target", "-0.5",
+          "--start-x", "0", "--start-y", "0"],
+         "continuation", "FailedSingular", "y-block smin "),
+        # the loop runs into the annulus' inner circle
+        (["sheets", "--target", "1,0", "--start", "1,0", "--loop", "loop:0.5,0,0.5"],
+         "lift", "FailedDomainExit", "newton direction leaves the domain"),
+    ],
+    ids=["implicit", "sheets"],
+)
+def test_failed_continuations_report_their_cause(argv, key, kind, cause, tmp_path):
+    registry = tmp_path / "registry.ini"
+    registry.write_text(_CAUSE_REGISTRY, encoding="utf-8")
+    specs = (
+        ["y^3 - y - x", "fold_cubic"] if key == "continuation" else ["powk(3)", "annulus_cube"]
+    )
+    for spec in specs:
+        argv_map = argv + ["--map", spec, "--registry", str(registry)]
+        code, doc = invoke_json(argv_map)
+        assert code == 1
+        assert doc["verdicts"][key] == kind
+        assert doc["verdicts"]["cause"].startswith(cause)
+        if key == "continuation":
+            assert doc["verdicts"]["cause"].endswith("< singular_threshold 1e-06")
+        else:
+            assert doc["verdicts"]["orbit"] == "aborted"
+            assert doc["verdicts"]["note"].startswith("engine-conservative")
 
 
 @pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
@@ -578,3 +665,39 @@ def test_every_report_validates_against_schema():
         code, doc = invoke_json(argv)
         assert code == 0
         assert validate_report(doc)
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def _readme_examples():
+    """(argv, exit code) of each liftkit line of README.md's sh blocks;
+    the code is 0 unless the comment above the line says "(exit code
+    N)"."""
+    with open(_README, encoding="utf-8") as fh:
+        text = fh.read()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        code = 0
+        for line in block.splitlines():
+            said = re.search(r"\(exit code (\d)\)", line)
+            if line.startswith("#") and said:
+                code = int(said.group(1))
+            elif line.startswith("liftkit "):
+                examples.append((shlex.split(line)[1:], code))
+                code = 0
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_command_line_examples():
+    assert len(_README_EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize(
+    "argv, code", _README_EXAMPLES, ids=[" ".join(a[:1]) for a, _ in _README_EXAMPLES]
+)
+def test_readme_examples_exit_as_documented(argv, code):
+    assert invoke(argv)[0] == code

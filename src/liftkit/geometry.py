@@ -84,7 +84,7 @@ def chart_norm(coords):
     c = _floats(coords)
     if len(c) < 8:
         return math.sqrt(_float_sum([v * v for v in c]))
-    with np.errstate(over="ignore"):  # as Python's float square overflows
+    with np.errstate(over="ignore"):  # a huge square is inf, as on floats
         return float(_pnorm(np.array([c], float), 2.0)[0])
 
 
@@ -165,7 +165,6 @@ class Space:
         if not self.contains(c.tolist()):
             raise DomainError("point %s is outside %r" % (c.tolist(), self))
         return c
-
 
 
 def _one_row(form, a, b):

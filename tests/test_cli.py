@@ -456,14 +456,6 @@ def test_a_bad_tol_is_an_input_error(command, tol, capsys):
         assert "unrecognized arguments: --tol=" + tol in err
 
 
-@pytest.mark.parametrize("command", sorted(_NO_TOL_COMMANDS))
-def test_a_tol_nothing_reads_is_refused(command, capsys):
-    code, out = invoke(_NO_TOL_COMMANDS[command] + ["--tol", "1e-9", "--json"])
-    assert code == 2
-    assert out == ""
-    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "command, key",
     [

@@ -32,7 +32,13 @@ from .geometry import (
     path_length,
     polyline,
 )
-from .globalinv import TRANSLATION_TOL, fiber_enumerate, invert_at, sheet_count
+from .globalinv import (
+    FIBER_TOL,
+    TRANSLATION_TOL,
+    fiber_enumerate,
+    invert_at,
+    sheet_count,
+)
 from .hadamard import (
     CERT_TOL,
     FIT_RMS_THRESHOLD,
@@ -396,8 +402,7 @@ def cmd_sheets(args, reg):
         loop = Loop(
             f.codomain, np.zeros(2), r, winding=1, phase=math.atan2(y[1], y[0])
         )
-    opts = LiftOptions(corrector_tol=args.tol)
-    report = sheet_count(f, y, loop, x0, max_orbit=args.max_orbit, opts=opts)
+    report = sheet_count(f, y, loop, x0, max_orbit=args.max_orbit)
     mono = dict(report.monodromy or {})
     if "vector" in mono:
         mono["vector"] = [float(v) for v in mono["vector"]]
@@ -424,11 +429,7 @@ def cmd_sheets(args, reg):
         },
         results=results,
         verdicts=verdicts,
-        tolerances={
-            "corrector_tol": opts.corrector_tol,
-            "translation_tol": TRANSLATION_TOL,
-            "max_orbit": args.max_orbit,
-        },
+        tolerances={"translation_tol": TRANSLATION_TOL, "max_orbit": args.max_orbit},
         seed=args.seed,
     )
     return rep, {}, code
@@ -721,7 +722,7 @@ def build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--n-starts", type=int, default=64)
     p.add_argument("--region", help="seed region lo:hi")
-    _add_tol(p, 1e-10, "Newton residual tolerance")
+    _add_tol(p, FIBER_TOL, "Newton residual tolerance")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("sheets", parents=[common], help="sheet count by loop orbit")
@@ -730,7 +731,6 @@ def build_parser():
     p.add_argument("--start", required=True)
     p.add_argument("--loop", help="loop spec; default circles the origin")
     p.add_argument("--max-orbit", type=int, default=8)
-    _add_tol(p, LiftOptions.corrector_tol, "corrector tolerance of the loop's lifts")
     p.set_defaults(func=cmd_sheets)
 
     p = sub.add_parser(

@@ -77,15 +77,21 @@ def _float_sum(terms):
     return total
 
 
+def _root_sum(squares):
+    """The square root of the sum of a list of squares (Python floats),
+    as _pnorm's 2-norm sums a block's row: in order under 8 terms, by
+    numpy from 8 on."""
+    if len(squares) < 8:
+        return math.sqrt(_float_sum(squares))
+    with np.errstate(over="ignore"):  # a huge sum is inf, as on floats
+        return float(np.sqrt(np.array([squares]).sum(axis=-1))[0])
+
+
 def chart_norm(coords):
     """The 2-norm of one point's chart coordinates (an array or a
     sequence of numbers), as a float: the row norm of points_equal, bit
-    for bit (numpy sums a row of fewer than 8 squares in order)."""
-    c = _floats(coords)
-    if len(c) < 8:
-        return math.sqrt(_float_sum([v * v for v in c]))
-    with np.errstate(over="ignore"):  # a huge square is inf, as on floats
-        return float(_pnorm(np.array([c], float), 2.0)[0])
+    for bit."""
+    return _root_sum([v * v for v in _floats(coords)])
 
 
 def _floats(c):
@@ -196,11 +202,11 @@ class Euclidean(Space):
         return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
 
     def distance_one(self, a, b):
+        if self.p == 2.0:
+            return _root_sum([(u - v) * (u - v) for u, v in zip(a, b)])
         # float forms where numpy sums in order; other p take the block
         # form (numpy's power may round unlike libm's)
         if self.dim < 8:
-            if self.p == 2.0:
-                return math.sqrt(_float_sum([(u - v) * (u - v) for u, v in zip(a, b)]))
             if self.p == 1.0:
                 return _float_sum([abs(u - v) for u, v in zip(a, b)])
             if self.p == math.inf:

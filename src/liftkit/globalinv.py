@@ -39,12 +39,14 @@ __all__ = [
     "path_battery",
     "COMPLETENESS_NOTE",
     "TRANSLATION_TOL",
+    "FIBER_TOL",
 ]
 
 COMPLETENESS_NOTE = (
     "best-effort multistart enumeration; completeness is not guaranteed"
 )
 TRANSLATION_TOL = 1e-6
+FIBER_TOL = 1e-10  # fiber_enumerate's default Newton residual tolerance
 
 
 def invert_at(f, y, x0, opts=None):
@@ -88,7 +90,7 @@ class FiberReport:
             raise LiftkitError("fiber preimages %d and %d coincide" % (i, j))
 
 
-def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=1e-10):
+def fiber_enumerate(f, y, seed_region=None, n_starts=64, tol=FIBER_TOL):
     """Enumerate preimages of y by deterministic multistart Newton, all
     starts solved as one newton_block.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -56,7 +57,7 @@ from .implicit import (
 from .lift import ContinuationFailure, LiftOptions, analyze_trace, lift_path
 from .mapdef import resolve_map
 from .meanvalue import CERT_REL_SLACK, find_tau, length_bounds_report, mapped_path
-from .registry import Registry, parse_vector, parse_weight_spec
+from .registry import Registry, _parse_knots, parse_vector, parse_weight_spec
 from .report import Report, validate_report
 from .sderiv import (
     SHELL_DIRS_PER_DIM,
@@ -107,21 +108,21 @@ def _path(spec, space, reg):
             raise LiftkitError("loops need a 2-d space")
         if flat.size < 3 or flat.size > 5:
             raise LiftkitError("loop spec is cx,cy,r[,winding[,phase]]")
-        winding = int(flat[3]) if flat.size >= 4 else 1
+        winding = flat[3] if flat.size >= 4 else 1  # Loop refuses a non-integer
         phase = float(flat[4]) if flat.size == 5 else 0.0
         return Loop(space, flat[:2], float(flat[2]), winding=winding, phase=phase)
     if spec.startswith("poly:"):
-        knots = [
-            _vec(k) for k in spec[5:].split(";") if k.strip()
-        ]
-        return polyline(space, np.stack(knots))
-    if spec.startswith("expr:"):
-        body = spec[5:]
         try:
-            comps, t0, t1 = body.rsplit(":", 2)
+            return polyline(space, _parse_knots(spec[5:]))
         except ValueError:
-            raise LiftkitError("expression path spec is expr:(c1, c2):t0:t1")
-        return ExpressionPath(space, comps, (float(t0), float(t1)))
+            raise InputError("poly knots need one length, got %r" % spec) from None
+    if spec.startswith("expr:"):
+        try:
+            comps, t0, t1 = spec[5:].rsplit(":", 2)
+            interval = (float(t0), float(t1))
+        except ValueError:
+            raise InputError("expression path spec is expr:(c1, c2):t0:t1") from None
+        return ExpressionPath(space, comps, interval)
     if reg is not None and reg.has_path(spec):
         return reg.get_path(spec, space)
     raise LiftkitError(
@@ -799,8 +800,14 @@ def _emit(report, files, args):
 
 
 def run(argv):
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code. A value that starts
+    with a minus sign (--point -1,2) is joined to its option as
+    --point=-1,2, so that it is not taken for an option."""
     parser = build_parser()
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)  # --tol's reader raises InputError
         reg = Registry.from_file(args.registry) if args.registry else None

@@ -674,11 +674,12 @@ class Loop(Path):
     ):
         if space.dim != 2:
             raise InputError("loops need a 2-d space")
-        if float(radius) <= 0:
-            raise InputError("loop radius must be positive")
-        if int(winding) != winding or int(winding) == 0:
-            raise InputError("winding must be a nonzero integer")
         self.center = np.asarray(center, dtype=float).reshape(2)
+        finite = np.isfinite(self.center).all() and math.isfinite(phase)
+        if not (finite and 0 < float(radius) < math.inf):
+            raise InputError("loop center, radius and phase must be finite, radius > 0")
+        if not float(winding).is_integer() or winding == 0:
+            raise InputError("winding must be a nonzero integer")
         self.radius = float(radius)
         self.winding = int(winding)
         self.phase = float(phase)

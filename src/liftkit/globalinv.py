@@ -27,7 +27,7 @@ from .geometry import (
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import CONVERGED, newton_block
 from .sampling import unit_box_points
-from .sderiv import d_pm_from_jacobian
+from .sderiv import region_d_pm
 
 __all__ = [
     "invert_at",
@@ -141,6 +141,8 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
     successive endpoints is reported as a deck translation.
     """
     opts = opts or LiftOptions()
+    if max_orbit < 1:
+        raise InputError("max_orbit must be at least 1, got %r" % max_orbit)
     yc = f.codomain.check_coords(y)
     xc = f.domain.check_coords(x_start)
     t0, t1 = loop.domain
@@ -169,9 +171,9 @@ def sheet_count(f, y, loop, x_start, max_orbit=8, opts=None):
             note = "lift failed mid-orbit: " + trace.verdict.summary()
             break
         end = trace.final_coords
-        # orbit closure is decided at a looser tolerance than point
-        # identity: endpoint error accumulates over the whole lift
-        closes = points_equal(f.domain, end, orbit, atol=1e3 * opts.corrector_tol)[0]
+        # lift_path polishes its endpoint to the rounding floor, so the
+        # orbit closes at plain point identity
+        closes = points_equal(f.domain, end, orbit)[0]
         if closes.any():
             sheets = len(orbit) - int(closes.argmax())
             perm = [(i + 1) % sheets for i in range(sheets)]
@@ -228,18 +230,19 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
     """Sampled quasi-isometry constants over a bounded region: the
     smallest lower and largest upper scalar derivative across samples
     (box corners and center always included). With compact_K, also the
-    restricted lower constant over samples whose image lands in K."""
+    restricted lower constant over samples whose image lands in K. A
+    sample whose Jacobian faults is dropped, as one outside the domain
+    is; n_samples counts the rest."""
     if not isinstance(region, Box):
         raise InputError("region must be a Box")
     if region.dim != f.domain.dim:
         raise InputError("region dimension mismatch")
-    pts = region.scale(unit_box_points(n_samples, region.dim))
-    extras = [region.corners(), 0.5 * (region.lo + region.hi)[None, :]]
-    pts = f.domain.canonical(np.concatenate([pts] + extras, axis=0))
-    pts = pts[f.domain.contains_many(pts)]
+    mid = 0.5 * (region.lo + region.hi)
+    pts = [region.scale(unit_box_points(n_samples, f.dim_in)), region.corners(), mid[None]]
+    pts, ok, _, smin, smax = region_d_pm(f, np.concatenate(pts), mid)
+    pts = pts[ok]
     if pts.shape[0] == 0:
-        raise InputError("no samples land inside the domain")
-    smin, smax = d_pm_from_jacobian(f._jacobians(pts))
+        raise InputError("no sample has a Jacobian inside the domain")
     alpha = float(smin.min())
     beta = float(smax.max())
     alpha_K = None

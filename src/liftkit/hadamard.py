@@ -23,7 +23,7 @@ from .errors import DomainError, EvalDomainError, InputError, LiftkitError
 from .exprlang import eval_ast, parse_single
 from .geometry import Box, Point, chart_norm
 from .sampling import sphere_directions, unit_box_points
-from .sderiv import compass_search, d_pm_from_jacobian
+from .sderiv import compass_search, region_d_pm
 
 __all__ = [
     "Weight",
@@ -333,12 +333,6 @@ class HadamardProfile:
         return buf.getvalue()
 
 
-def _smin_batch(f, pts):
-    """The lower scalar derivative at points the caller has tested;
-    raises where one faults."""
-    return d_pm_from_jacobian(f._jacobians(pts))[0]
-
-
 def default_radii(x0_coords, n=24, decades=3.0):
     t_max = 1e2 * (1.0 + chart_norm(x0_coords))
     return np.geomspace(t_max * 10.0**-decades, t_max, n)
@@ -350,8 +344,8 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
     polish from the budget best samples in the ball, all radii in one
     lockstep search (deterministic). The result is a best-effort upper
     estimate of each infimum; the sample budget is recorded so callers
-    can tighten it. A sample whose Jacobian faults raises; a polish
-    candidate whose Jacobian faults is infeasible, and only it.
+    can tighten it. A sample or polish candidate whose Jacobian faults is
+    dropped (infeasible), and only it; a fault at x0 is an InputError.
     """
     if f.domain.dim != f.codomain.dim:
         raise InputError("profiles need a square Jacobian")
@@ -383,44 +377,33 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         all_pts.append(x0c + t * interior_unit)
     all_pts.append(x0c[None, :])
 
-    def in_ball(pts, t):
-        # canonical points, distances, and the mask of those inside the
-        # domain and the ball of radius t (a scalar or one per point)
-        pts = f.domain.canonical(pts)
-        d = f.domain.distance_many(pts, np.broadcast_to(x0c, pts.shape))
-        return pts, d, f.domain.contains_many(pts) & (d <= t * (1.0 + 1e-12))
-
-    cand, dists, ok = in_ball(np.concatenate(all_pts, axis=0), t_last)
+    cand, ok, dists, smins, _ = region_d_pm(f, np.concatenate(all_pts), x0c, t_last)
+    if not ok[-1]:
+        raise InputError("the Jacobian of %s faults at the center" % f.name)
     cand, dists = cand[ok], dists[ok]
-    smins = _smin_batch(f, cand)
-
     samples = [(cand, smins, dists)]
 
     # one lockstep search whose rows are each radius's budget best samples
-    # in its ball (ties to the earlier sample); row_t[k] is row k's radius
+    # in its ball (ties to the earlier sample; x0 is one, so no ball is
+    # empty), started from their values; row_t[k] is row k's radius
     by_smin = np.argsort(smins, kind="stable")
-    starts, row_t = [], []
-    for t in radii:
-        # x0 itself is a sample, so no ball is empty
-        order = by_smin[dists[by_smin] <= t * (1.0 + 1e-12)]
-        starts.append(cand[order[:budget]])
-        row_t.append(np.full(starts[-1].shape[0], t))
-    row_t = np.concatenate(row_t)
+    picks = [by_smin[dists[by_smin] <= t * (1.0 + 1e-12)][:budget] for t in radii]
+    row_t = np.repeat(radii, [p.size for p in picks])
+    picks = np.concatenate(picks)
 
     def objective(pts, rows):
         # a faulting point is infeasible, as a point outside the ball is
-        pts, d, ok = in_ball(pts, row_t[rows])
-        jac, faulted, _ = f._jacobians_block(pts[ok])
-        ok[ok] = ~faulted
-        vals = np.full(ok.shape, np.inf)
-        vals[ok] = d_pm_from_jacobian(jac[~faulted])[0]
+        pts, ok, d, vals, _ = region_d_pm(f, pts, x0c, row_t[rows])
         # every radius is <= t_last, so every feasible point is a sample
-        samples.append((pts[ok], vals[ok], d[ok]))
-        return vals
+        samples.append((pts[ok], vals, d[ok]))
+        out = np.full(ok.shape, np.inf)
+        out[ok] = vals
+        return out
 
     compass_search(
         objective,
-        np.concatenate(starts),
+        cand[picks],
+        smins[picks],
         POLISH_STEP * row_t,
         POLISH_MIN_STEP * row_t,
         POLISH_ITERS,
@@ -591,7 +574,8 @@ def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None)
     """Sampled check of the domination inequality: the lower scalar
     derivative times the weight of the distance to x0 must be >= 1 at
     every sample. worst_margin is min(product) - 1; pass needs
-    worst_margin >= -1e-6.
+    worst_margin >= -1e-6. A sample whose Jacobian faults is dropped, as
+    one outside the domain is; n_samples counts the rest.
     """
     x0c = f.domain.check_coords(x0)
     val = validate_weight(w)
@@ -609,13 +593,10 @@ def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None)
             half = 1e1 * (1.0 + chart_norm(x0c))
             region = Box(x0c - half, x0c + half)
         pts = region.scale(unit_box_points(n_samples, f.domain.dim))
-    pts = f.domain.canonical(pts)
-    inside = f.domain.contains_many(pts)
-    pts = pts[inside]
-    if pts.shape[0] == 0:
-        raise InputError("no certificate samples land inside the domain")
-    smins = _smin_batch(f, pts)
-    dists = f.domain.distance_many(pts, np.broadcast_to(x0c, pts.shape))
+    pts, ok, dists, smins, _ = region_d_pm(f, pts, x0c)
+    if not ok.any():
+        raise InputError("no certificate sample has a Jacobian inside the domain")
+    pts, dists = pts[ok], dists[ok]
     products = smins * np.asarray(w(dists), dtype=float)
     i = int(np.argmin(products))
     worst = float(products[i] - 1.0)

@@ -98,6 +98,19 @@ def _admissible_radius(f, c, rho0):
     )
 
 
+def region_d_pm(f, pts, center, radius=np.inf):
+    """(canonical pts, mask, distances to center, d_minus, d_plus): the
+    mask keeps the points in f's domain and the closed ball of radius (a
+    scalar or one per point) whose Jacobian evaluates, so a faulting
+    point is dropped as one outside the domain; d_pm at the kept ones."""
+    pts = f.domain.canonical(pts)
+    d = f.domain.distance_many(pts, np.broadcast_to(center, pts.shape))
+    ok = f.domain.contains_many(pts) & (d <= radius * (1.0 + 1e-12))
+    jac, faulted, _ = f._jacobians_block(pts[ok])
+    ok[ok] = ~faulted
+    return (pts, ok, d) + d_pm_from_jacobian(jac[~faulted])
+
+
 def _shell_ratios(f, c, fc, rho, dirs):
     """Difference quotients d(f(z), f(c)) / d(z, c) at z = c + rho * u for
     each row u of dirs, +inf where z leaves the domain."""
@@ -112,12 +125,13 @@ def _shell_ratios(f, c, fc, rho, dirs):
     return out
 
 
-def compass_search(objective, starts, step, step_min, max_iter, project=None):
+def compass_search(objective, starts, values, step, step_min, max_iter, project=None):
     """Minimize objective from each row of starts by compass search.
 
     objective(points, rows) maps an (N, dim) block to N values, +inf
     where a point is infeasible; rows[i] is the index of the start whose
-    search proposed points[i]. All rows run in lockstep: at each
+    search proposed points[i]; values are the starts' values, which the
+    search never evaluates. All rows run in lockstep: at each
     iteration every row whose step is still >= step_min tries
     x + step e_i for each axis i, then x - step e_i (candidates passed
     through project, if given), moves to its best strict improvement
@@ -128,7 +142,7 @@ def compass_search(objective, starts, step, step_min, max_iter, project=None):
     """
     x = np.array(starts, dtype=float)
     dim = x.shape[1]
-    best = np.asarray(objective(x, np.arange(x.shape[0])), dtype=float)
+    best = np.array(values, dtype=float)
     steps = np.full(x.shape[0], step, dtype=float)
     moves = np.concatenate([np.eye(dim), -np.eye(dim)])
     for _ in range(max_iter):
@@ -150,10 +164,13 @@ def compass_search(objective, starts, step, step_min, max_iter, project=None):
     return x, best
 
 
-def _refine_extreme(f, c, fc, rho, u, sign):
-    """Polish extremal difference-quotient directions, one per row of u:
-    row i minimizes sign[i] * ratio on the shell of radius rho[i], so a
-    sign of -1 seeks the largest ratio. Returns the extreme ratios.
+def _refine_extreme(f, c, fc, dirs, rho, grid, sign):
+    """Polish extremal difference-quotient directions, one per shell:
+    row i starts at the extreme of grid[i], the ratios of dirs on the
+    shell of radius rho[i], and minimizes sign[i] * ratio, so a sign of
+    -1 seeks the largest ratio. Returns the extreme ratios; on a line
+    the grid's two directions are the whole sphere, and its extremes
+    stand.
 
     The ratio is a Rayleigh-quotient perturbation on the sphere, so its
     interior local extremes are the global ones; a compass search on the
@@ -168,13 +185,14 @@ def _refine_extreme(f, c, fc, rho, u, sign):
         r = _shell_ratios(f, c, fc, rho[rows, None], dirs)
         return np.where(r == np.inf, np.inf, sign[rows] * r)
 
-    rows = np.arange(u.shape[0])
-    if u.shape[1] < 2:
-        return sign * objective(u, rows)
-    _, best = compass_search(
-        objective, u, 0.5, 1e-7, 400,
-        project=lambda d: d / np.linalg.norm(d, axis=1)[:, None],
-    )
+    i = [int(np.argmin(s * r)) for s, r in zip(sign, grid)]
+    ratios = np.array([r[k] for r, k in zip(grid, i)])
+    best = np.where(ratios == np.inf, np.inf, sign * ratios)
+    if dirs.shape[1] > 1:
+        _, best = compass_search(
+            objective, dirs[i], best, 0.5, 1e-7, 400,
+            project=lambda d: d / np.linalg.norm(d, axis=1)[:, None],
+        )
     return sign * best
 
 
@@ -199,24 +217,16 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     rho0 = _admissible_radius(f, c, rho0)
     dirs = sphere_directions(SHELL_DIRS_PER_DIM * dim, dim)
     fc = f.eval(c)
-    report = []
-    extremes = []
-    for k in range(SHELL_LEVELS + 1):
-        rho = rho0 * 2.0**-k
-        ratios = _shell_ratios(f, c, fc, rho, dirs)
-        extremes.append((dirs[int(np.argmin(ratios))], dirs[int(np.argmax(ratios))]))
-        report.append((rho, float(ratios.min()), float(ratios.max())))
+    grid = [_shell_ratios(f, c, fc, rho0 * 2.0**-k, dirs) for k in range(SHELL_LEVELS + 1)]
+    report = [(rho0 * 2.0**-k, float(r.min()), float(r.max())) for k, r in enumerate(grid)]
     # polish the two smallest shells in one lockstep search: the maximum
     # directions, and the minimum ones unless the Jacobian is wide (its
     # null direction, which the grid may miss, makes d_minus 0)
     smallest = [SHELL_LEVELS - 1, SHELL_LEVELS]
     mins = smallest if f.codomain.dim >= f.domain.dim else []
+    shells = mins + smallest
     vals = _refine_extreme(
-        f,
-        c,
-        fc,
-        [rho0 * 2.0**-k for k in mins + smallest],
-        np.stack([extremes[k][0] for k in mins] + [extremes[k][1] for k in smallest]),
+        f, c, fc, dirs, [rho0 * 2.0**-k for k in shells], [grid[k] for k in shells],
         [1.0] * len(mins) + [-1.0] * len(smallest),
     )
     d_minus = min(vals[: len(mins)], default=0.0)
@@ -254,20 +264,14 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
         raise InputError("radii must be positive")
     dirs = sphere_directions(dirs_per_dim * dim, dim)
     fc = f.eval(c)
-    starts = []
-    for t in radii:
-        pts = c + t * dirs
-        if not np.all(f.domain.contains_many(pts)):
-            raise DomainError(
-                "sphere of radius %g leaves the domain; pass smaller radii" % t
-            )
-        vals = f._values(pts)
-        dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-        starts.append(dirs[int(np.argmin(dc))])
+    grid = [_shell_ratios(f, c, fc, t, dirs) for t in radii]
+    bad = [t for t, r in zip(radii, grid) if np.any(r == np.inf)]
+    if bad:
+        raise DomainError(
+            "sphere of radius %g leaves the domain; pass smaller radii" % bad[0]
+        )
     # the grid only brackets the closest image point; polish it
-    ratios = _refine_extreme(
-        f, c, fc, radii, np.stack(starts), np.ones(len(radii))
-    ).tolist()
+    ratios = _refine_extreme(f, c, fc, dirs, radii, grid, np.ones(len(radii))).tolist()
     # radii ascend; the liminf estimate wants the two smallest
     value = min(ratios[:2])
     return SurjectionEstimate(value, tuple(radii), tuple(ratios))

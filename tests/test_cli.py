@@ -193,6 +193,32 @@ def test_sheets_counts_cube_roots():
     assert doc["results"]["monodromy"]["kind"] == "cyclic"
 
 
+def test_sheets_refuses_an_empty_orbit(capsys):
+    code, out = invoke(["sheets", "--map", "powk(3)", "--target", "1,0", "--start", "1,0",
+                        "--max-orbit", "0"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: max_orbit must be at least 1, got 0\n"
+
+
+def test_a_vector_starting_with_a_minus_is_a_value():
+    joined = invoke(["deriv", "--map", "shear3", "--point=-1.55,1.69", "--json"])
+    assert joined[0] == 0
+    assert invoke(["deriv", "--map", "shear3", "--point", "-1.55,1.69", "--json"]) == joined
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["poly:0,0;1", "poly:", "expr:(t,t):a:1", "loop:0,0,1,1.5", "loop:0,0,1,inf",
+     "loop:nan,0,1", "loop:0,0,inf", "loop:0,0,1,1,nan"],
+)
+def test_a_malformed_path_spec_is_one_error_line(path, capsys):
+    # bad input: exit 2 and one error line, never a traceback or a NaN report
+    code, out = invoke(["length", "--dim", "2", "--path", path])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sheets_translation_monodromy():
     code, doc = invoke_json(
         ["sheets", "--map", "polar_exp", "--target", "1,0", "--start", "0,0"]
@@ -431,9 +457,8 @@ _TOL_COMMANDS = {
     "implicit": ["implicit", "--map", "cubic_implicit", "--x-dim", "1", "--w", "0",
                  "--x-target", "2", "--start-x", "0", "--start-y", "0"],
 }
-# and those that refuse it, having no tolerance it could set (sheets'
-# orbit closure is scaled by its lifts' corrector_tol, so it keeps the
-# default)
+# and those that refuse it, having no tolerance it could set (sheets
+# lifts its loop at the default corrector_tol)
 _NO_TOL_COMMANDS = {
     "sheets": ["sheets", "--map", "powk(3)", "--target", "1,0", "--start", "1,0"],
     "deriv": ["deriv", "--map", "shear3", "--point", "0,0"],
@@ -526,11 +551,26 @@ def test_failed_continuations_report_their_cause(argv, key, kind, cause, tmp_pat
 
 @pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
 def test_overflowing_profile_exits_two_in_both_forms(spec, capsys):
-    with np.errstate(over="ignore"):
-        code, out = invoke(["hadamard", "--map", spec, "--center", "8", "--json"])
+    # the center is a sample of every ball, so a fault there is bad input
+    code, out = invoke(["hadamard", "--map", spec, "--center", "800", "--json"])
     assert code == 2
     assert out == ""
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: the Jacobian of %s faults at the center\n" % spec
+
+
+def test_overflowing_profile_exits_zero_with_equal_results_in_both_forms():
+    # samples past exp's overflow are dropped; exp(8 - 900) underflows to
+    # 0, so the profile is not regular and its class is inconclusive
+    docs = []
+    for spec in ("expmap", "exp(x)"):
+        code, out = invoke(["hadamard", "--map", spec, "--center", "8", "--json"])
+        assert code == 0
+        assert "NaN" not in out
+        docs.append(json.loads(out))
+    assert docs[0]["results"] == docs[1]["results"]
+    assert docs[0]["results"]["classification"]["class"] == "inconclusive"
+    assert docs[0]["results"]["profile"]["regular"] is False
 
 
 @pytest.mark.parametrize("spec", ["powk(3)", "annulus_cube"])
@@ -564,16 +604,27 @@ def run_cli_process(argv, *python_flags):
 
 def test_overflowing_profile_fails_under_optimize_flag():
     # invariant checks must not be asserts: -O strips those
-    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
+    argv = ["hadamard", "--map", "expmap", "--center", "800", "--json"]
     proc = run_cli_process(argv, "-O")
     assert proc.returncode != 0
     assert "NaN" not in proc.stdout
 
 
+def test_profile_with_dropped_samples_is_the_same_under_optimize_flag():
+    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
+    plain, optimized = run_cli_process(argv), run_cli_process(argv, "-O")
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert "NaN" not in optimized.stdout
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["hadamard", "--map", "expmap", "--center", "8"], 2),  # batched Jacobians
+        # batched Jacobians: the profile's center, a faulting path node
+        (["hadamard", "--map", "expmap", "--center", "800"], 2),
+        (["meanvalue", "--map", "expmap", "--path", "seg:700,720"], 2),
+        (["meanvalue", "--map", "exp(x)", "--path", "seg:700,720"], 2),
         (["deriv", "--map", "expmap", "--point", "709.5",
           "--method", "shell_sampling"], 2),  # batched evaluation
         # one-point evaluation: a float power overflows
@@ -584,8 +635,8 @@ def test_overflowing_profile_fails_under_optimize_flag():
         (["deriv", "--map", "arctan", "--point", "1e200",
           "--method", "jacobian_svd"], 0),
     ],
-    ids=["hadamard", "deriv", "invert-shear3", "invert-cubic_implicit",
-         "deriv-arctan"],
+    ids=["hadamard", "meanvalue-expmap", "meanvalue-exp(x)", "deriv", "invert-shear3",
+         "invert-cubic_implicit", "deriv-arctan"],
 )
 def test_overflow_prints_only_the_error_line(argv, code):
     proc = run_cli_process(argv)

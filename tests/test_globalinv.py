@@ -114,6 +114,18 @@ def test_sheets_agree_with_fiber(k):
     assert fiber_rep.count == k
 
 
+def test_sheets_close_at_point_identity_under_a_loose_corrector():
+    # the orbit closes where an endpoint equals a visited point, however
+    # loose the corrector; the three endpoints are a corrector step apart
+    f = resolve_map("powk(3)")
+    loop = Loop(Euclidean(2), np.array([0.0, 0.0]), 1.0)
+    y = np.array([1.0, 0.0])
+    rep = sheet_count(f, y, loop, y, opts=LiftOptions(corrector_tol=1e-2))
+    assert rep.sheets == 3
+    with pytest.raises(LiftkitError, match="max_orbit must be at least 1"):
+        sheet_count(f, y, loop, y, max_orbit=0)
+
+
 def test_polar_exp_translation_monodromy(polar_exp):
     loop = Loop(Euclidean(2), np.array([0.0, 0.0]), 1.0)
     rep = sheet_count(
@@ -182,8 +194,19 @@ def test_qi_bounds_reject_nan():
 
 
 def test_qi_bounds_overflow_is_typed_error():
-    with np.errstate(over="ignore"), pytest.raises(LiftkitError):
-        quasi_isometry_bounds(resolve_map("expmap"), Box([0.0], [800.0]))
+    # exp's Jacobian overflows past 709.78, so no sample of [750, 800] is kept
+    for spec in ("expmap", "exp(x)"):
+        with pytest.raises(LiftkitError, match="no sample has a Jacobian"):
+            quasi_isometry_bounds(resolve_map(spec), Box([750.0], [800.0]))
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_qi_bounds_drop_overflowing_samples_in_both_forms(spec):
+    b = quasi_isometry_bounds(resolve_map(spec), Box([0.0], [800.0]))
+    assert b.alpha_hat == 1.0
+    assert b.beta_hat == pytest.approx(1.1958e308, rel=1e-4)
+    assert b.n_samples == 457  # of 515 drawn, those below the overflow
+    assert b.note == "sampled estimate over deterministic points, not a bound"
 
 
 @settings(max_examples=24, deadline=None)

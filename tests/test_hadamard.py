@@ -1,6 +1,7 @@
 """Ball-infimum profiles, divergence classification, weight machinery."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -259,7 +260,8 @@ def _per_radius_profile(f, x0, radii, budget):
             samples.append((pts[feasible], vals[ok][feasible], d[feasible]))
             return vals
 
-        compass_search(objective, cand[order[:budget]], 0.05 * t, 1e-6 * t, 25)
+        start = order[:budget]
+        compass_search(objective, cand[start], smins[start], 0.05 * t, 1e-6 * t, 25)
 
     xs, ss, ds = (np.concatenate(part) for part in zip(*samples))
     infima, counts = np.empty(radii.shape), np.empty(radii.shape, dtype=int)
@@ -317,6 +319,29 @@ def test_profile_equals_one_search_per_radius(spec, center, radii, budget):
         radii = default_radii(x0)
     prof = ball_infimum_profile(f, x0, radii=radii, budget=budget)
     _assert_profile_is_reference(prof, _per_radius_profile(f, x0, radii, budget))
+
+
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_profile_center_fault_is_input_error(spec):
+    with pytest.raises(InputError, match=re.escape("the Jacobian of %s faults" % spec)):
+        ball_infimum_profile(resolve_map(spec), np.array([800.0]))
+
+
+@pytest.mark.parametrize("spec", ["shear3", "(x + y^3, y)", "identity(2)"])
+def test_profile_evaluates_each_start_once(spec):
+    # the polish starts from the samples' own values: no start row is
+    # evaluated, and so stored, a second time
+    f = resolve_map(spec)
+    x0 = np.zeros(f.domain.dim)
+    radii = np.geomspace(0.1, 100.0, 12)
+    prof = ball_infimum_profile(f, x0, radii=radii, budget=8)
+    n = 2 * radii.size * 64 * f.domain.dim + 1  # the first pass's samples
+    xs, ss, ds = prof.sample_coords, prof.sample_d_minus, prof.sample_dists
+    by_smin = np.argsort(ss[:n], kind="stable")
+    starts = np.unique(np.concatenate(
+        [by_smin[ds[by_smin] <= t * (1.0 + 1e-12)][:8] for t in radii]))
+    for i in starts:
+        assert (xs == xs[i]).all(axis=1).sum() == 1
 
 
 def _smin_or_inf(smin, p):

@@ -196,18 +196,22 @@ def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, per
         starts[np.linalg.norm(starts, axis=1) == 0.0] = 1.0
         starts = proj(starts)
     step, step_min = np.full(n_starts, 0.5), np.full(n_starts, 1e-4)
+    values = objective(starts)
     if per_row:
         # each row its own first and last step, as a profile gives each radius
         step = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=n_starts,
                                            max_size=n_starts)))
         step_min = step * data.draw(st.lists(st.floats(1e-6, 0.5), min_size=n_starts,
                                              max_size=n_starts))
-        x_all, v_all = compass_search(objective, starts, step, step_min, 30, project=proj)
+        x_all, v_all = compass_search(
+            objective, starts, values, step, step_min, 30, project=proj
+        )
     else:
-        x_all, v_all = compass_search(objective, starts, 0.5, 1e-4, 30, project=proj)
+        x_all, v_all = compass_search(objective, starts, values, 0.5, 1e-4, 30, project=proj)
     for k in range(n_starts):
         x_one, v_one = compass_search(
-            objective, starts[k : k + 1], step[k], step_min[k], 30, project=proj
+            objective, starts[k : k + 1], values[k : k + 1], step[k], step_min[k], 30,
+            project=proj,
         )
         assert np.array_equal(x_all[k], x_one[0])
         assert np.array_equal(v_all[k], v_one[0])
@@ -230,20 +234,24 @@ def test_compass_search_passes_each_candidates_start():
         return (d * d).sum(axis=1)
 
     starts = np.zeros((3, 2))
-    x, v = compass_search(objective, starts, 0.5, 1e-9, 400)
+    x, v = compass_search(objective, starts, objective(starts, np.arange(3)), 0.5, 1e-9, 400)
     assert np.allclose(x, centers, atol=1e-8)
     assert np.all(v < 1e-15)
     assert list(seen[0]) == [0, 1, 2]
     assert list(seen[1]) == [0] * 4 + [1] * 4 + [2] * 4
     for k in range(3):
+        def one(p, rows, k=k):
+            return objective(p, rows + k)
+
         x_one, v_one = compass_search(
-            lambda p, rows: objective(p, rows + k), starts[k : k + 1], 0.5, 1e-9, 400
+            one, starts[k : k + 1], one(starts[k : k + 1], np.zeros(1, int)), 0.5, 1e-9, 400
         )
         assert np.array_equal(x[k], x_one[0]) and v[k] == v_one[0]
 
 
 def test_compass_search_finds_a_bowl_minimum():
     objective = _kinked_bowl([0.3, -0.7], [1.0, 2.0], 5.0, False)
-    x, v = compass_search(objective, np.array([[1.5, 1.5], [-2.0, 0.0]]), 0.5, 1e-9, 400)
+    starts = np.array([[1.5, 1.5], [-2.0, 0.0]])
+    x, v = compass_search(objective, starts, objective(starts), 0.5, 1e-9, 400)
     assert np.allclose(x, [[0.3, -0.7], [0.3, -0.7]], atol=1e-8)
     assert np.all(v < 1e-8)

@@ -610,8 +610,9 @@ def test_overflowing_profile_fails_under_optimize_flag():
     assert "NaN" not in proc.stdout
 
 
-def test_profile_with_dropped_samples_is_the_same_under_optimize_flag():
-    argv = ["hadamard", "--map", "expmap", "--center", "8", "--json"]
+@pytest.mark.parametrize("spec", ["expmap", "exp(x)"])
+def test_profile_with_dropped_samples_is_the_same_under_optimize_flag(spec):
+    argv = ["hadamard", "--map", spec, "--center", "8", "--json"]
     plain, optimized = run_cli_process(argv), run_cli_process(argv, "-O")
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout

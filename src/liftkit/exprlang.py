@@ -19,7 +19,7 @@ evaluation by generated code" below).
 Evaluation is strict about domains: log or sqrt of a negative number,
 division by zero, and non-finite intermediates raise EvalDomainError
 instead of propagating NaN or infinity, except in a CompiledMap's block
-forms, which mark each faulting row NaN and return the first fault.
+forms, which mark each faulting row NaN.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvalDomainError, InputError, ParseError
+from .errors import DomainError, EvalDomainError, InputError, ParseError
 
 __all__ = [
     "Ast",
@@ -389,8 +389,9 @@ def parse_single(source, variables=None):
 # EvalDomainError) to the node whose line raised it, so the first
 # faulting node in evaluation order gives the message and the span. A
 # failed check of the block form raises nothing: it ORs its rows into
-# the mask _m and keeps the first fault in _f, and a constant subtree's
-# fault (a Python float division by zero, say) faults every row. The
+# the mask _m, and a constant subtree's fault (a Python float division
+# by zero, say) faults every row; a caller that raises on a block raises
+# what the point form raises at its first faulting row. The
 # source holds only generated names, operators, the literals 0.0, 1.0
 # and 2.0, and the library names below; numbers and nodes are bound in
 # the function's namespace, never printed (1e999 parses to inf, whose
@@ -471,11 +472,10 @@ class _Writer:
             _CAUGHT=_CAUGHT,
             _SQRT="sqrt not differentiable at zero",
             _POWER="power not differentiable at non-positive base",
-            _at=_fault_at,
             _pow=_power,
         )
         if block:
-            self.write("_m, _f = False, None")
+            self.write("_m = False")
 
     def write(self, template, *names):
         self.lines.append("        " + template % names)
@@ -512,11 +512,12 @@ class _Writer:
         return tuple(out)
 
     def check(self, v, power=False):
-        """Fault where v is non-finite (or, after a power, complex)."""
+        """Fault where v is non-finite (or, after a power, complex): on a
+        block, OR the rows where it is into the mask _m."""
         if self.block:
             if power:
                 self.write("if type(%s) is complex: raise _E", v)
-            self.mark("not _isfinite(%s).all()" % v, "~_isfinite(%s)" % v)
+            self.write("if not _isfinite(%s).all(): _m = _m | ~_isfinite(%s)", v, v)
         elif power:
             self.write("if not _isfinite(%s): raise _E", v)
         else:
@@ -532,18 +533,9 @@ class _Writer:
         """Fault with message where the elementwise test ok fails."""
         if self.block:
             # ok may be a Python bool, whose ~ is not a logical not
-            self.mark("not _np.all(%s)" % ok, "_np.logical_not(%s)" % ok, message)
+            self.write("if not _np.all(%s): _m = _m | _np.logical_not(%s)", ok, ok)
         else:
             self.write("if not (%s): raise _D(%s)", ok, message)
-
-    def mark(self, test, rows, message="None"):
-        """Block form: where test holds, OR rows into the mask and keep
-        the current node's fault unless the block has one."""
-        node, divisor = self.owner
-        self.write(
-            "if %s: _m, _f = _m | %s, _f or _at(%s, %s, %s)",
-            test, rows, self.bind(node), divisor or "None", message,
-        )
 
     def select(self, test, pairs):
         """Where the elementwise test holds, each (name, value) pair's
@@ -562,7 +554,8 @@ class _Writer:
         """The function's text, returning the values of roots [(value,
         tangent, raw)] or, with derivatives, their Jacobian rows (None
         for a partial zero by structure on a block; a non-finite entry
-        faults at a point), then, on a block, the mask and the fault."""
+        faults at a point), then, on a block, the mask of faulting rows
+        (False where none faults)."""
         if self.derivatives:
             zero = "None" if self.block else "0.0"
             rows = [[p or zero for p in t] for _, t, _ in roots]
@@ -574,9 +567,9 @@ class _Writer:
         else:
             result = "[%s]" % ", ".join(v for v, _, _ in roots)
         if self.block:
-            self.write("return %s, _m, _f", result)
+            self.write("return %s, _m", result)
             # a constant subtree's fault faults a block's every row
-            footer = "return (), True, _f or _fault(err)"
+            footer = "return (), True"
         else:
             self.write("return %s", result)
             footer = "raise _fault(err) from None"
@@ -786,9 +779,9 @@ def _fault_message(node):
 
 def _fault_at(node, divisor, message=None):
     """node's EvalDomainError: message, else "division by zero" where
-    divisor (a division's right side, else None) holds a 0."""
+    divisor (a division's right side, else None) is 0."""
     if message is None:
-        if divisor is not None and np.any(divisor == 0):
+        if divisor == 0:
             message = "division by zero"
         else:
             message = _fault_message(node)
@@ -828,8 +821,7 @@ def _generate(components, block, derivatives):
     tuple), taking the n variable values. It returns the m component
     values or, with derivatives, their tangents: at a point the (m, n)
     Jacobian as nested lists, on a block its rows of parts, None for a
-    partial zero by structure, then the mask of faulting rows and the
-    first fault."""
+    partial zero by structure, then the mask of faulting rows."""
     w = _Writer(components[0].arity, block, derivatives)
     roots = [_emit(w, c.root) for c in components]
     w.owner = None
@@ -860,10 +852,9 @@ class CompiledMap:
     """The generated callables of a map whose rows are m components in n
     variables: values(c) and jacobian(c) at a point c, a sequence of n
     Python floats, return a list of m floats and m lists of n floats,
-    raising at a fault; values_many(P) and
-    jacobian_many(P) on an (N, n) block return the pair (an (N, m) or
-    an (N, m, n) array, first fault or None), a faulting row NaN (a
-    non-finite derivative faults too)."""
+    raising at a fault; values_many(P) and jacobian_many(P) on an (N, n)
+    block return an (N, m) or an (N, m, n) array, a faulting row NaN
+    (a derivative may also be non-finite where the values are not)."""
 
     values: object
     values_many: object
@@ -907,12 +898,12 @@ def _map_callables(comps):
     def values_many(pts):
         out = np.empty((pts.shape[0], m))
         with np.errstate(all="ignore"):
-            got, bad, fault = block_values[0](*pts.T)
+            got, bad = block_values[0](*pts.T)
         for i, value in enumerate(got):
             out[:, i] = value
-        if fault is not None:
+        if bad is not False:
             out[np.broadcast_to(bad, pts.shape[:1])] = np.nan
-        return out, fault
+        return out
 
     def jacobian(c):
         return point_jacobian[0](*c)
@@ -920,19 +911,14 @@ def _map_callables(comps):
     def jacobian_many(pts):
         jac = np.zeros((pts.shape[0], m, n))
         with np.errstate(all="ignore"):
-            got, bad, fault = block_jacobian[0](*pts.T)
+            got, bad = block_jacobian[0](*pts.T)
         for i, row in enumerate(got):
             for j, part in enumerate(row):
                 if part is not None:
                     jac[:, i, j] = part
-        finite = np.isfinite(jac)
-        if fault is not None:
+        if bad is not False:
             jac[np.broadcast_to(bad, pts.shape[:1])] = np.nan
-        elif not finite.all():
-            rows_ok = finite.all(axis=-1).all(axis=0)
-            comp = comps[int(np.argmin(rows_ok))]
-            fault = EvalDomainError("non-finite derivative", comp.root.span)
-        return jac, fault
+        return jac
 
     return CompiledMap(values, values_many, jacobian, jacobian_many)
 
@@ -949,17 +935,28 @@ def eval_ast(a, x):
             "expression takes %d variable(s) %s, got %d values"
             % (a.arity, a.variables, len(x))
         )
+    point = _cached(_generate, (a,), False, False)
     if all(type(v) is float or np.ndim(v) == 0 for v in x):
-        return float(_cached(_generate, (a,), False, False)(*[float(v) for v in x])[0])
+        return float(point(*[float(v) for v in x])[0])
     env = [np.asarray(v, dtype=float) for v in x]
     with np.errstate(all="ignore"):
-        got, _, fault = _cached(_generate, (a,), True, False)(*env)
-    if fault is not None:
-        raise fault
+        got, bad = _cached(_generate, (a,), True, False)(*env)
+    if bad is not False:
+        *cols, bad = (c.ravel() for c in np.broadcast_arrays(*env, bad))
+        _raise_first(lambda c: point(*c), np.stack(cols, axis=1), bad, a.source)
     out = np.asarray(got[0], dtype=float)
     if out.ndim == 0 and env and env[0].ndim > 0:
         out = np.broadcast_to(out, env[0].shape).copy()
     return out
+
+
+def _raise_first(point, pts, bad, name):
+    """Raise what point, a one-point form taking a list of floats, raises
+    at the first row of the (N, n) block pts that the mask bad marks; a
+    DomainError naming name and the row if it returns there."""
+    i = int(np.argmax(bad))
+    point(pts[i].tolist())
+    raise DomainError("%s faults at row %d of a block" % (name, i))
 
 
 def jacobian_ad(components, x):
@@ -968,7 +965,7 @@ def jacobian_ad(components, x):
     components: sequence of Ast sharing one variable tuple. For a point
     x of length n = arity the result is an (m, n) array with
     m = len(components); for an (N, n) block of points it is an
-    (N, m, n) stack. A fault at any point of a block raises.
+    (N, m, n) stack. A block raises what its first faulting row raises.
     """
     comps = tuple(components)
     compiled = compile_map(comps)
@@ -977,9 +974,10 @@ def jacobian_ad(components, x):
     if pts.ndim == 1 and pts.shape[0] == n:
         return np.array(compiled.jacobian(pts.tolist()), dtype=float)
     if pts.ndim == 2 and pts.shape[1] == n:
-        jac, fault = compiled.jacobian_many(pts)
-        if fault is not None:
-            raise fault
+        jac = compiled.jacobian_many(pts)
+        bad = ~np.isfinite(jac).all(axis=(1, 2))
+        if bad.any():
+            _raise_first(compiled.jacobian, pts, bad, comps[0].source)
         return jac
     raise InputError("point shape %s is not (%d,) or (N, %d)" % (pts.shape, n, n))
 

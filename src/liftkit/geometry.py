@@ -378,7 +378,7 @@ def subset_from_expression(base, source, variables=None):
         return 0.0 < value < math.inf
 
     def pred_many(pts):
-        value = block(pts)[0][:, 0]  # NaN where the expression faults
+        value = block(pts)[:, 0]  # NaN where the expression faults
         return (value > 0.0) & (value < math.inf)
 
     return OpenSubset(base, pred, pred_many, source=source)
@@ -700,6 +700,11 @@ class Loop(Path):
             [np.cos(ang), np.sin(ang)], axis=-1
         )
 
+    def breakpoints(self):
+        """The quarter turns, so that no partition lands on one point."""
+        s0, s1 = self.interval
+        return s0 + (s1 - s0) * np.arange(1, 4 * abs(self.winding)) / (4 * abs(self.winding))
+
     def reverse(self):
         new_phase = self.phase + TWO_PI * self.winding
         return Loop(
@@ -812,7 +817,8 @@ def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
     """Adaptive chord-sum length of p over sub (default: whole domain).
 
     Doubles the dyadic partition until two successive chord sums agree
-    to rel_tol relatively; partitions always include the path's own
+    to rel_tol relatively, where the finer partition has points the
+    coarser lacks; partitions always include the path's own
     breakpoints, so the certificate column is nondecreasing.
     """
     t0, t1 = p.domain
@@ -824,7 +830,7 @@ def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
         return PathLengthResult(0.0, 0, [0.0], True, "zero-width interval")
     breaks = p.breakpoints()
     breaks = breaks[(breaks > u) & (breaks < v)]
-    prev = None
+    prev, size = None, 0
     cert = []
     for k in range(k_max + 1):
         ts = np.linspace(u, v, 2**k + 1)
@@ -833,10 +839,10 @@ def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
         pts = p.eval_many(ts)
         s = float(p.space.distance_many(pts[:-1], pts[1:]).sum())
         cert.append(s)
-        if prev is not None:
+        if prev is not None and ts.size > size:  # a partition adding no point agrees
             if abs(s - prev) <= rel_tol * max(abs(s), 1e-300):
                 return PathLengthResult(s, k, cert, True)
-        prev = s
+        prev, size = s, ts.size
     return PathLengthResult(
         prev,
         k_max,

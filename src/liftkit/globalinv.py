@@ -232,7 +232,8 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
     (box corners and center always included). With compact_K, also the
     restricted lower constant over samples whose image lands in K. A
     sample whose Jacobian faults is dropped, as one outside the domain
-    is; n_samples counts the rest."""
+    is; n_samples counts the rest. A kept sample whose value faults is
+    not in K."""
     if not isinstance(region, Box):
         raise InputError("region must be a Box")
     if region.dim != f.domain.dim:
@@ -248,8 +249,7 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
     alpha_K = None
     n_in_K = None
     if compact_K is not None:
-        vals = f._values(pts)
-        mask = compact_K.contains_many(vals)
+        mask = compact_K.contains_many(f._values_block(pts)[0])  # NaN where it faults
         n_in_K = int(mask.sum())
         if n_in_K:
             alpha_K = float(smin[mask].min())

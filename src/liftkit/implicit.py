@@ -128,8 +128,7 @@ class ImplicitProblem:
         exactly where the y-block is invertible. Its callables call the
         inner map's unchecked kernels, since the augmented handle has the
         inner map's domain and has checked or tested its points; its
-        block callables keep the inner map's faulting rows and first
-        fault."""
+        block callables keep the inner map's faulting rows."""
         prob = self
         top = np.eye(prob.m, prob.m + prob.n)
         top_rows = top.tolist()
@@ -138,16 +137,14 @@ class ImplicitProblem:
             return [*c[: prob.m], *prob.f._value(c)]
 
         def eval_many(cs):
-            vals, _, fault = prob.f._values_block(cs)
-            return np.concatenate([cs[:, : prob.m], vals], axis=1), fault
+            return np.concatenate([cs[:, : prob.m], prob.f._values_block(cs)[0]], axis=1)
 
         def jac_one(c):
             return [*top_rows, *prob.f._jacobian(c)]
 
         def jac_many(cs):
-            jac, _, fault = prob.f._jacobians_block(cs)
             tops = np.broadcast_to(top, (cs.shape[0],) + top.shape)
-            return np.concatenate([tops, jac], axis=1), fault
+            return np.concatenate([tops, prob.f._jacobians_block(cs)[0]], axis=1)
 
         if isinstance(prob.f.codomain, Euclidean) and prob.f.codomain.p == 2.0:
             codomain = Euclidean(prob.m + prob.n)

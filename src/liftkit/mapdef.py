@@ -13,11 +13,12 @@ with math and a block of points over numpy columns (_pointwise). An
 expression map calls the functions exprlang generates from its
 components (exprlang.compile_map).
 
-Blocks are masked, not refused: a block callable returns the pair (every
-row, first fault or None), a row it cannot evaluate non-finite (see
-MapHandle), and batched callers
+Blocks are masked, not refused: a block callable returns every row, a
+row it cannot evaluate non-finite (see MapHandle), and batched callers
 such as newton_block read the mask of faulting rows, so one bad point
-never sinks a batch and no block is redone row by row.
+never sinks a batch and no block is redone row by row. A call that
+raises on a block raises what the one-point form raises at its first
+faulting row.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ class MapHandle:
     bitwise with a row of the block callables wherever both are
     finite, and _value, _jacobian and _newton keep their points as
     floats. eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
-    block they return the pair (all N values or Jacobians, first fault
-    or None), a row they cannot evaluate holding a non-finite entry,
-    without raising. The kernels _values_block and _jacobians_block
-    return (block, faulting rows, first fault or None) in one pass.
-    eval_many and jacobians_many check the block's shape and domain and
-    raise its first fault, as _values and _jacobians do at points the
-    caller has tested.
+    block they return all N values or Jacobians, a row they cannot
+    evaluate holding a non-finite entry, without raising. The kernels
+    _values_block and _jacobians_block return (block, faulting rows) in
+    one pass. eval_many and jacobians_many check the block's shape and
+    domain, and they, like _values and _jacobians at points the caller
+    has tested, raise what _value or _jacobian raises at the block's
+    first faulting row.
     """
 
     name: str
@@ -169,41 +170,40 @@ class MapHandle:
         return pts
 
     def _values(self, pts):
-        return _unmasked(self._values_block(pts), "map %s produced non-finite values", self)
+        return self._unmasked(self._values_block(pts), pts, self._value)
 
     def _jacobians(self, pts):
-        return _unmasked(self._jacobians_block(pts), "jacobian of %s is non-finite", self)
+        return self._unmasked(self._jacobians_block(pts), pts, self._jacobian)
 
     def _values_block(self, pts):
         return _masked(self.eval_many_fn, pts)
 
     def _jacobians_block(self, pts):
-        jac, faulted, fault = _masked(self.jac_many_fn, pts)
+        jac, faulted = _masked(self.jac_many_fn, pts)
         shape = (pts.shape[0], self.dim_out, self.dim_in)
         if jac.shape != shape:
             raise InputError(
                 "jacobian of %s has shape %s, expected %s" % (self.name, jac.shape, shape)
             )
-        return jac, faulted, fault
+        return jac, faulted
+
+    def _unmasked(self, got, pts, one):
+        """A kernel's block; where a row faults, what the one-point form
+        one raises at the first faulting row."""
+        block, faulted = got
+        if faulted.any():
+            exprlang._raise_first(one, pts, faulted, "map " + self.name)
+        return block
 
 
 def _masked(fn, pts):
-    """(block, faulting rows, first fault) of the block callable fn."""
+    """(block, faulting rows) of the block callable fn."""
     with np.errstate(all="ignore"):
-        out, fault = fn(pts)
-    out = np.asarray(out, dtype=float)
+        out = np.asarray(fn(pts), dtype=float)
     finite = np.isfinite(out)
     if finite.all():  # a clean block pays one test, as a raising check would
-        return out, np.zeros(out.shape[0], dtype=bool), fault
-    return out, ~finite.all(axis=tuple(range(1, out.ndim))), fault
-
-
-def _unmasked(got, message, f):
-    """A kernel's block, raising its first fault where a row faults."""
-    block, faulted, fault = got
-    if faulted.any():
-        raise fault or DomainError(message % f.name)
-    return block
+        return out, np.zeros(out.shape[0], dtype=bool)
+    return out, ~finite.all(axis=tuple(range(1, out.ndim)))
 
 
 def jacobian_at(f, x):
@@ -211,25 +211,30 @@ def jacobian_at(f, x):
     return np.array(f._jacobian(f.domain.check_coords(x).tolist()), dtype=float)
 
 
-def _fd_block(f, pts):
-    """f's finite-difference Jacobians at the rows of an (N, n) block and
-    the first faulting row's fault, from one _values_block call on the
-    stencil x, x +- h e_j, h = FD_STEP * max(1, |x_j|), whose points
-    fault where non-finite or outside the domain. Column j is the
-    central difference where x +- h e_j both evaluate, else the forward
-    one, else the backward one (so f(x) counts only there); a row with
-    no difference in a column is NaN, with its first faulting stencil
-    point's fault (one more call, on that point)."""
-    n_rows, n = pts.shape
+def _stencil(pts):
+    """The steps h = FD_STEP * max(1, |x_j|) of an (N, n) block and its
+    finite-difference stencil x, x + h e_j, x - h e_j, an (N, 2n + 1, n)
+    block."""
     h = FD_STEP * np.maximum(1.0, np.abs(pts))
-    x, steps = pts[:, None], h[:, :, None] * np.eye(n)  # steps[i, j] = h_ij e_j
-    stencil = np.concatenate([x, x + steps, x - steps], axis=1).reshape(-1, n)
-    inside = np.isfinite(stencil).all(axis=1)
-    inside[inside] = f.domain.contains_many(stencil[inside])
+    x, steps = pts[:, None], h[:, :, None] * np.eye(pts.shape[1])  # steps[i, j] = h_ij e_j
+    return h, np.concatenate([x, x + steps, x - steps], axis=1)
+
+
+def _fd_block(f, pts):
+    """f's finite-difference Jacobians at the rows of an (N, n) block,
+    from one _values_block call on their _stencil, whose points fault
+    where non-finite or outside the domain. Column j is the central
+    difference where x +- h e_j both evaluate, else the forward one,
+    else the backward one (so f(x) counts only there); a row with no
+    difference in a column is NaN. Never raises."""
+    n_rows, n = pts.shape
+    h, stencil = _stencil(pts)
+    stencil = stencil.reshape(-1, n)
+    ok = np.isfinite(stencil).all(axis=1)
+    ok[ok] = f.domain.contains_many(stencil[ok])
     vals = np.full((stencil.shape[0], f.dim_out), np.nan)
-    vals[inside], faulted, _ = f._values_block(stencil[inside])
-    ok = inside.copy()
-    ok[inside] = ~faulted
+    vals[ok], faulted = f._values_block(stencil[ok])
+    ok[ok] = ~faulted
     f0, fp, fm = np.split(vals.reshape(n_rows, 2 * n + 1, f.dim_out), [1, n + 1], axis=1)
     ok = ok.reshape(n_rows, 2 * n + 1)
     o0, op, om = np.split(ok, [1, n + 1], axis=1)
@@ -242,17 +247,8 @@ def _fd_block(f, pts):
             np.where(forward[..., None], (fp - f0) / hh, (f0 - fm) / hh),
         )
     jac = cols.transpose(0, 2, 1)
-    bad = ~(central | forward | (o0 & om)).all(axis=1)
-    if not bad.any():
-        return jac, None
-    jac[bad] = np.nan
-    i = np.flatnonzero(bad)[0]
-    k = i * (2 * n + 1) + np.flatnonzero(~ok[i])[0]
-    if not inside[k]:
-        return jac, DomainError(
-            "point %s is outside the domain of %s" % (stencil[k].tolist(), f.name)
-        )
-    return jac, f._values_block(stencil[k : k + 1])[2]
+    jac[~(central | forward | (o0 & om)).all(axis=1)] = np.nan
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +287,7 @@ def _pointwise(formula, shape):
     floats. A float power that overflows raises OverflowError there, so
     the point runs again over numpy scalars, which overflow to inf as a
     block does (the handle refuses that, unless it ends finite as in
-    1 / (1 + inf)). A block runs it once with m = numpy over its columns
-    and names no fault.
+    1 / (1 + inf)). A block runs it once with m = numpy over its columns.
     """
     slots = [(slice(None),) + index for index in np.ndindex(*shape)]
 
@@ -310,7 +305,7 @@ def _pointwise(formula, shape):
         out = np.empty((P.shape[0],) + shape)
         for slot, entry in zip(slots, got):
             out[slot] = entry
-        return out, None
+        return out
 
     return one, many
 
@@ -496,8 +491,7 @@ def expression_map(
             return [vals[i * n : (i + 1) * n] for i in range(m)]
 
         def jac_many(pts):
-            vals, fault = entries.values_many(pts)
-            return vals.reshape(pts.shape[0], m, n), fault
+            return entries.values_many(pts).reshape(pts.shape[0], m, n)
 
         mode = "analytic"
     handle = MapHandle(
@@ -553,7 +547,8 @@ def resolve_map(spec, registry=None, jacobian_mode=None):
 def _with_fd(handle, jacobian_mode):
     """handle in jacobian_mode: itself for None or its own mode; for
     "finite_difference", its values with _fd_block's Jacobians, a point
-    taken as a one-row block."""
+    taken as a one-row block whose NaN Jacobian raises the error of its
+    first faulting stencil point."""
     if jacobian_mode in (None, handle.jacobian_mode):
         return handle
     if jacobian_mode != "finite_difference":
@@ -562,10 +557,14 @@ def _with_fd(handle, jacobian_mode):
         )
 
     def jac_one(c):
-        jac, fault = _fd_block(handle, np.array([c], dtype=float))
-        if fault is not None:
-            raise fault
-        return jac[0].tolist()
+        pts = np.array([c], dtype=float)
+        jac = _fd_block(handle, pts)[0]
+        if np.isnan(jac).any():
+            for p in _stencil(pts)[1][0].tolist():
+                if not (all(map(math.isfinite, p)) and handle.domain.contains(p)):
+                    raise DomainError("point %s is outside the domain of %s" % (p, handle.name))
+                handle._value(p)
+        return jac.tolist()
 
     return dataclasses.replace(
         handle,
@@ -970,7 +969,7 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            jac, faulted, _ = f._jacobians_block(x[rows])
+            jac, faulted = f._jacobians_block(x[rows])
             stop(rows[faulted], DOMAIN, it)
             rows, jac = rows[~faulted], jac[~faulted]
             smin, smax = singular_extremes_many(jac)
@@ -1012,7 +1011,7 @@ def _block_values(f, y, pts):
     vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
     dist = np.full(pts.shape[0], np.inf)
     ok = f.domain.contains_many(pts)
-    vals[ok], faulted, _ = f._values_block(pts[ok])
+    vals[ok], faulted = f._values_block(pts[ok])
     ok[ok] = ~faulted
     dist[ok] = f.codomain.distance_many(vals[ok], y[None, :])
     return vals, dist, ~ok

@@ -85,26 +85,31 @@ def load_schema():
         return json.load(fh)
 
 
+# JSON type name -> the Python type json.load gives it
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _has_type(value, spec):
+    """Whether value has the JSON type of the schema spec, an array's
+    items included; a bool is no integer."""
+    kind = _JSON_TYPES[spec["type"]]
+    if isinstance(value, bool) and kind is int or not isinstance(value, kind):
+        return False
+    return kind is not list or all(_has_type(v, spec["items"]) for v in value)
+
+
 def validate_report(doc):
-    """Check a report document against the shipped schema. Uses
-    jsonschema when available; otherwise enforces the required keys and
-    the closed key set by hand."""
+    """Check a report document against the shipped schema: its required
+    keys, its closed key set and each key's JSON type. Raises InputError
+    naming the keys at fault."""
     if isinstance(doc, Report):
         doc = doc.to_dict()
     schema = load_schema()
-    try:
-        import jsonschema
-    except ImportError:
-        required = set(schema["required"])
-        allowed = set(schema["properties"])
-        missing = required - set(doc)
-        extra = set(doc) - allowed
-        if missing:
-            raise InputError("report is missing keys: %s" % sorted(missing))
-        if extra:
-            raise InputError("report has unknown keys: %s" % sorted(extra))
-        if not isinstance(doc.get("seed"), int):
-            raise InputError("report seed must be an integer")
-        return True
-    jsonschema.validate(doc, schema)
+    props = schema["properties"]
+    missing = set(schema["required"]) - set(doc)
+    unknown = set(doc) - set(props)
+    mistyped = {k for k in set(doc) - unknown if not _has_type(doc[k], props[k])}
+    for problem, keys in (("missing", missing), ("unknown", unknown), ("mistyped", mistyped)):
+        if keys:
+            raise InputError("report has %s keys: %s" % (problem, sorted(keys)))
     return True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .geometry import OpenSubset, chart_norm
+from .geometry import chart_norm
 from .mapdef import jacobian_at, singular_extremes, singular_extremes_many
 from .sampling import sphere_directions
 
@@ -75,29 +75,6 @@ def d_pm_from_jacobian(jac):
     return singular_extremes_many(jac)
 
 
-def _admissible_radius(f, c, rho0):
-    """Shrink rho0 until all shells stay in the domain; largest shell
-    is the binding one, but every level is checked."""
-    if not isinstance(f.domain, OpenSubset):
-        return rho0
-    dim = f.domain.dim
-    dirs = sphere_directions(SHELL_DIRS_PER_DIM * dim, dim)
-    rho = rho0
-    for _ in range(60):
-        ok = True
-        for k in range(SHELL_LEVELS + 1):
-            pts = c + (rho * 2.0**-k) * dirs
-            if not np.all(f.domain.contains_many(pts)):
-                ok = False
-                break
-        if ok:
-            return rho
-        rho *= 0.5
-    raise DomainError(
-        "no admissible shell radius at %s inside %r" % (c.tolist(), f.domain)
-    )
-
-
 def region_d_pm(f, pts, center, radius=np.inf):
     """(canonical pts, mask, distances to center, d_minus, d_plus): the
     mask keeps the points in f's domain and the closed ball of radius (a
@@ -106,23 +83,46 @@ def region_d_pm(f, pts, center, radius=np.inf):
     pts = f.domain.canonical(pts)
     d = f.domain.distance_many(pts, np.broadcast_to(center, pts.shape))
     ok = f.domain.contains_many(pts) & (d <= radius * (1.0 + 1e-12))
-    jac, faulted, _ = f._jacobians_block(pts[ok])
+    jac, faulted = f._jacobians_block(pts[ok])
     ok[ok] = ~faulted
     return (pts, ok, d) + d_pm_from_jacobian(jac[~faulted])
 
 
 def _shell_ratios(f, c, fc, rho, dirs):
     """Difference quotients d(f(z), f(c)) / d(z, c) at z = c + rho * u for
-    each row u of dirs, +inf where z leaves the domain."""
+    each row u of dirs (rho a scalar or a column, one per row), +inf
+    where z leaves the domain or faults, or the quotient is not finite
+    (a distance overflows, say)."""
     pts = c + rho * dirs
     ok = f.domain.contains_many(pts)
-    out = np.full(pts.shape[0], np.inf)
-    if np.any(ok):
-        vals = f._values(pts[ok])
-        dd = f.domain.distance_many(pts[ok], np.broadcast_to(c, pts[ok].shape))
+    vals = np.full((pts.shape[0], f.dim_out), np.nan)
+    vals[ok] = f._values_block(pts[ok])[0]  # NaN or inf where a point faults
+    with np.errstate(all="ignore"):  # an overflowing distance is inf
         dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-        out[ok] = dc / dd
-    return out
+        r = dc / f.domain.distance_many(pts, np.broadcast_to(c, pts.shape))
+    return np.where(np.isnan(r), np.inf, r)
+
+
+def _shell_grid(f, c, fc, dirs, radii=None):
+    """(radii, grid): the _shell_ratios of dirs on the shells of radii
+    around c, one block for all shells, one grid row per radius. The
+    default radii, rho0 * 2^-k for k = 0..SHELL_LEVELS, are all halved
+    until each ratio is finite, in at most 60 tries; given radii are
+    tried once."""
+    tries = 60 if radii is None else 1
+    if radii is None:
+        radii = SHELL_RHO0_SCALE * (1.0 + chart_norm(c)) * 2.0 ** -np.arange(SHELL_LEVELS + 1)
+    for k in range(tries):
+        scaled = np.asarray(radii, dtype=float) * 0.5**k
+        rho = np.repeat(scaled, dirs.shape[0])[:, None]
+        grid = _shell_ratios(f, c, fc, rho, np.tile(dirs, (scaled.size, 1)))
+        finite = np.isfinite(grid).reshape(scaled.size, -1).all(axis=1)
+        if finite.all():
+            return scaled, grid.reshape(scaled.size, -1)
+    raise DomainError(
+        "no shell around %s evaluates under %s at radius %g"
+        % (c.tolist(), f.name, scaled[~finite].min())
+    )
 
 
 def compass_search(objective, starts, values, step, step_min, max_iter, project=None):
@@ -213,12 +213,10 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
         raise InputError("unknown method %r" % method)
 
     dim = f.domain.dim
-    rho0 = SHELL_RHO0_SCALE * (1.0 + chart_norm(c))
-    rho0 = _admissible_radius(f, c, rho0)
     dirs = sphere_directions(SHELL_DIRS_PER_DIM * dim, dim)
     fc = f.eval(c)
-    grid = [_shell_ratios(f, c, fc, rho0 * 2.0**-k, dirs) for k in range(SHELL_LEVELS + 1)]
-    report = [(rho0 * 2.0**-k, float(r.min()), float(r.max())) for k, r in enumerate(grid)]
+    radii, grid = _shell_grid(f, c, fc, dirs)
+    report = [(t, float(r.min()), float(r.max())) for t, r in zip(radii.tolist(), grid)]
     # polish the two smallest shells in one lockstep search: the maximum
     # directions, and the minimum ones unless the Jacobian is wide (its
     # null direction, which the grid may miss, makes d_minus 0)
@@ -226,7 +224,7 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     mins = smallest if f.codomain.dim >= f.domain.dim else []
     shells = mins + smallest
     vals = _refine_extreme(
-        f, c, fc, dirs, [rho0 * 2.0**-k for k in shells], [grid[k] for k in shells],
+        f, c, fc, dirs, radii[shells], grid[shells],
         [1.0] * len(mins) + [-1.0] * len(smallest),
     )
     d_minus = min(vals[: len(mins)], default=0.0)
@@ -255,23 +253,15 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
             "fits inside the image",
         )
     dim = f.domain.dim
-    if radii is None:
-        rho0 = SHELL_RHO0_SCALE * (1.0 + chart_norm(c))
-        rho0 = _admissible_radius(f, c, rho0)
-        radii = [rho0 * 2.0**-k for k in range(SHELL_LEVELS + 1)]
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] <= 0:
+    if radii is not None and not (np.size(radii) and np.min(radii) > 0):
         raise InputError("radii must be positive")
     dirs = sphere_directions(dirs_per_dim * dim, dim)
     fc = f.eval(c)
-    grid = [_shell_ratios(f, c, fc, t, dirs) for t in radii]
-    bad = [t for t, r in zip(radii, grid) if np.any(r == np.inf)]
-    if bad:
-        raise DomainError(
-            "sphere of radius %g leaves the domain; pass smaller radii" % bad[0]
-        )
+    radii, grid = _shell_grid(f, c, fc, dirs, radii)
+    order = np.argsort(radii)
+    radii, grid = radii[order], grid[order]
     # the grid only brackets the closest image point; polish it
-    ratios = _refine_extreme(f, c, fc, dirs, radii, grid, np.ones(len(radii))).tolist()
+    ratios = _refine_extreme(f, c, fc, dirs, radii, grid, np.ones(radii.size)).tolist()
     # radii ascend; the liminf estimate wants the two smallest
     value = min(ratios[:2])
-    return SurjectionEstimate(value, tuple(radii), tuple(ratios))
+    return SurjectionEstimate(value, tuple(radii.tolist()), tuple(ratios))

@@ -651,6 +651,22 @@ def test_overflow_prints_only_the_error_line(argv, code):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_shells_shrink_until_their_value_differences_square_without_overflow():
+    # exp(368) is finite, but a difference of 1e154 squares to inf on any
+    # shell of radius above about 2e-6
+    reports = [
+        invoke_json(["deriv", "--map", spec, "--point", "368", "--method", "both"])
+        for spec in ("expmap", "exp(x)")
+    ]
+    assert [code for code, _ in reports] == [0, 0]
+    (_, analytic), (_, expression) = reports
+    res = analytic["results"]
+    assert res == expression["results"]
+    jac = res["jacobian_svd"]["d_minus"]
+    assert res["shell_sampling"]["d_minus"] == pytest.approx(jac, rel=1e-6)
+    assert res["shell_sampling"]["d_plus"] == pytest.approx(jac, rel=1e-6)
+
+
 @pytest.mark.parametrize("method", ["both", "shell_sampling", "jacobian_svd"])
 def test_deriv_on_three_dimensional_identity(method):
     code, out = invoke(

@@ -22,10 +22,12 @@ from liftkit import (
     Segment,
     Torus,
     distance,
+    mapped_path,
     path_length,
     points_equal,
     polyline,
     reparam_arclength,
+    resolve_map,
     reverse_path,
     subset_from_expression,
 )
@@ -386,6 +388,20 @@ def test_triangle_inequality_euclidean(ax, ay, bx, by):
     b = np.array([bx, by])
     o = np.zeros(2)
     assert distance(s, a, b) <= distance(s, a, o) + distance(s, o, b) + 1e-12
+
+
+@pytest.mark.parametrize("winding", [1, -1, 2, -2, 3, 4, 8, "mapped polyline"])
+def test_path_length_stops_only_on_a_partition_with_new_points(winding):
+    # a loop of even winding puts the first dyadic partitions on one
+    # point, and a knot at t = 1/2 makes the first two partitions equal;
+    # neither may pass for agreement
+    if winding == "mapped polyline":
+        p = mapped_path(resolve_map("polar_exp"), polyline(Euclidean(2), [[0, 0], [0, 3], [0, 6]]))
+        want = 6.0
+    else:
+        p = Loop(Euclidean(2), np.array([0.0, 0.0]), 1.0, winding)
+        want = 2 * np.pi * abs(winding)
+    assert path_length(p).require() == pytest.approx(want, rel=1e-8)
 
 
 def test_path_length_degenerate_loop_radius():

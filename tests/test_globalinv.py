@@ -209,6 +209,17 @@ def test_qi_bounds_drop_overflowing_samples_in_both_forms(spec):
     assert b.note == "sampled estimate over deterministic points, not a bound"
 
 
+@pytest.mark.parametrize("spec", ["cubic_implicit", "y^3 + y - x"])
+def test_qi_bounds_compact_set_skips_samples_whose_value_faults(spec):
+    # y^3 overflows past y = 5.6e102: those samples' values are not in K
+    b = quasi_isometry_bounds(
+        resolve_map(spec), Box([0, 1e102], [1, 1e103]), n_samples=64,
+        compact_K=Box([-1e308], [1e308]),
+    )
+    assert b.n_in_K == 28
+    assert b.alpha_K == 0.0
+
+
 @settings(max_examples=24, deadline=None)
 @given(
     k=st.sampled_from([2, -2, 3, -3]),

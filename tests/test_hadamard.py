@@ -360,13 +360,13 @@ def _faulting_in_band(f, x0, lo, hi):
 
     def jac_many(pts):
         calls[0] += 1
-        jac = np.array(f.jac_many_fn(pts)[0])
+        jac = np.array(f.jac_many_fn(pts))
         d = np.linalg.norm(pts - x0, axis=1)
         if calls[0] > 1:
             band = (d >= lo) & (d <= hi)
             jac[band] = np.nan
             faults[0] += int(band.sum())
-        return jac, None
+        return jac
 
     return dataclasses.replace(f, jac_many_fn=jac_many), faults
 

@@ -20,6 +20,7 @@ from liftkit import (
     newton_block,
     resolve_map,
 )
+from liftkit import exprlang
 from liftkit.errors import (
     EvalDomainError,
     NonConvergenceError,
@@ -209,10 +210,9 @@ def test_finite_difference_blocks_make_no_one_point_calls():
         jac_one=lambda c: calls.append(c) or fd.jac_one(c),
     )
     pts = np.array([[0.5, 1.0], [1e-7, 0.0], [-1.0, 0.0], [2.0, -1.5]])
-    block, faulted, fault = counted._jacobians_block(pts)
+    block, faulted = counted._jacobians_block(pts)
     assert calls == []
     assert faulted.tolist() == [False, False, True, False]
-    assert isinstance(fault, EvalDomainError)
     assert np.array_equal(block[~faulted], counted.jacobians_many(pts[~faulted]))
     assert calls == []
 
@@ -305,10 +305,10 @@ def _counting_block_handle(f, jac_calls):
 
     def jac_one(c):
         jac_calls.append(1)
-        return f.jac_many_fn(np.array([c]))[0][0].tolist()
+        return f.jac_many_fn(np.array([c]))[0].tolist()
 
     return dataclasses.replace(
-        f, eval_one=lambda c: f.eval_many_fn(np.array([c]))[0][0].tolist(), jac_one=jac_one
+        f, eval_one=lambda c: f.eval_many_fn(np.array([c]))[0].tolist(), jac_one=jac_one
     )
 
 
@@ -417,12 +417,13 @@ MASK_HANDLES = {
 }
 
 
-def _faults(call):
+def _fault(call):
+    """The type and message of the fault call raises, else None."""
     try:
         call()
-    except (DomainError, EvalDomainError):
-        return True
-    return False
+    except (DomainError, EvalDomainError) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,19 +434,45 @@ def _faults(call):
 def test_masked_kernels_mark_the_rows_a_point_faults_at(kind, rows):
     # each kernel evaluates the whole block once: its mask holds exactly
     # the rows where the one-point call faults, and its other rows equal
-    # the raising block call on the clean rows alone
+    # the raising block call on the clean rows alone, which on the whole
+    # block raises the one-point call's fault at the first faulting row
     f = MASK_HANDLES[kind]()
     pts = np.array(rows)
     for kernel, one, many in (
         (f._values_block, f.eval, f.eval_many),
         (f._jacobians_block, lambda p: jacobian_at(f, p), f.jacobians_many),
     ):
-        block, faulted, fault = kernel(pts)
-        assert faulted.tolist() == [_faults(lambda: one(p)) for p in pts]
+        block, faulted = kernel(pts)
+        faults = [_fault(lambda: one(p)) for p in pts]
+        assert faulted.tolist() == [fault is not None for fault in faults]
         assert np.array_equal(block[~faulted], many(pts[~faulted]))
-        # a numpy formula names no fault; the others name their first
-        if faulted.any() and kind != "builtin":
-            assert isinstance(fault, (DomainError, EvalDomainError))
+        if faulted.any():
+            assert _fault(lambda: many(pts)) == faults[int(np.argmax(faulted))]
+
+
+def test_a_raising_block_call_raises_its_first_faulting_rows_fault():
+    # row 0 divides by zero, row 1 takes the log of -1: every raising
+    # block call reports row 0, as the one-point call there does
+    f = resolve_map("(log(x), 1/y)")
+    comps = exprlang.parse("(log(x), 1/y)")
+    pts = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    for call in (
+        lambda: f.eval([1.0, 0.0]),
+        lambda: f.eval_many(pts),
+        lambda: f.jacobians_many(pts),
+        lambda: exprlang.eval_ast(exprlang.parse_single("log(x) + 1/y"), pts.T),
+        lambda: exprlang.jacobian_ad(comps, pts),
+    ):
+        with pytest.raises(EvalDomainError, match="division by zero") as err:
+            call()
+        assert err.value.span == (9, 12)
+    # where the one-point form evaluates the row, the error names the row
+    shear3 = resolve_map("shear3")
+    g = dataclasses.replace(
+        shear3, eval_many_fn=lambda P: P * np.where(P[:, 1:] > 1.0, np.nan, 1.0)
+    )
+    with pytest.raises(DomainError, match=r"map shear3 faults at row 1 of a block"):
+        g.eval_many(np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 3.0]]))
 
 
 def test_newton_block_makes_no_one_point_evaluations():

@@ -372,5 +372,16 @@ def test_validate_report_rejects_unknown_keys():
         validate_report(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("inputs", []), ("seed", "0"), ("seed", True), ("artifacts", [1])]
+)
+def test_validate_report_checks_each_keys_json_type(key, value):
+    doc = Report(command="x", artifacts=["a.csv"]).to_dict()
+    assert validate_report(doc)
+    doc[key] = value
+    with pytest.raises(InputError, match=key):
+        validate_report(doc)
+
+
 def test_validate_report_accepts_instances():
     assert validate_report(Report(command="x"))

@@ -22,7 +22,6 @@ from .geometry import (
     chart_norm,
     distinct_rows,
     points_equal,
-    polyline,
 )
 from .lift import ContinuationFailure, LiftOptions, lift_path
 from .mapdef import CONVERGED, newton_block
@@ -36,7 +35,6 @@ __all__ = [
     "sheet_count",
     "QIBounds",
     "quasi_isometry_bounds",
-    "path_battery",
     "COMPLETENESS_NOTE",
     "TRANSLATION_TOL",
     "FIBER_TOL",
@@ -261,23 +259,3 @@ def quasi_isometry_bounds(f, region, n_samples=512, compact_K=None):
         alpha_K=alpha_K,
         n_in_K=n_in_K,
     )
-
-
-def path_battery(space, anchor, scale, n=20):
-    """Deterministic battery of rectifiable paths near an anchor point:
-    a rotating mix of segments, open polylines, and closed polylines,
-    all inside the cube anchor + scale*[-1/2, 1/2]^dim."""
-    anchor = space.check_coords(anchor)
-    u = unit_box_points(4 * n, space.dim).reshape(n, 4, space.dim)
-    pts = anchor + scale * (u - 0.5)
-    out = []
-    for i in range(n):
-        kind = i % 3
-        if kind == 0:
-            out.append(Segment(space, pts[i, 0], pts[i, 1]))
-        elif kind == 1:
-            out.append(polyline(space, pts[i]))
-        else:
-            knots = np.concatenate([pts[i, :3], pts[i, :1]], axis=0)
-            out.append(polyline(space, knots))
-    return out

@@ -154,7 +154,6 @@ class ImplicitProblem:
             name="augmented(%s)" % prob.f.name,
             domain=prob.f.domain,
             codomain=codomain,
-            jacobian_mode="analytic",
             eval_one=eval_one,
             eval_many_fn=eval_many,
             jac_one=jac_one,

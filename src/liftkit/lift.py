@@ -444,8 +444,6 @@ def analyze_trace(trace, weight=None, x0_anchor=None, domain_space=None):
     singular value along the lift (alpha_hat), its weighted variant,
     and the suffix diameters on a dyadic parameter grid (a Cauchy
     check: on convergent lifts they decay to node spacing)."""
-    if len(trace.nodes) < 2:
-        raise InputError("trace analysis needs at least 2 nodes")
     ts, xs, _, dm, _ = trace.node_arrays()
     alpha_hat = float(dm.min())
     space = domain_space

@@ -1,10 +1,10 @@
 """Map definitions: built-in test maps, expression maps, Jacobians,
 the small-matrix kernel, and a damped Newton local solver.
 
-A MapHandle bundles a map between two spaces with whichever Jacobian
-source is available: closed-form (analytic), forward-mode automatic
-differentiation for expression maps, or finite differences on request
-(_with_fd: one rule over a block of values, _fd_block).
+A MapHandle bundles a map between two spaces with its exact Jacobian:
+a closed-form formula for a built-in map, hand-written Jacobian
+expressions (jacobian_source), or forward-mode automatic
+differentiation of an expression map's components.
 
 A built-in map is written once as a value formula and a Jacobian
 formula, formula(m, *coords), which call their functions as m.exp,
@@ -23,7 +23,6 @@ faulting row.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import types
@@ -72,16 +71,10 @@ ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
 
 
-# finite differences step coordinate j of x by h = FD_STEP * max(1, |x_j|)
-FD_STEP = 1e-6
-
-
 @dataclass(frozen=True)
 class MapHandle:
     """A map with evaluation and Jacobian access.
 
-    jacobian_mode labels the Jacobian's source: "analytic",
-    "automatic" or "finite_difference" (a handle _with_fd made).
     eval_one and jac_one are the point protocol: they take one point as
     a sequence of dim_in Python floats and return dim_out floats, or
     dim_out rows of dim_in floats, and may raise at a fault; they agree
@@ -100,7 +93,6 @@ class MapHandle:
     name: str
     domain: Space
     codomain: Space
-    jacobian_mode: str
     eval_one: object = field(repr=False)
     eval_many_fn: object = field(repr=False)
     jac_one: object = field(repr=False)
@@ -207,48 +199,8 @@ def _masked(fn, pts):
 
 
 def jacobian_at(f, x):
-    """Jacobian of f at chart coordinates x, by the handle's mode."""
+    """Jacobian of f at chart coordinates x."""
     return np.array(f._jacobian(f.domain.check_coords(x).tolist()), dtype=float)
-
-
-def _stencil(pts):
-    """The steps h = FD_STEP * max(1, |x_j|) of an (N, n) block and its
-    finite-difference stencil x, x + h e_j, x - h e_j, an (N, 2n + 1, n)
-    block."""
-    h = FD_STEP * np.maximum(1.0, np.abs(pts))
-    x, steps = pts[:, None], h[:, :, None] * np.eye(pts.shape[1])  # steps[i, j] = h_ij e_j
-    return h, np.concatenate([x, x + steps, x - steps], axis=1)
-
-
-def _fd_block(f, pts):
-    """f's finite-difference Jacobians at the rows of an (N, n) block,
-    from one _values_block call on their _stencil, whose points fault
-    where non-finite or outside the domain. Column j is the central
-    difference where x +- h e_j both evaluate, else the forward one,
-    else the backward one (so f(x) counts only there); a row with no
-    difference in a column is NaN. Never raises."""
-    n_rows, n = pts.shape
-    h, stencil = _stencil(pts)
-    stencil = stencil.reshape(-1, n)
-    ok = np.isfinite(stencil).all(axis=1)
-    ok[ok] = f.domain.contains_many(stencil[ok])
-    vals = np.full((stencil.shape[0], f.dim_out), np.nan)
-    vals[ok], faulted = f._values_block(stencil[ok])
-    ok[ok] = ~faulted
-    f0, fp, fm = np.split(vals.reshape(n_rows, 2 * n + 1, f.dim_out), [1, n + 1], axis=1)
-    ok = ok.reshape(n_rows, 2 * n + 1)
-    o0, op, om = np.split(ok, [1, n + 1], axis=1)
-    central, forward = op & om, op & o0
-    hh = h[:, :, None]
-    with np.errstate(all="ignore"):
-        cols = np.where(
-            central[..., None],
-            (fp - fm) / (2.0 * hh),
-            np.where(forward[..., None], (fp - f0) / hh, (f0 - fm) / hh),
-        )
-    jac = cols.transpose(0, 2, 1)
-    jac[~(central | forward | (o0 & om)).all(axis=1)] = np.nan
-    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +266,7 @@ def _builtin(name, domain, codomain, value, jacobian):
     """An analytic MapHandle from its value and Jacobian formulas."""
     ev, ev_many = _pointwise(value, (codomain.dim,))
     jac, jac_many = _pointwise(jacobian, (codomain.dim, domain.dim))
-    return MapHandle(name, domain, codomain, "analytic", ev, ev_many, jac, jac_many)
+    return MapHandle(name, domain, codomain, ev, ev_many, jac, jac_many)
 
 
 def _make_identity(n=2):
@@ -446,14 +398,13 @@ def expression_map(
     domain=None,
     codomain=None,
     jacobian_source=None,
-    jacobian_mode=None,
     name=None,
 ):
     """Build a MapHandle from component expressions.
 
-    jacobian_source, when given, holds dim_out*dim_in expressions in
-    row-major order and switches the handle to analytic mode;
-    jacobian_mode="finite_difference" asks for _with_fd's handle.
+    Its Jacobian is forward-mode automatic differentiation of the
+    components, unless jacobian_source holds dim_out*dim_in expressions
+    in row-major order, which are then the Jacobian's entries.
     """
     asts = exprlang.parse(source, variables)
     varnames = asts[0].variables
@@ -475,7 +426,6 @@ def expression_map(
 
     compiled = exprlang.compile_map(asts)
     if jacobian_source is None:
-        mode = "automatic"
         jac_one, jac_many = compiled.jacobian, compiled.jacobian_many
     else:
         jasts = exprlang.parse(jacobian_source, varnames)
@@ -493,47 +443,41 @@ def expression_map(
         def jac_many(pts):
             return entries.values_many(pts).reshape(pts.shape[0], m, n)
 
-        mode = "analytic"
-    handle = MapHandle(
+    return MapHandle(
         name=name or source,
         domain=domain,
         codomain=codomain,
-        jacobian_mode=mode,
         eval_one=compiled.values,
         eval_many_fn=compiled.values_many,
         jac_one=jac_one,
         jac_many_fn=jac_many,
     )
-    return _with_fd(handle, jacobian_mode)
 
 
-def resolve_map(spec, registry=None, jacobian_mode=None):
+def resolve_map(spec, registry=None):
     """Resolve a map from a name or expression text.
 
     Lookup order: built-in names (with optional integer argument, e.g.
     powk(3)), then the registry, then expression parsing. A handle
-    resolves to itself, in the mode asked for.
+    resolves to itself.
     """
     if isinstance(spec, MapHandle):
-        return _with_fd(spec, jacobian_mode)
+        return spec
     if not isinstance(spec, str):
         raise InputError("map spec must be a string or MapHandle")
     text = spec.strip()
     if text in _BUILTIN_FACTORIES:
         if text in _NEEDS_ARG:
             raise InputError("%s needs an argument, e.g. %s(2)" % (text, text))
-        h = _BUILTIN_FACTORIES[text]()
-        return _with_fd(h, jacobian_mode)
+        return _BUILTIN_FACTORIES[text]()
     m = _CALL_RE.match(text)
     if m and m.group(1) in _BUILTIN_FACTORIES:
         name, arg = m.group(1), int(m.group(2))
         if name in _NEEDS_ARG or name in _OPTIONAL_ARG:
-            h = _BUILTIN_FACTORIES[name](arg)
-            return _with_fd(h, jacobian_mode)
+            return _BUILTIN_FACTORIES[name](arg)
         raise InputError("built-in %s takes no argument" % name)
     if registry is not None and registry.has_map(text):
-        h = registry.get_map(text)
-        return _with_fd(h, jacobian_mode)
+        return registry.get_map(text)
     if re.match(r"^[A-Za-z_][A-Za-z_0-9]*$", text) and text not in ("x", "y", "z", "w", "t"):
         # a bare identifier that is not a variable is a failed lookup,
         # not an expression
@@ -541,37 +485,7 @@ def resolve_map(spec, registry=None, jacobian_mode=None):
             "unknown map %r; built-ins: %s"
             % (text, ", ".join(sorted(_BUILTIN_FACTORIES)))
         )
-    return expression_map(text, jacobian_mode=jacobian_mode)
-
-
-def _with_fd(handle, jacobian_mode):
-    """handle in jacobian_mode: itself for None or its own mode; for
-    "finite_difference", its values with _fd_block's Jacobians, a point
-    taken as a one-row block whose NaN Jacobian raises the error of its
-    first faulting stencil point."""
-    if jacobian_mode in (None, handle.jacobian_mode):
-        return handle
-    if jacobian_mode != "finite_difference":
-        raise InputError(
-            "jacobian mode %r not available for %s" % (jacobian_mode, handle.name)
-        )
-
-    def jac_one(c):
-        pts = np.array([c], dtype=float)
-        jac = _fd_block(handle, pts)[0]
-        if np.isnan(jac).any():
-            for p in _stencil(pts)[1][0].tolist():
-                if not (all(map(math.isfinite, p)) and handle.domain.contains(p)):
-                    raise DomainError("point %s is outside the domain of %s" % (p, handle.name))
-                handle._value(p)
-        return jac.tolist()
-
-    return dataclasses.replace(
-        handle,
-        jacobian_mode="finite_difference",
-        jac_one=jac_one,
-        jac_many_fn=lambda pts: _fd_block(handle, pts),
-    )
+    return expression_map(text)
 
 
 # ---------------------------------------------------------------------------

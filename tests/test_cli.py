@@ -99,6 +99,26 @@ def test_lift_from_a_subnormal_jacobian_gives_a_verdict(spec):
     assert doc["verdicts"]["cause"].startswith("smin 4.94e-324 < singular_threshold")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--map", "(x*x - y*y, 2*x*y)", "--path", "seg:0,0,1000,0", "--start", "0,0"],
+        ["--map", "x^3", "--path", "seg:0,1000", "--start", "0"],
+    ],
+    ids=["square", "cube"],
+)
+def test_a_lift_that_fails_at_its_first_step_keeps_its_verdict(argv):
+    # from a critical point the first step fails, so the trace holds the
+    # start alone; its report still carries the verdict
+    code, doc = invoke_json(["lift", *argv])
+    assert code == 1
+    assert validate_report(doc)
+    assert doc["verdicts"]["lift"] == "FailedSingular"
+    assert doc["results"]["nodes"] == 1
+    assert 0.0 < doc["results"]["b"] < 1e-11
+    assert doc["results"]["alpha_hat"] == 0.0
+
+
 def test_sheets_report_records_its_loop():
     argv = ["sheets", "--map", "powk(3)", "--target", "1,0", "--start", "1,0"]
     _, doc = invoke_json(argv)

@@ -19,7 +19,6 @@ from liftkit import (
     fiber_enumerate,
     invert_at,
     jacobian_at,
-    path_battery,
     quasi_isometry_bounds,
     resolve_map,
     sheet_count,
@@ -175,15 +174,6 @@ def test_qi_wide_map_alpha_zero():
     region = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     b = quasi_isometry_bounds(f, region)
     assert b.alpha_hat == 0.0
-
-
-def test_path_battery_count_and_space(shear3):
-    paths = path_battery(Euclidean(2), np.array([0.0, 0.0]), 2.0, n=12)
-    assert len(paths) == 12
-    kinds = {p.kind for p in paths}
-    assert len(kinds) >= 2
-    for p in paths:
-        assert p.space.dim == 2
 
 
 def test_qi_bounds_reject_nan():

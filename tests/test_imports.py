@@ -8,7 +8,8 @@ the module's __all__ counts as read (it is re-exported). It also fails
 on a function, method or class defined in src/ whose name is read
 nowhere in src/, tests/, perfbench/ or demos/ (as a name or as an
 attribute, or listed in an __all__); dunder methods are read by Python
-itself.
+itself. Last, the definitions of src/ that only tests/ read, an __all__
+not counting, are exactly the names of TEST_ONLY, each with its reason.
 """
 
 import ast
@@ -35,18 +36,39 @@ def _exported(tree):
     return exported
 
 
-def _unread_definitions(trees, defining):
-    """(file, line, name) of each function, method or class defined in a
-    tree of defining whose name no tree reads; trees maps paths to
-    trees."""
+# definitions of src/ that only tests/ read, and why each stays
+TEST_ONLY = {
+    "pretty": "public API: prints an expression back as source",
+    "CircleQuotient": "public API: a space a caller builds and passes in",
+    "reverse_path": "public API: a path's orientation reversal",
+    "interpolate": "public API: a lift trace's value between its nodes",
+    "builtin_names": "public API: the built-in map names",
+    "det_sign_many": "the block orientation test a lockstep lift will read",
+    "linear_solve": "public API: the one-matrix form of linear_solve_many",
+    "local_solve": "public API; the perfbench tracer wraps it by its string name",
+    "check_monotone": "public API: checks a mean-value ratio sequence",
+    "load_registry": "public API: reads a registry file",
+}
+
+
+def _reads(trees):
+    """The names the trees read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
-        read |= _exported(tree)
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def _unread_definitions(trees, defining, read=None):
+    """(file, line, name) of each function, method or class defined in a
+    tree of defining whose name is not in read, by default the names
+    any tree reads or lists in an __all__; trees maps paths to trees."""
+    if read is None:
+        read = _reads(trees.values()).union(*map(_exported, trees.values()))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return sorted(
         (str(path), node.lineno, node.name)
@@ -96,9 +118,22 @@ def test_the_scan_finds_an_unused_import():
     assert _unused_imports(tree) == [(1, "os"), (2, "pi")]
 
 
+def _top(path):
+    return path.relative_to(ROOT).parts[0]
+
+
 def test_every_definition_in_src_is_read():
-    src = {path for path in TREES if path.relative_to(ROOT).parts[0] == "src"}
+    src = {path for path in TREES if _top(path) == "src"}
     assert _unread_definitions(TREES, src) == []
+
+
+def test_the_definitions_only_tests_read_are_listed():
+    # a name here that src/, perfbench/ or demos/ now reads, or that is
+    # gone, leaves the list; a definition that only tests read joins it
+    src = {path for path in TREES if _top(path) == "src"}
+    outside = _reads(tree for path, tree in TREES.items() if _top(path) != "tests")
+    only_tests = {name for _, _, name in _unread_definitions(TREES, src, outside)}
+    assert only_tests == set(TEST_ONLY)
 
 
 def test_the_scan_finds_an_unread_definition():

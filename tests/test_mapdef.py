@@ -49,7 +49,6 @@ from liftkit.lift import POLISH_STEPS, POLISH_TOL
 
 
 def test_shear_handle_analytic_jacobian(shear3):
-    assert shear3.jacobian_mode == "analytic"
     jac = jacobian_at(shear3, np.array([0.0, 1.0]))
     assert np.allclose(jac, [[1.0, 3.0], [0.0, 1.0]])
 
@@ -60,7 +59,6 @@ def test_shear_eval(shear3):
 
 def test_expression_map_ad_jacobian():
     f = resolve_map("(x*x, x+y)")
-    assert f.jacobian_mode == "automatic"
     jac = jacobian_at(f, np.array([2.0, 0.5]))
     assert np.allclose(jac, [[4.0, 0.0], [1.0, 1.0]])
 
@@ -116,14 +114,6 @@ def test_logmap_rejects_nonpositive():
         f.eval(np.array([-1.0]))
 
 
-def test_finite_difference_override(shear3):
-    fd = resolve_map("shear3", jacobian_mode="finite_difference")
-    assert fd.jacobian_mode == "finite_difference"
-    a = jacobian_at(fd, np.array([0.3, 0.7]))
-    b = jacobian_at(shear3, np.array([0.3, 0.7]))
-    assert np.allclose(a, b, atol=1e-6)
-
-
 # expression forms of shear3, polar_exp, powk(3) and cubic_implicit
 EXPRESSION_FORMS = {
     "shear3": "(x + y^3, y)",
@@ -159,76 +149,14 @@ def test_jacobians_many_matches_single(spec, rng):
             assert np.allclose(many, one, rtol=1e-13, atol=1e-13 * np.abs(one).max())
 
 
-@pytest.mark.parametrize("spec", ["shear3", EXPRESSION_FORMS["shear3"], "polar_exp"])
-def test_finite_difference_mode_holds_for_batched_jacobians(spec):
-    fd = resolve_map(spec, jacobian_mode="finite_difference")
-    pts = np.array([[0.3, 0.7], [1.0, -2.0], [-0.5, 0.25]])
-    many = fd.jacobians_many(pts)
-    for i, p in enumerate(pts):
-        assert np.array_equal(many[i], jacobian_at(fd, p))
-    assert fd.jacobians_many(np.empty((0, 2))).shape == (0, 2, 2)
-
-
-def test_finite_difference_is_one_sided_at_a_domain_edge():
-    # x - h faults, so the x column takes the forward difference
-    # (log(x + h) - log(x)) / h, as the built-in logmap's, whose x - h
-    # is outside its domain, does
-    edge = np.array([1e-7, 0.0])
-    fd = expression_map("(log(x) + y, y)", jacobian_mode="finite_difference")
-    want = jacobian_at(resolve_map("logmap", jacobian_mode="finite_difference"), edge[:1])
-    assert want[0, 0] == pytest.approx(math.log(11.0) / 1e-6, rel=1e-9)
-    one = jacobian_at(fd, edge)
-    assert one[0, 0] == want[0, 0]
-    assert np.allclose(one[:, 1], [1.0, 1.0], atol=1e-6) and one[1, 0] == 0.0
-    many = fd.jacobians_many(np.array([[1.0, 0.5], edge]))
-    assert np.array_equal(many[1], one)
-    # a row no difference reaches faults as its first faulting stencil
-    # point does
-    with pytest.raises(EvalDomainError, match="log of a non-positive number"):
-        jacobian_at(fd, [-1.0, 0.0])
-    with pytest.raises(EvalDomainError, match="log of a non-positive number"):
-        fd.jacobians_many(np.array([[1.0, 0.5], [-1.0, 0.0]]))
-
-
-def test_finite_difference_central_where_the_point_itself_faults():
-    # sin(x)/x faults at 0, but both neighbours evaluate
-    f = expression_map("sin(x)/x", jacobian_mode="finite_difference")
-    with pytest.raises(EvalDomainError):
-        f.eval([0.0])
-    assert np.array_equal(jacobian_at(f, [0.0]), [[0.0]])
-    many = f.jacobians_many(np.array([[1.0], [0.0]]))
-    assert np.array_equal(many[1], [[0.0]])
-    assert np.array_equal(many[0], jacobian_at(f, [1.0]))
-
-
-def test_finite_difference_blocks_make_no_one_point_calls():
-    calls = []
-    fd = expression_map(_LOG_MAP, jacobian_mode="finite_difference")
-    counted = dataclasses.replace(
-        fd,
-        eval_one=lambda c: calls.append(c) or fd.eval_one(c),
-        jac_one=lambda c: calls.append(c) or fd.jac_one(c),
-    )
-    pts = np.array([[0.5, 1.0], [1e-7, 0.0], [-1.0, 0.0], [2.0, -1.5]])
-    block, faulted = counted._jacobians_block(pts)
-    assert calls == []
-    assert faulted.tolist() == [False, False, True, False]
-    assert np.array_equal(block[~faulted], counted.jacobians_many(pts[~faulted]))
-    assert calls == []
-
-
 def test_resolve_map_of_a_handle_takes_the_mode(shear3):
+    # a handle resolves to itself; its Jacobian is its own, and there is
+    # no mode to ask for
     assert resolve_map(shear3) is shear3
-    assert resolve_map(shear3, jacobian_mode="analytic") is shear3
-    fd = resolve_map(shear3, jacobian_mode="finite_difference")
-    assert fd.jacobian_mode == "finite_difference"
-    assert resolve_map(fd, jacobian_mode="finite_difference") is fd
-    p = np.array([0.3, 0.7])
-    assert not np.array_equal(jacobian_at(fd, p), jacobian_at(shear3, p))
-    assert np.allclose(jacobian_at(fd, p), jacobian_at(shear3, p), atol=1e-6)
-    for mode in ("bogus", "automatic"):
-        with pytest.raises(InputError, match="not available"):
-            resolve_map(shear3, jacobian_mode=mode)
+    with pytest.raises(TypeError):
+        resolve_map(shear3, jacobian_mode="finite_difference")
+    with pytest.raises(TypeError):
+        expression_map("(x + y^3, y)", jacobian_mode="finite_difference")
 
 
 def test_jacobians_many_rejects_non_finite_like_jacobian_at(expmap):
@@ -410,7 +338,6 @@ MASK_HANDLES = {
     "jacobian_source": lambda: expression_map(
         _LOG_MAP, jacobian_source="(1/x, 1, 0, 3*y^2 + 1)"
     ),
-    "finite_difference": lambda: resolve_map(_LOG_MAP, jacobian_mode="finite_difference"),
     "projection": lambda: ImplicitProblem(
         expression_map("y^3 + y - exp(x)"), 1, [0.0]
     ).projection_map(),

@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,15 +384,31 @@ def parse_single(source, variables=None):
 # picks, 0.0 for a None part, and a power whose exponent has no tangent
 # (a constant subtree, say) has 0.0 parts where the exponent is 0.
 #
-# Faults: every operation that can turn finite arguments non-finite is
-# checked right after it, and the generated function maps whatever it
-# raises (a failing float operation, a failed check, a tangent rule's
-# EvalDomainError) to the node whose line raised it, so the first
-# faulting node in evaluation order gives the message and the span. A
-# failed check of the block form raises nothing: it ORs its rows into
-# the mask _m, and a constant subtree's fault (a Python float division
-# by zero, say) faults every row; a caller that raises on a block raises
-# what the point form raises at its first faulting row. The
+# Values: one writer writes all of a map's components, each distinct
+# subtree once. A subtree is known by its operation and its arguments'
+# names, so by its structure and its literals' bits (0.0 == -0.0, but
+# each has a name). A library call on one name is written once, whether a
+# node or a tangent rule (cos's -sin(a) next to a node sin(a)) asks for
+# it. A repeated subtree is computed, checked and differentiated where it
+# first occurs, which is where it faulted first.
+#
+# Faults: the generated function maps whatever it raises (a failing float
+# operation, a failed check, a tangent rule's EvalDomainError) to the node
+# whose line raised it, so the first faulting node in evaluation order
+# gives the message and the span. The point form checks after each
+# operation that can turn finite arguments non-finite, so its raise order
+# names the fault. The block form raises nothing: a failed check ORs its
+# rows into the mask _m, and a constant subtree's fault (a Python float
+# division by zero, say) faults every row; a caller that raises on a block
+# raises what the point form raises at its first faulting row. A block
+# tests a value only where a fault could hide: a non-finite value stays
+# non-finite through +, -, *, negation, a numerator, sin, cos, tan, log,
+# sqrt and abs, so it is tested where it reaches a root or an operation
+# that can turn it finite (a divisor, including a tangent rule's; the
+# arguments of exp, atan, tanh, min and max; the operands of a select
+# test; both sides of a power), and a power keeps its test for a complex
+# value of Python floats. A variable, a constant, or a min or max of those
+# is never tested: its first use is. The
 # source holds only generated names, operators, the literals 0.0, 1.0
 # and 2.0, and the library names below; numbers and nodes are bound in
 # the function's namespace, never printed (1e999 parses to inf, whose
@@ -411,11 +428,12 @@ _LIBRARY = {
     "_copysign": (math.copysign, np.copysign),
     "_isfinite": (math.isfinite, np.isfinite),
 }
-# name -> (tangent factor k of argument a and value v, and whether a
-# tangent part p becomes k * p or p / k); sqrt has a rule of its own
+# name -> (tangent factor k of argument a, value v and the shared library
+# calls cos(a) and sin(a), and whether a tangent part p becomes k * p or
+# p / k); sqrt has a rule of its own
 _UNARY = {
-    "sin": ("_cos(%(a)s)", "*"),
-    "cos": ("-_sin(%(a)s)", "*"),
+    "sin": ("%(cos)s", "*"),
+    "cos": ("-%(sin)s", "*"),
     "tan": ("1.0 + %(v)s * %(v)s", "*"),
     "exp": ("%(v)s", "*"),
     "log": ("%(a)s", "/"),
@@ -428,9 +446,8 @@ _FAULT_MESSAGES = {
     "log": "log of a non-positive number",
     "sqrt": "sqrt of a negative number",
 }
-# numpy's forms of these can be non-finite at a finite argument (math's
-# raise instead); the other functions are finite wherever defined
-_UNBOUNDED = frozenset({"exp", "log", "sqrt"})
+# the functions whose value can be finite at a non-finite argument
+_SATURATING = frozenset({"exp", "atan", "tanh"})
 # variadic, 2 or more arguments: name -> "argument beats the best so far"
 _EXTREMES = {"min": "<", "max": ">"}
 FUNCTION_NAMES = frozenset(_UNARY) | frozenset(_EXTREMES)
@@ -464,6 +481,12 @@ class _Writer:
         self.owners = []
         self.owner = None
         self.count = 0
+        # the names of literals, library calls and subtrees, by their keys
+        self.known = {}
+        # on a block: line index -> the value its finiteness test tests,
+        # and the values that need one (see source)
+        self.tests = {}
+        self.tested = set()
         self.namespace = {name: forms[block] for name, forms in _LIBRARY.items()}
         self.namespace.update(
             _np=np,
@@ -485,9 +508,24 @@ class _Writer:
         self.count += 1
         return self.count
 
-    def bind(self, value):
-        name = "_c%d" % self.new()
-        self.namespace[name] = value
+    def literal(self, value):
+        """The name bound to the number value, one per type and bit
+        pattern."""
+        bits = struct.pack("<d", value) if isinstance(value, float) else value
+        key = (type(value), bits)
+        name = self.known.get(key)
+        if name is None:
+            name = self.known[key] = "_c%d" % self.new()
+            self.namespace[name] = value
+        return name
+
+    def call(self, fn, a):
+        """The name of the library call fn(a), written once."""
+        key = (fn, a)
+        name = self.known.get(key)
+        if name is None:
+            name = self.known[key] = "v%d" % self.new()
+            self.write("%s = %s(%s)", name, fn, a)
         return name
 
     def seed(self, i):
@@ -511,23 +549,24 @@ class _Writer:
             out.append(part)
         return tuple(out)
 
-    def check(self, v, power=False):
-        """Fault where v is non-finite (or, after a power, complex): on a
-        block, OR the rows where it is into the mask _m."""
+    def check(self, v, point=True, power=False):
+        """Fault where v is non-finite (or, after a power, complex). At a
+        point, where point holds, raise; on a block, OR the rows where v
+        is into the mask _m, a test source keeps only if v needs it."""
         if self.block:
             if power:
                 self.write("if type(%s) is complex: raise _E", v)
+            self.tests[len(self.lines)] = v
             self.write("if not _isfinite(%s).all(): _m = _m | ~_isfinite(%s)", v, v)
         elif power:
             self.write("if not _isfinite(%s): raise _E", v)
-        else:
+        elif point:
             self.write("if %s - %s: raise _E", v, v)
 
-    def check_unbounded(self, v):
-        """After exp, log or sqrt: a check where the library returns a
-        non-finite value rather than raise."""
-        if self.block:
-            self.check(v)
+    def guard(self, *names):
+        """The values names feed an operation that can turn a non-finite
+        value finite: on a block, they need their tests."""
+        self.tested.update(names)
 
     def require(self, ok, message):
         """Fault with message where the elementwise test ok fails."""
@@ -567,6 +606,12 @@ class _Writer:
         else:
             result = "[%s]" % ", ".join(v for v, _, _ in roots)
         if self.block:
+            # a non-finite value reaches a root, or a guarded value, only
+            # through values that stay non-finite, so only those are tested
+            self.guard(*(v for v, _, _ in roots))
+            drop = {i for i, v in self.tests.items() if v not in self.tested}
+            self.lines = [line for i, line in enumerate(self.lines) if i not in drop]
+            self.owners = [o for i, o in enumerate(self.owners) if i not in drop]
             self.write("return %s, _m", result)
             # a constant subtree's fault faults a block's every row
             footer = "return (), True"
@@ -619,44 +664,53 @@ def _literal(node):
 
 
 def _emit(w, node):
-    """Write the code of node's subtree, arguments first. Returns the name
-    of its value, its tangent and whether the value may be a non-finite
-    input: a variable, a constant, or a min or max of those (every other
-    value has been checked)."""
+    """Write the code of node's subtree, arguments first, unless the writer
+    knows it. Returns the name of its value, its tangent and whether the
+    value may be a non-finite input: a variable, a constant, or a min or
+    max of those (every other value is checked)."""
     if isinstance(node, Num):
-        return w.bind(node.value), w.seed(None), True
+        return w.literal(node.value), w.seed(None), True
     if isinstance(node, Var):
         if not 0 <= node.index < w.n:
             raise InputError("variable %r has no index among %d" % (node.name, w.n))
         return "x%d" % node.index, w.seed(node.index), True
     if isinstance(node, BinOp):
-        args = [_emit(w, node.left), _emit(w, node.right)]
+        op, args = node.op, [_emit(w, node.left), _emit(w, node.right)]
     elif isinstance(node, Neg):
-        args = [_emit(w, node.arg)]
+        op, args = "neg", [_emit(w, node.arg)]
     else:
-        args = [_emit(w, arg) for arg in node.args]
+        op, args = node.fn, [_emit(w, arg) for arg in node.args]
+    key = (op,) + tuple(v for v, _, _ in args)
+    got = w.known.get(key)
+    if got is None:
+        got = w.known[key] = _operation(w, node, op, args)
+    return got
+
+
+def _operation(w, node, op, args):
+    """_emit's result for node, operation op on args [(value, tangent,
+    raw)], written for the first time."""
     k = w.new()
     v = "v%d" % k
-    w.owner = (node, args[1][0] if isinstance(node, BinOp) and node.op == "/" else None)
+    w.owner = (node, args[1][0] if op == "/" else None)
     if isinstance(node, BinOp):
         (a, da, _), (b, db, _) = args
-        w.write("%s = %s %s %s", v, a, _BINARY[node.op][1], b)
-        w.check(v, power=node.op == "^")
+        w.guard(*{"/": (b,), "^": (a, b)}.get(op, ()))
+        w.write("%s = %s %s %s", v, a, _BINARY[op][1], b)
+        w.check(v, power=op == "^")
         tangent = _binary_tangent(w, k, node, a, b, v, da, db) if any(da + db) else da
         return v, tangent, False
-    if isinstance(node, Neg) or node.fn in _UNARY:
-        ((a, da, raw),) = args
-        fn = "neg" if isinstance(node, Neg) else node.fn
-        if fn == "neg":
-            w.write("%s = -%s", v, a)
-        else:
-            w.write("%s = _%s(%s)", v, fn, a)
-        if raw:
-            w.check(v)
-        elif fn in _UNBOUNDED:
-            w.check_unbounded(v)
-        return v, _unary_tangent(w, k, fn, a, v, da) if any(da) else da, False
-    return v, _extreme(w, k, node.fn, args), any(raw for _, _, raw in args)
+    if op in _EXTREMES:
+        return v, _extreme(w, k, op, args), any(raw for _, _, raw in args)
+    ((a, da, raw),) = args
+    if op in _SATURATING:
+        w.guard(a)
+    if op == "neg":
+        w.write("%s = -%s", v, a)
+    else:
+        v = w.call("_" + op, a)
+    w.check(v, point=raw)
+    return v, _unary_tangent(w, k, op, a, v, da) if any(da) else da, False
 
 
 def _binary_tangent(w, k, node, a, b, v, da, db):
@@ -737,22 +791,27 @@ def _unary_tangent(w, k, fn, a, v, da):
     factor = "k%d" % k
     if fn == "sqrt":
         # p / (2 sqrt(a)), and p / 1 = 0 where sqrt(a) is 0 and p is too
+        w.guard(v)
         w.require(_still("%s != 0" % v, da), "_SQRT")
         w.write("%s = 2.0 * %s", factor, v)
         w.select("%s == 0" % v, [(factor, "1.0")])
         return w.parts(k, lambda p: "%s / %s" % (p, factor), da)
     template, op = _UNARY[fn]
-    w.write("%s = " + template % {"a": a, "v": v}, factor)
+    calls = {g: w.call("_" + g, a) for g in ("sin", "cos") if "(%s)" % g in template}
+    w.write("%s = " + template % dict(calls, a=a, v=v), factor)
     if op == "*":
         return w.parts(k, lambda p: _times(factor, p), da)
+    w.guard(a)
     return w.parts(k, lambda p: "%s / %s" % (p, factor), da)
 
 
 def _extreme(w, k, fn, args):
     """Write min or max over args [(value, tangent, raw)] into node k;
     return its tangent. Ties keep the earlier argument, for the value and
-    the tangent alike."""
+    the tangent alike. The value is one of the arguments, which a block
+    tests, so it needs no test of its own."""
     v = "v%d" % k
+    w.guard(*(a for a, _, _ in args))
     w.write("%s = %s", v, args[0][0])
     names = [
         "t%d_%d" % (k, j) if any(t[j] for _, t, _ in args) else None
@@ -832,7 +891,9 @@ def _generate(components, block, derivatives):
         _nonfinite_derivative, [c.root.span for c in components]
     )
     exec(compile(source, "<expression>", "exec"), namespace)
-    return namespace["_generated"]
+    generated = namespace["_generated"]
+    generated.source = source
+    return generated
 
 
 def _cached(make, components, *args):
@@ -901,8 +962,8 @@ def _map_callables(comps):
             got, bad = block_values[0](*pts.T)
         for i, value in enumerate(got):
             out[:, i] = value
-        if bad is not False:
-            out[np.broadcast_to(bad, pts.shape[:1])] = np.nan
+        if bad is not False:  # a row mask, or True for every row
+            out[bad] = np.nan
         return out
 
     def jacobian(c):
@@ -917,7 +978,7 @@ def _map_callables(comps):
                 if part is not None:
                     jac[:, i, j] = part
         if bad is not False:
-            jac[np.broadcast_to(bad, pts.shape[:1])] = np.nan
+            jac[bad] = np.nan
         return jac
 
     return CompiledMap(values, values_many, jacobian, jacobian_many)

@@ -82,7 +82,8 @@ class MapHandle:
     finite, and _value, _jacobian and _newton keep their points as
     floats. eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
     block they return all N values or Jacobians, a row they cannot
-    evaluate holding a non-finite entry, without raising. The kernels
+    evaluate holding a non-finite entry, without raising or warning (each
+    sets numpy's error state for its own operations). The kernels
     _values_block and _jacobians_block return (block, faulting rows) in
     one pass. eval_many and jacobians_many check the block's shape and
     domain, and they, like _values and _jacobians at points the caller
@@ -190,8 +191,7 @@ class MapHandle:
 
 def _masked(fn, pts):
     """(block, faulting rows) of the block callable fn."""
-    with np.errstate(all="ignore"):
-        out = np.asarray(fn(pts), dtype=float)
+    out = np.asarray(fn(pts), dtype=float)
     finite = np.isfinite(out)
     if finite.all():  # a clean block pays one test, as a raising check would
         return out, np.zeros(out.shape[0], dtype=bool)
@@ -251,7 +251,8 @@ def _pointwise(formula, shape):
                 return np.array(formula(np, *np.array(c, dtype=float))).tolist()
 
     def many(P):
-        got = formula(np, *P.T)
+        with np.errstate(all="ignore"):
+            got = formula(np, *P.T)
         if len(shape) == 2:
             got = [entry for row in got for entry in row]
         out = np.empty((P.shape[0],) + shape)
@@ -549,9 +550,12 @@ def _closed_form(jac):
     return (s, a) if len(jac) == 1 else _scaled(math, s, a, b, c, d)
 
 
-def _entries_many(jacs):
-    """(ok, s, entry columns) of a stack of square 1x1 or 2x2 matrices,
-    ok marking the rows the closed forms take; None for another shape."""
+def _closed_forms(jacs):
+    """_closed_form of each matrix of a stack of square 1x1 or 2x2
+    matrices, as columns after a mask ok of the rows the closed forms
+    take: (ok, s, a) or (ok, 2^e, a, b, c, d); None for another shape.
+    One stack's singular values and solve can share it, and a subset of
+    its rows can take the same rows of each column."""
     if jacs.shape[1:] == (2, 2):
         cols = (jacs[:, 0, 0], jacs[:, 0, 1], jacs[:, 1, 0], jacs[:, 1, 1])
         s = abs(cols[0]) + abs(cols[1]) + abs(cols[2]) + abs(cols[3])
@@ -561,7 +565,11 @@ def _entries_many(jacs):
     else:
         return None
     lo, hi = _SCALE_RANGE
-    return (lo < s) & (s < hi), s, cols
+    ok = (lo < s) & (s < hi)
+    if len(cols) == 1:
+        return ok, s, cols[0]
+    with np.errstate(all="ignore"):  # rows outside the range are redone
+        return (ok,) + _scaled(np, s, *cols)
 
 
 def _lapack_extremes(jac):
@@ -594,19 +602,21 @@ def _extremes(jac, closed):
     return abs(_det(a, b, c, d)) / smax * scale, smax * scale
 
 
-def singular_extremes_many(jacs):
+def singular_extremes_many(jacs, closed=None):
     """singular_extremes of each matrix of an (N, m, n) stack, as two
-    (N,) arrays; row i equals singular_extremes(jacs[i]) bitwise."""
+    (N,) arrays; row i equals singular_extremes(jacs[i]) bitwise. A
+    caller that also solves with the stack passes its _closed_forms."""
     jacs = np.asarray(jacs, dtype=float)
-    got = _entries_many(jacs)
-    if got is None:
+    if closed is None:
+        closed = _closed_forms(jacs)
+    if closed is None:
         return _lapack_extremes(jacs)
-    ok, s, entries = got
-    if len(entries) == 1:
-        smin, smax = s, s.copy()
+    ok = closed[0]
+    if len(closed) == 3:
+        smin, smax = closed[1].copy(), closed[1].copy()
     else:
+        scale, a, b, c, d = closed[1:]
         with np.errstate(all="ignore"):  # rows outside the range are redone
-            scale, a, b, c, d = _scaled(np, s, *entries)
             smax = _smax(np, a, b, c, d)
             smin = abs(_det(a, b, c, d)) / smax * scale
             smax = smax * scale
@@ -627,12 +637,12 @@ def det_sign(jac):
 def det_sign_many(jacs):
     """det_sign of each matrix of an (N, n, n) stack, as an (N,) array."""
     jacs = np.asarray(jacs, dtype=float)
-    got = _entries_many(jacs)
-    if got is None:
+    closed = _closed_forms(jacs)
+    if closed is None:
         return np.linalg.slogdet(jacs)[0]
-    ok, s, entries = got
+    ok = closed[0]
     with np.errstate(all="ignore"):
-        det = entries[0] if len(entries) == 1 else _det(*_scaled(np, s, *entries)[1:])
+        det = closed[2] if len(closed) == 3 else _det(*closed[2:])
     sign = np.sign(det)
     if not ok.all():
         sign[~ok] = np.linalg.slogdet(jacs[~ok])[0]
@@ -662,22 +672,24 @@ def _solve(jac, closed, r):
     return [(d * r0 - b * r1) / det, (a * r1 - c * r0) / det]
 
 
-def linear_solve_many(jacs, rhs):
+def linear_solve_many(jacs, rhs, closed=None):
     """linear_solve for each matrix of an (N, n, n) stack and row of an
     (N, n) block of right-hand sides, as an (N, n) block; row i equals
     linear_solve(jacs[i], rhs[i]) bitwise. Raises
-    numpy.linalg.LinAlgError when any matrix is singular."""
+    numpy.linalg.LinAlgError when any matrix is singular. A caller that
+    also took the stack's singular values passes its _closed_forms."""
     jacs = np.asarray(jacs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    got = _entries_many(jacs)
-    if got is None:
+    if closed is None:
+        closed = _closed_forms(jacs)
+    if closed is None:
         return np.linalg.solve(jacs, rhs[:, :, None])[:, :, 0]
-    ok, s, entries = got
+    ok = closed[0]
     with np.errstate(all="ignore"):
-        if len(entries) == 1:
-            x = rhs / entries[0][:, None]
+        if len(closed) == 3:
+            x = rhs / closed[2][:, None]
         else:
-            scale, a, b, c, d = _scaled(np, s, *entries)
+            scale, a, b, c, d = closed[1:]
             det = _det(a, b, c, d)
             if (det[ok] == 0.0).any():
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -886,15 +898,18 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
             jac, faulted = f._jacobians_block(x[rows])
             stop(rows[faulted], DOMAIN, it)
             rows, jac = rows[~faulted], jac[~faulted]
-            smin, smax = singular_extremes_many(jac)
+            closed = _closed_forms(jac)
+            smin, smax = singular_extremes_many(jac, closed)
             done = r[rows] <= tol
             singular = ~done & (smin <= SINGULAR_RTOL * np.maximum(smax, 1.0))
             stop(rows[done], CONVERGED, it)
             stop(rows[singular], SINGULAR, it)
             move = ~(done | singular)
             rows, jac = rows[move], jac[move]
+            if closed is not None:
+                closed = tuple(col[move] for col in closed)
             residual_vec = f.codomain.canonical(fx[rows] - y)
-            step = linear_solve_many(jac, -residual_vec)
+            step = linear_solve_many(jac, -residual_vec, closed)
             trials = x[rows, None] + _LAMBDAS[:, None] * step[:, None]
             trials = f.domain.canonical(trials.reshape(-1, n)).reshape(trials.shape)
             k, fx_k, r_k, all_faulted = _line_search(f, y, trials, r[rows])
@@ -921,14 +936,14 @@ def _trial_value(f, y, p):
 
 def _block_values(f, y, pts):
     """Values of f at the rows of pts, their distances to y, and the
-    mask of rows outside the domain or faulting (distance +inf)."""
-    vals = np.full((pts.shape[0], f.codomain.dim), np.nan)
-    dist = np.full(pts.shape[0], np.inf)
-    ok = f.domain.contains_many(pts)
-    vals[ok], faulted = f._values_block(pts[ok])
-    ok[ok] = ~faulted
-    dist[ok] = f.codomain.distance_many(vals[ok], y[None, :])
-    return vals, dist, ~ok
+    mask of rows outside the domain or faulting (distance +inf, value
+    not to be read). The whole block is evaluated, then masked once."""
+    vals, faulted = f._values_block(pts)
+    bad = faulted | ~f.domain.contains_many(pts)
+    # a masked row measures y to y, which cannot warn, then reads +inf
+    dist = f.codomain.distance_many(np.where(bad[:, None], y, vals), y[None, :])
+    dist[bad] = np.inf
+    return vals, dist, bad
 
 
 def _line_search(f, y, trials, r):

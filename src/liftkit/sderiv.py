@@ -94,13 +94,12 @@ def _shell_ratios(f, c, fc, rho, dirs):
     where z leaves the domain or faults, or the quotient is not finite
     (a distance overflows, say)."""
     pts = c + rho * dirs
-    ok = f.domain.contains_many(pts)
-    vals = np.full((pts.shape[0], f.dim_out), np.nan)
-    vals[ok] = f._values_block(pts[ok])[0]  # NaN or inf where a point faults
+    vals, faulted = f._values_block(pts)
+    bad = faulted | ~f.domain.contains_many(pts)
     with np.errstate(all="ignore"):  # an overflowing distance is inf
         dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
         r = dc / f.domain.distance_many(pts, np.broadcast_to(c, pts.shape))
-    return np.where(np.isnan(r), np.inf, r)
+    return np.where(bad | np.isnan(r), np.inf, r)
 
 
 def _shell_grid(f, c, fc, dirs, radii=None):

@@ -6,12 +6,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liftkit.errors import EvalDomainError, ParseError
 from liftkit.exprlang import (
     FUNCTION_NAMES,
+    Num,
+    _generate,
+    compile_map,
     eval_ast,
     jacobian_ad,
     parse,
@@ -20,6 +23,7 @@ from liftkit.exprlang import (
     substitute,
 )
 from liftkit.hadamard import ExpressionWeight
+from liftkit.mapdef import resolve_map
 
 
 def test_tuple_source_yields_two_components():
@@ -498,3 +502,96 @@ def test_variable_exponent_at_a_non_positive_base():
     assert _fault(lambda: jacobian_ad([a], [[2.0, 2.0], [-1.0, 2.0]])) == fault
     b = parse_single("(0-1)^x", ("x",))
     assert _fault(lambda: jacobian_ad([b], [2.0])) == (fault[0], (0, 7))
+
+
+# ---------------------------------------------------------------------------
+# What the generator writes: each value once, a block's finiteness tests
+# only where a fault could hide
+
+
+def _written(source, block, derivatives):
+    """The source of the generated function of source's components."""
+    return _generate(parse(source, ("x", "y")), block, derivatives).source
+
+
+@pytest.mark.parametrize("derivatives", [False, True], ids=["values", "jacobian"])
+def test_polar_exp_block_forms_call_each_function_once(derivatives):
+    # exp(x) is one subtree of both components, and the tangents of
+    # cos(y) and sin(y) read the sin(y) and cos(y) the values compute
+    text = _written("(exp(x)*cos(y), exp(x)*sin(y))", True, derivatives)
+    assert [text.count(fn + "(") for fn in ("_exp", "_sin", "_cos")] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+def test_the_annulus_predicate_squares_each_coordinate_once(block):
+    text = _written(resolve_map("powk(3)").domain.source, block, False)
+    assert (text.count("x0 * x0"), text.count("x1 * x1")) == (1, 1)
+
+
+def test_a_block_tests_finiteness_only_where_a_fault_could_hide():
+    # 7 values, each tested at a point; on a block a non-finite value
+    # stays non-finite through -, *, + and sin up to the first root, the
+    # one value tested (y, the second root, is a variable), and the power
+    # keeps its test for a complex value of Python floats
+    source = "(x*x - 3*x*y^2 + sin(x), y)"
+    point = _written(source, False, False).splitlines()
+    block = _written(source, True, False).splitlines()
+    assert sum("raise _E" in line for line in point) == 7
+    assert sum("_isfinite" in line for line in block) == 1
+    assert sum("is complex" in line for line in block) == 1
+
+
+def test_components_differing_in_a_zero_literals_sign_keep_their_sign_bits():
+    # Num(0.0) == Num(-0.0), yet x * 0.0 and x * -0.0 are two subtrees
+    a = parse_single("x * z", ("x", "z"))
+    comps = [substitute(a, "z", Num(0.0)), substitute(a, "z", Num(-0.0))]
+    row = [[0.0, 0.0], [-0.0, 0.0]], [[False, False], [True, False]]
+    assert _bits(jacobian_ad(comps, [1.0, 2.0])) == row
+    assert _bits(jacobian_ad(comps, [[1.0, 2.0], [3.0, 4.0]])) == (
+        [row[0], row[0]], [row[1], row[1]]
+    )
+    assert _bits([eval_ast(c, [1.0, 2.0]) for c in comps]) == ([0.0, -0.0], [False, True])
+
+
+def test_a_repeated_subexpression_faults_where_it_first_occurs():
+    a = parse_single("log(x) + log(x)", ("x",))
+    fault = ("log of a non-positive number", (0, 6))
+    assert _fault(lambda: eval_ast(a, [-1.0])) == fault
+    assert _fault(lambda: eval_ast(a, [np.array([1.0, -1.0])])) == fault
+    assert _fault(lambda: jacobian_ad([a], [-1.0])) == fault
+    assert _fault(lambda: jacobian_ad([a], [[1.0], [-1.0]])) == fault
+    # across components too: the first component's log
+    comps = parse("(1 + log(x), log(x))", ("x",))
+    assert _fault(lambda: jacobian_ad(comps, [-1.0])) == (fault[0], (5, 11))
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+@given(
+    left=_TREES,
+    right=_TREES,
+    rows=st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=6),
+)
+# an overflow to +-inf at some rows that exp, atan, tanh, max, a power's
+# base (-inf^0) or its exponent (0.5^inf) or a divisor turns finite
+@example(left="(x * 1e300 * 1e300)", right="y", rows=[(1.0, 1.0), (-1.0, 0.0), (0.0, 2.0)])
+@example(left="0.5", right="(x * 1e300 * 1e300)", rows=[(1.0, 1.0), (-1.0, 0.0), (0.0, 2.0)])
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_block_masks_mark_the_rows_the_point_form_faults_at(root, left, right, rows):
+    """On blocks of several rows, the mask of the block values form and
+    the faulting rows of the block Jacobian form are the rows where the
+    point forms fault, except where rounding decides the outcome. A block
+    form tests finiteness only where a fault could hide; this guards
+    that."""
+    a = parse_single(_rooted(root, left, right), ("x", "y"))
+    pts = np.array(rows)
+    with np.errstate(all="ignore"):
+        _, bad = _generate((a,), True, False)(*pts.T)
+    values = np.broadcast_to(bad, (len(rows),))
+    jacobian = ~np.isfinite(compile_map([a]).jacobian_many(pts)).all(axis=(1, 2))
+    for p, value_fault, jacobian_fault in zip(rows, values, jacobian):
+        p = list(p)
+        point_faults = (
+            _outcome(lambda: eval_ast(a, p))[0] == "fault",
+            isinstance(_outcome_row(lambda: jacobian_ad([a], p))[0], str),
+        )
+        assert point_faults == (value_fault, jacobian_fault) or not _steady(a, p)

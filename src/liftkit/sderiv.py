@@ -97,8 +97,8 @@ def _shell_ratios(f, c, fc, rho, dirs):
     vals, faulted = f._values_block(pts)
     bad = faulted | ~f.domain.contains_many(pts)
     with np.errstate(all="ignore"):  # an overflowing distance is inf
-        dc = f.codomain.distance_many(vals, np.broadcast_to(fc, vals.shape))
-        r = dc / f.domain.distance_many(pts, np.broadcast_to(c, pts.shape))
+        dc = f.codomain.distance_many(vals, fc[None, :])
+        r = dc / f.domain.distance_many(pts, c[None, :])
     return np.where(bad | np.isnan(r), np.inf, r)
 
 

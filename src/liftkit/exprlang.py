@@ -19,7 +19,9 @@ evaluation by generated code" below).
 Evaluation is strict about domains: log or sqrt of a negative number,
 division by zero, and non-finite intermediates raise EvalDomainError
 instead of propagating NaN or infinity, except in a CompiledMap's block
-forms, which mark each faulting row NaN.
+forms, which mark each faulting row NaN. A Jacobian form computes, and
+so tests, only the values its derivatives read, and the values whose
+operation can fault on finite arguments other than by overflow.
 """
 
 from __future__ import annotations
@@ -406,10 +408,23 @@ def parse_single(source, variables=None):
 # sqrt and abs, so it is tested where it reaches a root or an operation
 # that can turn it finite (a divisor, including a tangent rule's; the
 # arguments of exp, atan, tanh, min and max; the operands of a select
-# test; both sides of a power), and a power keeps its test for a complex
-# value of Python floats. A variable, a constant, or a min or max of those
-# is never tested: its first use is. The
-# source holds only generated names, operators, the literals 0.0, 1.0
+# test; both sides of a power; the argument abs's tangent reads), and a
+# power keeps its test for a complex value of Python floats. A variable,
+# a constant, or a min or max of those is never tested: its first use is.
+#
+# Jacobian forms keep only what a derivative reads: a backward pass over
+# the written lines (_Writer.needed) keeps a line where the returned
+# tangent parts, or a line kept after it, read what it assigns, and a
+# value's test where its value is computed. So a value no tangent rule
+# reads (a root's, or the y^3 under x + y^3) is neither computed nor
+# tested, and the Jacobian exists where only such a value overflows. A
+# value whose operation can fault on finite arguments other than by
+# overflow keeps its line and its test: log and sqrt (a bad argument),
+# a division (by zero) and a power whose exponent is not a literal
+# integer >= 0 (a complex value, or a pole at a zero base). The returned
+# parts are tested by the point form's last line and by a block's caller.
+#
+# The source holds only generated names, operators, the literals 0.0, 1.0
 # and 2.0, and the library names below; numbers and nodes are bound in
 # the function's namespace, never printed (1e999 parses to inf, whose
 # repr is not a literal).
@@ -466,6 +481,11 @@ _HEADER = "def _generated(%s):\n    try:\n"
 _FOOTER = "\n    except _CAUGHT as err:\n        %s\n"
 # the source line of the body's first line
 _FIRST_LINE = _HEADER.count("\n") + 1
+# the locals of generated code: values v, tangent parts t, factors k,
+# ratios q, select tests y and a block's mask _m (variables x, literals
+# _c and library names are never assigned)
+_LOCAL = re.compile(r"\b(?:[vkqy]\d+|t\d+_\d+|_m)\b")
+_ASSIGNMENT = re.compile(r"(\w+) = (.*)")
 
 
 class _Writer:
@@ -477,16 +497,17 @@ class _Writer:
         self.n = n
         self.block = block
         self.derivatives = derivatives
+        # (text, owner, the names it may assign, the names it reads, the
+        # value it tests or None, whether that test needs the value tested)
         self.lines = []
-        self.owners = []
         self.owner = None
         self.count = 0
         # the names of literals, library calls and subtrees, by their keys
         self.known = {}
-        # on a block: line index -> the value its finiteness test tests,
-        # and the values that need one (see source)
-        self.tests = {}
+        # the values a block tests (see source), and the values a Jacobian
+        # form computes though no tangent rule reads them (see pin)
         self.tested = set()
+        self.pinned = set()
         self.namespace = {name: forms[block] for name, forms in _LIBRARY.items()}
         self.namespace.update(
             _np=np,
@@ -500,9 +521,16 @@ class _Writer:
         if block:
             self.write("_m = False")
 
-    def write(self, template, *names):
-        self.lines.append("        " + template % names)
-        self.owners.append(self.owner)
+    def write(self, template, *names, sets=(), test=None, guarded=False):
+        """Append a line: an assignment "name = ...", a select of the names
+        sets, a test of the value test (on a block, only where the value
+        is tested, if guarded), or a line kept whatever it reads."""
+        text = template % names
+        assignment = _ASSIGNMENT.fullmatch(text)
+        if assignment:
+            sets = (assignment.group(1),)
+        reads = _LOCAL.findall(assignment.group(2) if assignment else text)
+        self.lines.append(("        " + text, self.owner, sets, reads, test, guarded))
 
     def new(self):
         self.count += 1
@@ -555,18 +583,28 @@ class _Writer:
         is into the mask _m, a test source keeps only if v needs it."""
         if self.block:
             if power:
-                self.write("if type(%s) is complex: raise _E", v)
-            self.tests[len(self.lines)] = v
-            self.write("if not _isfinite(%s).all(): _m = _m | ~_isfinite(%s)", v, v)
+                self.write("if type(%s) is complex: raise _E", v, test=v)
+            self.write(
+                "if not _isfinite(%s).all(): _m = _m | ~_isfinite(%s)", v, v,
+                test=v, guarded=True,
+            )
         elif power:
-            self.write("if not _isfinite(%s): raise _E", v)
+            self.write("if not _isfinite(%s): raise _E", v, test=v)
         elif point:
-            self.write("if %s - %s: raise _E", v, v)
+            self.write("if %s - %s: raise _E", v, v, test=v)
 
     def guard(self, *names):
         """The values names feed an operation that can turn a non-finite
         value finite: on a block, they need their tests."""
         self.tested.update(names)
+
+    def pin(self, v):
+        """v's operation can fault on finite arguments other than by
+        overflow: a Jacobian form computes and tests v though no tangent
+        rule reads it (a values form computes every value)."""
+        if self.derivatives:
+            self.pinned.add(v)
+            self.tested.add(v)
 
     def require(self, ok, message):
         """Fault with message where the elementwise test ok fails."""
@@ -585,9 +623,8 @@ class _Writer:
             for name, value in pairs:
                 self.write("%s = _np.where(%s, %s, %s)", name, y, value, name)
         else:
-            self.write("if %s:", test)
-            for name, value in pairs:
-                self.write("    %s = %s", name, value)
+            assign = "; ".join("%s = %s" % pair for pair in pairs)
+            self.write("if %s: %s", test, assign, sets=tuple(name for name, _ in pairs))
 
     def source(self, roots):
         """The function's text, returning the values of roots [(value,
@@ -605,21 +642,42 @@ class _Writer:
                 self.write("if %s: _nonfinite(%s)", test, result)
         else:
             result = "[%s]" % ", ".join(v for v, _, _ in roots)
-        if self.block:
             # a non-finite value reaches a root, or a guarded value, only
             # through values that stay non-finite, so only those are tested
             self.guard(*(v for v, _, _ in roots))
-            drop = {i for i, v in self.tests.items() if v not in self.tested}
-            self.lines = [line for i, line in enumerate(self.lines) if i not in drop]
-            self.owners = [o for i, o in enumerate(self.owners) if i not in drop]
-            self.write("return %s, _m", result)
+        if self.block:
+            result += ", _m"
             # a constant subtree's fault faults a block's every row
             footer = "return (), True"
         else:
-            self.write("return %s", result)
             footer = "raise _fault(err) from None"
+        lines = self.needed(result)
+        self.owners = [owner for _, owner in lines]
+        body = [text for text, _ in lines] + ["        return " + result]
         names = ", ".join("x%d" % i for i in range(self.n))
-        return _HEADER % names + "\n".join(self.lines) + _FOOTER % footer
+        return _HEADER % names + "\n".join(body) + _FOOTER % footer
+
+    def needed(self, result):
+        """The (text, owner) of the lines to keep, by a backward pass from
+        result: a line assigning what result, a later kept line or a
+        pinned value reads; a line that assigns nothing (a require, the
+        point's derivative test); and a test of a value some kept line
+        computes (of a tested one where the test is guarded). A values
+        form keeps every line."""
+        live = set(_LOCAL.findall(result)) | self.pinned
+        kept, computed = set(), set()
+        for i in reversed(range(len(self.lines))):
+            _, _, sets, reads, test, _ = self.lines[i]
+            if test is None and (not sets or not live.isdisjoint(sets)):
+                kept.add(i)
+                computed.update(sets)
+                live.difference_update(sets)
+                live.update(reads)
+        return [
+            (text, owner)
+            for i, (text, owner, _, _, test, guarded) in enumerate(self.lines)
+            if i in kept or test in computed and (not guarded or test in self.tested)
+        ]
 
     def log(self, a):
         """numpy's log of a, at a point too, as the block takes it."""
@@ -663,6 +721,13 @@ def _literal(node):
     return None
 
 
+def _natural(node):
+    """Whether node is a literal integer >= 0, a power by which has no
+    complex value and no pole."""
+    value = _literal(node)
+    return value is not None and value >= 0 and float(value).is_integer()
+
+
 def _emit(w, node):
     """Write the code of node's subtree, arguments first, unless the writer
     knows it. Returns the name of its value, its tangent and whether the
@@ -697,6 +762,8 @@ def _operation(w, node, op, args):
         (a, da, _), (b, db, _) = args
         w.guard(*{"/": (b,), "^": (a, b)}.get(op, ()))
         w.write("%s = %s %s %s", v, a, _BINARY[op][1], b)
+        if op == "/" or op == "^" and not _natural(node.right):
+            w.pin(v)
         w.check(v, power=op == "^")
         tangent = _binary_tangent(w, k, node, a, b, v, da, db) if any(da + db) else da
         return v, tangent, False
@@ -709,6 +776,8 @@ def _operation(w, node, op, args):
         w.write("%s = -%s", v, a)
     else:
         v = w.call("_" + op, a)
+    if op in _FAULT_MESSAGES:
+        w.pin(v)
     w.check(v, point=raw)
     return v, _unary_tangent(w, k, op, a, v, da) if any(da) else da, False
 
@@ -796,6 +865,9 @@ def _unary_tangent(w, k, fn, a, v, da):
         w.write("%s = 2.0 * %s", factor, v)
         w.select("%s == 0" % v, [(factor, "1.0")])
         return w.parts(k, lambda p: "%s / %s" % (p, factor), da)
+    if fn == "abs":
+        # copysign and a != 0 turn a non-finite a finite
+        w.guard(a)
     template, op = _UNARY[fn]
     calls = {g: w.call("_" + g, a) for g in ("sin", "cos") if "(%s)" % g in template}
     w.write("%s = " + template % dict(calls, a=a, v=v), factor)

@@ -461,7 +461,7 @@ def analyze_trace(trace, weight=None, x0_anchor=None, domain_space=None):
     )
     weighted = None
     if weight is not None:
-        dists = space.distance_many(xs, np.broadcast_to(anchor, xs.shape))
+        dists = space.distance_many(xs, anchor[None, :])
         w_vals = np.array([float(weight(d)) for d in dists])
         weighted = float((dm * w_vals).min())
     return TraceAnalysis(

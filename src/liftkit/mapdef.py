@@ -2,16 +2,13 @@
 the small-matrix kernel, and a damped Newton local solver.
 
 A MapHandle bundles a map between two spaces with its exact Jacobian:
-a closed-form formula for a built-in map, hand-written Jacobian
-expressions (jacobian_source), or forward-mode automatic
-differentiation of an expression map's components.
+hand-written Jacobian expressions (jacobian_source), or forward-mode
+automatic differentiation of an expression map's components.
 
-A built-in map is written once as a value formula and a Jacobian
-formula, formula(m, *coords), which call their functions as m.exp,
-m.cos, ...; the same formula evaluates one point over Python floats
-with math and a block of points over numpy columns (_pointwise). An
-expression map calls the functions exprlang generates from its
-components (exprlang.compile_map).
+A built-in map is an expression map: one row of _BUILTINS, its
+expression source and domain. Every expression map calls the functions
+exprlang generates from its components (exprlang.compile_map), so a
+built-in and the same source typed as an expression are one map.
 
 Blocks are masked, not refused: a block callable returns every row, a
 row it cannot evaluate non-finite (see MapHandle), and batched callers
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +62,10 @@ __all__ = [
     "linear_solve_many",
 ]
 
-# Annulus bounds for the complex power maps.
+# Annulus bounds for the complex power maps, and their largest |k|.
 ANNULUS_INNER = 0.5
 ANNULUS_OUTER = 2.0
+POWK_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,10 @@ class MapHandle:
     eval_one and jac_one are the point protocol: they take one point as
     a sequence of dim_in Python floats and return dim_out floats, or
     dim_out rows of dim_in floats, and may raise at a fault; they agree
-    bitwise with a row of the block callables wherever both are
-    finite, and _value, _jacobian and _newton keep their points as
-    floats. eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
+    with a row of the block callables wherever both are finite, up to
+    the last places where math's and numpy's functions round apart, and
+    _value, _jacobian and _newton keep their points as floats.
+    eval_many_fn and jac_many_fn are block callables: on an (N, dim_in)
     block they return all N values or Jacobians, a row they cannot
     evaluate holding a non-finite entry, without raising or warning (each
     sets numpy's error state for its own operations). The kernels
@@ -214,180 +212,85 @@ def _annulus(inner, outer):
     )
 
 
-def _exp(v):
-    """math.exp with overflow reported as a DomainError."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise DomainError("exp overflow") from None
-
-
-# The functions a formula calls as m.<name> at one point: math's, over
-# Python floats, except that exp overflow is a DomainError, and arctan
-# keeps numpy's name (numpy 1.x has no atan).
-_FLOATS = types.SimpleNamespace(
-    exp=_exp, log=math.log, cos=math.cos, sin=math.sin, arctan=math.atan
-)
-
-
-def _pointwise(formula, shape):
-    """The one-point and the batched callable of formula(m, *coords),
-    which returns the entries, or the rows of entries, of a shape array,
-    each entry a scalar or a column.
-
-    One point runs it with m = _FLOATS over Python floats and returns its
-    floats. A float power that overflows raises OverflowError there, so
-    the point runs again over numpy scalars, which overflow to inf as a
-    block does (the handle refuses that, unless it ends finite as in
-    1 / (1 + inf)). A block runs it once with m = numpy over its columns.
-    """
-    slots = [(slice(None),) + index for index in np.ndindex(*shape)]
-
-    def one(c):
-        try:
-            return formula(_FLOATS, *c)
-        except OverflowError:
-            with np.errstate(all="ignore"):
-                return np.array(formula(np, *np.array(c, dtype=float))).tolist()
-
-    def many(P):
-        with np.errstate(all="ignore"):
-            got = formula(np, *P.T)
-        if len(shape) == 2:
-            got = [entry for row in got for entry in row]
-        out = np.empty((P.shape[0],) + shape)
-        for slot, entry in zip(slots, got):
-            out[slot] = entry
-        return out
-
-    return one, many
-
-
-def _builtin(name, domain, codomain, value, jacobian):
-    """An analytic MapHandle from its value and Jacobian formulas."""
-    ev, ev_many = _pointwise(value, (codomain.dim,))
-    jac, jac_many = _pointwise(jacobian, (codomain.dim, domain.dim))
-    return MapHandle(name, domain, codomain, ev, ev_many, jac, jac_many)
-
-
-def _make_identity(n=2):
-    n = int(n)
+def _identity(n=2):
     space = Euclidean(n)
-    eye = np.eye(n).tolist()
-    return _builtin("identity(%d)" % n, space, space, lambda m, *c: c, lambda m, *c: eye)
+    names = ["x%d" % i for i in range(space.dim)]
+    source = "(%s)" % ", ".join(names)
+    return expression_map(source, names, space, space, name="identity(%d)" % space.dim)
 
 
-def _make_shear3():
-    return _builtin(
-        "shear3", Euclidean(2), Euclidean(2),
-        lambda m, x, y: (x + y**3, y),
-        lambda m, x, y: ((1.0, 3.0 * y**2), (0.0, 1.0)),
-    )
+def _power(v, e):
+    """v^e as a product, which numpy computes without calling pow."""
+    return v if e == 1 else "(%s)" % "*".join([v] * e)
 
 
-def _make_shear3_inv():
-    return _builtin(
-        "shear3_inv", Euclidean(2), Euclidean(2),
-        lambda m, x, y: (x - y**3, y),
-        lambda m, x, y: ((1.0, -3.0 * y**2), (0.0, 1.0)),
-    )
+def _powk_source(k):
+    """The components of z^k, z = x + iy, for an integer k != 0: the real
+    and imaginary parts of the binomial expansion of z^|k|, written as
+    products; for k < 0 conjugated and over (x*x + y*y)^|k|."""
+    n = abs(k)
+    parts = ["", ""]
+    for j in range(n + 1):
+        # C(n, j) x^(n-j) (iy)^j, whose i^j is 1, i, -1, -i
+        factors = [str(math.comb(n, j))] if 0 < j < n else []
+        factors += [_power("x", n - j)] if j < n else []
+        factors += [_power("y", j)] if j else []
+        negative = (j % 4 >= 2) != (k < 0 and j % 2 == 1)
+        if parts[j % 2]:
+            parts[j % 2] += " - " if negative else " + "
+        elif negative:
+            parts[j % 2] = "-"
+        parts[j % 2] += "*".join(factors)
+    if k > 0:
+        return "(%s, %s)" % tuple(parts)
+    modulus = "*".join(["(x*x + y*y)"] * n)
+    return "((%s) / (%s), (%s) / (%s))" % (parts[0], modulus, parts[1], modulus)
 
 
-def _make_expmap():
-    return _builtin(
-        "expmap", Euclidean(1), Euclidean(1),
-        lambda m, x: (m.exp(x),),
-        lambda m, x: ((m.exp(x),),),
-    )
-
-
-def _make_logmap():
-    return _builtin(
-        "logmap", subset_from_expression(Euclidean(1), "x"), Euclidean(1),
-        lambda m, x: (m.log(x),),
-        lambda m, x: ((1.0 / x,),),
-    )
-
-
-def _make_polar_exp():
-    def value(m, x, y):
-        r = m.exp(x)
-        return r * m.cos(y), r * m.sin(y)
-
-    def jacobian(m, x, y):
-        r = m.exp(x)
-        cs, sn = m.cos(y), m.sin(y)
-        return (r * cs, -r * sn), (r * sn, r * cs)
-
-    return _builtin("polar_exp", Euclidean(2), Euclidean(2), value, jacobian)
-
-
-def _make_powk(k):
-    k = int(k)
-    if k == 0:
-        raise InputError("powk needs a nonzero integer exponent")
-    try:
-        image = _annulus(*sorted((ANNULUS_INNER**k, ANNULUS_OUTER**k)))
-    except OverflowError:
-        raise InputError("powk(%d): the image annulus overflows" % k) from None
-
-    # z = x + iy: Python's complex product at one point, numpy's on blocks
-    def value(m, x, y):
-        z = (x + 1j * y) ** k
-        return z.real, z.imag
-
-    def jacobian(m, x, y):
-        w = k * (x + 1j * y) ** (k - 1)
-        return (w.real, -w.imag), (w.imag, w.real)
-
+def _powk(k):
+    # the expansion's terms sum to at most 2^(|k|/2) |z|^|k|, so its
+    # rounding error relative to |z^k| grows like |k| 2^(|k|/2) ulps
+    if not 1 <= abs(k) <= POWK_MAX:
+        raise InputError("powk takes an integer k with 1 <= |k| <= %d" % POWK_MAX)
     domain = _annulus(ANNULUS_INNER, ANNULUS_OUTER)
-    return _builtin("powk(%d)" % k, domain, image, value, jacobian)
+    image = _annulus(*sorted((ANNULUS_INNER**k, ANNULUS_OUTER**k)))
+    return expression_map(_powk_source(k), None, domain, image, name="powk(%d)" % k)
 
 
-def _make_arctan():
-    return _builtin(
-        "arctan", Euclidean(1), Euclidean(1),
-        lambda m, x: (m.arctan(x),),
-        lambda m, x: ((1.0 / (1.0 + x**2),),),
-    )
-
-
-def _make_inclusion():
-    return _builtin(
-        "inclusion", Euclidean(1), Euclidean(2),
-        lambda m, x: (x, 0.0),
-        lambda m, x: ((1.0,), (0.0,)),
-    )
-
-
-def _make_cubic_implicit():
-    return _builtin(
-        "cubic_implicit", Euclidean(2), Euclidean(1),
-        lambda m, x, y: (y**3 + y - x,),
-        lambda m, x, y: ((-1.0, 3.0 * y**2 + 1.0),),
-    )
-
-
-_BUILTIN_FACTORIES = {
-    "identity": _make_identity,
-    "shear3": _make_shear3,
-    "shear3_inv": _make_shear3_inv,
-    "expmap": _make_expmap,
-    "logmap": _make_logmap,
-    "polar_exp": _make_polar_exp,
-    "powk": _make_powk,
-    "arctan": _make_arctan,
-    "inclusion": _make_inclusion,
-    "cubic_implicit": _make_cubic_implicit,
+# The built-in maps: name -> (expression source, domain), the domain None
+# for the Euclidean space of the source's variables; identity(n) and
+# powk(k) make their maps from their argument.
+_BUILTINS = {
+    "identity": _identity,
+    "shear3": ("(x + y^3, y)", None),
+    "shear3_inv": ("(x - y^3, y)", None),
+    "expmap": ("exp(x)", None),
+    "logmap": ("log(x)", subset_from_expression(Euclidean(1), "x")),
+    "polar_exp": ("(exp(x)*cos(y), exp(x)*sin(y))", None),
+    "powk": _powk,
+    "arctan": ("atan(x)", None),
+    "inclusion": ("(x, 0)", None),
+    "cubic_implicit": ("y^3 + y - x", None),
 }
 
-# which factories require an argument
+
+def _builtin(name, *arg):
+    """The built-in map name, of its argument if it takes one."""
+    row = _BUILTINS[name]
+    if callable(row):
+        return row(*arg)
+    if arg:
+        raise InputError("built-in %s takes no argument" % name)
+    source, domain = row
+    return expression_map(source, domain=domain, name=name)
+
+
+# the built-ins that require an argument
 _NEEDS_ARG = {"powk"}
-_OPTIONAL_ARG = {"identity"}
 
 
 def builtin_names():
-    return sorted(_BUILTIN_FACTORIES)
+    return sorted(_BUILTINS)
 
 
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)$")
@@ -467,16 +370,13 @@ def resolve_map(spec, registry=None):
     if not isinstance(spec, str):
         raise InputError("map spec must be a string or MapHandle")
     text = spec.strip()
-    if text in _BUILTIN_FACTORIES:
+    if text in _BUILTINS:
         if text in _NEEDS_ARG:
             raise InputError("%s needs an argument, e.g. %s(2)" % (text, text))
-        return _BUILTIN_FACTORIES[text]()
+        return _builtin(text)
     m = _CALL_RE.match(text)
-    if m and m.group(1) in _BUILTIN_FACTORIES:
-        name, arg = m.group(1), int(m.group(2))
-        if name in _NEEDS_ARG or name in _OPTIONAL_ARG:
-            return _BUILTIN_FACTORIES[name](arg)
-        raise InputError("built-in %s takes no argument" % name)
+    if m and m.group(1) in _BUILTINS:
+        return _builtin(m.group(1), int(m.group(2)))
     if registry is not None and registry.has_map(text):
         return registry.get_map(text)
     if re.match(r"^[A-Za-z_][A-Za-z_0-9]*$", text) and text not in ("x", "y", "z", "w", "t"):
@@ -484,7 +384,7 @@ def resolve_map(spec, registry=None):
         # not an expression
         raise InputError(
             "unknown map %r; built-ins: %s"
-            % (text, ", ".join(sorted(_BUILTIN_FACTORIES)))
+            % (text, ", ".join(sorted(_BUILTINS)))
         )
     return expression_map(text)
 

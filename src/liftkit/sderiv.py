@@ -81,7 +81,7 @@ def region_d_pm(f, pts, center, radius=np.inf):
     scalar or one per point) whose Jacobian evaluates, so a faulting
     point is dropped as one outside the domain; d_pm at the kept ones."""
     pts = f.domain.canonical(pts)
-    d = f.domain.distance_many(pts, np.broadcast_to(center, pts.shape))
+    d = f.domain.distance_many(pts, center[None, :])
     ok = f.domain.contains_many(pts) & (d <= radius * (1.0 + 1e-12))
     jac, faulted = f._jacobians_block(pts[ok])
     ok[ok] = ~faulted

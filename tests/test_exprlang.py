@@ -378,7 +378,9 @@ def test_an_infinite_literal_faults_where_it_is_first_used(source, fault):
     a = parse_single(source, ("x",))
     assert _fault(lambda: eval_ast(a, [1.0])) == fault
     assert _fault(lambda: eval_ast(a, [np.array([1.0, 2.0])])) == fault
-    assert _fault(lambda: jacobian_ad([a], [1.0])) == fault
+    # no tangent rule reads the literal or a value it feeds, so a Jacobian
+    # form computes neither, and the constant map's Jacobian exists
+    assert _both_forms(a, [1.0]) == ([0.0], [False])
 
 
 def test_min_and_max_pass_an_infinite_literal_by():
@@ -539,6 +541,40 @@ def test_a_block_tests_finiteness_only_where_a_fault_could_hide():
     assert sum("raise _E" in line for line in point) == 7
     assert sum("_isfinite" in line for line in block) == 1
     assert sum("is complex" in line for line in block) == 1
+
+
+def test_a_jacobian_form_computes_only_what_a_derivative_reads():
+    # no tangent reads the root x + y^3 or the y^3 under it (its tangent
+    # reads y): neither is computed, and no value is tested, though the
+    # point form still tests the derivative it returns
+    for block in (False, True):
+        text = _written("(x + y^3, y)", block, True)
+        assert "x0 + " not in text
+        assert "raise _E" not in text and "_isfinite" not in text
+    # powk(3)'s roots are the only differences of two values
+    difference = r"v\d+ = v\d+ - v\d+"
+    powk3 = "(x^3 - 3*x*y^2, 3*x^2*y - y^3)"
+    assert len(re.findall(difference, _written(powk3, True, False))) == 2
+    assert not re.search(difference, _written(powk3, True, True))
+
+
+def test_a_jacobian_form_keeps_values_that_fault_on_finite_arguments():
+    # log, sqrt, a division and a power that may turn complex fault
+    # without overflow, so their values are computed and tested though
+    # no tangent reads them; an overflow no tangent reads faults nothing
+    for source, at in (
+        ("x + 0*log(y)", [1.0, -1.0]),
+        ("x + 0*sqrt(y)", [1.0, -1.0]),
+        ("x + 0*(1/(y - y))", [1.0, 2.0]),
+        ("x + 0*(y^0.5)", [1.0, -1.0]),
+        ("x + 0*(y^-1)", [1.0, 0.0]),
+    ):
+        a = parse_single(source, ("x", "y"))
+        point, block = _both_forms(a, at), _fault(lambda: eval_ast(a, at))
+        assert point == block
+    assert _both_forms(parse_single("x + 0*y^3", ("x", "y")), [1.0, 1e103]) == (
+        [1.0, 0.0], [False, False]
+    )
 
 
 def test_components_differing_in_a_zero_literals_sign_keep_their_sign_bits():

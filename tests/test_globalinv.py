@@ -210,6 +210,15 @@ def test_qi_bounds_compact_set_skips_samples_whose_value_faults(spec):
     assert b.alpha_K == 0.0
 
 
+@pytest.mark.parametrize("spec", ["cubic_implicit", "y^3 + y - x"])
+def test_qi_bounds_keep_samples_whose_unread_value_overflows(spec):
+    # where y^3 overflows the Jacobian [[-1, 3y^2 + 1]] is still finite,
+    # so both forms keep every sample
+    b = quasi_isometry_bounds(resolve_map(spec), Box([0, 1e102], [1, 1e103]), n_samples=64)
+    assert b.n_samples == 69
+    assert b.beta_hat == 3e206
+
+
 @settings(max_examples=24, deadline=None)
 @given(
     k=st.sampled_from([2, -2, 3, -3]),

@@ -74,6 +74,30 @@ def test_powk_exponent_whose_annulus_overflows_rejected(spec):
         resolve_map(spec)
 
 
+@pytest.mark.parametrize("spec", ["powk(13)", "powk(-13)"])
+def test_powk_exponent_past_the_expansion_s_accuracy_rejected(spec):
+    with pytest.raises(InputError, match=r"1 <= \|k\| <= 12"):
+        resolve_map(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([k for k in range(-6, 7) if k]),
+    r=st.floats(0.51, 1.99),  # inside the 0.5 < |z| < 2 annulus
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_powk_is_z_to_the_k(k, r, theta):
+    # the expansion in products equals Python's complex power, and its
+    # Jacobian the real 2x2 form of k z^(k-1)
+    x, y = r * math.cos(theta), r * math.sin(theta)
+    f = resolve_map("powk(%d)" % k)
+    z = complex(x, y) ** k
+    assert abs(complex(*f.eval([x, y])) - z) <= 1e-13 * abs(z)
+    w = k * complex(x, y) ** (k - 1)
+    want = np.array([[w.real, -w.imag], [w.imag, w.real]])
+    assert np.abs(jacobian_at(f, [x, y]) - want).max() <= 1e-13 * abs(w)
+
+
 def test_identity_jacobian():
     f = resolve_map("identity(3)")
     jac = jacobian_at(f, np.array([5.0, -1.0, 0.5]))
@@ -160,9 +184,11 @@ def test_resolve_map_of_a_handle_takes_the_mode(shear3):
 
 
 def test_jacobians_many_rejects_non_finite_like_jacobian_at(expmap):
-    with pytest.raises(DomainError):
+    # expmap is exp(x): both raise its expression's fault
+    fault = "non-finite value in exp"
+    with pytest.raises(EvalDomainError, match=fault):
         jacobian_at(expmap, np.array([800.0]))
-    with np.errstate(over="ignore"), pytest.raises(DomainError):
+    with np.errstate(over="ignore"), pytest.raises(EvalDomainError, match=fault):
         expmap.jacobians_many(np.array([[0.0], [800.0]]))
 
 
@@ -436,9 +462,22 @@ def test_jacobians_many_checks_its_block_like_eval_many(spec):
 
 
 def test_polar_exp_overflow_is_a_domain_fault(polar_exp):
+    # the value and the Jacobian both read exp(x), which overflows
     for fn in (polar_exp.eval, lambda c: jacobian_at(polar_exp, c)):
-        with pytest.raises(DomainError, match="exp overflow"):
+        with pytest.raises(EvalDomainError, match=r"non-finite value in exp\(\)"):
             fn(np.array([800.0, 0.0]))
+
+
+def test_a_jacobian_exists_where_only_an_unread_value_overflows():
+    # y^3 overflows at y = 9e102, and no tangent reads it
+    y = 9e102
+    want = [[-1.0, 3.0 * y**2 + 1.0]]
+    for spec in ("cubic_implicit", "y^3 + y - x"):
+        f = resolve_map(spec)
+        assert jacobian_at(f, [0.5, y]).tolist() == want
+        assert f.jacobians_many(np.array([[0.5, y]])).tolist() == [want]
+        with pytest.raises(EvalDomainError, match="non-finite value in power"):
+            f.eval([0.5, y])
 
 
 def test_polar_exp_matches_formula(polar_exp):

@@ -564,14 +564,15 @@ class _Writer:
     def parts(self, k, rule, *tangents):
         """Node k's tangent: part j is rule(*the parts j of tangents),
         written to a local, and None where those are all None. A part the
-        rule hands back unchanged is not copied."""
+        rule hands back as a name (one of its parts, a value, a factor)
+        is not copied."""
         out = []
         for j, args in enumerate(zip(*tangents)):
             if not any(args):
                 out.append(None)
                 continue
             part = rule(*args)
-            if part not in args:
+            if part not in args and not part.isidentifier():
                 self.write("t%d_%d = %s", k, j, part)
                 part = "t%d_%d" % (k, j)
             out.append(part)
@@ -836,7 +837,9 @@ def _constant_power(w, k, a, b, da, integer):
     time, which may also be 0 (zero parts there). A base of 0 with a
     non-integer b has no derivative where a's tangent is nonzero."""
     factor = "k%d" % k
-    w.write("%s = %s", factor, a)
+    base = a if integer else factor
+    if not integer:  # a select below rewrites the base
+        w.write("%s = %s", factor, a)
     if integer is None:
         w.require(_still("(%s != 0) | (%s %% 1.0 == 0)" % (factor, b), da), "_POWER")
         # a base of 1 keeps b * base^(b - 1) finite where it is unused
@@ -847,7 +850,7 @@ def _constant_power(w, k, a, b, da, integer):
     elif not integer:
         w.require(_still("%s != 0" % factor, da), "_POWER")
         w.select("%s == 0" % factor, [(factor, "1.0")])
-    w.write("%s = %s * %s", factor, b, w.power(factor, "%s - 1.0" % b))
+    w.write("%s = %s * %s", factor, b, w.power(base, "%s - 1.0" % b))
     tangent = w.parts(k, lambda p: _times(factor, p), da)
     if integer is None:
         w.select("%s == 0" % b, [(part, "0.0") for part in tangent if part])
@@ -870,7 +873,11 @@ def _unary_tangent(w, k, fn, a, v, da):
         w.guard(a)
     template, op = _UNARY[fn]
     calls = {g: w.call("_" + g, a) for g in ("sin", "cos") if "(%s)" % g in template}
-    w.write("%s = " + template % dict(calls, a=a, v=v), factor)
+    text = template % dict(calls, a=a, v=v)
+    if text.isidentifier():  # exp's v, log's a, sin's cos(a): no copy
+        factor = text
+    else:
+        w.write("%s = %s", factor, text)
     if op == "*":
         return w.parts(k, lambda p: _times(factor, p), da)
     w.guard(a)

@@ -57,7 +57,19 @@ def _pnorm(diff, p, axis=-1):
     if p == math.inf:
         return diff.max(axis=axis)
     if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=axis))
+        # no square of a difference up to 1e150 overflows, nor a sum of
+        # fewer than 1e8 of them; past that (or at a NaN) a row whose
+        # squares overflow though its entries are finite is taken again
+        # divided by its largest entry, and every other row stays as is
+        if diff.size == 0 or np.maximum.reduce(diff, None) <= 1e150:
+            return np.sqrt(np.add.reduce(diff * diff, axis))
+        with np.errstate(all="ignore"):
+            norms = np.sqrt(np.add.reduce(diff * diff, axis))
+            top = diff.max(axis=axis, keepdims=True)
+            scaled = diff / top
+            top = top.squeeze(axis)
+            rescaled = top * np.sqrt(np.add.reduce(scaled * scaled, axis))
+        return np.where(np.isinf(norms) & np.isfinite(top), rescaled, norms)[()]
     if p == 1.0:
         return diff.sum(axis=axis)
     return (diff**p).sum(axis=axis) ** (1.0 / p)
@@ -77,10 +89,20 @@ def _float_sum(terms):
     return total
 
 
-def _root_sum(squares):
-    """The square root of the sum of a list of squares (Python floats),
-    as _pnorm's 2-norm sums a block's row: in order under 8 terms, by
-    numpy from 8 on."""
+def _root_sum(diffs):
+    """The 2-norm of a list of Python floats, as _pnorm takes a block's
+    row: its squares summed in order under 8 terms, by numpy from 8 on,
+    and divided by the largest |entry| where they overflow though the
+    entries are finite."""
+    norm = _sqrt_sum([d * d for d in diffs])
+    if norm == math.inf and all(map(math.isfinite, diffs)):
+        top = max(map(abs, diffs))
+        norm = top * _sqrt_sum([(d / top) * (d / top) for d in diffs])
+    return norm
+
+
+def _sqrt_sum(squares):
+    """The square root of the sum of a list of squares, as above."""
     if len(squares) < 8:
         return math.sqrt(_float_sum(squares))
     with np.errstate(over="ignore"):  # a huge sum is inf, as on floats
@@ -91,7 +113,7 @@ def chart_norm(coords):
     """The 2-norm of one point's chart coordinates (an array or a
     sequence of numbers), as a float: the row norm of points_equal, bit
     for bit."""
-    return _root_sum([v * v for v in _floats(coords)])
+    return _root_sum(_floats(coords))
 
 
 def _floats(c):
@@ -203,7 +225,10 @@ class Euclidean(Space):
 
     def distance_one(self, a, b):
         if self.p == 2.0:
-            return _root_sum([(u - v) * (u - v) for u, v in zip(a, b)])
+            norm = _sqrt_sum([(u - v) * (u - v) for u, v in zip(a, b)])
+            if norm == math.inf:  # _root_sum's rescaled form, past the fast one
+                norm = _root_sum([u - v for u, v in zip(a, b)])
+            return norm
         # float forms where numpy sums in order; other p take the block
         # form (numpy's power may round unlike libm's)
         if self.dim < 8:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError, EvalDomainError, InputError, LiftkitError
-from .exprlang import eval_ast, parse_single
+from .exprlang import Ast, Num, eval_ast, parse_single, substitute
 from .geometry import Box, Point, chart_norm
 from .sampling import sphere_directions, unit_box_points
 from .sderiv import compass_search, region_d_pm
@@ -53,6 +53,8 @@ POWER_GAMMA_BUFFER = 1.05
 POLISH_STEP = 0.05
 POLISH_MIN_STEP = 1e-6
 POLISH_ITERS = 25
+# validate_weight's grid is [0, WEIGHT_GRID_MAX]; its tail test starts there
+WEIGHT_GRID_MAX = 100.0
 NON_NECESSITY_CAVEAT = (
     "sufficient condition only: a convergent or inconclusive integral "
     "never refutes the covering property"
@@ -72,63 +74,11 @@ class Weight:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ConstantWeight(Weight):
-    c: float
-    family = "constant"
-    divergence = "divergent"
-
-    def __call__(self, delta):
-        delta = np.asarray(delta, dtype=float)
-        out = np.full(delta.shape, float(self.c))
-        return out if out.ndim else float(out)
-
-    def describe(self):
-        return "constant %g" % self.c
-
-
-@dataclass(frozen=True)
-class AffineWeight(Weight):
-    a: float
-    b: float
-    family = "affine"
-    divergence = "divergent"
-
-    def __call__(self, delta):
-        delta = np.asarray(delta, dtype=float)
-        out = self.a + self.b * delta
-        return out if out.ndim else float(out)
-
-    def describe(self):
-        return "affine %g + %g t" % (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class PowerWeight(Weight):
-    a: float
-    b: float
-    gamma: float
-    family = "power"
-
-    @property
-    def divergence(self):
-        if self.b == 0 or self.gamma <= 1.0:
-            return "divergent"
-        return "convergent"
-
-    def __call__(self, delta):
-        delta = np.asarray(delta, dtype=float)
-        out = self.a + self.b * np.power(delta, self.gamma)
-        return out if out.ndim else float(out)
-
-    def describe(self):
-        return "power %g + %g t^%g" % (self.a, self.b, self.gamma)
-
-
 class ExpressionWeight(Weight):
-    """Weight given by a formula in the single variable t. Divergence
-    of the reciprocal integral is decided numerically by
-    validate_weight, never assumed."""
+    """Weight given by a formula in the single variable t, evaluated by
+    exprlang. From source text its divergence is "unknown", and
+    validate_weight decides it numerically; each closed family below
+    binds its formula and carries its analytic ruling."""
 
     family = "expression"
 
@@ -142,7 +92,14 @@ class ExpressionWeight(Weight):
             )
         self.source = source
         self.ast = ast
-        self.divergence = "unknown"
+
+    def __post_init__(self):
+        # a closed family: its formula in t, each parameter a number
+        names = [f.name for f in fields(self)]
+        ast = parse_single(self.formula, ["t"] + names)
+        for name in names:
+            ast = substitute(ast, name, Num(getattr(self, name)))
+        object.__setattr__(self, "ast", Ast(ast.root, ("t",), self.formula))
 
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=float)
@@ -158,6 +115,47 @@ class ExpressionWeight(Weight):
 
     def __repr__(self):
         return "ExpressionWeight(%r)" % self.source
+
+
+@dataclass(frozen=True)
+class ConstantWeight(ExpressionWeight):
+    c: float
+    family = "constant"
+    formula = "c"
+    divergence = "divergent"
+
+    def describe(self):
+        return "constant %g" % self.c
+
+
+@dataclass(frozen=True)
+class AffineWeight(ExpressionWeight):
+    a: float
+    b: float
+    family = "affine"
+    formula = "a + b*t"
+    divergence = "divergent"
+
+    def describe(self):
+        return "affine %g + %g t" % (self.a, self.b)
+
+
+@dataclass(frozen=True)
+class PowerWeight(ExpressionWeight):
+    a: float
+    b: float
+    gamma: float
+    family = "power"
+    formula = "a + b*t^gamma"
+
+    @property
+    def divergence(self):
+        if self.b == 0 or self.gamma <= 1.0:
+            return "divergent"
+        return "convergent"
+
+    def describe(self):
+        return "power %g + %g t^%g" % (self.a, self.b, self.gamma)
 
 
 class TableWeight(Weight):
@@ -207,15 +205,12 @@ class WeightValidation:
     ok: bool
     divergence: str
     reasons: list = field(default_factory=list)
-    grid_max: float = 0.0
 
 
-def _positivity_monotonicity(w, t_max, reasons):
+def _positivity_monotonicity(w, reasons):
+    t_max = WEIGHT_GRID_MAX
     grid = np.concatenate(
-        [
-            np.linspace(0.0, t_max, 257),
-            np.geomspace(max(t_max, 1.0) * 1e-6, max(t_max, 1.0), 128),
-        ]
+        [np.linspace(0.0, t_max, 257), np.geomspace(t_max * 1e-6, t_max, 128)]
     )
     grid = np.unique(grid)
     try:
@@ -239,11 +234,10 @@ def _positivity_monotonicity(w, t_max, reasons):
     return True
 
 
-def _expression_tail_divergence(w, t_max, reasons):
+def _tail_divergence(w, reasons):
     """Numeric tail heuristic: the reciprocal integral diverges when
     the weight is dominated by an affine comparison on the tail grid."""
-    lo = max(t_max, 1.0)
-    tail = np.geomspace(lo, lo * 1e6, 64)
+    tail = np.geomspace(WEIGHT_GRID_MAX, WEIGHT_GRID_MAX * 1e6, 64)
     try:
         vals = np.asarray(w(tail), dtype=float)
     except (EvalDomainError, DomainError, OverflowError):
@@ -271,31 +265,24 @@ def _expression_tail_divergence(w, t_max, reasons):
     return "unknown"
 
 
-def validate_weight(w, t_max=100.0):
+def validate_weight(w):
     """Positivity and monotonicity on a dense grid, and a divergence
-    ruling: analytic for closed families, a tail-grid comparison for
-    expressions. ok means "usable as a weight": positive, nondecreasing,
+    ruling: the weight's own, or a tail-grid comparison where that is
+    "unknown". ok means "usable as a weight": positive, nondecreasing,
     and with a certified divergent reciprocal integral."""
     if not isinstance(w, Weight):
         raise InputError("expected a Weight instance")
     reasons = []
-    shape_ok = _positivity_monotonicity(w, float(t_max), reasons)
-    if isinstance(w, ExpressionWeight):
-        divergence = (
-            _expression_tail_divergence(w, float(t_max), reasons)
-            if shape_ok
-            else "unknown"
-        )
-    else:
-        divergence = w.divergence
+    shape_ok = _positivity_monotonicity(w, reasons)
+    divergence = w.divergence
+    if divergence == "unknown" and shape_ok:
+        divergence = _tail_divergence(w, reasons)
     if divergence == "convergent":
         reasons.append("reciprocal integral is finite; not admissible as a weight")
     elif divergence == "unknown":
         reasons.append("could not certify a divergent reciprocal integral")
     ok = shape_ok and divergence == "divergent"
-    return WeightValidation(
-        ok=ok, divergence=divergence, reasons=reasons, grid_max=float(t_max)
-    )
+    return WeightValidation(ok=ok, divergence=divergence, reasons=reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +554,6 @@ class CertificateReport:
     worst_point: np.ndarray
     n_samples: int
     note: str
-    weight_ok: bool
 
 
 def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None):
@@ -612,5 +598,4 @@ def weight_certificate(f, x0, w, sample_region=None, n_samples=512, points=None)
         worst_point=pts[i].copy(),
         n_samples=int(pts.shape[0]),
         note=note,
-        weight_ok=True,
     )

@@ -232,11 +232,11 @@ class ImplicitTrace:
         return buf.getvalue()
 
 
-def _weight_increment(weight, a, b, n_sub=9):
-    """Signed integral of 1/weight over [a, b] (trapezoid)."""
+def _weight_increment(weight, a, b):
+    """Signed integral of 1/weight over [a, b] (trapezoid on 9 points)."""
     if a == b:
         return 0.0
-    ts = np.linspace(a, b, n_sub)
+    ts = np.linspace(a, b, 9)
     vals = 1.0 / np.asarray(weight(np.abs(ts)), dtype=float)
     return float((0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)).sum())
 

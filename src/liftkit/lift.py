@@ -27,7 +27,7 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .geometry import OpenSubset, Point, chart_norm
+from .geometry import OpenSubset, chart_norm
 from .mapdef import (
     BUDGET,
     _closed_form,
@@ -403,10 +403,7 @@ def lift_path(f, p, x0, opts=None):
 @dataclass
 class TraceAnalysis:
     alpha_hat: float
-    weighted_alpha_hat: float
     tail_diameters: list  # (t, diameter of nodes with parameter >= t)
-    verdict_echo: Verdict
-    anchor: np.ndarray = None
 
 
 def _suffix_diameters(space, ts, xs, levels=12):
@@ -439,35 +436,17 @@ def _suffix_diameters(space, ts, xs, levels=12):
     return out
 
 
-def analyze_trace(trace, weight=None, x0_anchor=None, domain_space=None):
+def analyze_trace(trace, domain_space=None):
     """Monitors over a finished trace: the infimum of the smallest
-    singular value along the lift (alpha_hat), its weighted variant,
-    and the suffix diameters on a dyadic parameter grid (a Cauchy
-    check: on convergent lifts they decay to node spacing)."""
+    singular value along the lift (alpha_hat) and the suffix diameters
+    on a dyadic parameter grid (a Cauchy check: on convergent lifts
+    they decay to node spacing)."""
     ts, xs, _, dm, _ = trace.node_arrays()
-    alpha_hat = float(dm.min())
     space = domain_space
     if space is None:
         from .geometry import Euclidean
 
         space = Euclidean(trace.space_dim)
-    anchor = (
-        xs[0]
-        if x0_anchor is None
-        else np.asarray(
-            x0_anchor.coords if isinstance(x0_anchor, Point) else x0_anchor,
-            dtype=float,
-        )
-    )
-    weighted = None
-    if weight is not None:
-        dists = space.distance_many(xs, anchor[None, :])
-        w_vals = np.array([float(weight(d)) for d in dists])
-        weighted = float((dm * w_vals).min())
     return TraceAnalysis(
-        alpha_hat=alpha_hat,
-        weighted_alpha_hat=weighted,
-        tail_diameters=_suffix_diameters(space, ts, xs),
-        verdict_echo=trace.verdict,
-        anchor=anchor,
+        alpha_hat=float(dm.min()), tail_diameters=_suffix_diameters(space, ts, xs)
     )

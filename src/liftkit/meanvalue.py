@@ -24,6 +24,7 @@ from .geometry import (
     Sampled,
     Segment,
     path_length,
+    points_equal,
     reparam_arclength,
 )
 from .sderiv import d_pm_from_jacobian, scalar_derivatives
@@ -91,11 +92,12 @@ def _ratio_upper(f, q, sub_len_q, u, v):
 
 
 def _ratio_lower(q, sub_len_p, u, v):
-    """ell(p over [u, v]) / d(q(u), q(v)); infinite when q(u) = q(v)."""
-    den = q.space.distance_one(*q.eval_many(np.array([u, v])).tolist())
-    if den == 0.0:
+    """ell(p over [u, v]) / d(q(u), q(v)); infinite when q(u) = q(v)
+    (points_equal: a closed loop's ends differ by rounding)."""
+    ends = q.eval_many(np.array([u, v]))
+    if points_equal(q.space, ends[:1], ends[1:])[0, 0]:
         return math.inf
-    return sub_len_p(u, v) / den
+    return sub_len_p(u, v) / q.space.distance_one(*ends.tolist())
 
 
 def split_inequality_slack(f, q, t=None, direction="upper", rel_tol=1e-9):
@@ -197,16 +199,14 @@ def find_tau(f, q, direction="upper", tol_t=None, max_depth=MAX_BISECTION_DEPTH)
         ratio = lambda u, v: _ratio_upper(f, q, sub_q, u, v)
         better = lambda left, right: left >= right  # keep larger; tie -> left
     else:
-        if q.space.distance_one(*q.eval_many(np.array([a, b])).tolist()) == 0.0:
-            raise DegenerateInputError(
-                "lower certificate needs distinct path endpoints"
-            )
         sub_p = _SubLengths(p)
         ratio = lambda u, v: _ratio_lower(q, sub_p, u, v)
         better = lambda left, right: left <= right  # keep smaller; tie -> left
 
     lo, hi = a, b
     global_ratio = ratio(a, b)
+    if direction == "lower" and global_ratio == math.inf:
+        raise DegenerateInputError("lower certificate needs distinct path endpoints")
     history = [(lo, hi)]
     ratios = [global_ratio]
     slacks = []

@@ -198,6 +198,17 @@ def test_meanvalue_passes_on_smooth_pair():
     assert doc["verdicts"]["upper"] == "passed"
 
 
+def test_meanvalue_lower_is_not_applicable_on_a_closed_loop():
+    code, doc = invoke_json(
+        ["meanvalue", "--map", "shear3", "--path", "loop:0,0,1", "--direction", "lower"]
+    )
+    assert code == 0
+    assert doc["verdicts"]["lower"] == "not applicable"
+    assert doc["results"]["lower"]["error"] == (
+        "lower certificate needs distinct path endpoints"
+    )
+
+
 def test_hadamard_classifies_decaying_profile():
     code, doc = invoke_json(["hadamard", "--map", "expmap", "--center", "0"])
     assert code == 0
@@ -646,8 +657,10 @@ def test_profile_with_dropped_samples_is_the_same_under_optimize_flag(spec):
         (["hadamard", "--map", "expmap", "--center", "800"], 2),
         (["meanvalue", "--map", "expmap", "--path", "seg:700,720"], 2),
         (["meanvalue", "--map", "exp(x)", "--path", "seg:700,720"], 2),
-        (["deriv", "--map", "expmap", "--point", "709.5",
-          "--method", "shell_sampling"], 2),  # batched evaluation
+        # batched evaluation: at the largest x whose exp is finite, every
+        # shell's step up overflows
+        (["deriv", "--map", "expmap", "--point", "709.782712893384",
+          "--method", "shell_sampling"], 2),
         # one-point evaluation: a float power overflows
         (["invert", "--map", "shear3", "--target", "9,2", "--start", "0,1e103"], 2),
         (["invert", "--map", "cubic_implicit", "--target", "9",
@@ -671,9 +684,12 @@ def test_overflow_prints_only_the_error_line(argv, code):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def test_shells_shrink_until_their_value_differences_square_without_overflow():
-    # exp(368) is finite, but a difference of 1e154 squares to inf on any
-    # shell of radius above about 2e-6
+def test_shells_around_a_huge_value_keep_their_default_radii():
+    # exp(368) is about 6.6e159 and its shell value differences are finite
+    # distances (their squares overflow, the 2-norm does not), so the
+    # shells keep their default radii rho0 2^-k, rho0 = 0.01 (1 + 368):
+    # the estimates are exp's one-sided difference quotients on the
+    # larger of the two polished shells
     reports = [
         invoke_json(["deriv", "--map", spec, "--point", "368", "--method", "both"])
         for spec in ("expmap", "exp(x)")
@@ -682,9 +698,10 @@ def test_shells_shrink_until_their_value_differences_square_without_overflow():
     (_, analytic), (_, expression) = reports
     res = analytic["results"]
     assert res == expression["results"]
-    jac = res["jacobian_svd"]["d_minus"]
-    assert res["shell_sampling"]["d_minus"] == pytest.approx(jac, rel=1e-6)
-    assert res["shell_sampling"]["d_plus"] == pytest.approx(jac, rel=1e-6)
+    rho, value = 0.01 * 369.0 / 32.0, math.exp(368.0)
+    shell = res["shell_sampling"]
+    assert shell["d_minus"] == pytest.approx(-value * math.expm1(-rho) / rho, rel=1e-12)
+    assert shell["d_plus"] == pytest.approx(value * math.expm1(rho) / rho, rel=1e-12)
 
 
 @pytest.mark.parametrize("method", ["both", "shell_sampling", "jacobian_svd"])

@@ -558,6 +558,20 @@ def test_a_jacobian_form_computes_only_what_a_derivative_reads():
     assert not re.search(difference, _written(powk3, True, True))
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+def test_a_jacobian_form_copies_no_name_into_another(block):
+    # 3y^2 is computed from y itself and returned as its own name, and
+    # exp's, log's and sin's factors are the names they already have;
+    # only a select's rewrite needs a copy
+    copy = re.compile(r"^\s+(\w+) = (\w+)$", re.M)
+    text = _written("(x + y^3, y)", block, True)
+    assert not [c for c in copy.findall(text) if c[0] != "_m"]
+    assert "k2 = _c1 * " in text and text.count(" = ") == (2 if block else 1)
+    text = _written("(exp(x)*log(y), sin(x))", block, True)
+    assert not [c for c in copy.findall(text) if c[0] != "_m"]
+    assert _written("x^0.5 + y", block, True).count("k2 = x0") == 1
+
+
 def test_a_jacobian_form_keeps_values_that_fault_on_finite_arguments():
     # log, sqrt, a division and a power that may turn complex fault
     # without overflow, so their values are computed and tested though

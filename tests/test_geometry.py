@@ -298,10 +298,15 @@ def test_one_point_forms_are_rows_of_the_block_forms(space, data):
 @given(data=st.data(), dim=st.sampled_from([1, 2, 3, 7, 8, 9, 17, 130]))
 @settings(max_examples=200, deadline=None)
 def test_chart_norm_is_the_row_norm_of_points_equal(data, dim):
+    # numpy's unfused row sums; where a row's squares overflow, the same
+    # of the row divided by its largest |entry| (every entry is finite)
     point = st.lists(_ONE_POINT_COORD, min_size=dim, max_size=dim)
     block = np.array(data.draw(st.lists(point, min_size=1, max_size=3)))
+    top = np.abs(block).max(axis=1)
     with np.errstate(over="ignore"):
-        rows = np.linalg.norm(block, axis=1)  # numpy's unfused row sums
+        rows = np.linalg.norm(block, axis=1)
+        scaled = np.linalg.norm(block / np.where(top > 0, top, 1.0)[:, None], axis=1)
+        rows = np.where(np.isinf(rows), top * scaled, rows)
     for i, row in enumerate(block):
         assert _same_bits(chart_norm(row.tolist()), rows[i])
         assert _same_bits(chart_norm(row), rows[i])
@@ -316,6 +321,26 @@ def test_one_point_distance_of_an_overflowing_difference_is_inf():
         assert _same_bits(got, block)
         if not isinstance(space, Torus):
             assert got == math.inf
+
+
+def test_a_two_norm_whose_squares_overflow_is_finite():
+    assert chart_norm([1e200, 0.0]) == 1e200
+    assert Euclidean(1).distance([1e200], [0.0]) == 1e200
+    big = math.ldexp(1.0, 600)
+    assert Euclidean(2).distance([3 * big, 0.0], [0.0, -4 * big]) == 5 * big
+    # on a block only the overflowing row is taken again, with no warning
+    # (pytest makes a RuntimeWarning an error); a non-finite difference
+    # stays inf, and every other row keeps the plain norm's bits
+    a = np.array([[1e200, 0.0], [0.3, -1.7], [math.inf, 0.0], [2e-200, 1e-200],
+                  [math.nan, 1e200]])
+    b = np.array([[0.0, 0.0], [2.2, 0.4], [-1e300, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    got = Euclidean(2).distance_many(a, b)
+    d = a - b
+    plain = np.sqrt(d[[1, 3], 0] ** 2 + d[[1, 3], 1] ** 2)
+    assert got[0] == 1e200 and got[2] == math.inf and math.isnan(got[4])
+    assert got[[1, 3]].tolist() == plain.tolist()
+    assert Euclidean(2).distance_many(a[0], b[0]) == 1e200
+    assert points_equal(Euclidean(1), [[1e200]], [[1e200 * (1 + 1e-12)]])[0, 0]
 
 
 def test_points_equal_boundaries_and_wraparound():

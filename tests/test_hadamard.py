@@ -74,6 +74,43 @@ def test_power_gamma_one_divergent():
     assert val.ok
 
 
+_FAMILIES = [
+    (ConstantWeight(2.5), lambda t: np.full(np.shape(t), 2.5)),
+    (AffineWeight(0.3, 1.7), lambda t: 0.3 + 1.7 * t),
+    (PowerWeight(0.3, 1.7, 2.0), lambda t: 0.3 + 1.7 * np.power(t, 2.0)),
+    (PowerWeight(1.0, 0.1, 0.5), lambda t: 1.0 + 0.1 * np.power(t, 0.5)),
+    (PowerWeight(2.0, 3.0, 1.3), lambda t: 2.0 + 3.0 * np.power(t, 1.3)),
+]
+
+
+@pytest.mark.parametrize("w, formula", _FAMILIES, ids=lambda v: getattr(v, "family", ""))
+def test_closed_families_are_their_formulas_bitwise(w, formula):
+    t = np.concatenate([[0.0, 1.0, 1e-300, 1e150], np.geomspace(1e-6, 1e6, 97)])
+    got = w(t)
+    assert got.shape == t.shape
+    assert got.view(np.int64).tolist() == formula(t).view(np.int64).tolist()
+    for s in t[::7].tolist():
+        assert type(w(s)) is float
+        assert np.float64(w(s)).view(np.int64) == np.float64(formula(s)).view(np.int64)
+
+
+def test_closed_families_keep_their_repr_equality_and_description():
+    assert repr(ConstantWeight(2.0)) == "ConstantWeight(c=2.0)"
+    assert repr(AffineWeight(1.0, 0.5)) == "AffineWeight(a=1.0, b=0.5)"
+    assert repr(PowerWeight(1.0, 1.0, 2.0)) == "PowerWeight(a=1.0, b=1.0, gamma=2.0)"
+    assert AffineWeight(1.0, 1.0) == AffineWeight(1.0, 1.0)
+    assert AffineWeight(1.0, 1.0) != AffineWeight(1.0, 2.0)
+    assert hash(PowerWeight(1.0, 1.0, 2.0)) == hash(PowerWeight(1.0, 1.0, 2.0))
+    assert ConstantWeight(2.0).describe() == "constant 2"
+    assert AffineWeight(1.0, 0.5).describe() == "affine 1 + 0.5 t"
+    assert PowerWeight(1.0, 1.0, 2.0).describe() == "power 1 + 1 t^2"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        AffineWeight(1.0, 1.0).a = 2.0
+    rulings = [w.divergence for w, _ in _FAMILIES]
+    assert rulings == ["divergent", "divergent", "convergent", "divergent", "convergent"]
+    assert ExpressionWeight("1 + t").divergence == "unknown"
+
+
 def test_table_weight_validation():
     w = TableWeight(np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0, 8.0]))
     assert w(0.5) == 1.0

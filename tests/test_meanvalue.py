@@ -7,6 +7,7 @@ import pytest
 from liftkit import (
     DegenerateInputError,
     Euclidean,
+    Loop,
     Sampled,
     Segment,
     expression_map,
@@ -92,6 +93,21 @@ def test_lower_rejects_coincident_endpoints():
     q = polyline(Euclidean(1), loop_knots)
     with pytest.raises(DegenerateInputError):
         find_tau(f, q, direction="lower")
+
+
+def test_lower_rejects_a_closed_loop(shear3):
+    # the loop's ends differ by rounding: (1, 0) and (1, -2.4e-16)
+    q = Loop(Euclidean(2), np.zeros(2), 1.0)
+    assert np.linalg.norm(q.eval(1.0) - q.eval(0.0)) > 0.0
+    with pytest.raises(DegenerateInputError, match="distinct path endpoints"):
+        find_tau(shear3, q, direction="lower")
+    with pytest.raises(DegenerateInputError, match="endpoints coincide"):
+        split_inequality_slack(shear3, q, direction="lower")
+
+
+def test_split_slack_lower_on_a_segment(shear3):
+    q = Segment(Euclidean(2), np.array([0.0, 0.0]), np.array([1.0, 0.5]))
+    assert split_inequality_slack(shear3, q, t=0.3, direction="lower") >= 0.0
 
 
 def test_constant_path_upper_rejected():

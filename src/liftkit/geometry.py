@@ -221,7 +221,8 @@ class Euclidean(Space):
         return c
 
     def distance_many(self, a, b):
-        return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
+        with np.errstate(over="ignore"):  # an overflowing difference is inf
+            return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
 
     def distance_one(self, a, b):
         if self.p == 2.0:
@@ -492,10 +493,15 @@ def distinct_rows(space, pts, rtol=POINT_IDENTITY_RTOL):
     block: the indices of the rows that equal (points_equal at rtol) no
     earlier row kept, in lexicographic order of their coordinates."""
     same = points_equal(space, pts, pts, rtol=rtol)
+    # one pass per kept row: the first row no kept row covers is kept,
+    # and covers itself even where its distance is NaN
+    covered = np.zeros(same.shape[0], dtype=bool)
     found = []
-    for i in range(same.shape[0]):
-        if not same[i, found].any():
-            found.append(i)
+    while not covered.all():
+        i = int(np.argmin(covered))
+        found.append(i)
+        covered |= same[:, i]
+        covered[i] = True
     return sorted(found, key=lambda i: tuple(pts[i]))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import weakref
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -265,13 +266,25 @@ def _tail_divergence(w, reasons):
     return "unknown"
 
 
+# one WeightValidation per live weight object (equal frozen families share it)
+_VALIDATIONS = weakref.WeakKeyDictionary()
+
+
 def validate_weight(w):
     """Positivity and monotonicity on a dense grid, and a divergence
     ruling: the weight's own, or a tail-grid comparison where that is
     "unknown". ok means "usable as a weight": positive, nondecreasing,
-    and with a certified divergent reciprocal integral."""
+    and with a certified divergent reciprocal integral. A weight is
+    validated once; later calls return the same WeightValidation."""
     if not isinstance(w, Weight):
         raise InputError("expected a Weight instance")
+    val = _VALIDATIONS.get(w)
+    if val is None:
+        val = _VALIDATIONS[w] = _validate(w)
+    return val
+
+
+def _validate(w):
     reasons = []
     shape_ok = _positivity_monotonicity(w, reasons)
     divergence = w.divergence
@@ -387,6 +400,8 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         out[ok] = vals
         return out
 
+    # one step size per round (levels=1): every point polled becomes a
+    # sample, so a ladder of sizes would change the samples and infima
     compass_search(
         objective,
         cand[picks],

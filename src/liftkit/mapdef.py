@@ -805,6 +805,8 @@ def newton_block(f, y, starts, tol=1e-10, max_iter=50):
             stop(rows[done], CONVERGED, it)
             stop(rows[singular], SINGULAR, it)
             move = ~(done | singular)
+            if not move.any():
+                break
             rows, jac = rows[move], jac[move]
             if closed is not None:
                 closed = tuple(col[move] for col in closed)

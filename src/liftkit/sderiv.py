@@ -32,6 +32,8 @@ __all__ = [
 SHELL_LEVELS = 6
 SHELL_DIRS_PER_DIM = 64
 SHELL_RHO0_SCALE = 1e-2
+# step sizes each round of the shell polish polls (compass_search levels)
+SHELL_POLISH_LEVELS = 8
 # directions per dimension on each sphere of surjection_constant
 SURJECTION_DIRS_PER_DIM = 128
 
@@ -124,42 +126,66 @@ def _shell_grid(f, c, fc, dirs, radii=None):
     )
 
 
-def compass_search(objective, starts, values, step, step_min, max_iter, project=None):
+def compass_search(
+    objective, starts, values, step, step_min, max_iter, project=None, levels=1
+):
     """Minimize objective from each row of starts by compass search.
 
     objective(points, rows) maps an (N, dim) block to N values, +inf
     where a point is infeasible; rows[i] is the index of the start whose
     search proposed points[i]; values are the starts' values, which the
     search never evaluates. All rows run in lockstep: at each
-    iteration every row whose step is still >= step_min tries
-    x + step e_i for each axis i, then x - step e_i (candidates passed
-    through project, if given), moves to its best strict improvement
-    (the first on ties), or else halves its step (Kolda, Lewis & Torczon
-    2003). step and step_min are scalars or per-row arrays. Returns the
-    final points and values; each row ends where a one-row run from it,
-    with its own step and step_min, ends.
+    iteration every row whose step s is still >= step_min polls a
+    ladder of step sizes s, s/2, ..., s 2^-(levels-1), those of them
+    still >= step_min, in one block: for each size, x + size e_i for
+    each axis i, then x - size e_i (candidates passed through project,
+    if given). It moves to its best strict improvement (the first on
+    ties, larger sizes first) and keeps the size it moved at as its
+    step, or else divides its step by 2^levels (Kolda, Lewis & Torczon
+    2003). levels=1 halves the step after each failed poll; a ladder
+    trades a larger block for fewer rounds, each of which pays the
+    objective's fixed cost. step and step_min are scalars or per-row
+    arrays. Returns the final points and values; each row ends where a
+    one-row run from it, with its own step and step_min, ends.
     """
     x = np.array(starts, dtype=float)
-    dim = x.shape[1]
+    n, dim = x.shape
     best = np.array(values, dtype=float)
-    steps = np.full(x.shape[0], step, dtype=float)
+    steps = np.full(n, step, dtype=float)
+    step_min = np.broadcast_to(np.asarray(step_min, dtype=float), n)
+    scales = 0.5 ** np.arange(levels)
+    # every size's moves, largest size first: (levels * 2 dim, dim)
     moves = np.concatenate([np.eye(dim), -np.eye(dim)])
+    moves = (scales[:, None, None] * moves).reshape(-1, dim)
+    # a move keeps the size it moved at; a failed poll divides by 2^levels
+    shrink = np.append(scales, 0.5**levels)
     for _ in range(max_iter):
         rows = np.flatnonzero(steps >= step_min)
         if rows.size == 0:
             break
-        cand = (x[rows, None] + steps[rows, None, None] * moves).reshape(-1, dim)
-        if project is not None:
-            cand = project(cand)
-        vals = np.asarray(
-            objective(cand, np.repeat(rows, 2 * dim)), dtype=float
-        ).reshape(rows.size, -1)
+        cand = x[rows, None] + steps[rows, None, None] * moves
+        # a size under step_min is not polled: a row's last sizes, if any
+        if np.count_nonzero(steps * scales[-1] >= step_min) == rows.size:
+            cand = cand.reshape(-1, dim)
+            if project is not None:
+                cand = project(cand)
+            vals = objective(cand, np.repeat(rows, moves.shape[0]))
+            cand = cand.reshape(rows.size, -1, dim)
+            vals = np.asarray(vals, dtype=float).reshape(rows.size, -1)
+        else:
+            live = steps[rows, None] * scales >= step_min[rows, None]
+            live = live.repeat(2 * dim, axis=1)
+            polled = cand[live]
+            if project is not None:
+                polled = cand[live] = project(polled)
+            vals = np.full(live.shape, np.inf)
+            vals[live] = objective(polled, np.repeat(rows, live.sum(axis=1)))
         i = np.argmin(vals, axis=1)
         v = vals[np.arange(rows.size), i]
         better = v < best[rows]
-        x[rows[better]] = cand.reshape(rows.size, -1, dim)[better, i[better]]
+        x[rows[better]] = cand[better, i[better]]
         best[rows[better]] = v[better]
-        steps[rows[~better]] *= 0.5
+        steps[rows] *= shrink[np.where(better, i // (2 * dim), levels)]
     return x, best
 
 
@@ -175,7 +201,11 @@ def _refine_extreme(f, c, fc, dirs, rho, grid, sign):
     interior local extremes are the global ones; a compass search on the
     unit sphere with shrinking angular step started at the coarse grid
     winner therefore converges to the true extreme direction. All rows
-    search in lockstep.
+    search in lockstep, each round polling SHELL_POLISH_LEVELS step
+    sizes at once: the step falls from 0.5 to 1e-7 in a few rounds
+    instead of one halving per round. Like a one-size search it stops
+    at step 1e-7, and the two agree to within that stop's own error
+    (about 1e-13 relative on 2-D maps, up to a few 1e-11 on 3-D ones).
     """
     rho = np.asarray(rho, dtype=float)
     sign = np.asarray(sign, dtype=float)
@@ -191,6 +221,7 @@ def _refine_extreme(f, c, fc, dirs, rho, grid, sign):
         _, best = compass_search(
             objective, dirs[i], best, 0.5, 1e-7, 400,
             project=lambda d: d / np.linalg.norm(d, axis=1)[:, None],
+            levels=SHELL_POLISH_LEVELS,
         )
     return sign * best
 
@@ -201,8 +232,9 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     method "jacobian_svd" reads them off the Jacobian's singular
     values; "shell_sampling" takes difference-quotient extremes over
     the two smallest of seven concentric sampling shells, polishes the
-    winning directions by compass search on the sphere, and keeps a
-    per-shell scale report for diagnostics.
+    winning directions by compass search on the sphere (polling
+    SHELL_POLISH_LEVELS step sizes per round), and keeps a per-shell
+    scale report for diagnostics.
     """
     c = f.domain.check_coords(x)
     if method == "jacobian_svd":

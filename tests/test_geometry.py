@@ -323,6 +323,16 @@ def test_one_point_distance_of_an_overflowing_difference_is_inf():
             assert got == math.inf
 
 
+def test_block_distance_of_an_overflowing_difference_is_inf():
+    # no errstate here: pytest makes the subtraction's RuntimeWarning an error
+    a, b = [1e308, 0.0], [-1e308, 0.0]
+    for p in (2.0, 1.0, math.inf, 3.0):
+        space = Euclidean(2, p=p)
+        block = space.distance_many(np.array([a, [0.5, 0.0]]), np.array([b, [0.0, 0.0]]))
+        assert block.tolist() == [math.inf, 0.5]
+        assert space.distance_one(a, b) == block[0]
+
+
 def test_a_two_norm_whose_squares_overflow_is_finite():
     assert chart_norm([1e200, 0.0]) == 1e200
     assert Euclidean(1).distance([1e200], [0.0]) == 1e200
@@ -370,6 +380,41 @@ def test_distinct_rows_keeps_the_first_of_each_group():
     assert distinct_rows(Euclidean(1), np.array([[0.0], [1e-8]]), rtol=1e-8) == [0]
     assert distinct_rows(Euclidean(1), np.array([[1e-8], [0.0]])) == [1, 0]
     assert distinct_rows(Euclidean(2), np.empty((0, 2))) == []
+
+
+def _distinct_rows_by_rows(space, pts, rtol):
+    """distinct_rows as a loop over every row: a row is kept where it
+    equals no earlier kept row."""
+    same = points_equal(space, pts, pts, rtol=rtol)
+    found = []
+    for i in range(same.shape[0]):
+        if not same[i, found].any():
+            found.append(i)
+    return sorted(found, key=lambda i: tuple(pts[i]))
+
+
+@given(data=st.data(), space=st.sampled_from([Euclidean(1), Euclidean(2), CircleQuotient()]))
+@settings(max_examples=100, deadline=None)
+def test_distinct_rows_equals_a_loop_over_every_row(data, space):
+    # coordinates on a grid of step 0.4 rtol, so rows a few steps apart
+    # coincide and rows further apart do not: chains of near-ties that
+    # are not transitive, where which rows are kept depends on the order
+    rtol = 1e-3
+    steps = st.integers(-6, 6)
+    rows = data.draw(st.lists(st.lists(steps, min_size=space.dim, max_size=space.dim),
+                              min_size=0, max_size=24))
+    pts = np.array(rows, dtype=float).reshape(-1, space.dim) * 0.4 * rtol
+    if data.draw(st.booleans()):
+        pts = pts + np.pi  # near the circle's cut
+    assert distinct_rows(space, pts, rtol) == _distinct_rows_by_rows(space, pts, rtol)
+
+
+def test_distinct_rows_keeps_a_nan_row_once():
+    # a NaN row equals no row, itself included: it is kept, and only once
+    pts = np.array([[math.nan], [1.0], [math.nan], [1.0]])
+    kept = distinct_rows(Euclidean(1), pts)
+    assert sorted(kept) == [0, 1, 2]
+    assert kept == _distinct_rows_by_rows(Euclidean(1), pts, 1e-9)
 
 
 def test_box_corners_and_contains():

@@ -74,6 +74,32 @@ def test_power_gamma_one_divergent():
     assert val.ok
 
 
+class _CountingWeight(ExpressionWeight):
+    def __init__(self, source):
+        super().__init__(source)
+        self.calls = 0
+
+    def __call__(self, delta):
+        self.calls += 1
+        return super().__call__(delta)
+
+
+def test_a_weight_is_validated_once(shear3):
+    w = _CountingWeight("1 + t")
+    pts = unit_box_points(16, 2)
+    weight_certificate(shear3, np.zeros(2), w, points=pts)
+    # the grid and tail of the validation, then the certificate's samples
+    assert w.calls == 3
+    weight_certificate(shear3, np.zeros(2), w, points=pts)
+    assert w.calls == 4
+    assert validate_weight(w).ok and w.calls == 4
+    # equal frozen families share one validation; a table is its own key
+    a, b = AffineWeight(1.0, 1.0), AffineWeight(1.0, 1.0)
+    assert validate_weight(a) is validate_weight(b)
+    table = TableWeight([1.0, 2.0], [1.0, 3.0])
+    assert validate_weight(table) is validate_weight(table)
+
+
 _FAMILIES = [
     (ConstantWeight(2.5), lambda t: np.full(np.shape(t), 2.5)),
     (AffineWeight(0.3, 1.7), lambda t: 0.3 + 1.7 * t),

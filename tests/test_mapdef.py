@@ -354,6 +354,22 @@ def test_newton_block_statuses():
         newton_block(f, [0.3, 2.0], [[np.nan, 0.0]])
 
 
+def test_newton_block_stops_when_no_row_moves(monkeypatch):
+    from liftkit import mapdef
+
+    searched = []
+    line_search = mapdef._line_search
+
+    def counting(f, y, trials, r):
+        searched.append(trials.shape[0])
+        return line_search(f, y, trials, r)
+
+    monkeypatch.setattr(mapdef, "_line_search", counting)
+    sol = newton_block(resolve_map("shear3"), (9.0, 2.0), [[0.0, 0.0], [1.0, 1.0]])
+    assert list(sol.status) == [CONVERGED, CONVERGED]
+    assert searched and 0 not in searched
+
+
 # a point's coordinate that faults the maps below (log or 1/x at x <= 0,
 # exp overflow at 800) or keeps them well inside their domains
 _MASK_X = st.one_of(st.sampled_from([-1.0, 0.0, 800.0]), st.floats(0.1, 3.0))

@@ -13,6 +13,7 @@ from liftkit import (
     scalar_derivatives,
     surjection_constant,
 )
+from liftkit import sderiv
 from liftkit.sampling import sphere_directions
 from liftkit.sderiv import compass_search
 from oracles import SIG_MAX_SHEAR, SIG_MIN_SHEAR
@@ -126,6 +127,58 @@ def test_shell_and_surjection_in_three_dimensions():
     assert np.all(np.isfinite(sur.ratios))
 
 
+# the ladder sweep: 2-D maps (polar_exp conformal, one tall) and two 3-D
+LADDER_MAPS = [
+    "shear3",
+    "shear3_inv",
+    "polar_exp",
+    "powk(3)",
+    "(x + sin(y), y + 0.5*sin(x))",
+    "(x, y, x*y)",
+    "(exp(x)*cos(y), exp(x)*sin(y), z + x^2)",
+    "(x + y^3, y + z^3, z)",
+]
+
+
+def _shell_and_surjection(f, pts):
+    rows = []
+    for p in pts:
+        est = scalar_derivatives(f, p, method="shell_sampling")
+        rows.append([est.d_minus, est.d_plus, surjection_constant(f, p).value])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("spec", LADDER_MAPS)
+def test_ladder_polish_agrees_with_one_size_polish(spec, monkeypatch):
+    f = resolve_map(spec)
+    box = np.random.default_rng(5).uniform(-1.5, 1.5, (40, f.domain.dim))
+    pts = [p for p in box if f.domain.contains(p.tolist())][:10]
+    assert len(pts) == 10
+    ladder = _shell_and_surjection(f, pts)
+    monkeypatch.setattr(sderiv, "SHELL_POLISH_LEVELS", 1)
+    one = _shell_and_surjection(f, pts)
+    # both searches stop at step 1e-7; the one-size search itself lands
+    # up to ~1.4e-11 relative off the extreme on the 3-D maps (against a
+    # search run on to step 1e-10), so the two may differ by about that
+    assert np.all(np.abs(ladder - one) <= 1e-10 * np.abs(one))
+
+
+def test_shell_polish_rounds(shear3, monkeypatch):
+    calls = []
+
+    def counting(objective, *args, **kwargs):
+        def counted(pts, rows):
+            calls.append(len(rows))
+            return objective(pts, rows)
+
+        return compass_search(counted, *args, **kwargs)
+
+    monkeypatch.setattr(sderiv, "compass_search", counting)
+    scalar_derivatives(shear3, np.array([0.3, -0.4]), method="shell_sampling")
+    # a one-size search takes ~35 rounds here
+    assert 0 < len(calls) <= 12
+
+
 def _unit_rows(p):
     """Rows scaled to unit norm; a zero row, which a compass step can
     reach (x = e_i, step 1), stays zero instead of dividing by 0."""
@@ -149,27 +202,33 @@ def _kinked_bowl(center, weights, wall, project):
     return objective
 
 
-def _compass_reference(objective, x, step, step_min, max_iter, project):
-    """Serial compass search: one point, one candidate at a time."""
+def _compass_reference(objective, x, step, step_min, max_iter, project, levels=1):
+    """Serial compass search: one point, one candidate at a time, the
+    sizes step, step/2, ... (levels of them, each >= step_min) largest
+    first; a move keeps the size it moved at, a failed poll divides the
+    step by 2^levels."""
     x = np.array(x, dtype=float)
     best = objective(x[None, :])[0]
     for _ in range(max_iter):
         if step < step_min:
             break
         winner = None
-        for sign in (1.0, -1.0):
-            for i in range(x.size):
-                cand = x.copy()
-                cand[i] += sign * step
-                if project is not None:
-                    cand = project(cand[None, :])[0]
-                val = objective(cand[None, :])[0]
-                if val < best and (winner is None or val < winner[1]):
-                    winner = (cand, val)
+        for size in [step * 0.5**k for k in range(levels)]:
+            if size < step_min:
+                break
+            for sign in (1.0, -1.0):
+                for i in range(x.size):
+                    cand = x.copy()
+                    cand[i] += sign * size
+                    if project is not None:
+                        cand = project(cand[None, :])[0]
+                    val = objective(cand[None, :])[0]
+                    if val < best and (winner is None or val < winner[1]):
+                        winner = (cand, val, size)
         if winner is None:
-            step *= 0.5
+            step *= 0.5**levels
         else:
-            x, best = winner
+            x, best, step = winner
     return x, best
 
 
@@ -203,24 +262,25 @@ def test_lockstep_compass_search_equals_one_row_runs(dim, n_starts, project, per
                                            max_size=n_starts)))
         step_min = step * data.draw(st.lists(st.floats(1e-6, 0.5), min_size=n_starts,
                                              max_size=n_starts))
+    # per-row steps as arrays, or else the same steps as scalars
+    steps = (step, step_min) if per_row else (0.5, 1e-4)
+    for levels in (1, 3, 8):
         x_all, v_all = compass_search(
-            objective, starts, values, step, step_min, 30, project=proj
+            objective, starts, values, *steps, 30, project=proj, levels=levels
         )
-    else:
-        x_all, v_all = compass_search(objective, starts, values, 0.5, 1e-4, 30, project=proj)
-    for k in range(n_starts):
-        x_one, v_one = compass_search(
-            objective, starts[k : k + 1], values[k : k + 1], step[k], step_min[k], 30,
-            project=proj,
-        )
-        assert np.array_equal(x_all[k], x_one[0])
-        assert np.array_equal(v_all[k], v_one[0])
-        x_ref, v_ref = _compass_reference(
-            objective, starts[k], step[k], step_min[k], 30, proj
-        )
-        assert np.array_equal(x_one[0], x_ref)
-        assert v_one[0] == v_ref
-        assert v_all[k] <= objective(starts[k : k + 1])[0]
+        for k in range(n_starts):
+            x_one, v_one = compass_search(
+                objective, starts[k : k + 1], values[k : k + 1], step[k], step_min[k], 30,
+                project=proj, levels=levels,
+            )
+            assert np.array_equal(x_all[k], x_one[0])
+            assert np.array_equal(v_all[k], v_one[0])
+            x_ref, v_ref = _compass_reference(
+                objective, starts[k], step[k], step_min[k], 30, proj, levels
+            )
+            assert np.array_equal(x_one[0], x_ref)
+            assert v_one[0] == v_ref
+            assert v_all[k] <= objective(starts[k : k + 1])[0]
 
 
 def test_compass_search_passes_each_candidates_start():

@@ -456,7 +456,7 @@ def cmd_hadamard(args, reg):
             "description": weight.describe(),
             "ok": val.ok,
             "divergence": val.divergence,
-            "reasons": val.reasons,
+            "reasons": list(val.reasons),
         }
         verdicts["weight"] = "accepted" if val.ok else "rejected"
         if not val.ok:

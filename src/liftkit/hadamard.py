@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -168,8 +168,8 @@ class TableWeight(Weight):
     divergence = "divergent"
 
     def __init__(self, thresholds, values):
-        thresholds = np.asarray(thresholds, dtype=float)
-        values = np.asarray(values, dtype=float)
+        thresholds = np.array(thresholds, dtype=float)
+        values = np.array(values, dtype=float)
         if thresholds.ndim != 1 or thresholds.shape != values.shape:
             raise InputError("thresholds and values must be matching 1-d arrays")
         if thresholds.size == 0:
@@ -181,6 +181,8 @@ class TableWeight(Weight):
         # a weight is nondecreasing; a valid profile reciprocal already is
         if np.any(np.diff(values) < -1e-12 * np.abs(values[:-1])):
             raise InputError("table values must be nondecreasing")
+        # read-only: validate_weight keeps its ruling per weight object
+        thresholds.flags.writeable = values.flags.writeable = False
         self.thresholds = thresholds
         self.values = values
 
@@ -201,11 +203,11 @@ class TableWeight(Weight):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightValidation:
     ok: bool
     divergence: str
-    reasons: list = field(default_factory=list)
+    reasons: tuple = ()
 
 
 def _positivity_monotonicity(w, reasons):
@@ -275,7 +277,9 @@ def validate_weight(w):
     ruling: the weight's own, or a tail-grid comparison where that is
     "unknown". ok means "usable as a weight": positive, nondecreasing,
     and with a certified divergent reciprocal integral. A weight is
-    validated once; later calls return the same WeightValidation."""
+    validated once; later calls return the same frozen WeightValidation,
+    so a weight must not be changed after its first validation (a
+    TableWeight's arrays are read-only)."""
     if not isinstance(w, Weight):
         raise InputError("expected a Weight instance")
     val = _VALIDATIONS.get(w)
@@ -295,7 +299,7 @@ def _validate(w):
     elif divergence == "unknown":
         reasons.append("could not certify a divergent reciprocal integral")
     ok = shape_ok and divergence == "divergent"
-    return WeightValidation(ok=ok, divergence=divergence, reasons=reasons)
+    return WeightValidation(ok=ok, divergence=divergence, reasons=tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -136,56 +136,46 @@ def compass_search(
     search proposed points[i]; values are the starts' values, which the
     search never evaluates. All rows run in lockstep: at each
     iteration every row whose step s is still >= step_min polls a
-    ladder of step sizes s, s/2, ..., s 2^-(levels-1), those of them
-    still >= step_min, in one block: for each size, x + size e_i for
-    each axis i, then x - size e_i (candidates passed through project,
-    if given). It moves to its best strict improvement (the first on
-    ties, larger sizes first) and keeps the size it moved at as its
-    step, or else divides its step by 2^levels (Kolda, Lewis & Torczon
-    2003). levels=1 halves the step after each failed poll; a ladder
-    trades a larger block for fewer rounds, each of which pays the
-    objective's fixed cost. step and step_min are scalars or per-row
-    arrays. Returns the final points and values; each row ends where a
-    one-row run from it, with its own step and step_min, ends.
+    ladder of step sizes s, s/2, ..., s 2^-(levels-1) in one block: for
+    each size, x + size e_i for each axis i, then x - size e_i
+    (candidates passed through project, if given). It moves to its best
+    strict improvement (the first on ties, larger sizes first) and keeps
+    the size it moved at as its step, or else divides its step by
+    2^levels (Kolda, Lewis & Torczon 2003); step_min only stops a row,
+    so a ladder's smaller sizes may fall below it. levels=1 halves the
+    step after each failed poll; a ladder trades a larger block for
+    fewer rounds, each of which pays the objective's fixed cost. step
+    and step_min are scalars or per-row arrays. Returns the final points
+    and values; each row ends where a one-row run from it, with its own
+    step and step_min, ends.
     """
     x = np.array(starts, dtype=float)
-    n, dim = x.shape
+    dim = x.shape[1]
     best = np.array(values, dtype=float)
-    steps = np.full(n, step, dtype=float)
-    step_min = np.broadcast_to(np.asarray(step_min, dtype=float), n)
+    steps = np.full(x.shape[0], step, dtype=float)
     scales = 0.5 ** np.arange(levels)
     # every size's moves, largest size first: (levels * 2 dim, dim)
     moves = np.concatenate([np.eye(dim), -np.eye(dim)])
     moves = (scales[:, None, None] * moves).reshape(-1, dim)
-    # a move keeps the size it moved at; a failed poll divides by 2^levels
-    shrink = np.append(scales, 0.5**levels)
+    # a move keeps the size it moved at; a failed poll (index -1) divides
+    # the step by 2^levels
+    shrink = np.append(np.repeat(scales, 2 * dim), 0.5**levels)
     for _ in range(max_iter):
         rows = np.flatnonzero(steps >= step_min)
         if rows.size == 0:
             break
-        cand = x[rows, None] + steps[rows, None, None] * moves
-        # a size under step_min is not polled: a row's last sizes, if any
-        if np.count_nonzero(steps * scales[-1] >= step_min) == rows.size:
-            cand = cand.reshape(-1, dim)
-            if project is not None:
-                cand = project(cand)
-            vals = objective(cand, np.repeat(rows, moves.shape[0]))
-            cand = cand.reshape(rows.size, -1, dim)
-            vals = np.asarray(vals, dtype=float).reshape(rows.size, -1)
-        else:
-            live = steps[rows, None] * scales >= step_min[rows, None]
-            live = live.repeat(2 * dim, axis=1)
-            polled = cand[live]
-            if project is not None:
-                polled = cand[live] = project(polled)
-            vals = np.full(live.shape, np.inf)
-            vals[live] = objective(polled, np.repeat(rows, live.sum(axis=1)))
+        cand = (x[rows, None] + steps[rows, None, None] * moves).reshape(-1, dim)
+        if project is not None:
+            cand = project(cand)
+        vals = np.asarray(
+            objective(cand, np.repeat(rows, len(moves))), dtype=float
+        ).reshape(rows.size, -1)
         i = np.argmin(vals, axis=1)
         v = vals[np.arange(rows.size), i]
         better = v < best[rows]
-        x[rows[better]] = cand[better, i[better]]
+        x[rows[better]] = cand.reshape(rows.size, -1, dim)[better, i[better]]
         best[rows[better]] = v[better]
-        steps[rows] *= shrink[np.where(better, i // (2 * dim), levels)]
+        steps[rows] *= shrink[np.where(better, i, -1)]
     return x, best
 
 
@@ -204,8 +194,9 @@ def _refine_extreme(f, c, fc, dirs, rho, grid, sign):
     search in lockstep, each round polling SHELL_POLISH_LEVELS step
     sizes at once: the step falls from 0.5 to 1e-7 in a few rounds
     instead of one halving per round. Like a one-size search it stops
-    at step 1e-7, and the two agree to within that stop's own error
-    (about 1e-13 relative on 2-D maps, up to a few 1e-11 on 3-D ones).
+    at step 1e-7, and each stops short of the extreme by up to that
+    stop's own error, so the two differ by up to about 2e-12 relative
+    on 2-D maps and 3e-11 on 3-D ones.
     """
     rho = np.asarray(rho, dtype=float)
     sign = np.asarray(sign, dtype=float)

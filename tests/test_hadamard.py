@@ -96,8 +96,17 @@ def test_a_weight_is_validated_once(shear3):
     # equal frozen families share one validation; a table is its own key
     a, b = AffineWeight(1.0, 1.0), AffineWeight(1.0, 1.0)
     assert validate_weight(a) is validate_weight(b)
-    table = TableWeight([1.0, 2.0], [1.0, 3.0])
+    thresholds = np.array([1.0, 2.0])
+    table = TableWeight(thresholds, [1.0, 3.0])
     assert validate_weight(table) is validate_weight(table)
+    # the kept ruling cannot go stale: the table's arrays are read-only
+    # copies, and the ruling itself is frozen
+    with pytest.raises(ValueError):
+        table.values[0] = -1.0
+    thresholds[0] = 0.5
+    assert table.thresholds[0] == 1.0
+    with pytest.raises(AttributeError):
+        validate_weight(table).ok = False
 
 
 _FAMILIES = [

@@ -157,10 +157,13 @@ def test_ladder_polish_agrees_with_one_size_polish(spec, monkeypatch):
     ladder = _shell_and_surjection(f, pts)
     monkeypatch.setattr(sderiv, "SHELL_POLISH_LEVELS", 1)
     one = _shell_and_surjection(f, pts)
-    # both searches stop at step 1e-7; the one-size search itself lands
-    # up to ~1.4e-11 relative off the extreme on the 3-D maps (against a
-    # search run on to step 1e-10), so the two may differ by about that
-    assert np.all(np.abs(ladder - one) <= 1e-10 * np.abs(one))
+    # both searches stop at step 1e-7, each short of the extreme (against
+    # a search run on to step 1e-10) by up to 1.6e-12 relative on these
+    # 2-D points, where the one-size search is the one short, and by up
+    # to 3.2e-11 on the 3-D ones; the two differ by at most 1.6e-12 and
+    # 3.1e-11 here
+    bound = 1e-10 if f.domain.dim == 3 else 2e-12
+    assert np.all(np.abs(ladder - one) <= bound * np.abs(one))
 
 
 def test_shell_polish_rounds(shear3, monkeypatch):
@@ -204,9 +207,8 @@ def _kinked_bowl(center, weights, wall, project):
 
 def _compass_reference(objective, x, step, step_min, max_iter, project, levels=1):
     """Serial compass search: one point, one candidate at a time, the
-    sizes step, step/2, ... (levels of them, each >= step_min) largest
-    first; a move keeps the size it moved at, a failed poll divides the
-    step by 2^levels."""
+    sizes step, step/2, ... (levels of them) largest first; a move keeps
+    the size it moved at, a failed poll divides the step by 2^levels."""
     x = np.array(x, dtype=float)
     best = objective(x[None, :])[0]
     for _ in range(max_iter):
@@ -214,8 +216,6 @@ def _compass_reference(objective, x, step, step_min, max_iter, project, levels=1
             break
         winner = None
         for size in [step * 0.5**k for k in range(levels)]:
-            if size < step_min:
-                break
             for sign in (1.0, -1.0):
                 for i in range(x.size):
                     cand = x.copy()

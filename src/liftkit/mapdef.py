@@ -1,9 +1,8 @@
 """Map definitions: built-in test maps, expression maps, Jacobians,
 the small-matrix kernel, and a damped Newton local solver.
 
-A MapHandle bundles a map between two spaces with its exact Jacobian:
-hand-written Jacobian expressions (jacobian_source), or forward-mode
-automatic differentiation of an expression map's components.
+A MapHandle bundles a map between two spaces with its exact Jacobian,
+the forward-mode automatic differentiation of its components.
 
 A built-in map is an expression map: one row of _BUILTINS, its
 expression source and domain. Every expression map calls the functions
@@ -296,23 +295,11 @@ def builtin_names():
 _CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*\(\s*(-?\d+)\s*\)$")
 
 
-def expression_map(
-    source,
-    variables=None,
-    domain=None,
-    codomain=None,
-    jacobian_source=None,
-    name=None,
-):
-    """Build a MapHandle from component expressions.
-
-    Its Jacobian is forward-mode automatic differentiation of the
-    components, unless jacobian_source holds dim_out*dim_in expressions
-    in row-major order, which are then the Jacobian's entries.
-    """
+def expression_map(source, variables=None, domain=None, codomain=None, name=None):
+    """Build a MapHandle from component expressions; its Jacobian is
+    the forward-mode automatic differentiation of the components."""
     asts = exprlang.parse(source, variables)
-    varnames = asts[0].variables
-    n = len(varnames)
+    n = len(asts[0].variables)
     m = len(asts)
     if domain is None:
         domain = Euclidean(n)
@@ -329,32 +316,14 @@ def expression_map(
         )
 
     compiled = exprlang.compile_map(asts)
-    if jacobian_source is None:
-        jac_one, jac_many = compiled.jacobian, compiled.jacobian_many
-    else:
-        jasts = exprlang.parse(jacobian_source, varnames)
-        if len(jasts) != m * n:
-            raise InputError(
-                "jacobian needs %d expressions (rows x columns), got %d"
-                % (m * n, len(jasts))
-            )
-        entries = exprlang.compile_map(jasts)
-
-        def jac_one(c):
-            vals = entries.values(c)
-            return [vals[i * n : (i + 1) * n] for i in range(m)]
-
-        def jac_many(pts):
-            return entries.values_many(pts).reshape(pts.shape[0], m, n)
-
     return MapHandle(
         name=name or source,
         domain=domain,
         codomain=codomain,
         eval_one=compiled.values,
         eval_many_fn=compiled.values_many,
-        jac_one=jac_one,
-        jac_many_fn=jac_many,
+        jac_one=compiled.jacobian,
+        jac_many_fn=compiled.jacobian_many,
     )
 
 

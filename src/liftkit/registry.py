@@ -5,7 +5,9 @@ Section headers carry the object class and name: [map hump],
 [weight wlin], [path circle1], [implicit cubic]. Vectors are
 comma-separated; expression lists separate components with semicolons.
 Membership predicates follow the sign convention: the domain is where
-the expression is positive.
+the expression is positive. A map's Jacobian is the forward-mode
+derivative of its components; a map section refuses every key it does
+not read, a hand-written jacobian among them.
 
 Example:
 
@@ -13,7 +15,6 @@ Example:
     dim_in = 2
     dim_out = 2
     components = x + y^3 ; y
-    jacobian = 1 ; 3*y^2 ; 0 ; 1
     domain = 4 - x^2 - y^2
 
     [weight wlin]
@@ -61,6 +62,7 @@ from .mapdef import expression_map, resolve_map
 __all__ = ["Registry", "load_registry", "parse_vector", "parse_weight_spec"]
 
 _VAR_ORDER = ("x", "y", "z", "w")
+_MAP_KEYS = ("dim_in", "dim_out", "components", "domain", "space", "codomain_space")
 
 
 def parse_vector(text):
@@ -201,6 +203,14 @@ class Registry:
             raise InputError("registry has no map %r" % name)
         body = self._maps[name]
         section = "map %s" % name
+        for key in body:
+            if key not in _MAP_KEYS:
+                why = (
+                    "a map's Jacobian comes from its components"
+                    if key == "jacobian"
+                    else "a map reads " + ", ".join(_MAP_KEYS)
+                )
+                raise InputError("%s has unknown key %r: %s" % (section, key, why))
         dim_in = _field(body, section, "dim_in", int)
         dim_out = _field(body, section, "dim_out", int)
         comps = _split_exprs(_field(body, section, "components", str))
@@ -216,21 +226,11 @@ class Registry:
         codomain = _base_space(body.get("codomain_space"), dim_out)
         if "domain" in body:
             domain = subset_from_expression(domain, body["domain"], variables)
-        jac_src = None
-        if "jacobian" in body:
-            jac_list = _split_exprs(body["jacobian"])
-            if len(jac_list) != dim_in * dim_out:
-                raise InputError(
-                    "map %s jacobian needs %d expressions, got %d"
-                    % (name, dim_in * dim_out, len(jac_list))
-                )
-            jac_src = "(" + ", ".join(jac_list) + ")"
         return expression_map(
             "(" + ", ".join(comps) + ")",
             variables=variables,
             domain=domain,
             codomain=codomain,
-            jacobian_source=jac_src,
             name=name,
         )
 

@@ -258,13 +258,21 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
     """Estimate sur(f, x), the liminf of Sur(f,x)(t)/t.
 
     Sur(f,x)(t) is approximated by the distance from f(x) to the image
-    of the sphere of radius t (a valid inner-radius bound for local
-    homeomorphisms; a documented overestimate otherwise). The value is
-    the minimum of Sur/t over the two smallest radii. A codomain of
-    higher dimension than the domain gets value 0: the image is too
-    thin to contain any ball.
+    of the sphere of radius t: the inner radius of the ball's image for
+    a local homeomorphism, an estimate that may err either way for
+    other square maps. The value is the minimum of Sur/t over the two
+    smallest radii. A codomain of higher dimension than the domain gets
+    value 0: the image is too thin to contain any ball. A codomain of
+    lower dimension is an InputError: the sphere meets the fiber through
+    x, so the distance is 0 even where f is open.
     """
     c = f.domain.check_coords(x)
+    if f.codomain.dim < f.domain.dim:
+        raise InputError(
+            "the surjection constant is not estimated for a wide map: %s has "
+            "codomain dimension %d < domain dimension %d"
+            % (f.name, f.codomain.dim, f.domain.dim)
+        )
     if f.codomain.dim > f.domain.dim:
         rr = tuple(float(r) for r in (radii if radii is not None else ()))
         return SurjectionEstimate(

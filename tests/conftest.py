@@ -31,7 +31,6 @@ def registry_file(tmp_path):
 dim_in = 2
 dim_out = 2
 components = x + y^3 ; y
-jacobian = 1 ; 3*y^2 ; 0 ; 1
 domain = 25 - x^2 - y^2
 
 [weight wlin]

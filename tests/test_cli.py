@@ -537,13 +537,11 @@ _CAUSE_REGISTRY = """
 dim_in = 2
 dim_out = 1
 components = y^3 - y - x
-jacobian = -1 ; 3*y^2 - 1
 
 [map annulus_cube]
 dim_in = 2
 dim_out = 2
 components = x^3 - 3*x*y^2 ; 3*x^2*y - y^3
-jacobian = 3*x^2 - 3*y^2 ; -6*x*y ; 6*x*y ; 3*x^2 - 3*y^2
 domain = min(x*x + y*y - 0.25, 4.0 - x*x - y*y)
 """
 
@@ -718,6 +716,18 @@ def test_deriv_on_three_dimensional_identity(method):
             assert res[key]["d_minus"] == pytest.approx(1.0, rel=1e-9)
             assert res[key]["d_plus"] == pytest.approx(1.0, rel=1e-9)
     assert res["surjection"]["value"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_surjection_of_a_wide_map_is_one_error_line(capsys):
+    code, out = invoke(
+        ["deriv", "--map", "(x + y, y*z)", "--point", "0.375,1.192,0.827", "--surjection"]
+    )
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: the surjection constant is not estimated for a wide map: "
+        "(x + y, y*z) has codomain dimension 2 < domain dimension 3\n"
+    )
 
 
 # -- output contract -------------------------------------------------------

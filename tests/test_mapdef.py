@@ -370,16 +370,13 @@ def test_newton_block_stops_when_no_row_moves(monkeypatch):
     assert searched and 0 not in searched
 
 
-# a point's coordinate that faults the maps below (log or 1/x at x <= 0,
-# exp overflow at 800) or keeps them well inside their domains
+# a point's coordinate that faults the maps below (log at x <= 0, exp
+# overflow at 800) or keeps them well inside their domains
 _MASK_X = st.one_of(st.sampled_from([-1.0, 0.0, 800.0]), st.floats(0.1, 3.0))
 _LOG_MAP = "(log(x) + y, y^3 + y)"
 MASK_HANDLES = {
     "builtin": lambda: resolve_map("polar_exp"),
     "expression": lambda: resolve_map(_LOG_MAP),
-    "jacobian_source": lambda: expression_map(
-        _LOG_MAP, jacobian_source="(1/x, 1, 0, 3*y^2 + 1)"
-    ),
     "projection": lambda: ImplicitProblem(
         expression_map("y^3 + y - exp(x)"), 1, [0.0]
     ).projection_map(),

@@ -172,6 +172,54 @@ def test_validate_lists_bad_numbers(tmp_path, capsys):
     assert len(doc["results"]["problems"]) == 4
 
 
+UNREAD_KEYS = """\
+[map hump]
+dim_in = 2
+dim_out = 2
+components = x + y^3 ; y
+jacobian = 1 ; 2*y^2 ; 0 ; 1
+
+[map logline]
+dim_in = 1
+dim_out = 1
+components = log(x)
+domian = x
+"""
+_JACOBIAN_KEY = (
+    "map hump has unknown key 'jacobian': a map's Jacobian comes from its components"
+)
+_MISSPELLED_KEY = (
+    "map logline has unknown key 'domian': a map reads dim_in, dim_out, "
+    "components, domain, space, codomain_space"
+)
+
+
+def test_a_map_section_refuses_a_key_it_does_not_read(tmp_path, capsys):
+    # a hand-written Jacobian (here a wrong one) and a misspelled domain
+    # are both refused, and both refusals name the section and the key
+    path = tmp_path / "keys.ini"
+    path.write_text(UNREAD_KEYS, encoding="utf-8")
+    reg = Registry.from_file(str(path))
+    for name, message in (("hump", _JACOBIAN_KEY), ("logline", _MISSPELLED_KEY)):
+        with pytest.raises(InputError) as err:
+            reg.get_map(name)
+        assert str(err.value) == message
+    assert reg.validate() == [("map hump", _JACOBIAN_KEY), ("map logline", _MISSPELLED_KEY)]
+    assert run(["registry", "validate", "--registry", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"]["registry"] == "invalid"
+    assert doc["results"]["problems"] == [
+        {"section": "map hump", "error": _JACOBIAN_KEY},
+        {"section": "map logline", "error": _MISSPELLED_KEY},
+    ]
+    for argv, message in (
+        (["--map", "hump", "--point", "0.5,1", "--method", "both"], _JACOBIAN_KEY),
+        (["--map", "logline", "--point", "-1"], _MISSPELLED_KEY),
+    ):
+        assert run(["deriv"] + argv + ["--registry", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 BAD_VECTORS = """\
 [path pseg]
 kind = segment

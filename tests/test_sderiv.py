@@ -102,6 +102,20 @@ def test_surjection_inclusion_is_zero():
     assert est.d_minus == pytest.approx(1.0, abs=1e-6)
 
 
+def test_surjection_of_a_wide_map_is_input_error():
+    # (x + y, y*z) is open at this point (its Jacobian's smallest singular
+    # value is 1.106), but each sphere around it meets the fiber, so the
+    # distance to the sphere's image would read about 0
+    from liftkit import InputError
+
+    f = resolve_map("(x + y, y*z)")
+    x = np.array([0.375, 1.192, 0.827])
+    smin = np.linalg.svd(jacobian_at(f, x), compute_uv=False).min()
+    assert smin == pytest.approx(1.106, abs=1e-3)
+    with pytest.raises(InputError, match="^the surjection constant is not estimated"):
+        surjection_constant(f, x)
+
+
 def test_unknown_method_rejected(shear3):
     from liftkit import InputError
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InputError, LiftkitError
 from .geometry import (
+    LENGTH_RTOL,
     Box,
     Euclidean,
     ExpressionPath,
@@ -49,6 +50,8 @@ from .hadamard import (
     weight_certificate,
 )
 from .implicit import (
+    PROJECT_TOL,
+    SINGULAR_THRESHOLD,
     ImplicitOptions,
     ImplicitProblem,
     branch_probe,
@@ -240,7 +243,7 @@ def cmd_length(args, reg):
         inputs={"path": args.path, "map": args.map, "dim": args.dim},
         results=results,
         verdicts={"converged": results["converged"]},
-        tolerances={"rel_tol": 1e-9},
+        tolerances={"rel_tol": LENGTH_RTOL},
         seed=args.seed,
     )
     return rep, {}, code
@@ -305,7 +308,7 @@ def cmd_lift(args, reg):
     x0 = _vec(args.start)
     opts = LiftOptions(corrector_tol=args.tol)
     trace = lift_path(f, p, x0, opts)
-    analysis = analyze_trace(trace, domain_space=f.domain)
+    analysis = analyze_trace(trace)
     v = trace.verdict
     results = {
         "verdict": v.kind,
@@ -542,8 +545,8 @@ def cmd_implicit(args, reg):
     opts = ImplicitOptions(residual_tol=args.tol)
     tolerances = {
         "residual_tol": opts.residual_tol,
-        "project_tol": opts.project_tol,
-        "singular_threshold": opts.singular_threshold,
+        "project_tol": PROJECT_TOL,
+        "singular_threshold": SINGULAR_THRESHOLD,
     }
     inputs = {
         "problem": args.problem,

@@ -50,29 +50,36 @@ TWO_PI = 2.0 * math.pi
 
 # Relative tolerance under which two points count as the same point.
 POINT_IDENTITY_RTOL = 1e-9
+# path_length stops when two successive chord sums agree to LENGTH_RTOL
+# relatively, or after LENGTH_DOUBLINGS doublings of the partition
+LENGTH_RTOL = 1e-9
+LENGTH_DOUBLINGS = 22
+# reparam_arclength samples a smooth path at ARCLENGTH_KNOTS points
+ARCLENGTH_KNOTS = 1025
 
 
-def _pnorm(diff, p, axis=-1):
+def _pnorm(diff, p):
+    """The p-norm of each row of diff (over its last axis)."""
     diff = np.abs(diff)
     if p == math.inf:
-        return diff.max(axis=axis)
+        return diff.max(axis=-1)
     if p == 2.0:
         # no square of a difference up to 1e150 overflows, nor a sum of
         # fewer than 1e8 of them; past that (or at a NaN) a row whose
         # squares overflow though its entries are finite is taken again
         # divided by its largest entry, and every other row stays as is
         if diff.size == 0 or np.maximum.reduce(diff, None) <= 1e150:
-            return np.sqrt(np.add.reduce(diff * diff, axis))
+            return np.sqrt(np.add.reduce(diff * diff, -1))
         with np.errstate(all="ignore"):
-            norms = np.sqrt(np.add.reduce(diff * diff, axis))
-            top = diff.max(axis=axis, keepdims=True)
+            norms = np.sqrt(np.add.reduce(diff * diff, -1))
+            top = diff.max(axis=-1, keepdims=True)
             scaled = diff / top
-            top = top.squeeze(axis)
-            rescaled = top * np.sqrt(np.add.reduce(scaled * scaled, axis))
+            top = top.squeeze(-1)
+            rescaled = top * np.sqrt(np.add.reduce(scaled * scaled, -1))
         return np.where(np.isinf(norms) & np.isfinite(top), rescaled, norms)[()]
     if p == 1.0:
-        return diff.sum(axis=axis)
-    return (diff**p).sum(axis=axis) ** (1.0 / p)
+        return diff.sum(axis=-1)
+    return (diff**p).sum(axis=-1) ** (1.0 / p)
 
 
 def _wrap_angle(a):
@@ -133,11 +140,11 @@ class Space:
     hand back its argument). The base one-point forms run the block
     form on a one-row block, so each is its block form's row bitwise;
     an overflowing difference gives +inf (NaN after a quotient's wrap).
-    Only Euclidean spaces of fewer than 8 coordinates with p = 1, 2 or
-    inf keep hand-written float forms, and open subsets of them reach
-    those: the serial lifts of the benchmark (perfbench's lift and
-    certify workloads) run on Euclidean(2) and an annulus in it, where
-    a one-row block's numpy overhead would dominate a lift step.
+    Only Euclidean spaces with p = 2 keep a hand-written float form, and
+    open subsets of them reach it: the serial lifts of the benchmark
+    (perfbench's lift and certify workloads) run on Euclidean(2) and an
+    annulus in it, where a one-row block's numpy overhead would dominate
+    a lift step.
     """
 
     dim = 0
@@ -225,19 +232,12 @@ class Euclidean(Space):
             return _pnorm(np.asarray(a, float) - np.asarray(b, float), self.p)
 
     def distance_one(self, a, b):
-        if self.p == 2.0:
-            norm = _sqrt_sum([(u - v) * (u - v) for u, v in zip(a, b)])
-            if norm == math.inf:  # _root_sum's rescaled form, past the fast one
-                norm = _root_sum([u - v for u, v in zip(a, b)])
-            return norm
-        # float forms where numpy sums in order; other p take the block
-        # form (numpy's power may round unlike libm's)
-        if self.dim < 8:
-            if self.p == 1.0:
-                return _float_sum([abs(u - v) for u, v in zip(a, b)])
-            if self.p == math.inf:
-                return max([abs(u - v) for u, v in zip(a, b)])
-        return super().distance_one(a, b)
+        if self.p != 2.0:  # the block form on a one-row block
+            return super().distance_one(a, b)
+        norm = _sqrt_sum([(u - v) * (u - v) for u, v in zip(a, b)])
+        if norm == math.inf:  # _root_sum's rescaled form, past the fast one
+            norm = _root_sum([u - v for u, v in zip(a, b)])
+        return norm
 
     def chart_length_one(self, a, b):
         return self.distance_one(a, b)
@@ -470,22 +470,21 @@ def distance(space, a, b):
     return space.distance(a, b)
 
 
-def points_equal(space, a, b, rtol=POINT_IDENTITY_RTOL, atol=0.0):
+def points_equal(space, a, b, rtol=POINT_IDENTITY_RTOL):
     """Point identity between every row of a and every row of b.
 
     a is an (N, n) block and b an (M, n) block of chart coordinates;
-    the (N, M) mask holds d(a_i, b_j) <= max(rtol * (1 + max(|a_i|,
-    |b_j|)), atol), with d the space's distance (so quotient spaces
-    wrap) and |.| the 2-norm of the chart coordinates. The default is
-    point identity at relative tolerance 1e-9; atol is a floor for
-    callers whose points carry an absolute error.
+    the (N, M) mask holds d(a_i, b_j) <= rtol * (1 + max(|a_i|, |b_j|)),
+    with d the space's distance (so quotient spaces wrap) and |.| the
+    2-norm of the chart coordinates. The default is point identity at
+    relative tolerance 1e-9.
     """
     a = np.asarray(a, dtype=float).reshape(-1, space.dim)
     b = np.asarray(b, dtype=float).reshape(-1, space.dim)
     n, m = a.shape[0], b.shape[0]
     d = space.distance_many(np.repeat(a, m, axis=0), np.tile(b, (n, 1)))
     norms = np.maximum(_pnorm(a, 2.0)[:, None], _pnorm(b, 2.0)[None, :])
-    return d.reshape(n, m) <= np.maximum(rtol * (1.0 + norms), atol)
+    return d.reshape(n, m) <= rtol * (1.0 + norms)
 
 
 def distinct_rows(space, pts, rtol=POINT_IDENTITY_RTOL):
@@ -844,11 +843,11 @@ class PathLengthResult:
         return self.value
 
 
-def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
+def path_length(p, sub=None):
     """Adaptive chord-sum length of p over sub (default: whole domain).
 
     Doubles the dyadic partition until two successive chord sums agree
-    to rel_tol relatively, where the finer partition has points the
+    to LENGTH_RTOL relatively, where the finer partition has points the
     coarser lacks; partitions always include the path's own
     breakpoints, so the certificate column is nondecreasing.
     """
@@ -863,7 +862,7 @@ def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
     breaks = breaks[(breaks > u) & (breaks < v)]
     prev, size = None, 0
     cert = []
-    for k in range(k_max + 1):
+    for k in range(LENGTH_DOUBLINGS + 1):
         ts = np.linspace(u, v, 2**k + 1)
         if breaks.size:
             ts = np.union1d(ts, breaks)
@@ -871,26 +870,26 @@ def path_length(p, sub=None, rel_tol=1e-9, k_max=22):
         s = float(p.space.distance_many(pts[:-1], pts[1:]).sum())
         cert.append(s)
         if prev is not None and ts.size > size:  # a partition adding no point agrees
-            if abs(s - prev) <= rel_tol * max(abs(s), 1e-300):
+            if abs(s - prev) <= LENGTH_RTOL * max(abs(s), 1e-300):
                 return PathLengthResult(s, k, cert, True)
         prev, size = s, ts.size
     return PathLengthResult(
         prev,
-        k_max,
+        LENGTH_DOUBLINGS,
         cert,
         False,
-        "chord sums still moving after %d doublings" % k_max,
+        "chord sums still moving after %d doublings" % LENGTH_DOUBLINGS,
     )
 
 
-def reparam_arclength(p, n_knots=1025, rel_tol=1e-9):
+def reparam_arclength(p):
     """Resample p by arc length into an exactly unit-speed Sampled path.
 
     The output's knot parameters are its own cumulative chord lengths,
     so its length up to parameter s equals s exactly. Piecewise-linear
-    inputs convert exactly; smooth inputs are sampled at n_knots points
-    spaced uniformly in arc length (resolved on a finer internal grid).
-    A constant path yields a degenerate output on [0, 0].
+    inputs convert exactly; smooth inputs are sampled at ARCLENGTH_KNOTS
+    points spaced uniformly in arc length (resolved on a grid 8 times
+    finer). A constant path yields a degenerate output on [0, 0].
     """
     u, v = p.domain
     if isinstance(p, Segment) or (isinstance(p, Sampled) and not p.degenerate):
@@ -900,9 +899,8 @@ def reparam_arclength(p, n_knots=1025, rel_tol=1e-9):
     elif isinstance(p, Sampled) and p.degenerate:
         knots = p.eval_many(np.array([u]))
     else:
-        length = path_length(p, rel_tol=rel_tol)
-        length.require()
-        m = max(4096, 8 * int(n_knots)) + 1
+        path_length(p).require()
+        m = 8 * ARCLENGTH_KNOTS + 1
         ts = np.linspace(u, v, m)
         pts = p.eval_many(ts)
         seg = p.space.distance_many(pts[:-1], pts[1:])
@@ -911,7 +909,7 @@ def reparam_arclength(p, n_knots=1025, rel_tol=1e-9):
         if total == 0.0:
             knots = pts[:1]
         else:
-            targets = np.linspace(0.0, total, int(n_knots))
+            targets = np.linspace(0.0, total, ARCLENGTH_KNOTS)
             t_sel = np.interp(targets, cum, ts)
             knots = p.eval_many(t_sel)
 

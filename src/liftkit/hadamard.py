@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EvalDomainError, InputError, LiftkitError
 from .exprlang import Ast, Num, eval_ast, parse_single, substitute
-from .geometry import Box, Point, chart_norm
+from .geometry import Box, chart_norm
 from .sampling import sphere_directions, unit_box_points
 from .sderiv import compass_search, region_d_pm
 
@@ -308,7 +308,6 @@ def _validate(w):
 
 @dataclass
 class HadamardProfile:
-    x0: Point
     radii: np.ndarray
     infima: np.ndarray
     partial_integrals: np.ndarray
@@ -318,7 +317,6 @@ class HadamardProfile:
     sample_coords: np.ndarray
     sample_d_minus: np.ndarray
     sample_dists: np.ndarray
-    map_name: str
     budget: int
 
     def check(self):
@@ -337,9 +335,9 @@ class HadamardProfile:
         return buf.getvalue()
 
 
-def default_radii(x0_coords, n=24, decades=3.0):
+def default_radii(x0_coords):
     t_max = 1e2 * (1.0 + chart_norm(x0_coords))
-    return np.geomspace(t_max * 10.0**-decades, t_max, n)
+    return np.geomspace(t_max * 10.0**-3.0, t_max, 24)
 
 
 def ball_infimum_profile(f, x0, radii=None, budget=32):
@@ -442,7 +440,6 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         partial[1:] = np.cumsum(steps)
 
     prof = HadamardProfile(
-        x0=Point(x0c, f.domain),
         radii=radii,
         infima=infima,
         partial_integrals=partial,
@@ -452,7 +449,6 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         sample_coords=xs,
         sample_d_minus=ss,
         sample_dists=ds,
-        map_name=f.name,
         budget=int(budget),
     )
     prof.check()

@@ -58,8 +58,13 @@ __all__ = [
 ]
 
 # the lift halves its steps toward a fold down to this floor, where a
-# quadratic fold's y-block is near 1e-7, under the default threshold
+# quadratic fold's y-block is near 1e-7, under SINGULAR_THRESHOLD
 STEP_MIN = 1e-14
+# the tolerance of the start's projection, of the lift's corrector and of
+# branch_probe's solves
+PROJECT_TOL = 1e-10
+# a fold: the y-block's smallest singular value is under this
+SINGULAR_THRESHOLD = 1e-6
 
 WEIGHT_DISCREPANCY_NOTE = (
     "weight continuity: the a priori bound assumes a continuous weight; "
@@ -71,9 +76,6 @@ WEIGHT_DISCREPANCY_NOTE = (
 @dataclass(frozen=True)
 class ImplicitOptions:
     residual_tol: float = 1e-8  # start tolerance
-    project_tol: float = 1e-10  # the lift corrector's tolerance
-    singular_threshold: float = 1e-6  # on the y-block's smallest singular value
-    blowup_radius: float = 1e6  # on the norm of (x, y)
     max_nodes: int = 200000
 
     def __post_init__(self):
@@ -188,11 +190,9 @@ class ImplicitNode:
 @dataclass
 class ImplicitTrace:
     problem: ImplicitProblem
-    path_kind: str
     path_domain: tuple
     nodes: list
     verdict: Verdict
-    options: ImplicitOptions
     weight_used: bool
     monitor_ok: bool = None
     weight_check: str = None  # holds | violated | not applicable
@@ -254,12 +254,12 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
     t -> (p(t), w) through the projection map (x, y) -> (x, f(x, y)).
 
     A start within residual_tol of the level set is first projected
-    onto it (Newton in y at fixed x) to project_tol, the tolerance of
+    onto it (Newton in y at fixed x) to PROJECT_TOL, the tolerance of
     the lift's corrector; a start that does not project is an
     InputError. The verdict is the lift's, which is FailedSingular
     where the steps collapse at a fold, with one more rule: the first
     node whose y-block smallest singular value is under
-    singular_threshold ends the trace as FailedSingular at that node's
+    SINGULAR_THRESHOLD ends the trace as FailedSingular at that node's
     parameter, since there the projection onto x stops being a local
     homeomorphism. When a weight is supplied, the trace logs the
     running integral of 1/weight over ||y|| and checks the a priori
@@ -281,16 +281,16 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
         raise InputError(
             "start residual %g exceeds tolerance %g" % (r0, opts.residual_tol)
         )
-    if smin0 < opts.singular_threshold:
+    if smin0 < SINGULAR_THRESHOLD:
         raise InputError("y-block is singular at the start (smin %g)" % smin0)
 
     g = prob.projection_map()
-    if r0 > opts.project_tol:
-        sol = _level_solve(g, prob, x, y[None, :], opts.project_tol)
+    if r0 > PROJECT_TOL:
+        sol = _level_solve(g, prob, x, y[None, :], PROJECT_TOL)
         if sol.status[0] != CONVERGED:
             raise InputError(
                 "start within residual_tol %g does not project to project_tol %g"
-                % (opts.residual_tol, opts.project_tol)
+                % (opts.residual_tol, PROJECT_TOL)
             )
         start = sol.points[0]
     lift = lift_path(
@@ -299,15 +299,15 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
         start,
         LiftOptions(
             step_min=STEP_MIN,
-            corrector_tol=opts.project_tol,
-            blowup_radius=opts.blowup_radius,
+            corrector_tol=PROJECT_TOL,
+            blowup_radius=1e6,
             max_nodes=opts.max_nodes,
         ),
     )
     ts, coords, _, _, _ = lift.node_arrays()
     residual, monitor, jy_smin = prob.node_values(coords)
     verdict = lift.verdict
-    fold = np.flatnonzero(jy_smin < opts.singular_threshold)
+    fold = np.flatnonzero(jy_smin < SINGULAR_THRESHOLD)
     if fold.size:
         keep = fold[0] + 1
         b = min(float((ts[keep - 1] - t0) / span), 1.0)
@@ -317,7 +317,7 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
             b=b,
             d_minus=smin,
             message="y-block smin %.3g < singular_threshold %.3g"
-            % (smin, opts.singular_threshold),
+            % (smin, SINGULAR_THRESHOLD),
         )
     else:
         keep = len(ts)
@@ -345,11 +345,9 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
     ]
     trace = ImplicitTrace(
         problem=prob,
-        path_kind=p.kind,
         path_domain=(t0, t1),
         nodes=nodes,
         verdict=verdict,
-        options=opts,
         weight_used=weight is not None,
     )
     return _finish(trace, p, weight)
@@ -389,7 +387,7 @@ def _finish(trace, p, weight):
     return trace
 
 
-def implicit_eval(prob, x_target, start, opts=None):
+def implicit_eval(prob, x_target, start):
     """Value of the implicit function at x_target, continued along the
     segment from the start pair (x0, y0). Returns the y-endpoint as a
     Point; raises ContinuationFailure on any failure verdict."""
@@ -397,7 +395,7 @@ def implicit_eval(prob, x_target, start, opts=None):
     x0c = prob.x_space.check_coords(x0)
     xt = prob.x_space.check_coords(x_target)
     seg = Segment(prob.x_space, x0c, xt)
-    trace = davidenko_lift(prob, seg, y0, opts=opts)
+    trace = davidenko_lift(prob, seg, y0)
     if trace.verdict.completed:
         return Point(trace.final_y, prob.y_space)
     raise ContinuationFailure(trace.verdict, trace)
@@ -415,26 +413,21 @@ class BranchReport:
     )
 
 
-def branch_probe(prob, x_box, y_box, n_starts=32, n_grid=3, tol=1e-10):
-    """Solve f(x, y) = w in y over a small grid of fixed x values, then
-    group solutions that continue into one another along x-segments.
+def branch_probe(prob, x_box, y_box, n_starts=32):
+    """Solve f(x, y) = w in y over the x values at 1/4, 1/2 and 3/4 of
+    x_box's diagonal, then group solutions that continue into one
+    another along x-segments.
     """
     if not (x_box.dim == prob.m and y_box.dim == prob.n):
         raise InputError("probe boxes must match the x/y split")
-    if n_grid < 1:
-        raise InputError("need at least one grid point")
-    lam = (
-        np.array([0.5])
-        if n_grid == 1
-        else np.linspace(0.25, 0.75, n_grid)
-    )
+    lam = np.linspace(0.25, 0.75, 3)
     x_grid = x_box.lo + lam[:, None] * (x_box.hi - x_box.lo)
     y_starts = y_box.scale(unit_box_points(n_starts, prob.n))
 
     g = prob.projection_map()
     sols = []  # (grid_index, y-coords)
     for gi, xbar in enumerate(x_grid):
-        sol = _level_solve(g, prob, xbar, y_starts, tol)
+        sol = _level_solve(g, prob, xbar, y_starts, PROJECT_TOL)
         ys = sol.points[sol.status == CONVERGED][:, prob.m :]
         for i in distinct_rows(prob.y_space, ys, rtol=1e-8):
             sols.append((gi, ys[i]))

@@ -27,7 +27,7 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .geometry import OpenSubset, chart_norm
+from .geometry import OpenSubset, Space, chart_norm
 from .mapdef import (
     BUDGET,
     _closed_form,
@@ -88,6 +88,8 @@ class LiftOptions:
 
     def __post_init__(self):
         _check_options(self)
+        if self.singular_threshold < 0:
+            raise InputError("singular_threshold must be at least 0")
         if not (0.0 < self.step_min <= self.step_init <= self.step_max):
             raise InputError("need 0 < step_min <= step_init <= step_max")
         if self.growth < 1.0:
@@ -98,16 +100,13 @@ class LiftOptions:
 
 def _check_options(opts):
     """Refuse an options record with a non-finite field, a tolerance or
-    blowup_radius <= 0, a singular_threshold < 0 or max_nodes < 1 (the
-    fields it has of these)."""
+    blowup_radius <= 0 (the fields it has of these) or max_nodes < 1."""
     for f in dataclasses.fields(opts):
         value = getattr(opts, f.name)
         if not math.isfinite(value):
             raise InputError("%s must be finite, got %r" % (f.name, value))
         if (f.name.endswith("_tol") or f.name == "blowup_radius") and value <= 0:
             raise InputError("%s must be positive, got %r" % (f.name, value))
-    if opts.singular_threshold < 0:
-        raise InputError("singular_threshold must be at least 0")
     if opts.max_nodes < 1:
         raise InputError("max_nodes must be at least 1")
 
@@ -149,14 +148,11 @@ class Verdict:
 
 @dataclass
 class LiftTrace:
-    map_name: str
-    path_kind: str
     path_domain: tuple
     nodes: list
     verdict: Verdict
     lift_length: float
-    options: LiftOptions
-    space_dim: int
+    domain: Space  # the map's domain, where the nodes lie
 
     def node_arrays(self):
         ts = np.array([n.t for n in self.nodes])
@@ -185,7 +181,7 @@ class LiftTrace:
     def to_csv(self):
         cols = (
             ["t"]
-            + ["x_%d" % (i + 1) for i in range(self.space_dim)]
+            + ["x_%d" % (i + 1) for i in range(self.domain.dim)]
             + ["residual", "d_minus", "step"]
         )
         lines = [",".join(cols)]
@@ -282,14 +278,11 @@ def lift_path(f, p, x0, opts=None):
 
     def make_trace(verdict):
         return LiftTrace(
-            map_name=f.name,
-            path_kind=p.kind,
             path_domain=(t0, t1),
             nodes=nodes,
             verdict=verdict,
             lift_length=lift_length,
-            options=opts,
-            space_dim=f.domain.dim,
+            domain=dom,
         )
 
     def fail(kind, b, **kw):
@@ -406,7 +399,7 @@ class TraceAnalysis:
     tail_diameters: list  # (t, diameter of nodes with parameter >= t)
 
 
-def _suffix_diameters(space, ts, xs, levels=12):
+def _suffix_diameters(space, ts, xs):
     t_first, t_last = ts[0], ts[-1]
     if ts.shape[0] > 1500:
         # diameter scan is quadratic; thin long traces but keep the ends
@@ -414,7 +407,7 @@ def _suffix_diameters(space, ts, xs, levels=12):
         keep = np.unique(np.r_[np.arange(0, ts.shape[0], stride), ts.shape[0] - 1])
         ts, xs = ts[keep], xs[keep]
     out = []
-    for j in range(levels + 1):
+    for j in range(13):  # the last 2^-j of the range, j = 0..12
         t_cut = t_last - (t_last - t_first) * 2.0**-j
         sel = xs[ts >= t_cut]
         if sel.shape[0] <= 1:
@@ -436,17 +429,13 @@ def _suffix_diameters(space, ts, xs, levels=12):
     return out
 
 
-def analyze_trace(trace, domain_space=None):
+def analyze_trace(trace):
     """Monitors over a finished trace: the infimum of the smallest
-    singular value along the lift (alpha_hat) and the suffix diameters
-    on a dyadic parameter grid (a Cauchy check: on convergent lifts
-    they decay to node spacing)."""
+    singular value along the lift (alpha_hat) and the suffix diameters,
+    measured in the map's domain, on a dyadic parameter grid (a Cauchy
+    check: on convergent lifts they decay to node spacing)."""
     ts, xs, _, dm, _ = trace.node_arrays()
-    space = domain_space
-    if space is None:
-        from .geometry import Euclidean
-
-        space = Euclidean(trace.space_dim)
     return TraceAnalysis(
-        alpha_hat=float(dm.min()), tail_diameters=_suffix_diameters(space, ts, xs)
+        alpha_hat=float(dm.min()),
+        tail_diameters=_suffix_diameters(trace.domain, ts, xs),
     )

@@ -575,6 +575,7 @@ def linear_solve_many(jacs, rhs, closed=None):
 
 # a Jacobian is singular when smin <= SINGULAR_RTOL * max(smax, 1)
 SINGULAR_RTOL = 1e-14
+NEWTON_TOL = 1e-10  # local_solve's residual tolerance, newton_block's default
 # the line search tries lam = 1, 1/2, ..., 2^-(LINE_SEARCH_TRIALS - 1)
 LINE_SEARCH_TRIALS = 30
 _LAMBDAS = np.ldexp(1.0, -np.arange(LINE_SEARCH_TRIALS))
@@ -615,8 +616,8 @@ def _solve_target(f, y, tol):
     return y
 
 
-def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
-    """Solve f(x) = y near x_guess by damped Newton iteration.
+def local_solve(f, y, x_guess, max_iter=50):
+    """Solve f(x) = y near x_guess to NEWTON_TOL by damped Newton iteration.
 
     Steps are halved until the residual norm strictly decreases; trial
     points outside the domain or hitting evaluation faults count as
@@ -629,9 +630,9 @@ def local_solve(f, y, x_guess, tol=1e-10, max_iter=50):
     above tolerance, and DomainError when every trial of a line search
     leaves the domain or faults.
     """
-    y = _solve_target(f, y, tol)
+    y = _solve_target(f, y, NEWTON_TOL)
     x = f.domain.check_coords(x_guess)
-    run = _converged(f, _newton(f, y, x, tol, max_iter), tol, max_iter)
+    run = _converged(f, _newton(f, y, x, NEWTON_TOL, max_iter), NEWTON_TOL, max_iter)
     return LocalSolveResult(
         Point(run.x, f.domain),
         run.iterations,
@@ -728,7 +729,7 @@ class NewtonBlockResult:
     status: np.ndarray  # (N,) CONVERGED, SINGULAR, STALLED, BUDGET or DOMAIN
 
 
-def newton_block(f, y, starts, tol=1e-10, max_iter=50):
+def newton_block(f, y, starts, tol=NEWTON_TOL, max_iter=50):
     """Solve f(x) = y from every row of an (N, n) block of starts by
     damped Newton iteration, all rows in lockstep.
 

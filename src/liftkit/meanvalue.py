@@ -62,9 +62,8 @@ class _SubLengths:
     """Sub-interval lengths of a path, exact for piecewise-linear kinds
     and adaptive (cached) otherwise."""
 
-    def __init__(self, path, rel_tol=1e-9):
+    def __init__(self, path):
         self.path = path
-        self.rel_tol = rel_tol
         self.exact = isinstance(path, (Segment, Sampled))
         self._cache = {}
 
@@ -75,8 +74,7 @@ class _SubLengths:
             return self.path.exact_length(u, v)
         key = (u, v)
         if key not in self._cache:
-            res = path_length(self.path, (u, v), rel_tol=self.rel_tol)
-            self._cache[key] = res.require()
+            self._cache[key] = path_length(self.path, (u, v)).require()
         return self._cache[key]
 
 
@@ -100,7 +98,7 @@ def _ratio_lower(q, sub_len_p, u, v):
     return sub_len_p(u, v) / q.space.distance_one(*ends.tolist())
 
 
-def split_inequality_slack(f, q, t=None, direction="upper", rel_tol=1e-9):
+def split_inequality_slack(f, q, t=None, direction="upper"):
     """Slack of the split inequality at an interior parameter t.
 
     Upper direction: max of the two child ratios minus the parent
@@ -117,13 +115,13 @@ def split_inequality_slack(f, q, t=None, direction="upper", rel_tol=1e-9):
         raise InputError("t must be interior to the path domain")
     p = mapped_path(f, q)
     if direction == "upper":
-        sub_q = _SubLengths(q, rel_tol)
+        sub_q = _SubLengths(q)
         parent = _ratio_upper(f, q, sub_q, a, b)
         left = _ratio_upper(f, q, sub_q, a, t)
         right = _ratio_upper(f, q, sub_q, t, b)
         return max(left, right) - parent
     if direction == "lower":
-        sub_p = _SubLengths(p, rel_tol)
+        sub_p = _SubLengths(p)
         parent = _ratio_lower(q, sub_p, a, b)
         if parent == math.inf:
             raise DegenerateInputError(
@@ -150,12 +148,12 @@ class BisectionCertificate:
     reparametrized: bool = False
     depth: int = 0
 
-    def check_monotone(self, tol=1e-9):
+    def check_monotone(self):
         """Ratio sequence nondecreasing (upper) / nonincreasing (lower)."""
         r = self.ratio_sequence
         if self.direction == "upper":
-            return all(r[i + 1] >= r[i] - tol for i in range(len(r) - 1))
-        return all(r[i + 1] <= r[i] + tol for i in range(len(r) - 1))
+            return all(r[i + 1] >= r[i] - 1e-9 for i in range(len(r) - 1))
+        return all(r[i + 1] <= r[i] + 1e-9 for i in range(len(r) - 1))
 
 
 def _is_unit_speed(q):
@@ -166,7 +164,7 @@ def _is_unit_speed(q):
     return bool(np.all(np.abs(seg - gaps) <= 1e-12 * (1.0 + gaps)))
 
 
-def find_tau(f, q, direction="upper", tol_t=None, max_depth=MAX_BISECTION_DEPTH):
+def find_tau(f, q, direction="upper"):
     """Bisection witness for the mean-value inequalities.
 
     Upper: returns tau with D^+ at q(tau) >= d(p(a), p(b)) / ell(q), up
@@ -190,8 +188,7 @@ def find_tau(f, q, direction="upper", tol_t=None, max_depth=MAX_BISECTION_DEPTH)
     a, b = q.domain
     if b <= a:
         raise DegenerateInputError("path domain has zero width")
-    if tol_t is None:
-        tol_t = 1e-6 * (b - a)
+    tol_t = 1e-6 * (b - a)
 
     p = mapped_path(f, q)
     if direction == "upper":
@@ -211,7 +208,7 @@ def find_tau(f, q, direction="upper", tol_t=None, max_depth=MAX_BISECTION_DEPTH)
     ratios = [global_ratio]
     slacks = []
     depth = 0
-    while depth < max_depth and (hi - lo) > tol_t:
+    while depth < MAX_BISECTION_DEPTH and (hi - lo) > tol_t:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -274,13 +271,13 @@ class LengthBoundsReport:
     skip_reason: str = ""
 
 
-def length_bounds_report(f, q, n_samples=256, rel_slack=CERT_REL_SLACK):
+def length_bounds_report(f, q, n_samples=256):
     """Check ell(p) against the sampled extreme scalar derivatives.
 
     Upper: ell(p) <= (1 + slack) * sup D^+ * ell(q). Lower: ell(p) >=
     (1 - slack) * inf D^- * ell(q), skipped with a reason when the
     sampled infimum is 0 or the supremum is not finite (the theorem
-    needs 0 < inf <= sup < infinity).
+    needs 0 < inf <= sup < infinity). The slack is CERT_REL_SLACK.
     """
     if n_samples < 2:
         raise InputError("need at least 2 samples")
@@ -295,7 +292,7 @@ def length_bounds_report(f, q, n_samples=256, rel_slack=CERT_REL_SLACK):
     p = mapped_path(f, q)
     len_p = path_length(p).require()
 
-    upper_rhs = (1.0 + rel_slack) * sup_plus * len_q
+    upper_rhs = (1.0 + CERT_REL_SLACK) * sup_plus * len_q
     upper_pass = len_p <= upper_rhs
     report = LengthBoundsReport(
         len_q=len_q,
@@ -313,6 +310,6 @@ def length_bounds_report(f, q, n_samples=256, rel_slack=CERT_REL_SLACK):
         report.lower_skipped = True
         report.skip_reason = "sampled sup D^+ is not finite"
     else:
-        report.lower_rhs = (1.0 - rel_slack) * inf_minus * len_q
+        report.lower_rhs = (1.0 - CERT_REL_SLACK) * inf_minus * len_q
         report.lower_pass = len_p >= report.lower_rhs
     return report

@@ -6,8 +6,9 @@ Section headers carry the object class and name: [map hump],
 comma-separated; expression lists separate components with semicolons.
 Membership predicates follow the sign convention: the domain is where
 the expression is positive. A map's Jacobian is the forward-mode
-derivative of its components; a map section refuses every key it does
-not read, a hand-written jacobian among them.
+derivative of its components. Every section refuses each key it does
+not read, a map's hand-written jacobian or a loop's misspelled winding
+among them.
 
 Example:
 
@@ -62,7 +63,15 @@ from .mapdef import expression_map, resolve_map
 __all__ = ["Registry", "load_registry", "parse_vector", "parse_weight_spec"]
 
 _VAR_ORDER = ("x", "y", "z", "w")
+# the keys each kind of section reads, by its variant
 _MAP_KEYS = ("dim_in", "dim_out", "components", "domain", "space", "codomain_space")
+_PATH_KEYS = {
+    "segment": ("kind", "start", "end"),
+    "loop": ("kind", "center", "radius", "winding", "phase"),
+    "polyline": ("kind", "knots"),
+    "expression": ("kind", "components", "domain"),
+}
+_IMPLICIT_KEYS = ("map", "x_dim", "w")
 
 
 def parse_vector(text):
@@ -92,6 +101,21 @@ def _base_space(tag, dim):
     if tag == "torus":
         return Torus(dim)
     raise InputError("unknown space annotation %r" % tag)
+
+
+def _check_keys(body, section, what, reads):
+    """An InputError naming the section and the key for the first key of
+    body that is not in reads, the keys a section of what (a map, a loop
+    path, ...) reads."""
+    for key in body:
+        if key not in reads:
+            why = (
+                "a map's Jacobian comes from its components"
+                if what == "map" and key == "jacobian"
+                else "%s %s reads %s"
+                % ("an" if what[0] in "aeiou" else "a", what, ", ".join(reads))
+            )
+            raise InputError("%s has unknown key %r: %s" % (section, key, why))
 
 
 def _field(body, section, key, convert=float, default=None):
@@ -203,14 +227,7 @@ class Registry:
             raise InputError("registry has no map %r" % name)
         body = self._maps[name]
         section = "map %s" % name
-        for key in body:
-            if key not in _MAP_KEYS:
-                why = (
-                    "a map's Jacobian comes from its components"
-                    if key == "jacobian"
-                    else "a map reads " + ", ".join(_MAP_KEYS)
-                )
-                raise InputError("%s has unknown key %r: %s" % (section, key, why))
+        _check_keys(body, section, "map", _MAP_KEYS)
         dim_in = _field(body, section, "dim_in", int)
         dim_out = _field(body, section, "dim_out", int)
         comps = _split_exprs(_field(body, section, "components", str))
@@ -243,18 +260,21 @@ class Registry:
         if name not in self._weights:
             raise InputError("registry has no weight %r" % name)
         body = self._weights[name]
+        section = "weight %s" % name
         family = body.get("family", "").strip().lower()
         if ":" in family:
             # compact one-line form, same syntax as the CLI weight spec
+            _check_keys(body, section, "compact weight", ("family",))
             return parse_weight_spec(body["family"])
         if family in ("expr", "expression"):
+            _check_keys(body, section, "expr weight", ("family", "expr"))
             if "expr" not in body:
                 raise InputError("weight %s needs an expr key" % name)
             return parse_weight_spec("expr:" + body["expr"])
         if family not in _WEIGHT_FAMILIES:
             raise InputError("weight %s has unknown family %r" % (name, family))
-        section = "weight %s" % name
         keys = _WEIGHT_FAMILIES[family][1]
+        _check_keys(body, section, "%s weight" % family, ("family",) + keys)
         values = [_field(body, section, key) for key in keys]
         return parse_weight_spec("%s:%s" % (family, ",".join(map(repr, values))))
 
@@ -271,6 +291,9 @@ class Registry:
         body = self._paths[name]
         section = "path %s" % name
         kind = body.get("kind", "").strip().lower()
+        if kind not in _PATH_KEYS:
+            raise InputError("path %s has unknown kind %r" % (name, kind))
+        _check_keys(body, section, "%s path" % kind, _PATH_KEYS[kind])
         if kind == "segment":
             start = _field(body, section, "start", parse_vector)
             return Segment(space, start, _field(body, section, "end", parse_vector))
@@ -284,14 +307,13 @@ class Registry:
             )
         if kind == "polyline":
             return polyline(space, _field(body, section, "knots", _parse_knots))
-        if kind == "expression":
-            dom = _field(body, section, "domain", parse_vector, np.array([0.0, 1.0]))
-            if dom.size != 2:
-                raise InputError("path %s domain needs two numbers" % name)
-            comps = _split_exprs(_field(body, section, "components", str))
-            source = "(" + ", ".join(comps) + ")"
-            return ExpressionPath(space, source, (float(dom[0]), float(dom[1])))
-        raise InputError("path %s has unknown kind %r" % (name, kind))
+        # an expression path
+        dom = _field(body, section, "domain", parse_vector, np.array([0.0, 1.0]))
+        if dom.size != 2:
+            raise InputError("path %s domain needs two numbers" % name)
+        comps = _split_exprs(_field(body, section, "components", str))
+        source = "(" + ", ".join(comps) + ")"
+        return ExpressionPath(space, source, (float(dom[0]), float(dom[1])))
 
     # -- implicit problems -------------------------------------------------
 
@@ -300,6 +322,7 @@ class Registry:
             raise InputError("registry has no implicit problem %r" % name)
         body = self._implicits[name]
         section = "implicit %s" % name
+        _check_keys(body, section, "implicit problem", _IMPLICIT_KEYS)
         map_ref = _field(body, section, "map", str)
         x_dim = _field(body, section, "x_dim", int)
         w = _field(body, section, "w", parse_vector)

@@ -104,17 +104,14 @@ def _shell_ratios(f, c, fc, rho, dirs):
     return np.where(bad | np.isnan(r), np.inf, r)
 
 
-def _shell_grid(f, c, fc, dirs, radii=None):
+def _shell_grid(f, c, fc, dirs):
     """(radii, grid): the _shell_ratios of dirs on the shells of radii
-    around c, one block for all shells, one grid row per radius. The
-    default radii, rho0 * 2^-k for k = 0..SHELL_LEVELS, are all halved
-    until each ratio is finite, in at most 60 tries; given radii are
-    tried once."""
-    tries = 60 if radii is None else 1
-    if radii is None:
-        radii = SHELL_RHO0_SCALE * (1.0 + chart_norm(c)) * 2.0 ** -np.arange(SHELL_LEVELS + 1)
-    for k in range(tries):
-        scaled = np.asarray(radii, dtype=float) * 0.5**k
+    rho0 * 2^-k for k = 0..SHELL_LEVELS around c, one block for all
+    shells, one grid row per radius. The radii are all halved until each
+    ratio is finite, in at most 60 tries."""
+    radii = SHELL_RHO0_SCALE * (1.0 + chart_norm(c)) * 2.0 ** -np.arange(SHELL_LEVELS + 1)
+    for k in range(60):
+        scaled = radii * 0.5**k
         rho = np.repeat(scaled, dirs.shape[0])[:, None]
         grid = _shell_ratios(f, c, fc, rho, np.tile(dirs, (scaled.size, 1)))
         finite = np.isfinite(grid).reshape(scaled.size, -1).all(axis=1)
@@ -254,17 +251,19 @@ def scalar_derivatives(f, x, method="jacobian_svd"):
     return ScalarDerivEstimate(float(d_minus), float(d_plus), method, tuple(report))
 
 
-def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
+def surjection_constant(f, x):
     """Estimate sur(f, x), the liminf of Sur(f,x)(t)/t.
 
     Sur(f,x)(t) is approximated by the distance from f(x) to the image
     of the sphere of radius t: the inner radius of the ball's image for
     a local homeomorphism, an estimate that may err either way for
     other square maps. The value is the minimum of Sur/t over the two
-    smallest radii. A codomain of higher dimension than the domain gets
-    value 0: the image is too thin to contain any ball. A codomain of
-    lower dimension is an InputError: the sphere meets the fiber through
-    x, so the distance is 0 even where f is open.
+    smallest shells of scalar_derivatives, each probed along
+    SURJECTION_DIRS_PER_DIM directions per dimension. A codomain of
+    higher dimension than the domain gets value 0: the image is too thin
+    to contain any ball. A codomain of lower dimension is an InputError:
+    the sphere meets the fiber through x, so the distance is 0 even
+    where f is open.
     """
     c = f.domain.check_coords(x)
     if f.codomain.dim < f.domain.dim:
@@ -274,22 +273,13 @@ def surjection_constant(f, x, radii=None, dirs_per_dim=SURJECTION_DIRS_PER_DIM):
             % (f.name, f.codomain.dim, f.domain.dim)
         )
     if f.codomain.dim > f.domain.dim:
-        rr = tuple(float(r) for r in (radii if radii is not None else ()))
-        return SurjectionEstimate(
-            0.0,
-            rr,
-            tuple(0.0 for _ in rr),
-            note="codomain dimension exceeds domain dimension; no ball "
-            "fits inside the image",
-        )
+        note = "codomain dimension exceeds domain dimension; no ball fits inside the image"
+        return SurjectionEstimate(0.0, (), (), note=note)
     dim = f.domain.dim
-    if radii is not None and not (np.size(radii) and np.min(radii) > 0):
-        raise InputError("radii must be positive")
-    dirs = sphere_directions(dirs_per_dim * dim, dim)
+    dirs = sphere_directions(SURJECTION_DIRS_PER_DIM * dim, dim)
     fc = f.eval(c)
-    radii, grid = _shell_grid(f, c, fc, dirs, radii)
-    order = np.argsort(radii)
-    radii, grid = radii[order], grid[order]
+    radii, grid = _shell_grid(f, c, fc, dirs)
+    radii, grid = radii[::-1], grid[::-1]  # the shells, smallest first
     # the grid only brackets the closest image point; polish it
     ratios = _refine_extreme(f, c, fc, dirs, radii, grid, np.ones(radii.size)).tolist()
     # radii ascend; the liminf estimate wants the two smallest

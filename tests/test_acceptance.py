@@ -155,7 +155,7 @@ def test_criterion_04_mean_value_inequalities():
         name = names[int(rng.integers(len(names)))]
         f = resolve_map(name)
         q = _random_polyline(rng, name, f)
-        rep = length_bounds_report(f, q, rel_slack=0.05)
+        rep = length_bounds_report(f, q)
         assert rep.upper_pass, (name, i)
         if rep.inf_d_minus > 0:
             assert rep.lower_pass, (name, i)

@@ -8,8 +8,11 @@ the module's __all__ counts as read (it is re-exported). It also fails
 on a function, method or class defined in src/ whose name is read
 nowhere in src/, tests/, perfbench/ or demos/ (as a name or as an
 attribute, or listed in an __all__); dunder methods are read by Python
-itself. Last, the definitions of src/ that only tests/ read, an __all__
-not counting, are exactly the names of TEST_ONLY, each with its reason.
+itself. The definitions of src/ that only tests/ read, an __all__ not
+counting, are exactly the names of TEST_ONLY, each with its reason.
+Last, the defaulted parameters of src/'s functions and methods that no
+call in src/, perfbench/ or demos/ sets are exactly those of KNOBS,
+each with its reason: a setting nothing varies is a constant.
 """
 
 import ast
@@ -48,6 +51,19 @@ TEST_ONLY = {
     "local_solve": "public API; the perfbench tracer wraps it by its string name",
     "check_monotone": "public API: checks a mean-value ratio sequence",
     "load_registry": "public API: reads a registry file",
+}
+
+
+# defaulted parameters (function.parameter) of src/ that no call in src/,
+# perfbench/ or demos/ sets, and why each stays
+KNOBS = {
+    "_identity.n": "set through _builtin's row(*arg), a call the scan reads as row's",
+    "local_solve.max_iter": "public API: the Newton budget of one solve",
+    "polyline.domain": "public API: a polyline's parameter interval",
+    "quasi_isometry_bounds.compact_K": "the paper's restricted lower constant over K",
+    "quasi_isometry_bounds.n_samples": "public API: the region's sample budget",
+    "sheet_count.opts": "public API: the lift options of the monodromy loops",
+    "split_inequality_slack.direction": "the paper's lower split inequality",
 }
 
 
@@ -134,6 +150,105 @@ def test_the_definitions_only_tests_read_are_listed():
     outside = _reads(tree for path, tree in TREES.items() if _top(path) != "tests")
     only_tests = {name for _, _, name in _unread_definitions(TREES, src, outside)}
     assert only_tests == set(TEST_ONLY)
+
+
+def _calls(trees):
+    """name -> [(positions, keywords)] for each call the trees make to a
+    name or an attribute of that name: the number of positional
+    arguments (inf with a *args) and the keywords given (None among them
+    with a **kwargs)."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions = float("inf") if starred else len(node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((positions, keywords))
+    return calls
+
+
+def _defaulted(tree):
+    """(function, parameter, position) of each defaulted parameter of the
+    functions and methods of a tree, constructors aside; the position
+    counts from a method's first parameter after self or cls, and is
+    None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                static = any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list
+                )
+                params = (args.posonlyargs + args.args)[in_class and not static :]
+                first = len(params) - len(args.defaults)
+                if child.name != "__init__":
+                    found.extend(
+                        (child.name, a.arg, i) for i, a in enumerate(params) if i >= first
+                    )
+                    found.extend(
+                        (child.name, a.arg, None)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None
+                    )
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def _unset_parameters(trees, defining, calling):
+    """function.parameter for each defaulted parameter defined in a tree
+    of defining that no call in a tree of calling sets, by keyword, by
+    position or through *args or **kwargs; a call is matched to every
+    definition of its name."""
+    calls = _calls(tree for path, tree in trees.items() if path in calling)
+    return {
+        "%s.%s" % (name, param)
+        for path in defining
+        for name, param, position in _defaulted(trees[path])
+        if not any(
+            None in keywords
+            or param in keywords
+            or (position is not None and position < positions)
+            for positions, keywords in calls.get(name, [])
+        )
+    }
+
+
+def test_every_setting_has_a_caller():
+    # a parameter here that a call now sets, or that is gone, leaves the
+    # list; one that no call sets joins it, or becomes a constant
+    src = {path for path in TREES if _top(path) == "src"}
+    calling = {path for path in TREES if _top(path) != "tests"}
+    assert _unset_parameters(TREES, src, calling) == set(KNOBS)
+
+
+def test_the_scan_finds_an_unset_parameter():
+    lib, test = pathlib.Path("lib.py"), pathlib.Path("test_lib.py")
+    trees = {
+        lib: ast.parse(
+            "def f(a, b=1, c=2, *, d=3): pass\n"
+            "def g(x=0, y=1): pass\n"
+            "def h(z=0): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=1): pass\n"
+            "    def grow(self, by=1, times=1): pass\n"
+            "    @staticmethod\n"
+            "    def make(n=1): pass\n"
+            "f(0, 1)\n"
+            "f(0, d=4)\n"
+            "g(*args)\n"
+            "h(**opts)\n"
+            "Box().grow(2)\n"
+            "Box.make(3)\n"
+        ),
+        test: ast.parse("f(0, 1, 2)\nBox().grow(times=2)\n"),
+    }
+    assert _unset_parameters(trees, {lib}, {lib}) == {"f.c", "grow.times"}
 
 
 def test_the_scan_finds_an_unread_definition():

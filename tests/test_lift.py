@@ -240,21 +240,40 @@ def test_analysis_identity_alpha_one():
     f = resolve_map("identity(2)")
     p = _seg2([0.0, 0.0], [1.0, 1.0])
     trace = lift_path(f, p, np.array([0.0, 0.0]))
-    analysis = analyze_trace(trace, domain_space=f.domain)
+    analysis = analyze_trace(trace)
     assert analysis.alpha_hat == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analysis_expmap_alpha_collapses(expmap):
     p = Segment(Euclidean(1), np.array([1.0]), np.array([0.0]))
     trace = lift_path(expmap, p, np.array([0.0]))
-    analysis = analyze_trace(trace, domain_space=expmap.domain)
+    analysis = analyze_trace(trace)
     assert analysis.alpha_hat <= np.exp(-5.0)
+
+
+def test_analysis_measures_in_the_maps_domain():
+    # the lift of the unit loop through exp on the cylinder R x S^1 goes
+    # once round the circle, whose canonical chart coordinate jumps from
+    # pi to -pi: chart-flat diameters near 2 pi, the cylinder's at most pi
+    cyl = _CIRCLE_LINE
+    f = expression_map(
+        "(exp(x)*cos(y), exp(x)*sin(y))", ("x", "y"), domain=cyl, codomain=Euclidean(2)
+    )
+    trace = lift_path(f, Loop(Euclidean(2), [0.0, 0.0], 1.0), np.array([0.0, 0.0]))
+    assert trace.verdict.completed
+    ts, xs, _, _, _ = trace.node_arrays()
+    analysis = analyze_trace(trace)
+    for t, diam in analysis.tail_diameters:
+        sel = xs[ts >= t]
+        want = max((cyl.distance(a, b) for a in sel for b in sel), default=0.0)
+        assert diam == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert analysis.tail_diameters[0][1] == pytest.approx(math.pi, rel=1e-6)
 
 
 def test_analysis_tail_diameters_decay(shear3):
     p = _seg2([0.0, 0.0], [9.0, 2.0])
     trace = lift_path(shear3, p, np.array([0.0, 0.0]))
-    analysis = analyze_trace(trace, domain_space=shear3.domain)
+    analysis = analyze_trace(trace)
     diams = [d for _, d in analysis.tail_diameters]
     assert all(b <= a + 1e-12 for a, b in zip(diams, diams[1:]))
     assert diams[-1] <= max(n.step for n in trace.nodes) * 10

@@ -220,6 +220,94 @@ def test_a_map_section_refuses_a_key_it_does_not_read(tmp_path, capsys):
         assert capsys.readouterr().err == "error: %s\n" % message
 
 
+STRAY_KEYS = """\
+[weight wlong]
+family = affine
+a = 1
+b = 1
+c = 7
+
+[weight wexpr]
+family = expr
+expr = 1 + t
+t = 2
+
+[weight wcompact]
+family = power:1,1,0.5
+gamma = 2
+
+[path pseg]
+kind = segment
+start = 0, 0
+end = 1, 1
+ende = 2, 2
+
+[path ring]
+kind = loop
+center = 0, 0
+radius = 1
+windng = 3
+
+[path pknots]
+kind = polyline
+knots = 0, 0; 1, 1
+domain = 0, 2
+
+[path arc]
+kind = expression
+components = cos(t) ; sin(t)
+domian = 0, 3
+
+[implicit cubic]
+map = cubic_implicit
+x_dim = 1
+w = 0
+x_dom = 5
+"""
+# each section's refusal, in validate's order
+_STRAY_KEYS = [
+    ("weight wcompact", "'gamma': a compact weight reads family"),
+    ("weight wexpr", "'t': an expr weight reads family, expr"),
+    ("weight wlong", "'c': an affine weight reads family, a, b"),
+    ("path arc", "'domian': an expression path reads kind, components, domain"),
+    ("path pknots", "'domain': a polyline path reads kind, knots"),
+    ("path pseg", "'ende': a segment path reads kind, start, end"),
+    ("path ring", "'windng': a loop path reads kind, center, radius, winding, phase"),
+    ("implicit cubic", "'x_dom': an implicit problem reads map, x_dim, w"),
+]
+_STRAY_KEYS = [(sec, "%s has unknown key %s" % (sec, why)) for sec, why in _STRAY_KEYS]
+
+
+def test_every_section_refuses_a_key_it_does_not_read(tmp_path, capsys):
+    # a misspelled winding once validated and ran the loop once round;
+    # every kind of section, in each of its variants, now refuses a key
+    # it does not read with an error naming the section and the key
+    path = tmp_path / "stray.ini"
+    path.write_text(STRAY_KEYS, encoding="utf-8")
+    reg = Registry.from_file(str(path))
+    assert reg.validate() == _STRAY_KEYS
+    with pytest.raises(InputError, match="path ring has unknown key 'windng'"):
+        reg.get_path("ring", Euclidean(2))
+    assert run(["registry", "validate", "--registry", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["problems"] == [
+        {"section": sec, "error": message} for sec, message in _STRAY_KEYS
+    ]
+    messages = dict(_STRAY_KEYS)
+    for argv, sec in (
+        (["length", "--path", "ring", "--dim", "2"], "path ring"),
+        (["hadamard", "--weight", "wlong"], "weight wlong"),
+        (["hadamard", "--weight", "wexpr"], "weight wexpr"),
+        (
+            ["implicit", "--problem", "cubic", "--x-target", "1"]
+            + ["--start-x", "0", "--start-y", "0"],
+            "implicit cubic",
+        ),
+    ):
+        assert run(argv + ["--registry", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % messages[sec]
+
+
 BAD_VECTORS = """\
 [path pseg]
 kind = segment

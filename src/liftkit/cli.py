@@ -51,8 +51,8 @@ from .hadamard import (
 )
 from .implicit import (
     PROJECT_TOL,
+    RESIDUAL_TOL,
     SINGULAR_THRESHOLD,
-    ImplicitOptions,
     ImplicitProblem,
     branch_probe,
     davidenko_lift,
@@ -153,6 +153,22 @@ def _tol(text):
     if not (math.isfinite(tol) and tol > 0):
         raise InputError("--tol must be a finite positive number, got %r" % text)
     return tol
+
+
+def _count(flag):
+    """The reader of the count option flag: an integer >= 1, else an
+    InputError that names flag."""
+
+    def read(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise InputError("%s must be an integer >= 1, got %r" % (flag, text))
+        return n
+
+    return read
 
 
 def _add_tol(p, default, what):
@@ -542,9 +558,8 @@ def cmd_implicit(args, reg):
         f = _map(args, reg)
         prob = ImplicitProblem(f, int(args.x_dim), _vec(args.w))
 
-    opts = ImplicitOptions(residual_tol=args.tol)
     tolerances = {
-        "residual_tol": opts.residual_tol,
+        "residual_tol": args.tol,
         "project_tol": PROJECT_TOL,
         "singular_threshold": SINGULAR_THRESHOLD,
     }
@@ -596,7 +611,7 @@ def cmd_implicit(args, reg):
     else:
         raise LiftkitError("implicit needs --x-path/--y0, --x-target, or --branches")
 
-    trace = davidenko_lift(prob, p, y0, weight=weight, opts=opts)
+    trace = davidenko_lift(prob, p, y0, weight=weight, residual_tol=args.tol)
     v = trace.verdict
     results = {
         "verdict": v.kind,
@@ -724,7 +739,7 @@ def build_parser():
     p = sub.add_parser("fiber", parents=[common], help="enumerate a fiber")
     p.add_argument("--map", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--n-starts", type=int, default=64)
+    p.add_argument("--n-starts", type=_count("--n-starts"), default=64)
     p.add_argument("--region", help="seed region lo:hi")
     _add_tol(p, FIBER_TOL, "Newton residual tolerance")
     p.set_defaults(func=cmd_fiber)
@@ -745,7 +760,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=32)
     p.add_argument("--weight", help="weight spec or registry weight name")
     p.add_argument("--certify-region", help="certificate sampling region lo:hi")
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=_count("--samples"), default=512)
     p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser(
@@ -764,8 +779,8 @@ def build_parser():
     p.add_argument("--branches", action="store_true")
     p.add_argument("--x-box")
     p.add_argument("--y-box")
-    p.add_argument("--n-starts", type=int, default=32)
-    _add_tol(p, ImplicitOptions.residual_tol, "start residual tolerance")
+    p.add_argument("--n-starts", type=_count("--n-starts"), default=32)
+    _add_tol(p, RESIDUAL_TOL, "start residual tolerance")
     p.set_defaults(func=cmd_implicit)
 
     p = sub.add_parser("registry", parents=[common], help="inspect a registry file")
@@ -812,7 +827,7 @@ def run(argv):
         if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
-        args = parser.parse_args(argv)  # --tol's reader raises InputError
+        args = parser.parse_args(argv)  # the --tol and count readers raise InputError
         reg = Registry.from_file(args.registry) if args.registry else None
         report, files, code = args.func(args, reg)
         _emit(report, files, args)

@@ -312,8 +312,7 @@ class HadamardProfile:
     infima: np.ndarray
     partial_integrals: np.ndarray
     samples_per_radius: np.ndarray
-    regular: bool
-    regularity_note: str
+    regular: bool  # no sample has a vanishing lower derivative
     sample_coords: np.ndarray
     sample_d_minus: np.ndarray
     sample_dists: np.ndarray
@@ -415,15 +414,7 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
 
     xs, ss, ds = (np.concatenate(part) for part in zip(*samples))
 
-    regular = True
-    note = ""
-    bad = ~np.isfinite(ss) | (ss <= 0.0)
-    if np.any(bad):
-        regular = False
-        note = (
-            "not regular: %d sample(s) with vanishing lower derivative"
-            % int(bad.sum())
-        )
+    regular = bool(np.all(np.isfinite(ss) & (ss > 0.0)))
 
     infima = np.empty(radii.shape)
     counts = np.empty(radii.shape, dtype=int)
@@ -445,7 +436,6 @@ def ball_infimum_profile(f, x0, radii=None, budget=32):
         partial_integrals=partial,
         samples_per_radius=counts,
         regular=regular,
-        regularity_note=note,
         sample_coords=xs,
         sample_d_minus=ss,
         sample_dists=ds,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ from .lift import (
     ContinuationFailure,
     LiftOptions,
     Verdict,
-    _check_options,
     lift_path,
 )
 from .mapdef import CONVERGED, MapHandle, newton_block, singular_extremes_many
@@ -48,7 +48,6 @@ from .sampling import unit_box_points
 
 __all__ = [
     "ImplicitProblem",
-    "ImplicitOptions",
     "ImplicitNode",
     "ImplicitTrace",
     "davidenko_lift",
@@ -65,21 +64,16 @@ STEP_MIN = 1e-14
 PROJECT_TOL = 1e-10
 # a fold: the y-block's smallest singular value is under this
 SINGULAR_THRESHOLD = 1e-6
+# a start within RESIDUAL_TOL of the level set is projected onto it
+RESIDUAL_TOL = 1e-8
+# the node budget of one continuation
+MAX_NODES = 200000
 
 WEIGHT_DISCREPANCY_NOTE = (
     "weight continuity: the a priori bound assumes a continuous weight; "
     "step weights are accepted elsewhere but the monitor here treats "
     "them pointwise"
 )
-
-
-@dataclass(frozen=True)
-class ImplicitOptions:
-    residual_tol: float = 1e-8  # start tolerance
-    max_nodes: int = 200000
-
-    def __post_init__(self):
-        _check_options(self)
 
 
 class ImplicitProblem:
@@ -249,23 +243,25 @@ def _level_solve(g, prob, xbar, ys, tol):
     return newton_block(g, prob.join(xbar, prob.w), starts, tol=tol, max_iter=60)
 
 
-def davidenko_lift(prob, p, y0, weight=None, opts=None):
+def davidenko_lift(prob, p, y0, weight=None, residual_tol=RESIDUAL_TOL):
     """Continue y along the x-path p from y0 by lifting the path
     t -> (p(t), w) through the projection map (x, y) -> (x, f(x, y)).
 
     A start within residual_tol of the level set is first projected
     onto it (Newton in y at fixed x) to PROJECT_TOL, the tolerance of
-    the lift's corrector; a start that does not project is an
-    InputError. The verdict is the lift's, which is FailedSingular
-    where the steps collapse at a fold, with one more rule: the first
-    node whose y-block smallest singular value is under
+    the lift's corrector; a start that does not project, or a
+    residual_tol that is not finite and positive, is an InputError.
+    The verdict is the lift's, which is FailedSingular where the steps
+    collapse at a fold, with one more rule: the first node whose
+    y-block smallest singular value is under
     SINGULAR_THRESHOLD ends the trace as FailedSingular at that node's
     parameter, since there the projection onto x stops being a local
     homeomorphism. When a weight is supplied, the trace logs the
     running integral of 1/weight over ||y|| and checks the a priori
     bound wherever the monitor hypothesis holds.
     """
-    opts = opts or ImplicitOptions()
+    if not (math.isfinite(residual_tol) and residual_tol > 0):
+        raise InputError("residual_tol must be finite and positive, got %r" % residual_tol)
     if p.space.dim != prob.m:
         raise InputError(
             "x-path lives in dimension %d, problem has x-dimension %d"
@@ -277,10 +273,8 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
     x = p.eval(t0)
     start = prob.join(x, y)
     (r0,), _, (smin0,) = prob.node_values(start[None, :])
-    if r0 > opts.residual_tol:
-        raise InputError(
-            "start residual %g exceeds tolerance %g" % (r0, opts.residual_tol)
-        )
+    if r0 > residual_tol:
+        raise InputError("start residual %g exceeds tolerance %g" % (r0, residual_tol))
     if smin0 < SINGULAR_THRESHOLD:
         raise InputError("y-block is singular at the start (smin %g)" % smin0)
 
@@ -290,19 +284,14 @@ def davidenko_lift(prob, p, y0, weight=None, opts=None):
         if sol.status[0] != CONVERGED:
             raise InputError(
                 "start within residual_tol %g does not project to project_tol %g"
-                % (opts.residual_tol, PROJECT_TOL)
+                % (residual_tol, PROJECT_TOL)
             )
         start = sol.points[0]
     lift = lift_path(
         g,
         prob.augmented_path(p),
         start,
-        LiftOptions(
-            step_min=STEP_MIN,
-            corrector_tol=PROJECT_TOL,
-            blowup_radius=1e6,
-            max_nodes=opts.max_nodes,
-        ),
+        LiftOptions(step_min=STEP_MIN, corrector_tol=PROJECT_TOL, max_nodes=MAX_NODES),
     )
     ts, coords, _, _, _ = lift.node_arrays()
     residual, monitor, jy_smin = prob.node_values(coords)

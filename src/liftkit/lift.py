@@ -9,6 +9,13 @@ step is refused and halved like a failed corrector; a path that runs
 into a fold ends there instead of jumping sheets. Failure is
 classified, not hidden: blow-up, near-singular Jacobian, step-size
 collapse, or domain exit, each with the furthest parameter reached.
+
+The step schedule is fixed: the first step covers STEP_INIT of the
+path's parameter range, each accepted step grows the next by GROWTH up
+to STEP_MAX, each refused one halves it, and the corrector makes at
+most MAX_CORRECTOR_ITER Newton steps. A caller sets only the floor of
+the halving, the corrector's tolerance and the node budget
+(LiftOptions).
 """
 
 from __future__ import annotations
@@ -74,41 +81,39 @@ _ENGINE_NOTE = (
 )
 
 
+# the step schedule, in fractions of the path's parameter range, and the
+# corrector's Newton budget per step
+STEP_INIT = 1e-2
+STEP_MAX = 0.1
+GROWTH = 1.5
+MAX_CORRECTOR_ITER = 25
+# an accepted node whose Jacobian's smallest singular value is under
+# SINGULAR_THRESHOLD ends the lift as FailedSingular; one whose chart
+# norm is over BLOWUP_RADIUS ends it as FailedBlowUp
+SINGULAR_THRESHOLD = 1e-10
+BLOWUP_RADIUS = 1e6
+
+
 @dataclass(frozen=True)
 class LiftOptions:
-    step_init: float = 1e-2
-    step_min: float = 1e-12
-    step_max: float = 0.1
+    step_min: float = 1e-12  # the floor of the halving steps
     corrector_tol: float = 1e-10
-    blowup_radius: float = 1e6
-    singular_threshold: float = 1e-10
-    growth: float = 1.5
-    max_corrector_iter: int = 25
     max_nodes: int = 100000
 
     def __post_init__(self):
-        _check_options(self)
-        if self.singular_threshold < 0:
-            raise InputError("singular_threshold must be at least 0")
-        if not (0.0 < self.step_min <= self.step_init <= self.step_max):
-            raise InputError("need 0 < step_min <= step_init <= step_max")
-        if self.growth < 1.0:
-            raise InputError("growth must be at least 1, got %r" % self.growth)
-        if self.max_corrector_iter < 0:
-            raise InputError("max_corrector_iter must be at least 0")
-
-
-def _check_options(opts):
-    """Refuse an options record with a non-finite field, a tolerance or
-    blowup_radius <= 0 (the fields it has of these) or max_nodes < 1."""
-    for f in dataclasses.fields(opts):
-        value = getattr(opts, f.name)
-        if not math.isfinite(value):
-            raise InputError("%s must be finite, got %r" % (f.name, value))
-        if (f.name.endswith("_tol") or f.name == "blowup_radius") and value <= 0:
-            raise InputError("%s must be positive, got %r" % (f.name, value))
-    if opts.max_nodes < 1:
-        raise InputError("max_nodes must be at least 1")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise InputError("%s must be finite, got %r" % (f.name, value))
+        if self.corrector_tol <= 0:
+            raise InputError("corrector_tol must be positive, got %r" % self.corrector_tol)
+        if not 0.0 < self.step_min <= STEP_INIT:
+            raise InputError(
+                "need 0 < step_min <= the first step %g, got %r"
+                % (STEP_INIT, self.step_min)
+            )
+        if self.max_nodes < 1:
+            raise InputError("max_nodes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -291,7 +296,7 @@ def lift_path(f, p, x0, opts=None):
         )
 
     s = 0.0
-    dt = opts.step_init
+    dt = STEP_INIT
     p_cur = p_start
     while True:
         if len(nodes) >= opts.max_nodes:
@@ -311,7 +316,7 @@ def lift_path(f, p, x0, opts=None):
             if not (all(map(math.isfinite, xhat)) and dom.contains(xhat)):
                 xhat = x
             # xhat is checked, so the corrector evaluates without tests
-            tol, budget = opts.corrector_tol, opts.max_corrector_iter
+            tol, budget = opts.corrector_tol, MAX_CORRECTOR_ITER
             run = _converged(f, _newton(f, target, xhat, tol, budget), tol, budget)
             if not _keeps_orientation(f, x, xhat, run, orient):
                 raise SingularJacobianError("step crosses the critical set")
@@ -361,25 +366,25 @@ def lift_path(f, p, x0, opts=None):
         p_cur = target
         jac = run.jacobian
 
-        if smin < opts.singular_threshold:
+        if smin < SINGULAR_THRESHOLD:
             return fail(
                 FAILED_SINGULAR,
                 s,
                 d_minus=smin,
                 message="smin %.3g < singular_threshold %.3g"
-                % (smin, opts.singular_threshold),
+                % (smin, SINGULAR_THRESHOLD),
             )
         # math.hypot, within an ulp of chart_norm and faster, only rules
         # out a blow-up far inside the radius
-        if math.hypot(*x) > 0.5 * opts.blowup_radius:
+        if math.hypot(*x) > 0.5 * BLOWUP_RADIUS:
             norm = chart_norm(x)
-            if norm > opts.blowup_radius:
+            if norm > BLOWUP_RADIUS:
                 return fail(
                     FAILED_BLOWUP,
                     s,
                     last_norm=norm,
                     message="norm %.3g > blowup_radius %.3g"
-                    % (norm, opts.blowup_radius),
+                    % (norm, BLOWUP_RADIUS),
                 )
         if s >= 1.0:
             pol = _newton(f, target, x, POLISH_TOL, POLISH_STEPS)
@@ -390,7 +395,7 @@ def lift_path(f, p, x0, opts=None):
                     smin = singular_extremes(jacobian_at(f, pol.x))[0]
                 nodes[-1] = LiftNode(t_here, np.array(pol.x), pol.residual, smin, 0.0)
             return make_trace(Verdict(kind=COMPLETED, b=1.0))
-        dt = min(dt * opts.growth, opts.step_max)
+        dt = min(dt * GROWTH, STEP_MAX)
 
 
 @dataclass

@@ -58,29 +58,19 @@ def mapped_path(f, q):
     return FunctionPath(f.codomain, fn, q.domain, q.breakpoints())
 
 
-class _SubLengths:
-    """Sub-interval lengths of a path, exact for piecewise-linear kinds
-    and adaptive (cached) otherwise."""
-
-    def __init__(self, path):
-        self.path = path
-        self.exact = isinstance(path, (Segment, Sampled))
-        self._cache = {}
-
-    def __call__(self, u, v):
-        if v <= u:
-            return 0.0
-        if self.exact:
-            return self.path.exact_length(u, v)
-        key = (u, v)
-        if key not in self._cache:
-            self._cache[key] = path_length(self.path, (u, v)).require()
-        return self._cache[key]
+def _sub_length(path, u, v):
+    """The length of path over [u, v], exact for piecewise-linear kinds
+    and adaptive otherwise."""
+    if v <= u:
+        return 0.0
+    if isinstance(path, (Segment, Sampled)):
+        return path.exact_length(u, v)
+    return path_length(path, (u, v)).require()
 
 
-def _ratio_upper(f, q, sub_len_q, u, v):
+def _ratio_upper(f, q, u, v):
     """d(p(u), p(v)) / ell(q over [u, v]); p = f o q."""
-    length = sub_len_q(u, v)
+    length = _sub_length(q, u, v)
     if length <= 0.0:
         raise DegenerateInputError(
             "zero-length subpath on [%g, %g]; reparametrize by arc length" % (u, v)
@@ -89,13 +79,14 @@ def _ratio_upper(f, q, sub_len_q, u, v):
     return f.codomain.distance_one(pu, pv) / length
 
 
-def _ratio_lower(q, sub_len_p, u, v):
-    """ell(p over [u, v]) / d(q(u), q(v)); infinite when q(u) = q(v)
-    (points_equal: a closed loop's ends differ by rounding)."""
+def _ratio_lower(q, p, u, v):
+    """ell(p over [u, v]) / d(q(u), q(v)); p = f o q, infinite when
+    q(u) = q(v) (points_equal: a closed loop's ends differ by
+    rounding)."""
     ends = q.eval_many(np.array([u, v]))
     if points_equal(q.space, ends[:1], ends[1:])[0, 0]:
         return math.inf
-    return sub_len_p(u, v) / q.space.distance_one(*ends.tolist())
+    return _sub_length(p, u, v) / q.space.distance_one(*ends.tolist())
 
 
 def split_inequality_slack(f, q, t=None, direction="upper"):
@@ -115,20 +106,18 @@ def split_inequality_slack(f, q, t=None, direction="upper"):
         raise InputError("t must be interior to the path domain")
     p = mapped_path(f, q)
     if direction == "upper":
-        sub_q = _SubLengths(q)
-        parent = _ratio_upper(f, q, sub_q, a, b)
-        left = _ratio_upper(f, q, sub_q, a, t)
-        right = _ratio_upper(f, q, sub_q, t, b)
+        parent = _ratio_upper(f, q, a, b)
+        left = _ratio_upper(f, q, a, t)
+        right = _ratio_upper(f, q, t, b)
         return max(left, right) - parent
     if direction == "lower":
-        sub_p = _SubLengths(p)
-        parent = _ratio_lower(q, sub_p, a, b)
+        parent = _ratio_lower(q, p, a, b)
         if parent == math.inf:
             raise DegenerateInputError(
                 "path endpoints coincide; the lower ratio is undefined"
             )
-        left = _ratio_lower(q, sub_p, a, t)
-        right = _ratio_lower(q, sub_p, t, b)
+        left = _ratio_lower(q, p, a, t)
+        right = _ratio_lower(q, p, t, b)
         return parent - min(left, right)
     raise InputError("direction must be 'upper' or 'lower'")
 
@@ -141,9 +130,7 @@ class BisectionCertificate:
     global_ratio: float
     derivative_at_tau: float
     final_slack: float
-    interval_history: list
     ratio_sequence: list
-    split_slacks: list
     passed: bool
     reparametrized: bool = False
     depth: int = 0
@@ -192,21 +179,17 @@ def find_tau(f, q, direction="upper"):
 
     p = mapped_path(f, q)
     if direction == "upper":
-        sub_q = _SubLengths(q)
-        ratio = lambda u, v: _ratio_upper(f, q, sub_q, u, v)
+        ratio = lambda u, v: _ratio_upper(f, q, u, v)
         better = lambda left, right: left >= right  # keep larger; tie -> left
     else:
-        sub_p = _SubLengths(p)
-        ratio = lambda u, v: _ratio_lower(q, sub_p, u, v)
+        ratio = lambda u, v: _ratio_lower(q, p, u, v)
         better = lambda left, right: left <= right  # keep smaller; tie -> left
 
     lo, hi = a, b
     global_ratio = ratio(a, b)
     if direction == "lower" and global_ratio == math.inf:
         raise DegenerateInputError("lower certificate needs distinct path endpoints")
-    history = [(lo, hi)]
     ratios = [global_ratio]
-    slacks = []
     depth = 0
     while depth < MAX_BISECTION_DEPTH and (hi - lo) > tol_t:
         mid = 0.5 * (lo + hi)
@@ -214,18 +197,12 @@ def find_tau(f, q, direction="upper"):
             break
         left = ratio(lo, mid)
         right = ratio(mid, hi)
-        parent = ratios[-1]
-        if direction == "upper":
-            slacks.append(max(left, right) - parent)
-        else:
-            slacks.append(parent - min(left, right))
         if better(left, right):
             hi = mid
             chosen = left
         else:
             lo = mid
             chosen = right
-        history.append((lo, hi))
         ratios.append(chosen)
         depth += 1
 
@@ -247,9 +224,7 @@ def find_tau(f, q, direction="upper"):
         global_ratio=global_ratio,
         derivative_at_tau=deriv,
         final_slack=final_slack,
-        interval_history=history,
         ratio_sequence=ratios,
-        split_slacks=slacks,
         passed=passed,
         reparametrized=reparametrized,
         depth=depth,

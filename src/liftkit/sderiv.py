@@ -55,8 +55,7 @@ class ScalarDerivEstimate:
 @dataclass(frozen=True)
 class SurjectionEstimate:
     value: float
-    radii_used: tuple
-    ratios: tuple  # Sur(f,x)(t)/t per radius
+    ratios: tuple  # Sur(f,x)(t)/t on each shell, the smallest radius first
     note: str = ""
 
 
@@ -274,7 +273,7 @@ def surjection_constant(f, x):
         )
     if f.codomain.dim > f.domain.dim:
         note = "codomain dimension exceeds domain dimension; no ball fits inside the image"
-        return SurjectionEstimate(0.0, (), (), note=note)
+        return SurjectionEstimate(0.0, (), note=note)
     dim = f.domain.dim
     dirs = sphere_directions(SURJECTION_DIRS_PER_DIM * dim, dim)
     fc = f.eval(c)
@@ -284,4 +283,4 @@ def surjection_constant(f, x):
     ratios = _refine_extreme(f, c, fc, dirs, radii, grid, np.ones(radii.size)).tolist()
     # radii ascend; the liminf estimate wants the two smallest
     value = min(ratios[:2])
-    return SurjectionEstimate(value, tuple(radii.tolist()), tuple(ratios))
+    return SurjectionEstimate(value, tuple(ratios))

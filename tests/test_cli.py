@@ -532,6 +532,26 @@ def test_tol_reaches_the_report(command, key):
     assert default["tolerances"][key] != 1e-9
 
 
+# a count option of each subcommand that reads one, set to 0
+_ZERO_COUNTS = {
+    "fiber": ["fiber", "--map", "powk(3)", "--target", "1,0", "--n-starts", "0"],
+    "hadamard": ["hadamard", "--map", "shear3", "--center", "0,0",
+                 "--weight", "affine:1,1", "--samples", "0"],
+    "implicit": ["implicit", "--map", "y^3 - y - x", "--x-dim", "1", "--w", "0",
+                 "--branches", "--x-box=-0.15:0.15", "--y-box=-2:2", "--n-starts", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ZERO_COUNTS))
+def test_a_zero_count_is_an_input_error_that_names_its_flag(command, capsys):
+    argv = _ZERO_COUNTS[command]
+    code, out = invoke(argv + ["--json"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "error: %s must be an integer >= 1, got '0'\n" % argv[-2]
+
+
 _CAUSE_REGISTRY = """
 [map fold_cubic]
 dim_in = 2

@@ -1,6 +1,8 @@
 """Implicit continuation: lifting through the projection map, folds,
 branches, weights."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from liftkit import (
     AffineWeight,
     Box,
     ContinuationFailure,
-    ImplicitOptions,
     ImplicitProblem,
     InputError,
     Segment,
@@ -20,6 +21,7 @@ from liftkit import (
     implicit_eval,
     resolve_map,
 )
+import liftkit.implicit
 from liftkit.implicit import PROJECT_TOL
 from oracles import FOLD_X, FOLD_Y, KEPLER_ROOT
 
@@ -218,12 +220,10 @@ def test_monitor_positive_on_regular_trace():
         assert node.jy_smin > 0.0
 
 
-def test_options_respected():
+def test_options_respected(monkeypatch):
     prob = _cubic()
-    opts = ImplicitOptions(max_nodes=2)
-    trace = davidenko_lift(
-        prob, _x_segment(prob, 0.0, 2.0), np.array([0.0]), opts=opts
-    )
+    monkeypatch.setattr(liftkit.implicit, "MAX_NODES", 2)
+    trace = davidenko_lift(prob, _x_segment(prob, 0.0, 2.0), np.array([0.0]))
     assert not trace.verdict.completed
 
 
@@ -273,7 +273,7 @@ def test_start_that_does_not_project_is_an_input_error():
             prob,
             _x_segment(prob, -1e-3, 1.0),
             np.array([1e-3]),
-            opts=ImplicitOptions(residual_tol=1e-2),
+            residual_tol=1e-2,
         )
 
 
@@ -286,13 +286,8 @@ def test_start_within_residual_tol_is_projected():
     assert trace.final_y[0] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"residual_tol": 0.0},
-        {"max_nodes": 0},
-    ],
-)
-def test_implicit_options_are_checked_like_lift_options(bad):
-    with pytest.raises(InputError, match=next(iter(bad))):
-        ImplicitOptions(**bad)
+@pytest.mark.parametrize("bad", [0.0, -1e-8, math.inf, math.nan])
+def test_residual_tol_is_checked(bad):
+    prob = _cubic()
+    with pytest.raises(InputError, match="residual_tol"):
+        davidenko_lift(prob, _x_segment(prob, 0.0, 2.0), np.array([0.0]), residual_tol=bad)

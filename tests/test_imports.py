@@ -10,9 +10,11 @@ nowhere in src/, tests/, perfbench/ or demos/ (as a name or as an
 attribute, or listed in an __all__); dunder methods are read by Python
 itself. The definitions of src/ that only tests/ read, an __all__ not
 counting, are exactly the names of TEST_ONLY, each with its reason.
-Last, the defaulted parameters of src/'s functions and methods that no
-call in src/, perfbench/ or demos/ sets are exactly those of KNOBS,
-each with its reason: a setting nothing varies is a constant.
+Last, the defaulted parameters of src/'s functions and methods, and
+the defaulted fields of its options records (dataclasses named
+*Options), that no call in src/, perfbench/ or demos/ sets are exactly
+those of KNOBS, each with its reason: a setting nothing varies is a
+constant.
 """
 
 import ast
@@ -54,8 +56,9 @@ TEST_ONLY = {
 }
 
 
-# defaulted parameters (function.parameter) of src/ that no call in src/,
-# perfbench/ or demos/ sets, and why each stays
+# defaulted parameters (function.parameter) and options-record fields
+# (record.field) of src/ that no call in src/, perfbench/ or demos/ sets,
+# and why each stays
 KNOBS = {
     "_identity.n": "set through _builtin's row(*arg), a call the scan reads as row's",
     "local_solve.max_iter": "public API: the Newton budget of one solve",
@@ -169,15 +172,32 @@ def _calls(trees):
     return calls
 
 
+def _is_options_record(node):
+    """Whether a class definition is an options record: a dataclass
+    whose name ends in Options."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return node.name.endswith("Options") and any(
+        "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)) for d in decorators
+    )
+
+
 def _defaulted(tree):
-    """(function, parameter, position) of each defaulted parameter of the
-    functions and methods of a tree, constructors aside; the position
-    counts from a method's first parameter after self or cls, and is
-    None for a keyword-only parameter."""
+    """(function, parameter, position, False) of each defaulted parameter
+    of the functions and methods of a tree, constructors aside, and
+    (record, field, position, True) of each defaulted field of an
+    options record; the position counts from a method's first parameter
+    after self or cls, and is None for a keyword-only parameter."""
     found = []
 
     def visit(node, in_class):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and _is_options_record(child):
+                fields = [s for s in child.body if isinstance(s, ast.AnnAssign)]
+                found.extend(
+                    (child.name, s.target.id, i, True)
+                    for i, s in enumerate(fields)
+                    if s.value is not None
+                )
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 static = any(
@@ -187,10 +207,12 @@ def _defaulted(tree):
                 first = len(params) - len(args.defaults)
                 if child.name != "__init__":
                     found.extend(
-                        (child.name, a.arg, i) for i, a in enumerate(params) if i >= first
+                        (child.name, a.arg, i, False)
+                        for i, a in enumerate(params)
+                        if i >= first
                     )
                     found.extend(
-                        (child.name, a.arg, None)
+                        (child.name, a.arg, None, False)
                         for a, d in zip(args.kwonlyargs, args.kw_defaults)
                         if d is not None
                     )
@@ -201,20 +223,23 @@ def _defaulted(tree):
 
 
 def _unset_parameters(trees, defining, calling):
-    """function.parameter for each defaulted parameter defined in a tree
-    of defining that no call in a tree of calling sets, by keyword, by
+    """function.parameter for each defaulted parameter, and record.field
+    for each defaulted options-record field, defined in a tree of
+    defining that no call in a tree of calling sets, by keyword, by
     position or through *args or **kwargs; a call is matched to every
-    definition of its name."""
+    definition of its name, and a field is also set by a keyword of a
+    call of replace (dataclasses.replace)."""
     calls = _calls(tree for path, tree in trees.items() if path in calling)
+    replaced = [(0, keywords) for _, keywords in calls.get("replace", [])]
     return {
         "%s.%s" % (name, param)
         for path in defining
-        for name, param, position in _defaulted(trees[path])
+        for name, param, position, field in _defaulted(trees[path])
         if not any(
             None in keywords
             or param in keywords
             or (position is not None and position < positions)
-            for positions, keywords in calls.get(name, [])
+            for positions, keywords in calls.get(name, []) + (replaced if field else [])
         )
     }
 
@@ -249,6 +274,29 @@ def test_the_scan_finds_an_unset_parameter():
         test: ast.parse("f(0, 1, 2)\nBox().grow(times=2)\n"),
     }
     assert _unset_parameters(trees, {lib}, {lib}) == {"f.c", "grow.times"}
+
+
+def test_the_scan_finds_an_unset_option_field():
+    lib, test = pathlib.Path("lib.py"), pathlib.Path("test_lib.py")
+    trees = {
+        lib: ast.parse(
+            "import dataclasses\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class RunOptions:\n"
+            "    tol: float = 1e-8\n"
+            "    budget: int = 10\n"
+            "    steps: int = 5\n"
+            "    rate: float = 0.5\n"
+            "@dataclass\n"
+            "class Result:\n"
+            "    value: float = 0.0\n"
+            "RunOptions(1e-6)\n"
+            "dataclasses.replace(RunOptions(), steps=3)\n"
+            "'text'.replace('t', 'T')\n"
+        ),
+        test: ast.parse("RunOptions(rate=0.1)\n"),
+    }
+    assert _unset_parameters(trees, {lib}, {lib}) == {"RunOptions.budget", "RunOptions.rate"}
 
 
 def test_the_scan_finds_an_unread_definition():

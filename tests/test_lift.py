@@ -23,7 +23,7 @@ from liftkit import (
     lift_path,
     resolve_map,
 )
-from liftkit.lift import POLISH_STEPS, POLISH_TOL
+from liftkit.lift import MAX_CORRECTOR_ITER, POLISH_STEPS, POLISH_TOL, STEP_INIT
 from liftkit.mapdef import BUDGET
 from oracles import shear_inverse
 
@@ -64,15 +64,16 @@ def test_accepted_nodes_reuse_the_corrector_jacobian(shear3, monkeypatch):
     calls, runs = [], []
     _counting(monkeypatch, liftkit.lift, "jacobian_at", calls)
     _counting(monkeypatch, liftkit.lift, "_newton", runs)
-    opts = LiftOptions(step_max=0.02)
-    trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
+    monkeypatch.setattr(liftkit.lift, "STEP_MAX", 0.02)
+    trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2))
     assert trace.verdict.kind == "Completed"
     assert len(trace.nodes) > 50
     # one corrector run per accepted node (no step is refused here),
     # then the polish
     *correctors, (polish_args, run) = runs
     assert len(correctors) == len(trace.nodes) - 1
-    assert all(args[3] == opts.corrector_tol for args, _ in correctors)
+    settings = (LiftOptions().corrector_tol, MAX_CORRECTOR_ITER)
+    assert all(args[3:] == settings for args, _ in correctors)
     assert polish_args[3:] == (POLISH_TOL, POLISH_STEPS)
     # the start's Jacobian comes from the checked start, each accepted
     # node's from its corrector, the polished endpoint's from the polish
@@ -99,8 +100,9 @@ def test_domain_tests_of_one_lift_step(monkeypatch):
     g = dataclasses.replace(f, domain=counted, eval_one=eval_one)
     _counting(monkeypatch, liftkit.lift, "jacobian_at", mids)
     target = f.eval(np.array([1.1, 0.1]))
-    opts = LiftOptions(step_init=1.0, step_max=1.0)
-    trace = lift_path(g, _seg2([1.0, 0.0], target), np.array([1.0, 0.0]), opts)
+    monkeypatch.setattr(liftkit.lift, "STEP_INIT", 1.0)
+    monkeypatch.setattr(liftkit.lift, "STEP_MAX", 1.0)
+    trace = lift_path(g, _seg2([1.0, 0.0], target), np.array([1.0, 0.0]))
     assert trace.verdict.completed and len(trace.nodes) == 2
     assert np.allclose(trace.final_coords, [1.1, 0.1])
     # a point is tested once and then evaluated: the start, the
@@ -161,14 +163,14 @@ def test_nonsquare_map_rejected():
         lift_path(f, p, np.array([0.0]))
 
 
-def test_blowup_verdict():
+def test_blowup_verdict(monkeypatch):
     # 1-d map with bounded image: lifting past the image boundary sends
     # the preimage to infinity; arctan keeps d_minus ~ 1/(1+x^2) > 0
     # long enough that the radius guard fires first at a tight budget
     f = resolve_map("arctan")
     p = Segment(Euclidean(1), np.array([0.0]), np.array([1.6]))
-    opts = LiftOptions(blowup_radius=50.0)
-    trace = lift_path(f, p, np.array([0.0]), opts)
+    monkeypatch.setattr(liftkit.lift, "BLOWUP_RADIUS", 50.0)
+    trace = lift_path(f, p, np.array([0.0]))
     assert trace.verdict.kind in ("FailedBlowUp", "FailedSingular", "FailedStall")
     assert trace.verdict.b < 1.0 or not trace.verdict.completed
 
@@ -289,30 +291,27 @@ def test_continuation_failure_exception_carries_trace(expmap):
 
 
 def test_options_validation():
-    with pytest.raises(InputError):
-        LiftOptions(step_init=0.0)
-    with pytest.raises(InputError):
-        LiftOptions(step_min=1.0, step_max=0.1)
+    # step_min floors the halving of the first step, so it may not exceed it
+    with pytest.raises(InputError, match="step_min"):
+        LiftOptions(step_min=1.0)
+    with pytest.raises(InputError, match="step_min"):
+        LiftOptions(step_min=STEP_INIT * (1.0 + 1e-15))
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        {"growth": 0.0},
-        {"growth": -1.0},
-        {"growth": 0.999},
-        {"blowup_radius": -1.0},
-        {"blowup_radius": 0.0},
-        {"singular_threshold": math.nan},
-        {"singular_threshold": -1e-12},
         {"max_nodes": 0},
-        {"max_corrector_iter": -1},
+        {"max_nodes": -1},
+        {"max_nodes": math.inf},
         {"corrector_tol": 0.0},
+        {"corrector_tol": -1e-10},
         {"corrector_tol": math.inf},
-        {"step_max": math.inf},
+        {"corrector_tol": math.nan},
+        {"step_min": 0.0},
+        {"step_min": -1e-12},
         {"step_min": math.nan},
-        {"blowup_radius": math.inf},
-        {"growth": math.nan},
+        {"step_min": math.inf},
     ],
 )
 def test_options_that_break_the_engine_are_refused(bad):
@@ -321,7 +320,7 @@ def test_options_that_break_the_engine_are_refused(bad):
 
 
 def test_options_at_their_limits_are_accepted(shear3):
-    opts = LiftOptions(growth=1.0, singular_threshold=0.0, max_corrector_iter=0, max_nodes=1)
+    opts = LiftOptions(step_min=STEP_INIT, max_nodes=1)
     trace = lift_path(shear3, _seg2([0.0, 0.0], [9.0, 2.0]), np.zeros(2), opts)
     assert trace.verdict.kind == "FailedStall" and len(trace.nodes) == 1
 
